@@ -120,8 +120,8 @@ def fit_slope(rows, *, use: str = "abs", floor: float = ERROR_FLOOR) -> SlopeFit
 
 def _omega_array(omega_grid):
     oms = np.sort(np.asarray(list(omega_grid), dtype=float))
-    if len(oms) == 0 or oms[0] <= 0:
-        raise ValueError("omega grid must be non-empty and positive")
+    if len(oms) == 0 or not np.all(np.isfinite(oms)) or oms[0] <= 0:
+        raise ValueError(f"omega grid must be non-empty, finite and positive, got omega={oms}")
     return oms
 
 

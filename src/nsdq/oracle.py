@@ -146,8 +146,8 @@ def acoustics_reference(omega: float, a: float = 1.0, b: float = 2.0, tol: float
     which is evaluated adaptively.  For ``w > 2000`` the range is split into
     ``ceil(w/100)`` panels first to keep the subdivision queue shallow.
     """
-    if not omega > 0:
-        raise ValueError(f"acoustics_reference needs omega > 0, got {omega}")
+    if not (omega > 0 and math.isfinite(omega)):
+        raise ValueError(f"acoustics_reference needs a finite omega > 0, got omega={omega}")
 
     def integrand(x):
         return (np.exp(1j * omega * x) - np.exp(1j * omega * np.sqrt(x * x + b * b))) * np.cos(x)

@@ -79,7 +79,14 @@ class RadialScene:
     """Per-direction radial restriction of an oscillatory integrand.
 
     Callables take ``(z, *angles)`` with ``z`` a complex scalar or array and
-    must be analytic in ``z`` wherever paths are traced.
+    must be analytic in ``z`` wherever paths are traced.  They must also be
+    elementwise under numpy broadcasting: the angles are scalars or arrays
+    of one common shape, and ``z`` may carry leading node axes in front of
+    that shape (the radial pre-quadrature passes every radial node of a
+    direction grid as one ``(m,) + angle shape`` array).  Each element of
+    the result may depend only on the matching elements of ``z`` and the
+    angles.  Closed-form paths follow the same rule with ``p`` in place of
+    ``z``.
 
     Attributes
     ----------
@@ -118,8 +125,8 @@ class RadialScene:
     def __post_init__(self):
         if self.n < 2:
             raise ValueError(f"RadialScene needs n >= 2, got {self.n}")
-        if not self.omega > 0:
-            raise ValueError(f"RadialScene needs omega > 0, got {self.omega}")
+        if not (self.omega > 0 and math.isfinite(self.omega)):
+            raise ValueError(f"RadialScene needs a finite omega > 0, got omega={self.omega}")
         if self.alpha < 1:
             raise ValueError(f"RadialScene needs alpha >= 1, got {self.alpha}")
         if not self.singularity_order < self.n:
@@ -205,8 +212,12 @@ def _radial_derivative_at(g, angles, order, h, r0):
 
 def complex_derivative(f, z, h: float = 1e-5):
     """Fourth-order central difference df/dz for analytic ``f``; fallback when
-    a scene has no closed-form derivative."""
-    step = h * max(1.0, abs(z))
+    a scene has no closed-form derivative.  ``z`` may be a scalar or an array
+    (elementwise steps)."""
+    if np.ndim(z):
+        step = h * np.maximum(1.0, np.abs(z))
+    else:
+        step = h * max(1.0, abs(z))
     return (
         -f(z + 2 * step) + 8 * f(z + step) - 8 * f(z - step) + f(z - 2 * step)
     ) / (12 * step)

@@ -208,27 +208,44 @@ def _weight_degree(scene: RadialScene) -> int:
     return max(scene.n - 1 - math.ceil(nu), 0)
 
 
+def _closed_form_samples(path, p_values, angles):
+    # one call with p shaped (m, 1, ..., 1) to broadcast against the angles
+    grid = np.broadcast_shapes(*(np.shape(a) for a in angles))
+    p = np.asarray(p_values, dtype=float).reshape((-1,) + (1,) * len(grid))
+    rho, drho = path(p, *angles)
+    shape = (len(p),) + grid
+    return np.broadcast_to(rho, shape), np.broadcast_to(drho, shape)
+
+
 def _origin_samples(scene: RadialScene, angles, p_values):
-    """(rho, drho) arrays over ascending descent parameters, grid-capable."""
+    """(rho, drho) over ascending descent parameters, node axis leading.
+
+    Both arrays have shape ``(m,) + angle shape``.  A closed-form path is
+    evaluated once on the whole node x direction array; a traced path is
+    continued node by node in p, and its derivative evaluated once on the
+    stacked solutions.
+    """
     if scene.origin_path is not None:
-        return [scene.origin_path(p, *angles) for p in p_values]
+        return _closed_form_samples(scene.origin_path, p_values, angles)
     g = lambda z: scene.oscillator(z, *angles)
     dg = lambda z: scene.d_oscillator(z, *angles)
     coeff = np.asarray(scene.alpha_coeff(*angles), dtype=float)
     if np.any(np.abs(coeff) < 1e-14):
         raise PathError("degenerate direction: vanishing leading coefficient on the grid")
-    out = []
+    zs = []
     z = None
     for p in p_values:
         seed = np.power(1j * p / coeff, 1.0 / scene.alpha) if z is None else z
         z = newton_descent(g, dg, 1j * p, seed, context="origin grid")
-        out.append((z, 1j / np.asarray(dg(z), dtype=complex)))
-    return out
+        zs.append(z)
+    rho = np.stack(zs)
+    return rho, 1j / np.asarray(dg(rho), dtype=complex)
 
 
 def _boundary_samples(scene: RadialScene, angles, p_values):
+    """Boundary-path counterpart of ``_origin_samples``, same shapes."""
     if scene.boundary_path is not None:
-        return [scene.boundary_path(p, *angles) for p in p_values]
+        return _closed_form_samples(scene.boundary_path, p_values, angles)
     if scene.boundary_radius is None:
         raise ValueError("scene has no boundary radius")
     # keep a complex dtype when tracing at complex angles (deformed outer
@@ -240,13 +257,14 @@ def _boundary_samples(scene: RadialScene, angles, p_values):
     dg = lambda z: scene.d_oscillator(z, *angles)
     gR = np.asarray(g(R), dtype=complex)
     dgR = np.asarray(dg(R), dtype=complex)
-    out = []
+    zs = []
     z = None
     for p in p_values:
         seed = R + 1j * p / dgR if z is None else z
         z = newton_descent(g, dg, gR + 1j * p, seed, context="boundary grid")
-        out.append((z, 1j / np.asarray(dg(z), dtype=complex)))
-    return out
+        zs.append(z)
+    rho = np.stack(zs)
+    return rho, 1j / np.asarray(dg(rho), dtype=complex)
 
 
 def _central_grid(scene: RadialScene, angles, m: int):
@@ -254,11 +272,14 @@ def _central_grid(scene: RadialScene, angles, m: int):
     d = _weight_degree(scene)
     rule = gauss_exp_power(m, alpha, d)
     ps = rule.nodes**alpha / omega
-    samples = _origin_samples(scene, angles, ps)
+    rho, drho = _origin_samples(scene, angles, ps)
+    f = scene.amplitude(rho, *angles)
+    jac = n * rho ** (n - 1) * drho
+    # summed node by node, in node order: a BLAS contraction would reorder
+    # the additions and change the last bits
     total = 0.0
-    for (xj, wj), (rho, drho) in zip(zip(rule.nodes, rule.weights), samples):
-        jac = n * rho ** (n - 1) * drho
-        total = total + wj * xj ** (alpha - 1 - d) * scene.amplitude(rho, *angles) * jac
+    for j, (xj, wj) in enumerate(zip(rule.nodes, rule.weights)):
+        total = total + wj * xj ** (alpha - 1 - d) * f[j] * jac[j]
     return total * (alpha / (n * omega))
 
 
@@ -266,13 +287,14 @@ def _boundary_grid(scene: RadialScene, angles, m: int):
     n, omega = scene.n, scene.omega
     rule = gauss_exp_power(m, 1, 0)
     ps = rule.nodes / omega
-    samples = _boundary_samples(scene, angles, ps)
+    rho, drho = _boundary_samples(scene, angles, ps)
     R = np.asarray(scene.boundary_radius(*angles), dtype=float)
     gR = np.asarray(scene.oscillator(R, *angles), dtype=complex)
+    f = scene.amplitude(rho, *angles)
+    jac = n * rho ** (n - 1) * drho
     total = 0.0
-    for (xj, wj), (rho, drho) in zip(zip(rule.nodes, rule.weights), samples):
-        jac = n * rho ** (n - 1) * drho
-        total = total + wj * scene.amplitude(rho, *angles) * jac
+    for j, wj in enumerate(rule.weights):
+        total = total + wj * f[j] * jac[j]
     return np.exp(1j * omega * gR) * total / (n * omega)
 
 
@@ -344,10 +366,12 @@ def _boundary_amplitude(scene, m):
         # amplitude of the boundary term as an analytic function of the
         # (possibly complex) angle; the oscillatory factor exp(i w G) is
         # supplied by the univariate descent machinery.
-        samples = _boundary_samples(scene, (th,), ps)
+        rho, drho = _boundary_samples(scene, (th,), ps)
+        f = scene.amplitude(rho, th)
+        rho_pow = rho ** (n - 1)
         total = 0.0 + 0.0j
-        for wj, (rho, drho) in zip(rule.weights, samples):
-            total += wj * scene.amplitude(rho, th) * n * rho ** (n - 1) * drho
+        for j, wj in enumerate(rule.weights):
+            total += wj * f[j] * n * rho_pow[j] * drho[j]
         return total / (n * omega)
 
     return amp
@@ -594,8 +618,10 @@ def normalize_scene(x0, f, g, omega: float, *, n: int | None = None, alpha: int 
     g0 = float(np.real(g(x0)))
 
     def point(z, *angles):
+        # coordinates on axis 0; z may carry node axes in front of the angle shape
         theta, _ = spherical_map(1.0, angles)
-        return x0.reshape((n,) + (1,) * np.ndim(z)) + np.asarray(z) * theta
+        z = np.asarray(z)
+        return np.stack(np.broadcast_arrays(*(x0[i] + z * theta[i] for i in range(n))))
 
     def g_tilde(z, *angles):
         return g(point(z, *angles)) - g0
@@ -615,14 +641,14 @@ def normalize_scene(x0, f, g, omega: float, *, n: int | None = None, alpha: int 
     def coeff(*angles):
         h = 1e-4
         if alpha == 1:
-            return float(np.real((g_tilde(h, *angles) - g_tilde(-h, *angles)) / (2 * h)))
-        vals = [complex(g_tilde(k * h, *angles)) for k in range(-alpha, alpha + 1)]
+            return np.real((g_tilde(h, *angles) - g_tilde(-h, *angles)) / (2 * h))
         ks = np.arange(-alpha, alpha + 1)
+        vals = np.stack([np.asarray(g_tilde(k * h, *angles), dtype=complex) for k in ks])
         A = np.vander(ks * h, 2 * alpha + 1, increasing=True).T
         rhs = np.zeros(2 * alpha + 1)
         rhs[alpha] = math.factorial(alpha)
         c = np.linalg.solve(A, rhs)
-        return float(np.real(np.dot(c, vals))) / math.factorial(alpha)
+        return np.real(np.tensordot(c, vals, axes=1)) / math.factorial(alpha)
 
     return RadialScene(
         n=n,

@@ -147,6 +147,10 @@ def ellipsoid_scene(omega: float) -> RadialScene:
         zs = z * _ellipsoid_slope(phi1, phi2)
         return 1.0 / (zs * zs * (1.0 + zs))
 
+    def origin_path(p, phi1, phi2):
+        s = _ellipsoid_slope(phi1, phi2)
+        return 1j * p / s, 1j / s
+
     return RadialScene(
         n=3,
         omega=omega,
@@ -156,21 +160,21 @@ def ellipsoid_scene(omega: float) -> RadialScene:
         alpha=1,
         alpha_coeff=_ellipsoid_slope,
         singularity_order=2.0,
-        origin_path=lambda p, phi1, phi2: (
-            1j * p / _ellipsoid_slope(phi1, phi2),
-            1j / _ellipsoid_slope(phi1, phi2),
-        ),
+        origin_path=origin_path,
         name="ellipsoid",
     )
 
 
 def _csinc(w):
-    # sin(w)/w, safe at w = 0, complex-capable
+    # sin(w)/w, safe at w = 0, complex-capable; the series only where |w| is small
     w = np.asarray(w, dtype=complex)
     small = np.abs(w) < 1e-4
-    denom = np.where(small, 1.0, w)
-    series = 1.0 - w * w / 6.0 + w**4 / 120.0
-    return np.where(small, series, np.sin(denom) / denom)
+    out = np.empty_like(w)
+    big = ~small
+    out[big] = np.sin(w[big]) / w[big]
+    ws = w[small]
+    out[small] = 1.0 - ws * ws / 6.0 + ws**4 / 120.0
+    return out
 
 
 def sphere_scatter_scene(k: float, psi: float) -> RadialScene:

@@ -159,8 +159,8 @@ def ellipsoid_reference(omega: float) -> complex:
     straight from the continued fraction there, which keeps the result
     accurate in a relative rather than absolute sense.
     """
-    if not omega > 0:
-        raise ValueError(f"ellipsoid_reference needs omega > 0, got {omega}")
+    if not (omega > 0 and math.isfinite(omega)):
+        raise ValueError(f"ellipsoid_reference needs a finite omega > 0, got omega={omega}")
     osc = 1j * math.cos(omega) + math.sin(omega)
     if omega <= _SERIES_CUTOFF:
         tail = math.pi + 2j * cos_int(omega) - 2.0 * sin_int(omega)

@@ -1,11 +1,14 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nsdq
 from nsdq.experiments import (
     ExperimentRow,
     fit_slope,
@@ -193,8 +196,11 @@ def test_tables_are_deterministic():
 
 
 def _run_cli(*args):
+    # the child imports the same nsdq as this process, installed or not
+    src = str(Path(nsdq.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run(
-        [sys.executable, "-m", "nsdq.cli", *args], capture_output=True, text=True
+        [sys.executable, "-m", "nsdq.cli", *args], capture_output=True, text=True, env=env
     )
 
 
@@ -256,3 +262,31 @@ def test_cli_json_format():
     assert res.returncode == 0
     payload = json.loads(res.stdout)
     assert payload[0]["omega"] == 10.0
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_non_finite_omega_rejected(bad):
+    from nsdq import scenes
+    from nsdq.oracle import acoustics_reference
+    from nsdq.specfun import ellipsoid_reference
+
+    with pytest.raises(ValueError, match="omega"):
+        scenes.disk_scene(bad)
+    with pytest.raises(ValueError, match="omega"):
+        run_ellipsoid([bad])
+    with pytest.raises(ValueError, match="omega"):
+        run_duct([100.0, bad])
+    with pytest.raises(ValueError, match="omega"):
+        run_sphere_scatter([bad], [0.0])
+    with pytest.raises(ValueError, match="omega"):
+        run_example1([bad])
+    with pytest.raises(ValueError, match="omega"):
+        ellipsoid_reference(bad)
+    with pytest.raises(ValueError, match="omega"):
+        acoustics_reference(bad)
+
+
+def test_cli_non_finite_omega_exits_one():
+    res = _run_cli("run", "--experiment", "ellipsoid", "--omega", "inf")
+    assert res.returncode == 1
+    assert "omega" in res.stderr

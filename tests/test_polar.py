@@ -10,6 +10,7 @@ from nsdq.oracle import adaptive_quad_1d, brute_force_polar
 from nsdq.polar import (
     AngularRegion,
     OuterPlan,
+    _central_grid,
     _weight_degree,
     boundary_contribution,
     central_contribution,
@@ -371,3 +372,24 @@ def test_region_and_plan_validation():
     sc = scenes.quarter_plane_scene(5.0)
     with pytest.raises(ValueError, match="full-period"):
         integrate_unbounded(sc, region, plan, 2)
+
+
+@pytest.mark.parametrize("with_grad", [True, False])
+def test_normalize_scene_quarter_plane_closed_form(with_grad):
+    # f = exp(-x), g = x + 2y over the quarter plane:
+    # int_0^inf exp(-(1 - i w) x) dx * int_0^inf exp(2 i w y) dy = i / (2 w (1 - i w))
+    omega = 50.0
+    grad_g = None
+    if with_grad:
+        grad_g = lambda x: np.stack(np.broadcast_arrays(np.ones_like(x[0]), 2.0 * np.ones_like(x[1])))
+    sc = normalize_scene(np.zeros(2), lambda x: np.exp(-x[0]), lambda x: x[0] + 2.0 * x[1], omega,
+                         grad_g=grad_g)
+    region = AngularRegion.box(2, (0.0, 0.5 * math.pi))
+    plan = OuterPlan.for_region(region, cc=20)
+    value = integrate_unbounded(sc, region, plan, 6)
+    exact = 1j / (2.0 * omega * (1.0 - 1j * omega))
+    assert abs(value - exact) <= 1e-9 * abs(exact)
+    # a single direction agrees with the same direction inside a grid
+    q = central_contribution(sc, (0.7,), 6)
+    grid = _central_grid(sc, (np.array([0.7, 1.1]),), 6)
+    assert abs(q - grid[0]) <= 1e-14 * abs(q)
