@@ -3,8 +3,8 @@
 Evaluates multivariate oscillatory integrals whose phase behaves like
 ``|x - x0|^alpha`` at a special point, by switching to n-spherical
 coordinates around that point and deforming the radial integral onto paths
-of steepest descent.  Ships the quadrature building blocks, the path
-tracer, the polar integrators, independent brute-force references, and the
+of steepest descent.  Ships the quadrature building blocks, the descent
+paths, the polar integrators, independent brute-force references, and the
 convergence experiments exposed through the ``nsdq`` command line tool.
 """
 
@@ -20,14 +20,7 @@ from .rules import (
     trapezoid_periodic,
 )
 from .specfun import EULER_GAMMA, SpecialValue, cos_int, ellipsoid_reference, gamma_fn, sin_int
-from .paths import (
-    Direction,
-    PathSample,
-    RadialScene,
-    closed_form_path,
-    trace_boundary_path,
-    trace_origin_path,
-)
+from .paths import RadialScene
 from .univariate import Endpoint1D, endpoint_contribution, nsd_interval
 from .polar import (
     AngularRegion,
@@ -38,7 +31,6 @@ from .polar import (
     integrate_unbounded,
     normalize_scene,
     rectangle_corner_contributions,
-    rectangle_direct_nsd,
     spherical_map,
 )
 from .oracle import AdaptiveResult, OracleNotConverged, acoustics_reference, adaptive_quad_1d, brute_force_polar

@@ -125,10 +125,6 @@ def _omega_array(omega_grid):
     return oms
 
 
-def default_omega_grid(lo: float = 10.0, hi: float = 2000.0, count: int = 20):
-    return np.geomspace(lo, hi, count)
-
-
 def run_ellipsoid(omega_grid, m: int = 8, outer_cc: int = 50, outer_trap: int = 50):
     """Ellipsoidal-phase experiment against the Si/Ci closed form."""
     if not 1 <= m <= 16:

@@ -9,33 +9,31 @@ singularity order, the star-shaped boundary radius).
 
 The descent path from the origin solves ``g(rho_0(p)) = i p``; the path from
 a boundary point ``R`` solves ``g(rho_R(p)) = g(R) + i p``.  Along either,
-``exp(i w g)`` decays like ``exp(-w p)``.  Paths are traced by Newton
-continuation: smallest ``p`` first, seeded by the leading term of the series
-expansion, then warm-started for each following ``p``.  Closed-form paths
-used by the experiments are kept in a registry so they can be cross-checked
-against the tracer.
+``exp(i w g)`` decays like ``exp(-w p)``.  A scene either supplies these
+paths in closed form or leaves them to :func:`newton_descent`, which the
+polar integrators run as a continuation in ``p`` over whole direction grids.
+
+The module also holds the closed-form angle paths of the rectangle's corner
+decomposition, ``corner_h11`` ... ``corner_h22``.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 __all__ = [
-    "Direction",
     "RadialScene",
-    "PathSample",
     "PathError",
     "newton_descent",
-    "trace_origin_path",
-    "trace_boundary_path",
-    "closed_form_path",
-    "register_path",
     "complex_derivative",
+    "corner_h11",
+    "corner_h12",
+    "corner_h21",
+    "corner_h22",
 ]
 
 _NEWTON_MAXIT = 50
@@ -44,34 +42,6 @@ _DERIV_FLOOR = 1e-14
 
 class PathError(RuntimeError):
     """Raised when a descent path cannot be traced."""
-
-
-@dataclass(frozen=True)
-class Direction:
-    """A point on the (n-1)-sphere stored as its angle tuple.
-
-    For n = 2 a single angle theta; for n = 3 the pair (phi1, phi2) with
-    phi1 in [0, pi] and phi2 in [0, 2 pi].
-    """
-
-    angles: tuple
-
-    def __init__(self, *angles):
-        if len(angles) == 1 and isinstance(angles[0], (tuple, list)):
-            angles = tuple(angles[0])
-        object.__setattr__(self, "angles", tuple(float(a) for a in angles))
-
-    @property
-    def n(self) -> int:
-        return len(self.angles) + 1
-
-    @property
-    def vector(self) -> np.ndarray:
-        """Unit vector of the n-spherical angle map."""
-        from .polar import spherical_map
-
-        x, _ = spherical_map(1.0, self.angles)
-        return x
 
 
 @dataclass
@@ -104,7 +74,6 @@ class RadialScene:
     phase_at_origin : constant exp(i w g(x0)) factored out by normalization.
     origin_path / boundary_path : optional closed forms
         (p, *angles) -> (rho, drho_dp) used by the integrators when present.
-    analytic_radius : caller-declared radius of z-analyticity per direction.
     """
 
     n: int
@@ -119,7 +88,6 @@ class RadialScene:
     phase_at_origin: complex = 1.0 + 0.0j
     origin_path: Callable | None = None
     boundary_path: Callable | None = None
-    analytic_radius: Callable | None = None
     name: str = ""
 
     def __post_init__(self):
@@ -134,80 +102,6 @@ class RadialScene:
                 f"amplitude singularity order {self.singularity_order} must be < n={self.n} "
                 "for the polar integrand to be integrable at the origin"
             )
-
-    def validate(self, directions: Sequence[Direction], h: float = 1e-4) -> None:
-        """Check the scene's structural assumptions at sampled directions.
-
-        Verifies g(0) = 0, the vanishing of the first alpha-1 radial
-        derivatives (finite differences, tolerance 1e-6), positivity of the
-        alpha-th, and radial monotonicity of the oscillator on a few sample
-        radii inside the domain.
-        """
-        for th in directions:
-            ang = th.angles
-            g0 = complex(self.oscillator(0.0, *ang))
-            if abs(g0) > 1e-14:
-                raise ValueError(f"oscillator not normalized: g(0, {ang}) = {g0}")
-            for l in range(1, self.alpha):
-                d = _radial_derivative(self.oscillator, ang, l, h)
-                if abs(d) > 1e-6:
-                    raise ValueError(
-                        f"radial derivative of order {l} does not vanish at 0 for {ang}: {d}"
-                    )
-            lead = _radial_derivative(self.oscillator, ang, self.alpha, h) / math.factorial(self.alpha)
-            if not lead.real > 0 or abs(lead.imag) > 1e-8:
-                raise ValueError(f"leading radial coefficient not positive at {ang}: {lead}")
-            declared = self.alpha_coeff(*ang)
-            if abs(lead.real - declared) > 1e-4 * max(1.0, abs(declared)):
-                raise ValueError(
-                    f"alpha_coeff({ang}) = {declared} disagrees with measured {lead.real}"
-                )
-            rmax = 1.0
-            if self.boundary_radius is not None:
-                rmax = float(self.boundary_radius(*ang))
-            for r in np.linspace(0.05, min(rmax, 10.0) * 0.95, 7):
-                dg = complex(self.d_oscillator(r, *ang))
-                if not dg.real > 0:
-                    raise ValueError(f"oscillator not radially increasing at r={r}, {ang}")
-
-
-@dataclass(frozen=True)
-class PathSample:
-    """One traced point of a steepest-descent path.
-
-    ``jac`` is the polar Jacobian factor d(rho^n)/dp = n rho^(n-1) drho_dp.
-    """
-
-    p: float
-    rho: complex
-    drho_dp: complex
-    jac: complex
-    residual: float
-
-
-def _radial_derivative(g, angles, order, h):
-    # Central finite-difference radial derivative at 0+ using a one-sided
-    # sample set (the scene may be undefined for r < 0 only in spirit; the
-    # callables are analytic, so symmetric stencils are fine).
-    if order == 1:
-        vals = (complex(g(h, *angles)) - complex(g(-h, *angles))) / (2 * h)
-        return vals
-    if order == 2:
-        return (complex(g(h, *angles)) - 2 * complex(g(0.0, *angles)) + complex(g(-h, *angles))) / h**2
-    # higher orders via repeated first differences of the next-lower order
-    f = lambda r: _radial_derivative_at(g, angles, order - 1, h, r)
-    return (f(h) - f(-h)) / (2 * h)
-
-
-def _radial_derivative_at(g, angles, order, h, r0):
-    if order == 1:
-        return (complex(g(r0 + h, *angles)) - complex(g(r0 - h, *angles))) / (2 * h)
-    if order == 2:
-        return (
-            complex(g(r0 + h, *angles)) - 2 * complex(g(r0, *angles)) + complex(g(r0 - h, *angles))
-        ) / h**2
-    f = lambda r: _radial_derivative_at(g, angles, order - 1, h, r)
-    return (f(r0 + h) - f(r0 - h)) / (2 * h)
 
 
 def complex_derivative(f, z, h: float = 1e-5):
@@ -258,167 +152,31 @@ def newton_descent(g, dg, target, z0, *, context: str = ""):
     return complex(z[0]) if scalar else z
 
 
-def _series_seed(p, alpha, coeff, side=+1):
-    # Leading term of the expansion rho ~ (i p / coeff)^(1/alpha); the branch
-    # with argument in (0, pi/alpha) for side=+1, its mirror for side=-1.
-    c = 1j * p / coeff
-    root = np.power(np.asarray(c, dtype=complex), 1.0 / alpha)
-    if alpha > 1 and side < 0:
-        # rotate to the root heading in the negative real direction
-        root = root * np.exp(2j * np.pi * (alpha - 1) / alpha)
-    return root
+# --- the rectangle's corner angle paths -------------------------------------
+# On [0,a] x [0,b] with phase sqrt(x^2 + y^2) the boundary radius R(theta) is
+# a sec(theta) below the diagonal and b csc(theta) above it; eta = sqrt(a^2 +
+# b^2) is R on the diagonal.  Each path h(q) solves R(h) = R(corner) + i q and
+# is returned as (h(q), D(q)), with h'(q) = i a / D(q) on the sec side and
+# -i b / D(q) on the csc side; the corner sum divides its amplitude by D.
 
 
-def _trace(scene, angles, p_list, base_z, base_g, seed_fn, context):
-    g = lambda z: scene.oscillator(z, *angles)
-    dg = lambda z: scene.d_oscillator(z, *angles)
-    samples = []
-    z = None
-    for p in p_list:
-        if p <= 0:
-            raise ValueError(f"descent parameters must be positive, got p={p}")
-        target = base_g + 1j * p
-        guess = seed_fn(p) if z is None else z
-        try:
-            z = newton_descent(g, dg, target, guess, context=f"{context} p={p}")
-        except PathError:
-            if z is None:
-                # retry the first point with a short continuation ramp
-                zz = None
-                for q in np.geomspace(p / 64.0, p, 8):
-                    zz = newton_descent(
-                        g, dg, base_g + 1j * q, seed_fn(q) if zz is None else zz,
-                        context=f"{context} p={q}",
-                    )
-                z = zz
-            else:
-                raise
-        dgz = complex(dg(z))
-        if abs(dgz) < _DERIV_FLOOR:
-            raise PathError(f"degenerate path at p={p} {context}")
-        drho = 1j / dgz
-        jac = scene.n * z ** (scene.n - 1) * drho
-        residual = abs(complex(g(z)) - target)
-        samples.append(PathSample(float(p), complex(z), drho, complex(jac), float(residual)))
-    return samples
+def corner_h11(q, a):
+    """Corner theta = 0: ``a sec(h) = a + i q``."""
+    return np.arccos(1.0 / (1.0 + 1j * q / a)), (a + 1j * q) * np.sqrt(2j * q * a - q**2)
 
 
-def trace_origin_path(scene: RadialScene, direction: Direction, p_list) -> list[PathSample]:
-    """Trace ``g(rho_0(p)) = i p`` at ascending descent parameters ``p_list``."""
-    angles = direction.angles if isinstance(direction, Direction) else tuple(direction)
-    coeff = float(scene.alpha_coeff(*angles))
-    if not coeff > _DERIV_FLOOR:
-        raise PathError(f"degenerate direction {angles}: leading coefficient {coeff}")
-    seed = lambda p: _series_seed(p, scene.alpha, coeff)
-    return _trace(scene, angles, p_list, 0.0, 0.0 + 0.0j, seed, f"origin path {angles}")
-
-
-def trace_boundary_path(scene: RadialScene, direction: Direction, p_list) -> list[PathSample]:
-    """Trace ``g(rho_R(p)) = g(R) + i p`` from the boundary point of a direction."""
-    angles = direction.angles if isinstance(direction, Direction) else tuple(direction)
-    if scene.boundary_radius is None:
-        raise ValueError("scene has no boundary radius; boundary paths undefined")
-    R = float(scene.boundary_radius(*angles))
-    if not (R > 0 and math.isfinite(R)):
-        raise ValueError(f"boundary radius must be finite and positive, got {R}")
-    gR = complex(scene.oscillator(R, *angles))
-    dgR = complex(scene.d_oscillator(R, *angles))
-    seed = lambda p: R + 1j * p / dgR
-    return _trace(scene, angles, p_list, R, gR, seed, f"boundary path {angles}")
-
-
-# --- closed-form path registry -------------------------------------------
-
-_path_registry: dict = {}
-
-
-def register_path(key: str, factory: Callable) -> None:
-    """Register a closed-form path factory under ``key``."""
-    _path_registry[key] = factory
-
-
-def closed_form_path(key: str, **params) -> Callable:
-    """Return the registered closed-form path ``p -> (rho, drho_dp)``.
-
-    Raises KeyError for unknown keys.  Every registered form is covered by a
-    test cross-checking it against the Newton tracer.
-    """
-    try:
-        factory = _path_registry[key]
-    except KeyError:
-        raise KeyError(
-            f"unknown closed-form path {key!r}; registered: {sorted(_path_registry)}"
-        ) from None
-    return factory(**params)
-
-
-def _linear_radial(slope: float):
-    s = float(slope)
-
-    def path(p):
-        p = np.asarray(p, dtype=float)
-        return 1j * p / s, np.broadcast_to(1j / s, p.shape).copy() if p.ndim else 1j / s
-
-    return path
-
-
-def _linear_boundary(base: float, slope: float = 1.0):
-    R, s = float(base), float(slope)
-
-    def path(p):
-        p = np.asarray(p, dtype=float)
-        return R + 1j * p / s, np.broadcast_to(1j / s, p.shape).copy() if p.ndim else 1j / s
-
-    return path
-
-
-def _duct_h11(a: float):
-    def path(q):
-        u = 1.0 + 1j * q / a
-        rho = np.arccos(1.0 / u) if isinstance(q, np.ndarray) else cmath.acos(1.0 / u)
-        drho = 1j * a / ((a + 1j * q) * np.sqrt(2j * q * a - q * q))
-        return rho, drho
-
-    return path
-
-
-def _duct_h12(a: float, b: float):
+def corner_h12(q, a, b):
+    """Diagonal corner from below: ``a sec(h) = eta + i q``."""
     eta = math.hypot(a, b)
-
-    def path(q):
-        u = (eta + 1j * q) / a
-        rho = np.arccos(1.0 / u) if isinstance(q, np.ndarray) else cmath.acos(1.0 / u)
-        drho = 1j * a / ((eta + 1j * q) * np.sqrt(b * b - q * q + 2j * q * eta))
-        return rho, drho
-
-    return path
+    return np.arccos(a / (eta + 1j * q)), (eta + 1j * q) * np.sqrt(b**2 - q**2 + 2j * q * eta)
 
 
-def _duct_h21(a: float, b: float):
+def corner_h21(q, a, b):
+    """Diagonal corner from above: ``b csc(h) = eta + i q``."""
     eta = math.hypot(a, b)
-
-    def path(q):
-        u = (eta + 1j * q) / b
-        rho = np.arcsin(1.0 / u) if isinstance(q, np.ndarray) else cmath.asin(1.0 / u)
-        drho = -1j * b / ((eta + 1j * q) * np.sqrt(a * a - q * q + 2j * q * eta))
-        return rho, drho
-
-    return path
+    return np.arcsin(b / (eta + 1j * q)), (eta + 1j * q) * np.sqrt(a**2 - q**2 + 2j * q * eta)
 
 
-def _duct_h22(b: float):
-    def path(q):
-        u = 1.0 + 1j * q / b
-        rho = np.arcsin(1.0 / u) if isinstance(q, np.ndarray) else cmath.asin(1.0 / u)
-        drho = -1j * b / ((b + 1j * q) * np.sqrt(2j * q * b - q * q))
-        return rho, drho
-
-    return path
-
-
-register_path("linear-radial", _linear_radial)
-register_path("linear-boundary", _linear_boundary)
-register_path("duct-corner-h11", _duct_h11)
-register_path("duct-corner-h12", _duct_h12)
-register_path("duct-corner-h21", _duct_h21)
-register_path("duct-corner-h22", _duct_h22)
+def corner_h22(q, b):
+    """Corner theta = pi/2: ``b csc(h) = b + i q``."""
+    return np.arcsin(1.0 / (1.0 + 1j * q / b)), (b + 1j * q) * np.sqrt(2j * q * b - q**2)

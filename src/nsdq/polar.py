@@ -20,11 +20,14 @@ Main entry points
     The closed-form corner decomposition of the boundary term for an
     axis-aligned rectangle with phase sqrt(x^2 + y^2), including the
     resonance corners that need the half-range Hermite treatment.
-``rectangle_direct_nsd``
-    Nested univariate steepest descent applied directly in Cartesian
-    coordinates.  Kept deliberately: its origin term cannot converge faster
-    than w^-2 (the integrand after scaling is w-independent), which is the
-    failure the polar rule repairs.
+``rectangle_direct_terms``
+    The four corner terms of nested univariate steepest descent applied
+    directly in Cartesian coordinates.  Kept deliberately: its origin term
+    cannot converge faster than w^-2 (the integrand after scaling is
+    w-independent), which is the failure the polar rule repairs.
+
+Paths without a closed form are traced by one Newton continuation in ``p``
+over the whole direction grid (``_traced_samples``).
 """
 
 from __future__ import annotations
@@ -36,7 +39,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .paths import Direction, PathError, RadialScene, complex_derivative, newton_descent
+from .paths import (PathError, RadialScene, complex_derivative, corner_h11, corner_h12,
+                    corner_h21, corner_h22, newton_descent)
 from .rules import clenshaw_curtis, gauss_exp_power, trapezoid_periodic
 from .univariate import nsd_interval
 
@@ -49,7 +53,6 @@ __all__ = [
     "integrate_unbounded",
     "integrate_star_shaped",
     "rectangle_corner_contributions",
-    "rectangle_direct_nsd",
     "rectangle_direct_terms",
     "normalize_scene",
 ]
@@ -217,6 +220,30 @@ def _closed_form_samples(path, p_values, angles):
     return np.broadcast_to(rho, shape), np.broadcast_to(drho, shape)
 
 
+def _traced_samples(scene: RadialScene, angles, base, p_values, seed, context):
+    # Newton continuation of g(rho(p)) = base + i p over ascending p, all
+    # directions at once: the first p starts from seed(p), each later p from
+    # the previous solution.
+    g = lambda z: scene.oscillator(z, *angles)
+    dg = lambda z: scene.d_oscillator(z, *angles)
+    grid = np.broadcast_shapes(*(np.shape(a) for a in angles))
+    zs = []
+    for p in p_values:
+        start = zs[-1] if zs else np.broadcast_to(seed(p), grid)
+        try:
+            z = newton_descent(g, dg, base + 1j * p, start, context=context)
+        except PathError:
+            if zs:
+                raise
+            # the seed is out of Newton's reach: ramp up to the first p instead
+            z = np.broadcast_to(seed(p / 64.0), grid)
+            for q in np.geomspace(p / 64.0, p, 8):
+                z = newton_descent(g, dg, base + 1j * q, z, context=context)
+        zs.append(z)
+    rho = np.stack(zs)
+    return rho, 1j / np.asarray(dg(rho), dtype=complex)
+
+
 def _origin_samples(scene: RadialScene, angles, p_values):
     """(rho, drho) over ascending descent parameters, node axis leading.
 
@@ -227,19 +254,12 @@ def _origin_samples(scene: RadialScene, angles, p_values):
     """
     if scene.origin_path is not None:
         return _closed_form_samples(scene.origin_path, p_values, angles)
-    g = lambda z: scene.oscillator(z, *angles)
-    dg = lambda z: scene.d_oscillator(z, *angles)
     coeff = np.asarray(scene.alpha_coeff(*angles), dtype=float)
     if np.any(np.abs(coeff) < 1e-14):
         raise PathError("degenerate direction: vanishing leading coefficient on the grid")
-    zs = []
-    z = None
-    for p in p_values:
-        seed = np.power(1j * p / coeff, 1.0 / scene.alpha) if z is None else z
-        z = newton_descent(g, dg, 1j * p, seed, context="origin grid")
-        zs.append(z)
-    rho = np.stack(zs)
-    return rho, 1j / np.asarray(dg(rho), dtype=complex)
+    # leading term of the series rho ~ (i p / coeff)^(1/alpha)
+    seed = lambda p: np.power(1j * p / coeff, 1.0 / scene.alpha)
+    return _traced_samples(scene, angles, 0.0, p_values, seed, "origin grid")
 
 
 def _boundary_samples(scene: RadialScene, angles, p_values):
@@ -253,18 +273,10 @@ def _boundary_samples(scene: RadialScene, angles, p_values):
     R = np.asarray(scene.boundary_radius(*angles))
     if not np.iscomplexobj(R):
         R = R.astype(float)
-    g = lambda z: scene.oscillator(z, *angles)
-    dg = lambda z: scene.d_oscillator(z, *angles)
-    gR = np.asarray(g(R), dtype=complex)
-    dgR = np.asarray(dg(R), dtype=complex)
-    zs = []
-    z = None
-    for p in p_values:
-        seed = R + 1j * p / dgR if z is None else z
-        z = newton_descent(g, dg, gR + 1j * p, seed, context="boundary grid")
-        zs.append(z)
-    rho = np.stack(zs)
-    return rho, 1j / np.asarray(dg(rho), dtype=complex)
+    gR = np.asarray(scene.oscillator(R, *angles), dtype=complex)
+    dgR = np.asarray(scene.d_oscillator(R, *angles), dtype=complex)
+    seed = lambda p: R + 1j * p / dgR
+    return _traced_samples(scene, angles, gR, p_values, seed, "boundary grid")
 
 
 def _central_grid(scene: RadialScene, angles, m: int):
@@ -310,8 +322,7 @@ def central_contribution(scene: RadialScene, direction, m: int) -> complex:
     Jacobian inside the product, which is evaluated at strictly positive
     nodes.
     """
-    angles = direction.angles if isinstance(direction, Direction) else tuple(direction)
-    return complex(_central_grid(scene, angles, m))
+    return complex(_central_grid(scene, tuple(direction), m))
 
 
 def boundary_contribution(scene: RadialScene, direction, m: int) -> complex:
@@ -322,8 +333,7 @@ def boundary_contribution(scene: RadialScene, direction, m: int) -> complex:
     boundary).  The star-shaped pre-quadrature value is
     ``central_contribution - boundary_contribution``.
     """
-    angles = direction.angles if isinstance(direction, Direction) else tuple(direction)
-    return complex(_boundary_grid(scene, angles, m))
+    return complex(_boundary_grid(scene, tuple(direction), m))
 
 
 def integrate_unbounded(scene: RadialScene, region: AngularRegion, plan: OuterPlan, m: int) -> complex:
@@ -340,9 +350,8 @@ def integrate_unbounded(scene: RadialScene, region: AngularRegion, plan: OuterPl
     return complex(scene.phase_at_origin) * total
 
 
-def _boundary_is_constant(scene, region, plan):
-    for box in region.axis_boxes():
-        mesh, _ = _outer_grid(region, plan, box)
+def _boundary_is_constant(scene, grids):
+    for mesh, _ in grids:
         R = np.asarray(scene.boundary_radius(*mesh), dtype=float)
         if np.max(R) - np.min(R) > 1e-12 * max(1.0, np.max(np.abs(R))):
             return False
@@ -441,7 +450,8 @@ def integrate_star_shaped(scene: RadialScene, region: AngularRegion, plan: Outer
         raise ValueError("integrate_star_shaped needs a bounded scene")
     if boundary_mode not in ("auto", "plain", "nsd"):
         raise ValueError(f"unknown boundary_mode {boundary_mode!r}")
-    constant = _boundary_is_constant(scene, region, plan)
+    grids = [_outer_grid(region, plan, box) for box in region.axis_boxes()]
+    constant = _boundary_is_constant(scene, grids)
     mode = boundary_mode
     if mode == "auto":
         mode = "plain" if constant else "nsd"
@@ -453,15 +463,15 @@ def integrate_star_shaped(scene: RadialScene, region: AngularRegion, plan: Outer
         )
 
     total = 0.0 + 0.0j
-    for box in region.axis_boxes():
-        mesh, w = _outer_grid(region, plan, box)
+    for mesh, w in grids:
         q = _central_grid(scene, mesh, m)
         if mode == "plain":
             q = q - _boundary_grid(scene, mesh, m)
         total += complex(np.sum(w * q))
     if mode == "nsd":
         total -= _oscillatory_boundary_term(scene, region, m)
-    return complex(scene.phase_at_origin) * total
+    # complex(): the nsd term turns the total into a numpy scalar
+    return complex(complex(scene.phase_at_origin) * total)
 
 
 # --- rectangle decompositions ---------------------------------------------
@@ -478,7 +488,7 @@ def rectangle_corner_contributions(f_polar, a: float, b: float, omega: float,
 
     The outer angular integral of the boundary term is itself oscillatory
     with phase R(theta); its four endpoint contributions run along the
-    closed-form angle paths
+    closed-form angle paths ``nsdq.paths.corner_h11`` ... ``corner_h22``
 
         h11(q) = asec(1 + iq/a),        h12(q) = asec((eta + iq)/a),
         h21(q) = acsc((eta + iq)/b),    h22(q) = acsc(1 + iq/b),
@@ -503,25 +513,25 @@ def rectangle_corner_contributions(f_polar, a: float, b: float, omega: float,
 
     # corners at theta = 0 and pi/2: q = t^2/omega
     Qh = (gh.nodes**2 / omega)[None, :]
-    th11 = np.arccos(1.0 / (1.0 + 1j * Qh / a))
-    K11 = f_polar(a + 1j * Qh + 1j * P, th11) / ((a + 1j * Qh) * np.sqrt(2j * Qh * a - Qh**2))
+    th11, D11 = corner_h11(Qh, a)
+    K11 = f_polar(a + 1j * Qh + 1j * P, th11) / D11
     _assert_finite(K11, "(1,1)")
     I11 = -(2.0 * a * cmath.exp(1j * omega * a) / omega**2) * (wl @ K11 @ (gh.weights * gh.nodes))
 
-    th22 = np.arcsin(1.0 / (1.0 + 1j * Qh / b))
-    K22 = f_polar(b + 1j * Qh + 1j * P, th22) / ((b + 1j * Qh) * np.sqrt(2j * Qh * b - Qh**2))
+    th22, D22 = corner_h22(Qh, b)
+    K22 = f_polar(b + 1j * Qh + 1j * P, th22) / D22
     _assert_finite(K22, "(2,2)")
     I22 = (2.0 * b * cmath.exp(1j * omega * b) / omega**2) * (wl @ K22 @ (gh.weights * gh.nodes))
 
     # corners at theta = beta: q = t/omega
     Ql = (gl.nodes / omega)[None, :]
-    th12 = np.arccos(a / (eta + 1j * Ql))
-    K12 = f_polar(eta + 1j * Ql + 1j * P, th12) / ((eta + 1j * Ql) * np.sqrt(b**2 - Ql**2 + 2j * Ql * eta))
+    th12, D12 = corner_h12(Ql, a, b)
+    K12 = f_polar(eta + 1j * Ql + 1j * P, th12) / D12
     _assert_finite(K12, "(1,2)")
     I12 = -(a * cmath.exp(1j * omega * eta) / omega**2) * (wl @ K12 @ wl)
 
-    th21 = np.arcsin(b / (eta + 1j * Ql))
-    K21 = f_polar(eta + 1j * Ql + 1j * P, th21) / ((eta + 1j * Ql) * np.sqrt(a**2 - Ql**2 + 2j * Ql * eta))
+    th21, D21 = corner_h21(Ql, a, b)
+    K21 = f_polar(eta + 1j * Ql + 1j * P, th21) / D21
     _assert_finite(K21, "(2,1)")
     I21 = (b * cmath.exp(1j * omega * eta) / omega**2) * (wl @ K21 @ wl)
 
@@ -565,25 +575,13 @@ def _direct_corner(f, x0, y0, omega, m_lag, m_herm, outer_resonance_fix):
 
 
 def rectangle_direct_terms(f, a, b, omega, m, m_herm=None, outer_resonance_fix=False):
-    """The four corner terms of the direct Cartesian descent decomposition."""
-    if m_herm is None:
-        m_herm = 2 * m
-    return {
-        (0.0, 0.0): _direct_corner(f, 0.0, 0.0, omega, m, m_herm, outer_resonance_fix),
-        (a, 0.0): _direct_corner(f, a, 0.0, omega, m, m_herm, outer_resonance_fix),
-        (0.0, b): _direct_corner(f, 0.0, b, omega, m, m_herm, outer_resonance_fix),
-        (a, b): _direct_corner(f, a, b, omega, m, m_herm, outer_resonance_fix),
-    }
+    r"""Corner terms of nested Cartesian steepest descent, phase ``sqrt(x^2+y^2)``.
 
-
-def rectangle_direct_nsd(f, a: float, b: float, omega: float, m: int, m_herm: int | None = None,
-                         outer_resonance_fix: bool = False) -> complex:
-    r"""Nested Cartesian steepest descent over ``[0,a] x [0,b]``, phase ``sqrt(x^2+y^2)``.
-
-    Returns ``F(0,0) - F(a,0) - F(0,b) + F(a,b)``, each corner evaluated
-    with the inner-axis ``q -> q^2`` substitution and tensor Gaussian rules.
-    This is the method that the polar treatment repairs, kept as a
-    documented failure mode:
+    Returns ``{(x0, y0): F(x0, y0)}`` for the corners of ``[0,a] x [0,b]``;
+    the integral is ``F(0,0) - F(a,0) - F(0,b) + F(a,b)``.  Each corner is
+    evaluated with the inner-axis ``q -> q^2`` substitution and tensor
+    Gaussian rules.  This is the method that the polar treatment repairs,
+    kept as a documented failure mode:
 
     * the origin term's scaled integrand is independent of omega (the phase
       is homogeneous there), so its relative quadrature error never
@@ -597,8 +595,14 @@ def rectangle_direct_nsd(f, a: float, b: float, omega: float, m: int, m_herm: in
     """
     if not (a > 0 and b > 0):
         raise ValueError(f"rectangle sides must be positive, got a={a}, b={b}")
-    t = rectangle_direct_terms(f, a, b, omega, m, m_herm, outer_resonance_fix)
-    return complex(t[(0.0, 0.0)] - t[(a, 0.0)] - t[(0.0, b)] + t[(a, b)])
+    if m_herm is None:
+        m_herm = 2 * m
+    return {
+        (0.0, 0.0): _direct_corner(f, 0.0, 0.0, omega, m, m_herm, outer_resonance_fix),
+        (a, 0.0): _direct_corner(f, a, 0.0, omega, m, m_herm, outer_resonance_fix),
+        (0.0, b): _direct_corner(f, 0.0, b, omega, m, m_herm, outer_resonance_fix),
+        (a, b): _direct_corner(f, a, b, omega, m, m_herm, outer_resonance_fix),
+    }
 
 
 def normalize_scene(x0, f, g, omega: float, *, n: int | None = None, alpha: int = 1,

@@ -2,9 +2,8 @@ r"""Registered integrand scenes used by the experiments and cross-checks.
 
 Each builder returns a :class:`~nsdq.paths.RadialScene` written directly in
 polar form, with analytic oscillator derivatives and, where one exists, the
-closed-form descent path.  The registry keeps the Newton tracer honest: the
-test suite traces every registered scene and compares against the closed
-forms.
+closed-form descent path.  The test suite also traces every registered scene
+with the integrators' Newton tracer and checks the residuals.
 """
 
 from __future__ import annotations

@@ -29,9 +29,10 @@ from nsdq.experiments import (
     sphere_table,
 )
 from nsdq.oracle import acoustics_reference, brute_force_polar
-from nsdq.paths import Direction, closed_form_path, newton_descent, trace_origin_path
+from nsdq.paths import corner_h11, corner_h12, corner_h21, corner_h22, newton_descent
 from nsdq.polar import (
     OuterPlan,
+    _origin_samples,
     integrate_star_shaped,
     integrate_unbounded,
     rectangle_direct_terms,
@@ -174,6 +175,7 @@ def test_criterion_6_duct_modes():
 
 
 def test_criterion_7_path_solver():
+    # the grid tracer the integrators run, residuals from the scene itself
     t0 = time.time()
     ps = np.geomspace(1e-3, 0.3, 10)
     worst_res = 0.0
@@ -182,35 +184,35 @@ def test_criterion_7_path_solver():
     for name, builder in scenes.scene_registry().items():
         sc = builder(50.0)
         sc.origin_path = None
-        dirs = [Direction(0.4), Direction(2.0)] if sc.n == 2 else [Direction(0.7, 1.3), Direction(2.2, 4.1)]
-        for d in dirs:
-            for smp in trace_origin_path(sc, d, ps):
-                worst_res = max(worst_res, smp.residual / (1 + smp.p))
+        if sc.n == 2:
+            angles = (np.array([0.4, 2.0]),)
+        else:
+            angles = (np.array([0.7, 2.2]), np.array([1.3, 4.1]))
+        rho, _ = _origin_samples(sc, angles, ps)
+        res = np.abs(sc.oscillator(rho, *angles) - 1j * ps[:, None]) / (1 + ps[:, None])
+        worst_res = max(worst_res, float(res.max()))
 
     # closed forms against the tracer: the ellipsoid radial path ...
     sc = scenes.ellipsoid_scene(100.0)
     sc.origin_path = None
-    for angles in [(0.7, 1.3), (2.1, 4.0)]:
-        s = float(scenes._ellipsoid_slope(*angles))
-        for smp in trace_origin_path(sc, Direction(*angles), ps):
-            worst_dev = max(worst_dev, abs(smp.rho - 1j * smp.p / s))
+    angles = (np.array([0.7, 2.1]), np.array([1.3, 4.0]))
+    rho, _ = _origin_samples(sc, angles, ps)
+    s = scenes._ellipsoid_slope(*angles)
+    worst_dev = max(worst_dev, float(np.abs(rho - 1j * ps[:, None] / s).max()))
 
-    # ... and the duct angle paths
+    # ... and the duct angle paths of the corner decomposition
     a, b = 1.0, 2.0
     eta = math.hypot(a, b)
     qs = np.geomspace(1e-4, 0.5, 10)
+    sec, dsec = lambda z: a / np.cos(z), lambda z: a * np.sin(z) / np.cos(z) ** 2
+    csc, dcsc = lambda z: b / np.sin(z), lambda z: -b * np.cos(z) / np.sin(z) ** 2
     cases = [
-        ("duct-corner-h11", {"a": a}, lambda z: a / np.cos(z),
-         lambda z: a * np.sin(z) / np.cos(z) ** 2, a),
-        ("duct-corner-h12", {"a": a, "b": b}, lambda z: a / np.cos(z),
-         lambda z: a * np.sin(z) / np.cos(z) ** 2, eta),
-        ("duct-corner-h21", {"a": a, "b": b}, lambda z: b / np.sin(z),
-         lambda z: -b * np.cos(z) / np.sin(z) ** 2, eta),
-        ("duct-corner-h22", {"b": b}, lambda z: b / np.sin(z),
-         lambda z: -b * np.cos(z) / np.sin(z) ** 2, b),
+        (lambda q: corner_h11(q, a), sec, dsec, a),
+        (lambda q: corner_h12(q, a, b), sec, dsec, eta),
+        (lambda q: corner_h21(q, a, b), csc, dcsc, eta),
+        (lambda q: corner_h22(q, b), csc, dcsc, b),
     ]
-    for key, params, g, dg, base in cases:
-        path = closed_form_path(key, **params)
+    for path, g, dg, base in cases:
         z = None
         for q in qs:
             h, _ = path(q)

@@ -1,54 +1,59 @@
+"""Descent paths: the grid tracer the integrators run, and the corner paths.
+
+Traced paths are checked through ``polar._origin_samples`` and
+``polar._boundary_samples``, the Newton continuation the integrators call,
+with residuals computed from the scene's own oscillator.  The rectangle's
+corner angle paths are the definitions ``rectangle_corner_contributions``
+evaluates.
+"""
+
 import cmath
 import math
 
 import numpy as np
 import pytest
 
-from nsdq import scenes
+from nsdq import polar, scenes
 from nsdq.paths import (
-    Direction,
     PathError,
     RadialScene,
-    closed_form_path,
+    corner_h11,
+    corner_h12,
+    corner_h21,
+    corner_h22,
     newton_descent,
-    trace_boundary_path,
-    trace_origin_path,
 )
+from nsdq.polar import _boundary_samples, _origin_samples
 
 
 def _sample_ps():
     return np.geomspace(1e-3, 0.5, 10)
 
 
-def test_direction_unit_vector():
-    d = Direction(0.7)
-    np.testing.assert_allclose(d.vector, [math.cos(0.7), math.sin(0.7)], rtol=1e-15)
-    assert abs(np.linalg.norm(d.vector) - 1.0) < 1e-14
-    d3 = Direction(0.7, 1.3)
-    assert d3.n == 3
-    assert abs(np.linalg.norm(d3.vector) - 1.0) < 1e-14
+def _column(ps, angles):
+    # descent parameters shaped to broadcast against the traced (m,) + grid arrays
+    return np.reshape(ps, (-1,) + (1,) * np.ndim(angles[0]))
 
 
 def test_linear_phase_origin_path():
     sc = scenes.quarter_plane_scene(10.0)
     sc.origin_path = None
-    samples = trace_origin_path(sc, Direction(0.3), _sample_ps())
-    for s in samples:
-        assert abs(s.rho - 1j * s.p) < 1e-14
-        # d(rho^2)/dp = -2p for the n = 2 linear phase
-        assert abs(s.jac - (-2.0 * s.p)) < 1e-13
-        assert abs(0.5 * s.jac - (-s.p)) < 1e-13
+    ps = _sample_ps()
+    rho, drho = _origin_samples(sc, (0.3,), ps)
+    assert np.all(np.abs(rho - 1j * ps) < 1e-14)
+    # d(rho^2)/dp = -2p for the n = 2 linear phase
+    assert np.all(np.abs(2.0 * rho * drho + 2.0 * ps) < 1e-13)
 
 
 def test_ellipsoid_origin_path_matches_closed_form():
     sc = scenes.ellipsoid_scene(100.0)
     sc.origin_path = None
-    for angles in [(0.7, 1.3), (2.1, 4.0), (1.5707963, 0.0)]:
-        s = scenes._ellipsoid_slope(*angles)
-        samples = trace_origin_path(sc, Direction(*angles), _sample_ps())
-        for t in samples:
-            assert abs(t.rho - 1j * t.p / s) <= 1e-12
-            assert t.residual <= 1e-12 * (1 + t.p)
+    angles = (np.array([0.7, 2.1, 1.5707963]), np.array([1.3, 4.0, 0.0]))
+    ps = _column(_sample_ps(), angles)
+    rho, _ = _origin_samples(sc, angles, _sample_ps())
+    assert rho.shape == (10, 3)
+    assert np.all(np.abs(rho - 1j * ps / scenes._ellipsoid_slope(*angles)) <= 1e-12)
+    assert np.all(np.abs(sc.oscillator(rho, *angles) - 1j * ps) <= 1e-12 * (1 + ps))
 
 
 def test_quadratic_phase_branch():
@@ -61,10 +66,9 @@ def test_quadratic_phase_branch():
         alpha=2,
         alpha_coeff=lambda th: 1.0,
     )
-    samples = trace_origin_path(sc, Direction(0.1), _sample_ps())
-    for t in samples:
-        expected = cmath.exp(1j * math.pi / 4) * math.sqrt(t.p)
-        assert abs(t.rho - expected) < 1e-12
+    ps = _sample_ps()
+    rho, _ = _origin_samples(sc, (0.1,), ps)
+    assert np.all(np.abs(rho - cmath.exp(1j * math.pi / 4) * np.sqrt(ps)) < 1e-12)
 
 
 def test_boundary_paths_linear_phase():
@@ -73,54 +77,94 @@ def test_boundary_paths_linear_phase():
     th = 0.4
     R = float(sc.boundary_radius(th))
     assert abs(R - 1.0 / math.cos(th)) < 1e-14
-    samples = trace_boundary_path(sc, Direction(th), _sample_ps())
-    for t in samples:
-        assert abs(t.rho - (R + 1j * t.p)) < 1e-12
+    ps = _sample_ps()
+    rho, _ = _boundary_samples(sc, (th,), ps)
+    assert np.all(np.abs(rho - (R + 1j * ps)) < 1e-12)
 
     disk = scenes.disk_scene(10.0)
     disk.boundary_path = None
-    for t in trace_boundary_path(disk, Direction(1.0), _sample_ps()):
-        assert abs(t.rho - (1.0 + 1j * t.p)) < 1e-13
+    angles = (np.linspace(0.0, 2 * math.pi, 7),)
+    rho, _ = _boundary_samples(disk, angles, ps)
+    assert np.all(np.abs(rho - (1.0 + 1j * _column(ps, angles))) < 1e-13)
 
 
 def test_ellipse_boundary_linear_ansatz():
     sc = scenes.ellipse_scene(30.0)
     sc.boundary_path = None
-    th = 0.9
-    R = float(sc.boundary_radius(th))
-    for t in trace_boundary_path(sc, Direction(th), _sample_ps()):
-        assert abs(t.rho - (R + 1j * t.p)) < 1e-12
+    angles = (np.array([0.9, 2.5]),)
+    R = sc.boundary_radius(*angles)
+    ps = _column(_sample_ps(), angles)
+    rho, _ = _boundary_samples(sc, angles, _sample_ps())
+    assert np.all(np.abs(rho - (R + 1j * ps)) < 1e-12)
 
 
 def test_path_sample_invariants():
     sc = scenes.sphere_scatter_scene(50.0, math.pi / 5)
+    angles = (np.linspace(0.0, 2 * math.pi, 9),)
     ps = np.geomspace(1e-3, 0.4, 24)
-    for th in np.linspace(0.0, 2 * math.pi, 9):
-        samples = trace_origin_path(sc, Direction(th), ps)
-        for t in samples:
-            assert t.residual <= 1e-12 * (1 + t.p)
-            dg = complex(sc.d_oscillator(t.rho, th))
-            assert abs(t.drho_dp * dg - 1j) <= 1e-12
-            # exp(i w g(rho)) decays exactly like exp(-w p) at convergence
-            g = complex(sc.oscillator(t.rho, th))
-            assert abs(abs(cmath.exp(1j * sc.omega * g)) - math.exp(-sc.omega * t.p)) \
-                <= 1e-12 * math.exp(-sc.omega * t.p)
-        # branch continuity along the ascending parameter list
-        for t0, t1 in zip(samples, samples[1:]):
-            dp = t1.p - t0.p
-            assert abs(t1.rho - t0.rho) <= 2.0 * max(abs(t0.drho_dp), abs(t1.drho_dp)) * dp
+    rho, drho = _origin_samples(sc, angles, ps)
+    p = _column(ps, angles)
+    g = sc.oscillator(rho, *angles)
+    assert np.all(np.abs(g - 1j * p) <= 1e-12 * (1 + p))
+    assert np.all(np.abs(drho * sc.d_oscillator(rho, *angles) - 1j) <= 1e-12)
+    # exp(i w g(rho)) decays exactly like exp(-w p) at convergence
+    decay = np.exp(-sc.omega * p)
+    assert np.all(np.abs(np.abs(np.exp(1j * sc.omega * g)) - decay) <= 1e-12 * decay)
+    # branch continuity along the ascending parameters
+    step = np.abs(np.diff(rho, axis=0))
+    bound = 2.0 * np.maximum(np.abs(drho[:-1]), np.abs(drho[1:])) * np.diff(p, axis=0)
+    assert np.all(step <= bound)
 
 
-def test_closed_form_registry_linear():
-    path = closed_form_path("linear-radial", slope=2.0)
-    rho, drho = path(0.3)
-    assert abs(rho - 0.15j) < 1e-15
-    assert abs(drho - 0.5j) < 1e-15
+@pytest.mark.parametrize("psi, ps", [(1.5, [0.3, 0.33]), (1.3, [2.0, 2.2])])
+@pytest.mark.parametrize("angles", [(0.0,), (np.linspace(0.0, 2 * math.pi, 12, endpoint=False),)],
+                         ids=["one-direction", "grid"])
+def test_first_point_ramp(psi, ps, angles, monkeypatch):
+    # Newton from the series seed diverges at the first p here; the tracer
+    # reaches it by a continuation ramp of 8 steps from p/64.
+    sc = scenes.sphere_scatter_scene(50.0, psi)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return newton_descent(*args, **kwargs)
+
+    monkeypatch.setattr(polar, "newton_descent", counted)
+    rho, _ = _origin_samples(sc, angles, np.array(ps))
+    assert len(calls) == 1 + 8 + (len(ps) - 1)
+    p = _column(np.array(ps), angles)
+    assert np.all(np.abs(sc.oscillator(rho, *angles) - 1j * p) <= 1e-12 * (1 + p))
 
 
-def test_closed_form_registry_unknown_key():
-    with pytest.raises(KeyError, match="unknown closed-form path"):
-        closed_form_path("no-such-path")
+def test_negative_leading_coefficient_traced():
+    # g = -(x + 2y) on the quarter plane: the leading coefficient is negative
+    # in every direction, and the traced paths give the Abel-summed value
+    # -1 / (2 w^2) of int exp(-i w (x + 2y)).
+    omega = 20.0
+    sc = polar.normalize_scene(np.zeros(2), lambda x: 1.0 + 0.0 * x[0],
+                               lambda x: -(x[0] + 2.0 * x[1]), omega)
+    region = polar.AngularRegion.box(2, (0.0, 0.5 * math.pi))
+    value = polar.integrate_unbounded(sc, region, polar.OuterPlan.for_region(region, cc=20), 8)
+    exact = -1.0 / (2.0 * omega**2)
+    assert abs(value - exact) <= 1e-10 * abs(exact)
+
+
+def _corner_path(key, a=None, b=None):
+    # (theta(q), theta'(q)) of one corner from the definitions the corner sum uses
+    def path(q):
+        if key == "duct-corner-h11":
+            th, D = corner_h11(q, a)
+            return th, 1j * a / D
+        if key == "duct-corner-h12":
+            th, D = corner_h12(q, a, b)
+            return th, 1j * a / D
+        if key == "duct-corner-h21":
+            th, D = corner_h21(q, a, b)
+            return th, -1j * b / D
+        th, D = corner_h22(q, b)
+        return th, -1j * b / D
+
+    return path
 
 
 @pytest.mark.parametrize("key, params, oscillator, base_val", [
@@ -131,7 +175,7 @@ def test_closed_form_registry_unknown_key():
 ])
 def test_duct_corner_paths_satisfy_their_equation(key, params, oscillator, base_val):
     # each angle path h(q) must satisfy oscillator(h(q)) = base + i q
-    path = closed_form_path(key, **params)
+    path = _corner_path(key, **params)
     for q in np.geomspace(1e-4, 0.8, 10):
         h, dh = path(q)
         assert abs(complex(oscillator(h)) - (base_val + 1j * q)) < 1e-12
@@ -149,17 +193,16 @@ def test_duct_corner_paths_against_newton():
     # regular.
     a, b = 1.0, 2.0
     eta = math.hypot(a, b)
-    beta = math.atan2(b, a)
     qs = np.geomspace(1e-4, 0.5, 10)
 
     cases = [
-        ("duct-corner-h11", {"a": a}, lambda z: a / np.cos(z), lambda z: a * np.sin(z) / np.cos(z) ** 2, a),
-        ("duct-corner-h12", {"a": a, "b": b}, lambda z: a / np.cos(z), lambda z: a * np.sin(z) / np.cos(z) ** 2, eta),
-        ("duct-corner-h21", {"a": a, "b": b}, lambda z: b / np.sin(z), lambda z: -b * np.cos(z) / np.sin(z) ** 2, eta),
-        ("duct-corner-h22", {"b": b}, lambda z: b / np.sin(z), lambda z: -b * np.cos(z) / np.sin(z) ** 2, b),
+        ("duct-corner-h11", lambda z: a / np.cos(z), lambda z: a * np.sin(z) / np.cos(z) ** 2, a),
+        ("duct-corner-h12", lambda z: a / np.cos(z), lambda z: a * np.sin(z) / np.cos(z) ** 2, eta),
+        ("duct-corner-h21", lambda z: b / np.sin(z), lambda z: -b * np.cos(z) / np.sin(z) ** 2, eta),
+        ("duct-corner-h22", lambda z: b / np.sin(z), lambda z: -b * np.cos(z) / np.sin(z) ** 2, b),
     ]
-    for key, params, g, dg, base in cases:
-        path = closed_form_path(key, **params)
+    for key, g, dg, base in cases:
+        path = _corner_path(key, a, b)
         z = None
         for q in qs:
             h, _ = path(q)
@@ -173,7 +216,7 @@ def test_degenerate_direction_rejected():
     sc = scenes.sphere_scatter_scene(50.0, 0.0)
     sc.alpha_coeff = lambda th: 0.0
     with pytest.raises(PathError, match="degenerate"):
-        trace_origin_path(sc, Direction(0.0), [0.1])
+        _origin_samples(sc, (0.0,), [0.1])
 
 
 def test_newton_failure_reports_context():
@@ -185,16 +228,6 @@ def test_newton_failure_reports_context():
         )
     with pytest.raises(PathError, match="degenerate"):
         newton_descent(lambda z: 0.0 * z + 1.0, lambda z: 0.0 * z, 0.0, 1.0 + 0.0j)
-
-
-def test_scene_validate_passes_and_fails():
-    sc = scenes.duct_scene(10.0)
-    sc.validate([Direction(0.3), Direction(1.2)])
-
-    shifted = scenes.duct_scene(10.0)
-    shifted.oscillator = lambda z, th: z + 0.5
-    with pytest.raises(ValueError, match="not normalized"):
-        shifted.validate([Direction(0.3)])
 
 
 def test_scene_rejects_non_integrable_singularity():

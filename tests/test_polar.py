@@ -18,7 +18,6 @@ from nsdq.polar import (
     integrate_unbounded,
     normalize_scene,
     rectangle_corner_contributions,
-    rectangle_direct_nsd,
     rectangle_direct_terms,
     spherical_map,
 )
@@ -215,6 +214,41 @@ def test_plain_mode_warns_on_varying_radius():
         integrate_star_shaped(sc, region, plan, 4, boundary_mode="plain")
 
 
+def _star_case(name, mode, two_boxes=False):
+    region = scenes.default_region(name)
+    if two_boxes:
+        region = AngularRegion(2, (((0.0, math.pi),), ((math.pi, 2 * math.pi),)))
+    plan = OuterPlan.for_region(region, cc=12, trap=16)
+    return lambda: integrate_star_shaped(scenes.scene_registry()[name](30.0), region, plan, 4,
+                                         boundary_mode=mode), region
+
+
+@pytest.mark.parametrize("name, mode, two_boxes", [
+    ("ellipse", "nsd", False), ("disk", "plain", False), ("disk", "auto", False),
+    ("disk", "plain", True),
+])
+def test_star_shaped_builds_each_outer_grid_once(name, mode, two_boxes, monkeypatch):
+    from nsdq import polar
+
+    built = []
+    original = polar._outer_grid
+
+    def counted(region, plan, box):
+        built.append(box)
+        return original(region, plan, box)
+
+    monkeypatch.setattr(polar, "_outer_grid", counted)
+    run, region = _star_case(name, mode, two_boxes)
+    run()
+    assert built == list(region.axis_boxes())
+
+
+@pytest.mark.parametrize("name, mode", [("ellipse", "nsd"), ("disk", "plain")])
+def test_star_shaped_returns_python_complex(name, mode):
+    run, _ = _star_case(name, mode)
+    assert type(run()) is complex
+
+
 def duct_f_polar(z, th):
     return z * np.sin(th) * np.cos(z * np.cos(th))
 
@@ -268,15 +302,20 @@ def test_direct_full_rectangle_converges_when_fixed():
     f = lambda x, y: y * np.cos(x) / np.sqrt(x * x + y * y)
     omega = 1000.0
     ref = acoustics_reference(omega)
-    plain = rectangle_direct_nsd(f, 1.0, 2.0, omega, 8)
-    fixed = rectangle_direct_nsd(f, 1.0, 2.0, omega, 8, outer_resonance_fix=True)
+
+    def four_term_sum(**kw):
+        t = rectangle_direct_terms(f, 1.0, 2.0, omega, 8, **kw)
+        return t[(0.0, 0.0)] - t[(1.0, 0.0)] - t[(0.0, 2.0)] + t[(1.0, 2.0)]
+
+    plain = four_term_sum()
+    fixed = four_term_sum(outer_resonance_fix=True)
     assert abs(plain - ref) / abs(ref) > 1e-2  # untreated resonance corner stalls
     assert abs(fixed - ref) / abs(ref) < 1e-12
 
 
 def test_direct_rejects_bad_rectangle():
     with pytest.raises(ValueError):
-        rectangle_direct_nsd(lambda x, y: 1.0, -1.0, 2.0, 10.0, 4)
+        rectangle_direct_terms(lambda x, y: 1.0, -1.0, 2.0, 10.0, 4)
     with pytest.raises(ValueError):
         rectangle_corner_contributions(duct_f_polar, 1.0, 0.0, 10.0, 4, 8)
 

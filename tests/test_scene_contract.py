@@ -38,6 +38,10 @@ def _cases():
     normalized = normalize_scene(np.zeros(2), lambda x: np.exp(-x[0]), lambda x: x[0] + 2.0 * x[1],
                                  OMEGA, boundary_radius=lambda th: 1.0 + 0.0 * np.asarray(th))
     yield "normalized", normalized, AngularRegion.box(2, (0.0, 0.5 * math.pi))
+    # Newton-traced paths of a scene whose oscillator and alpha_coeff ignore the angle
+    traced = scenes.duct_scene(OMEGA)
+    traced.origin_path = traced.boundary_path = None
+    yield "duct-traced", traced, scenes.default_region("duct")
 
 
 CASES = list(_cases())
