@@ -19,14 +19,12 @@ from .rules import (
     integrate,
     trapezoid_periodic,
 )
-from .specfun import EULER_GAMMA, SpecialValue, cos_int, ellipsoid_reference, gamma_fn, sin_int
+from .specfun import EULER_GAMMA, SpecialValue, cos_int, ellipsoid_reference, sin_int
 from .paths import RadialScene
 from .univariate import Endpoint1D, endpoint_contribution, nsd_interval
 from .polar import (
     AngularRegion,
     OuterPlan,
-    boundary_contribution,
-    central_contribution,
     integrate_star_shaped,
     integrate_unbounded,
     normalize_scene,

@@ -206,7 +206,7 @@ def brute_force_polar(scene, region, tol: float = 1e-8) -> complex:
         return res.value
 
     total = 0.0 + 0.0j
-    for box in region.axis_boxes():
+    for box in region.boxes:
         if n == 2:
             (lo, hi), = box
 

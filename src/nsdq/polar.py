@@ -9,13 +9,13 @@ trapezoid).
 
 Main entry points
 -----------------
-``central_contribution``
-    The per-direction pre-quadrature value Q_r capturing the special point.
-``boundary_contribution``
-    The per-direction boundary term of a star-shaped domain (subtract it
-    from Q_r).
-``integrate_unbounded`` / ``integrate_star_shaped``
-    Outer tensor composition over an angular region.
+``integrate_unbounded``
+    Outer tensor rule over an angular region applied to the pre-quadrature
+    value Q_r, which captures the special point.
+``integrate_star_shaped``
+    The same for a star-shaped domain, minus its boundary term: by the
+    plain outer rule when the boundary radius R is constant, by univariate
+    descent in the angle when R varies.
 ``rectangle_corner_contributions``
     The closed-form corner decomposition of the boundary term for an
     axis-aligned rectangle with phase sqrt(x^2 + y^2), including the
@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,8 +47,6 @@ __all__ = [
     "AngularRegion",
     "OuterPlan",
     "spherical_map",
-    "central_contribution",
-    "boundary_contribution",
     "integrate_unbounded",
     "integrate_star_shaped",
     "rectangle_corner_contributions",
@@ -122,9 +119,6 @@ class AngularRegion:
             for (lo, hi), (rlo, rhi) in zip(box, ranges):
                 if not (rlo - 1e-12 <= lo < hi <= rhi + 1e-12):
                     raise ValueError(f"angle interval [{lo}, {hi}] outside [{rlo}, {rhi}]")
-
-    def axis_boxes(self):
-        return self.boxes
 
     def axis_periodic(self, axis: int, box) -> bool:
         # only the last angle can be periodic, and only over its full range
@@ -279,39 +273,21 @@ def _boundary_samples(scene: RadialScene, angles, p_values):
     return _traced_samples(scene, angles, gR, p_values, seed, "boundary grid")
 
 
-def _central_grid(scene: RadialScene, angles, m: int):
-    alpha, n, omega = scene.alpha, scene.n, scene.omega
-    d = _weight_degree(scene)
-    rule = gauss_exp_power(m, alpha, d)
-    ps = rule.nodes**alpha / omega
-    rho, drho = _origin_samples(scene, angles, ps)
+def _radial_sum(scene: RadialScene, angles, rule, power, rho, drho):
+    # sum_j w_j x_j^power f(rho_j) d(rho_j^n)/dp, summed node by node in node
+    # order: a BLAS contraction would reorder the additions and change the
+    # last bits
+    n = scene.n
     f = scene.amplitude(rho, *angles)
     jac = n * rho ** (n - 1) * drho
-    # summed node by node, in node order: a BLAS contraction would reorder
-    # the additions and change the last bits
     total = 0.0
     for j, (xj, wj) in enumerate(zip(rule.nodes, rule.weights)):
-        total = total + wj * xj ** (alpha - 1 - d) * f[j] * jac[j]
-    return total * (alpha / (n * omega))
+        total = total + wj * xj ** power * f[j] * jac[j]
+    return total
 
 
-def _boundary_grid(scene: RadialScene, angles, m: int):
-    n, omega = scene.n, scene.omega
-    rule = gauss_exp_power(m, 1, 0)
-    ps = rule.nodes / omega
-    rho, drho = _boundary_samples(scene, angles, ps)
-    R = np.asarray(scene.boundary_radius(*angles), dtype=float)
-    gR = np.asarray(scene.oscillator(R, *angles), dtype=complex)
-    f = scene.amplitude(rho, *angles)
-    jac = n * rho ** (n - 1) * drho
-    total = 0.0
-    for j, wj in enumerate(rule.weights):
-        total = total + wj * f[j] * jac[j]
-    return np.exp(1j * omega * gR) * total / (n * omega)
-
-
-def central_contribution(scene: RadialScene, direction, m: int) -> complex:
-    """Pre-quadrature value Q_r at one direction.
+def _central_grid(scene: RadialScene, angles, m: int):
+    """Pre-quadrature value Q_r over a direction grid.
 
     Q_r(Theta) = alpha/(n w) sum_j w_j x_j^(alpha-1-d)
                  f(rho_0(x_j^alpha / w)) d(rho_0^n)/dp (x_j^alpha / w)
@@ -322,18 +298,29 @@ def central_contribution(scene: RadialScene, direction, m: int) -> complex:
     Jacobian inside the product, which is evaluated at strictly positive
     nodes.
     """
-    return complex(_central_grid(scene, tuple(direction), m))
+    alpha, n, omega = scene.alpha, scene.n, scene.omega
+    d = _weight_degree(scene)
+    rule = gauss_exp_power(m, alpha, d)
+    rho, drho = _origin_samples(scene, angles, rule.nodes**alpha / omega)
+    total = _radial_sum(scene, angles, rule, alpha - 1 - d, rho, drho)
+    return total * (alpha / (n * omega))
 
 
-def boundary_contribution(scene: RadialScene, direction, m: int) -> complex:
-    """Boundary term of the star-shaped rule at one direction.
+def _boundary_grid(scene: RadialScene, angles, m: int):
+    """Boundary term of the star-shaped rule over a direction grid.
 
     Returns ``exp(i w g(R Theta))/(n w) sum_j w_j f(rho_R) d(rho_R^n)/dp``
     with the plain Gauss-Laguerre rule (the phase is regular at the
     boundary).  The star-shaped pre-quadrature value is
-    ``central_contribution - boundary_contribution``.
+    ``_central_grid - _boundary_grid``.
     """
-    return complex(_boundary_grid(scene, tuple(direction), m))
+    n, omega = scene.n, scene.omega
+    rule = gauss_exp_power(m, 1, 0)
+    rho, drho = _boundary_samples(scene, angles, rule.nodes / omega)
+    R = np.asarray(scene.boundary_radius(*angles))
+    gR = np.asarray(scene.oscillator(R, *angles), dtype=complex)
+    total = _radial_sum(scene, angles, rule, 0, rho, drho)
+    return np.exp(1j * omega * gR) * total / (n * omega)
 
 
 def integrate_unbounded(scene: RadialScene, region: AngularRegion, plan: OuterPlan, m: int) -> complex:
@@ -343,7 +330,7 @@ def integrate_unbounded(scene: RadialScene, region: AngularRegion, plan: OuterPl
     radial pre-quadrature error O(w^-((2m-1)/alpha)).
     """
     total = 0.0 + 0.0j
-    for box in region.axis_boxes():
+    for box in region.boxes:
         mesh, w = _outer_grid(region, plan, box)
         q = _central_grid(scene, mesh, m)
         total += complex(np.sum(w * q))
@@ -367,23 +354,13 @@ def _boundary_phase(scene):
 
 
 def _boundary_amplitude(scene, m):
+    # amplitude of the boundary term as an analytic function of the
+    # (possibly complex) angle; the oscillatory factor exp(i w G) is
+    # supplied by the univariate descent machinery.
     rule = gauss_exp_power(m, 1, 0)
     ps = rule.nodes / scene.omega
-    n, omega = scene.n, scene.omega
-
-    def amp(th):
-        # amplitude of the boundary term as an analytic function of the
-        # (possibly complex) angle; the oscillatory factor exp(i w G) is
-        # supplied by the univariate descent machinery.
-        rho, drho = _boundary_samples(scene, (th,), ps)
-        f = scene.amplitude(rho, th)
-        rho_pow = rho ** (n - 1)
-        total = 0.0 + 0.0j
-        for j, wj in enumerate(rule.weights):
-            total += wj * f[j] * n * rho_pow[j] * drho[j]
-        return total / (n * omega)
-
-    return amp
+    scale = scene.n * scene.omega
+    return lambda th: _radial_sum(scene, (th,), rule, 0, *_boundary_samples(scene, (th,), ps)) / scale
 
 
 def _stationary_points(G, lo, hi, nsamples=600):
@@ -421,7 +398,7 @@ def _oscillatory_boundary_term(scene, region, m):
     G = _boundary_phase(scene)
     amp = _boundary_amplitude(scene, m)
     total = 0.0 + 0.0j
-    for box in region.axis_boxes():
+    for box in region.boxes:
         (lo, hi), = box
         stat, end_lo, end_hi = _stationary_points(G, lo, hi)
         edges = [lo] + stat + [hi]
@@ -434,41 +411,26 @@ def _oscillatory_boundary_term(scene, region, m):
     return total
 
 
-def integrate_star_shaped(scene: RadialScene, region: AngularRegion, plan: OuterPlan,
-                          m: int, boundary_mode: str = "auto") -> complex:
+def integrate_star_shaped(scene: RadialScene, region: AngularRegion, plan: OuterPlan, m: int) -> complex:
     """Outer rule applied to the star-shaped pre-quadrature values.
 
     The central part is always smooth in the angles.  The boundary part
-    carries the factor ``exp(i w g(R(Theta) Theta))``: with a constant
-    boundary radius it is smooth as well and the plain outer rule applies;
-    otherwise it oscillates and must be treated by the univariate descent
-    machinery (``boundary_mode="nsd"``, n = 2).  ``"auto"`` picks by
-    inspecting R on the outer grid; ``"plain"`` forces the plain rule and
-    warns when that is unsound.
+    carries the factor ``exp(i w g(R(Theta) Theta))``: with a boundary
+    radius that is constant on the outer grid it is smooth as well and the
+    plain outer rule applies; otherwise it oscillates and is treated by
+    univariate descent in the angle (n = 2 only).
     """
     if scene.boundary_radius is None:
         raise ValueError("integrate_star_shaped needs a bounded scene")
-    if boundary_mode not in ("auto", "plain", "nsd"):
-        raise ValueError(f"unknown boundary_mode {boundary_mode!r}")
-    grids = [_outer_grid(region, plan, box) for box in region.axis_boxes()]
+    grids = [_outer_grid(region, plan, box) for box in region.boxes]
     constant = _boundary_is_constant(scene, grids)
-    mode = boundary_mode
-    if mode == "auto":
-        mode = "plain" if constant else "nsd"
-    if mode == "plain" and not constant:
-        warnings.warn(
-            "boundary radius varies over the region but the plain outer rule "
-            "was requested; the oscillatory boundary term will converge slowly",
-            stacklevel=2,
-        )
-
     total = 0.0 + 0.0j
     for mesh, w in grids:
         q = _central_grid(scene, mesh, m)
-        if mode == "plain":
+        if constant:
             q = q - _boundary_grid(scene, mesh, m)
         total += complex(np.sum(w * q))
-    if mode == "nsd":
+    if not constant:
         total -= _oscillatory_boundary_term(scene, region, m)
     # complex(): the nsd term turns the total into a numpy scalar
     return complex(complex(scene.phase_at_origin) * total)
@@ -511,29 +473,27 @@ def rectangle_corner_contributions(f_polar, a: float, b: float, omega: float,
     P = gl.nodes[:, None] / omega  # p = s/omega, rows
     wl = gl.weights
 
+    def corner_sum(corner, start, Q, path, wq):
+        # wl K wq with K = f(start + i q + i p, theta(q)) / D(q) over the (p, q) grid
+        theta, D = path
+        K = f_polar(start + 1j * Q + 1j * P, theta) / D
+        _assert_finite(K, corner)
+        return wl @ K @ wq
+
     # corners at theta = 0 and pi/2: q = t^2/omega
     Qh = (gh.nodes**2 / omega)[None, :]
-    th11, D11 = corner_h11(Qh, a)
-    K11 = f_polar(a + 1j * Qh + 1j * P, th11) / D11
-    _assert_finite(K11, "(1,1)")
-    I11 = -(2.0 * a * cmath.exp(1j * omega * a) / omega**2) * (wl @ K11 @ (gh.weights * gh.nodes))
-
-    th22, D22 = corner_h22(Qh, b)
-    K22 = f_polar(b + 1j * Qh + 1j * P, th22) / D22
-    _assert_finite(K22, "(2,2)")
-    I22 = (2.0 * b * cmath.exp(1j * omega * b) / omega**2) * (wl @ K22 @ (gh.weights * gh.nodes))
+    wh = gh.weights * gh.nodes
+    I11 = -(2.0 * a * cmath.exp(1j * omega * a) / omega**2) * corner_sum(
+        "(1,1)", a, Qh, corner_h11(Qh, a), wh)
+    I22 = (2.0 * b * cmath.exp(1j * omega * b) / omega**2) * corner_sum(
+        "(2,2)", b, Qh, corner_h22(Qh, b), wh)
 
     # corners at theta = beta: q = t/omega
     Ql = (gl.nodes / omega)[None, :]
-    th12, D12 = corner_h12(Ql, a, b)
-    K12 = f_polar(eta + 1j * Ql + 1j * P, th12) / D12
-    _assert_finite(K12, "(1,2)")
-    I12 = -(a * cmath.exp(1j * omega * eta) / omega**2) * (wl @ K12 @ wl)
-
-    th21, D21 = corner_h21(Ql, a, b)
-    K21 = f_polar(eta + 1j * Ql + 1j * P, th21) / D21
-    _assert_finite(K21, "(2,1)")
-    I21 = (b * cmath.exp(1j * omega * eta) / omega**2) * (wl @ K21 @ wl)
+    I12 = -(a * cmath.exp(1j * omega * eta) / omega**2) * corner_sum(
+        "(1,2)", eta, Ql, corner_h12(Ql, a, b), wl)
+    I21 = (b * cmath.exp(1j * omega * eta) / omega**2) * corner_sum(
+        "(2,1)", eta, Ql, corner_h21(Ql, a, b), wl)
 
     return complex(I11 - I12 + I21 - I22)
 

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .paths import RadialScene
+from .paths import PathError, RadialScene
 from .polar import AngularRegion
 
 __all__ = [
@@ -104,11 +104,18 @@ def duct_scene(omega: float, a: float = 1.0, b: float = 2.0) -> RadialScene:
 
     Point amplitude ``y cos(x)/sqrt(x^2+y^2)``, phase ``sqrt(x^2+y^2)``.  On
     the ray through angle theta the kernel's 1/r cancels against the zero of
-    y, leaving ``sin(theta) cos(z cos(theta))``.
+    y, leaving ``sin(theta) cos(z cos(theta))``.  The boundary radius is
+    defined on real angles only: the oscillatory boundary term goes through
+    the corner decomposition of ``experiments.run_duct``.
     """
     beta = math.atan2(b, a)
 
     def boundary_radius(th):
+        if np.iscomplexobj(th):
+            raise PathError(
+                "duct boundary radius a sec(theta) | b csc(theta) is not analytic across "
+                f"theta = atan(b/a) = {beta:.6g}, so its boundary term cannot be deformed in the "
+                "angle; use the corner decomposition of run_duct (mode 'corner')")
         th = np.asarray(th, dtype=float)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             return np.where(th <= beta, a / np.cos(th), b / np.sin(th))

@@ -1,8 +1,6 @@
-r"""Special functions for the closed-form references and rule moments.
+r"""Special functions for the closed-form references.
 
-Only three functions are needed: the gamma function on the positive reals
-(moments of the ``x^d exp(-x^alpha)`` weights), and the sine and cosine
-integrals
+Only two functions are needed, the sine and cosine integrals
 
     Si(x) = int_0^x sin(t)/t dt,
     Ci(x) = gamma + ln(x) + int_0^x (cos(t) - 1)/t dt,
@@ -24,7 +22,6 @@ from dataclasses import dataclass
 __all__ = [
     "EULER_GAMMA",
     "SpecialValue",
-    "gamma_fn",
     "sin_int",
     "cos_int",
     "ellipsoid_reference",
@@ -33,7 +30,6 @@ __all__ = [
 EULER_GAMMA = 0.5772156649015328606
 
 _SERIES_CUTOFF = 4.0
-_GAMMA_OVERFLOW = 170.0
 
 
 @dataclass(frozen=True)
@@ -49,18 +45,6 @@ class SpecialValue:
         v = complex(self.value)
         if not (math.isfinite(v.real) and math.isfinite(v.imag)):
             raise ValueError(f"value must be finite, got {self.value}")
-
-
-def gamma_fn(x: float) -> float:
-    """Gamma function for ``0 < x <= 170``.
-
-    Raises OverflowError beyond 170 where the result exceeds double range.
-    """
-    if not x > 0:
-        raise ValueError(f"gamma_fn is defined for x > 0, got {x}")
-    if x > _GAMMA_OVERFLOW:
-        raise OverflowError(f"gamma_fn overflows double precision for x > {_GAMMA_OVERFLOW}, got {x}")
-    return math.gamma(x)
 
 
 def _sici_series(x: float) -> tuple[SpecialValue, SpecialValue]:

@@ -283,7 +283,7 @@ def test_criterion_9_oracle_cross_checks():
     el = scenes.ellipse_scene(omega)
     region = scenes.default_region("ellipse")
     checks.append(("ellipse", integrate_star_shaped(
-        el, region, OuterPlan.for_region(region, trap=40), 8, boundary_mode="nsd"), el, region))
+        el, region, OuterPlan.for_region(region, trap=40), 8), el, region))
 
     for name, nsd_val, sc, reg in checks:
         ref = brute_force_polar(sc, reg, 1e-8)

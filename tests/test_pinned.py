@@ -87,13 +87,11 @@ def test_pinned_example1():
 def test_pinned_star_shaped():
     region = scenes.default_region("ellipse")
     plan = polar.OuterPlan.for_region(region, trap=40)
-    got = [repr(complex(polar.integrate_star_shaped(scenes.ellipse_scene(om), region, plan, 8,
-                                                    boundary_mode="nsd")))
+    got = [repr(complex(polar.integrate_star_shaped(scenes.ellipse_scene(om), region, plan, 8)))
            for om in (10.0, 100.0)]
     assert got == PINNED["ellipse-nsd"]
     region = scenes.default_region("disk")
     plan = polar.OuterPlan.for_region(region, trap=16)
-    got = [repr(complex(polar.integrate_star_shaped(scenes.disk_scene(om), region, plan, 4,
-                                                    boundary_mode="plain")))
+    got = [repr(complex(polar.integrate_star_shaped(scenes.disk_scene(om), region, plan, 4)))
            for om in (10.0, 100.0)]
     assert got == PINNED["disk-plain"]

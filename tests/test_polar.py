@@ -7,13 +7,15 @@ import pytest
 
 from nsdq import scenes
 from nsdq.oracle import adaptive_quad_1d, brute_force_polar
+from nsdq.paths import PathError
 from nsdq.polar import (
     AngularRegion,
     OuterPlan,
+    _boundary_amplitude,
+    _boundary_grid,
+    _boundary_phase,
     _central_grid,
     _weight_degree,
-    boundary_contribution,
-    central_contribution,
     integrate_star_shaped,
     integrate_unbounded,
     normalize_scene,
@@ -64,7 +66,7 @@ def test_weight_degree_policy():
 @pytest.mark.parametrize("m", [1, 2, 5])
 def test_quarter_plane_central_value(m):
     sc = scenes.quarter_plane_scene(10.0)
-    q = central_contribution(sc, (0.5,), m)
+    q = complex(_central_grid(sc, (0.5,), m))
     assert abs(q - (-0.01)) <= 1e-14
 
 
@@ -92,7 +94,7 @@ def test_ellipsoid_central_matches_descent_oracle():
         return sc.amplitude(rho, *angles) * jac * np.exp(-omega * p)
 
     oracle = adaptive_quad_1d(descent_integrand, 1e-14, 60.0 / omega, 1e-13).value / 3.0
-    got = central_contribution(sc, angles, 10)
+    got = complex(_central_grid(sc, angles, 10))
     assert abs(got - oracle) <= 1e-10 * abs(oracle)
 
 
@@ -101,7 +103,7 @@ def test_disk_boundary_contribution_value():
     # this term is subtracted from the central contribution.
     omega = 50.0
     sc = scenes.disk_scene(omega)
-    got = boundary_contribution(sc, (0.1,), 2)
+    got = complex(_boundary_grid(sc, (0.1,), 2))
     expect = cmath.exp(1j * omega) * (1j / omega - 1.0 / omega**2)
     assert abs(got - expect) <= 1e-13 * abs(expect)
 
@@ -112,9 +114,9 @@ def test_duct_boundary_at_split_angle():
     beta = math.atan2(b, a)
     eta = math.hypot(a, b)
     assert abs(float(sc.boundary_radius(beta)) - eta) < 1e-12
-    closed = boundary_contribution(sc, (beta,), 6)
+    closed = complex(_boundary_grid(sc, (beta,), 6))
     sc.boundary_path = None  # force the Newton tracer
-    traced = boundary_contribution(sc, (beta,), 6)
+    traced = complex(_boundary_grid(sc, (beta,), 6))
     assert abs(closed - traced) <= 1e-12 * abs(closed)
 
 
@@ -135,7 +137,7 @@ def test_ellipsoid_truncated_boundary_against_oracle():
     oracle = cmath.exp(1j * omega * s) / 3.0 * adaptive_quad_1d(
         descent_integrand, 1e-14, 60.0 / omega, 1e-13
     ).value
-    got = boundary_contribution(sc, angles, 12)
+    got = complex(_boundary_grid(sc, angles, 12))
     assert abs(got - oracle) <= 1e-9 * abs(oracle)
 
 
@@ -160,7 +162,7 @@ def test_full_sphere_factorization():
     region = scenes.default_region("ellipsoid")
     plan = OuterPlan.for_region(region, cc=20, trap=20)
     total = integrate_unbounded(sc, region, plan, 6)
-    q = central_contribution(sc, (0.7, 1.1), 6)
+    q = complex(_central_grid(sc, (0.7, 1.1), 6))
     assert abs(total - 4 * math.pi * q) <= 1e-12 * abs(total)
 
 
@@ -188,7 +190,7 @@ def test_ellipse_oscillatory_boundary_against_brute_force():
     sc = scenes.ellipse_scene(omega)
     region = scenes.default_region("ellipse")
     plan = OuterPlan.for_region(region, cc=40, trap=40)
-    val = integrate_star_shaped(sc, region, plan, 8, boundary_mode="nsd")
+    val = integrate_star_shaped(sc, region, plan, 8)
     ref = brute_force_polar(sc, region, 1e-8)
     assert abs(val - ref) <= 1e-6 * abs(ref)
 
@@ -201,52 +203,91 @@ def test_ellipse_newton_boundary_at_complex_angles():
     sc.boundary_path = None
     region = scenes.default_region("ellipse")
     plan = OuterPlan.for_region(region, trap=40)
-    val = integrate_star_shaped(sc, region, plan, 8, boundary_mode="nsd")
+    val = integrate_star_shaped(sc, region, plan, 8)
     ref = brute_force_polar(sc, region, 1e-8)
     assert abs(val - ref) <= 1e-8
 
 
-def test_plain_mode_warns_on_varying_radius():
-    sc = scenes.ellipse_scene(30.0)
-    region = scenes.default_region("ellipse")
-    plan = OuterPlan.for_region(region, trap=16)
-    with pytest.warns(UserWarning, match="varies"):
-        integrate_star_shaped(sc, region, plan, 4, boundary_mode="plain")
-
-
-def _star_case(name, mode, two_boxes=False):
+def _star_case(name, two_boxes=False):
     region = scenes.default_region(name)
     if two_boxes:
         region = AngularRegion(2, (((0.0, math.pi),), ((math.pi, 2 * math.pi),)))
     plan = OuterPlan.for_region(region, cc=12, trap=16)
-    return lambda: integrate_star_shaped(scenes.scene_registry()[name](30.0), region, plan, 4,
-                                         boundary_mode=mode), region
+    return lambda: integrate_star_shaped(scenes.scene_registry()[name](30.0), region, plan, 4), region
 
 
-@pytest.mark.parametrize("name, mode, two_boxes", [
-    ("ellipse", "nsd", False), ("disk", "plain", False), ("disk", "auto", False),
-    ("disk", "plain", True),
-])
-def test_star_shaped_builds_each_outer_grid_once(name, mode, two_boxes, monkeypatch):
+def _count_calls(monkeypatch, name):
     from nsdq import polar
 
-    built = []
-    original = polar._outer_grid
+    calls = []
+    original = getattr(polar, name)
 
-    def counted(region, plan, box):
-        built.append(box)
-        return original(region, plan, box)
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
 
-    monkeypatch.setattr(polar, "_outer_grid", counted)
-    run, region = _star_case(name, mode, two_boxes)
+    monkeypatch.setattr(polar, name, counted)
+    return calls
+
+
+# ``rule`` is the boundary rule the scene's radius calls for: ``plain`` for a
+# constant R, ``nsd`` (univariate descent in the angle) for a varying one
+@pytest.mark.parametrize("name, rule, two_boxes", [
+    ("ellipse", "nsd", False), ("disk", "plain", False), ("disk", "plain", True),
+])
+def test_star_shaped_builds_each_outer_grid_once(name, rule, two_boxes, monkeypatch):
+    built = _count_calls(monkeypatch, "_outer_grid")
+    plain = _count_calls(monkeypatch, "_boundary_grid")
+    nsd = _count_calls(monkeypatch, "_oscillatory_boundary_term")
+    run, region = _star_case(name, two_boxes)
     run()
-    assert built == list(region.axis_boxes())
+    assert [box for _, _, box in built] == list(region.boxes)
+    assert (len(plain), len(nsd)) == ((len(region.boxes), 0) if rule == "plain" else (0, 1))
 
 
-@pytest.mark.parametrize("name, mode", [("ellipse", "nsd"), ("disk", "plain")])
-def test_star_shaped_returns_python_complex(name, mode):
-    run, _ = _star_case(name, mode)
+@pytest.mark.parametrize("name", ["ellipse", "disk"], ids=["ellipse-nsd", "disk-plain"])
+def test_star_shaped_returns_python_complex(name):
+    run, _ = _star_case(name)
     assert type(run()) is complex
+
+
+@pytest.mark.parametrize("omega", [10.0, 57.3, 300.0])
+def test_duct_star_shaped_raises_typed_error(omega):
+    # the duct's boundary radius has a kink at atan(b/a), so its boundary
+    # term cannot be deformed in the angle; the corner decomposition handles it
+    region = scenes.default_region("duct")
+    plan = OuterPlan.for_region(region, cc=12)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PathError, match="analytic"):
+            integrate_star_shaped(scenes.duct_scene(omega), region, plan, 6)
+
+
+def _offset_ellipse_scene(omega):
+    # non-unit amplitude, traced paths and a varying radius around x0 != 0
+    return normalize_scene(np.array([0.1, -0.2]), lambda x: np.exp(-x[0]) * (1.0 + x[1] ** 2),
+                           lambda x: np.sqrt(x[0] ** 2 + 2.0 * x[1] ** 2), omega,
+                           boundary_radius=lambda th: 0.5 / np.sqrt(1.0 + 0.3 * np.sin(th) ** 2))
+
+
+def _ellipse_traced(omega):
+    sc = scenes.ellipse_scene(omega)
+    sc.boundary_path = None
+    return sc
+
+
+@pytest.mark.parametrize("build", [scenes.ellipse_scene, _ellipse_traced, scenes.disk_scene,
+                                   _offset_ellipse_scene],
+                         ids=["ellipse", "ellipse-traced", "disk", "normalized"])
+def test_boundary_amplitude_matches_boundary_grid(build):
+    # the nsd boundary amplitude times its phase factor is the plain
+    # boundary term at real angles: both come from the same radial sum
+    sc = build(40.0)
+    amp, G = _boundary_amplitude(sc, 8), _boundary_phase(sc)
+    for th in np.linspace(0.05, 1.5, 7):
+        got = complex(amp(th) * np.exp(1j * sc.omega * complex(G(th))))
+        want = complex(_boundary_grid(sc, (th,), 8))
+        assert abs(got - want) <= 1e-14 * abs(want)
 
 
 def duct_f_polar(z, th):
@@ -429,6 +470,6 @@ def test_normalize_scene_quarter_plane_closed_form(with_grad):
     exact = 1j / (2.0 * omega * (1.0 - 1j * omega))
     assert abs(value - exact) <= 1e-9 * abs(exact)
     # a single direction agrees with the same direction inside a grid
-    q = central_contribution(sc, (0.7,), 6)
+    q = complex(_central_grid(sc, (0.7,), 6))
     grid = _central_grid(sc, (np.array([0.7, 1.1]),), 6)
     assert abs(q - grid[0]) <= 1e-14 * abs(q)

@@ -6,31 +6,9 @@ import numpy as np
 import pytest
 
 from nsdq.oracle import adaptive_quad_1d
-from nsdq.specfun import EULER_GAMMA, SpecialValue, cos_int, ellipsoid_reference, gamma_fn, sin_int
+from nsdq.specfun import EULER_GAMMA, SpecialValue, cos_int, ellipsoid_reference, sin_int
 
 mp.mp.dps = 30
-
-
-def test_gamma_known_values():
-    assert gamma_fn(1.0) == 1.0
-    assert abs(gamma_fn(0.5) - math.sqrt(math.pi)) < 1e-15
-    assert abs(gamma_fn(3.5) - 15 * math.sqrt(math.pi) / 8) < 1e-14
-
-
-def test_gamma_recurrence_grid():
-    for x in np.linspace(0.1, 50.0, 120):
-        lhs = gamma_fn(x + 1.0)
-        rhs = x * gamma_fn(x)
-        assert abs(lhs - rhs) <= 1e-12 * abs(rhs)
-
-
-def test_gamma_domain_errors():
-    with pytest.raises(ValueError):
-        gamma_fn(0.0)
-    with pytest.raises(ValueError):
-        gamma_fn(-2.0)
-    with pytest.raises(OverflowError):
-        gamma_fn(171.0)
 
 
 def test_si_ci_special_points():
