@@ -9,9 +9,6 @@ convergence experiments exposed through the ``nsdq`` command line tool.
 """
 
 from .rules import (
-    ClenshawCurtis,
-    ExpPower,
-    PeriodicTrapezoid,
     QuadRule,
     clenshaw_curtis,
     exp_power_moment,
@@ -19,7 +16,7 @@ from .rules import (
     integrate,
     trapezoid_periodic,
 )
-from .specfun import EULER_GAMMA, SpecialValue, cos_int, ellipsoid_reference, sin_int
+from .specfun import EULER_GAMMA, cos_int, ellipsoid_reference, sin_int
 from .paths import RadialScene
 from .univariate import Endpoint1D, endpoint_contribution, nsd_interval
 from .polar import (

@@ -128,49 +128,25 @@ class AngularRegion:
 
 @dataclass(frozen=True)
 class OuterPlan:
-    """Per-angle choice of outer rule: node counts and rule kinds.
+    """Outer node count per angle axis.
 
-    ``kinds[i]`` is ``"cc"`` (Clenshaw-Curtis) or ``"trap"`` (periodic
-    trapezoid; only valid on a full-period axis).
+    The rule on each axis follows from the region: the periodic trapezoid
+    on a full-period axis, Clenshaw-Curtis on any other.
     """
 
     counts: tuple
-    kinds: tuple
 
     def __post_init__(self):
-        if len(self.counts) != len(self.kinds):
-            raise ValueError("counts and kinds must have equal length")
         for c in self.counts:
             if c < 2:
                 raise ValueError(f"outer rule counts must be >= 2, got {c}")
-        for k in self.kinds:
-            if k not in ("cc", "trap"):
-                raise ValueError(f"unknown outer rule kind {k!r}")
 
     @classmethod
     def for_region(cls, region: AngularRegion, cc: int = 50, trap: int = 50) -> "OuterPlan":
-        """Default plan: trapezoid on full-period axes, Clenshaw-Curtis else."""
+        """``trap`` nodes on the full-period axes of the first box, ``cc`` on the others."""
         box = region.boxes[0]
-        counts, kinds = [], []
-        for axis in range(region.n - 1):
-            if region.axis_periodic(axis, box):
-                counts.append(trap)
-                kinds.append("trap")
-            else:
-                counts.append(cc)
-                kinds.append("cc")
-        return cls(tuple(counts), tuple(kinds))
-
-
-def _axis_rule(interval, kind, count, periodic_ok):
-    lo, hi = interval
-    if kind == "trap":
-        if not periodic_ok:
-            raise ValueError("trapezoid outer rule requires a full-period axis")
-        rule = trapezoid_periodic(count, hi - lo)
-        return rule.nodes + lo, rule.weights
-    rule = clenshaw_curtis(count, lo, hi)
-    return rule.nodes, rule.weights
+        return cls(tuple(trap if region.axis_periodic(axis, box) else cc
+                         for axis in range(region.n - 1)))
 
 
 def _outer_grid(region: AngularRegion, plan: OuterPlan, box):
@@ -180,11 +156,14 @@ def _outer_grid(region: AngularRegion, plan: OuterPlan, box):
     angle arrays (meshgrid, 'ij' indexing) and the combined weight array.
     """
     nodes, weights = [], []
-    for axis, interval in enumerate(box):
-        kn, kw = _axis_rule(interval, plan.kinds[axis], plan.counts[axis],
-                            region.axis_periodic(axis, box))
-        nodes.append(kn)
-        weights.append(kw)
+    for axis, (lo, hi) in enumerate(box):
+        if region.axis_periodic(axis, box):
+            rule = trapezoid_periodic(plan.counts[axis], hi - lo)
+            nodes.append(rule.nodes + lo)
+        else:
+            rule = clenshaw_curtis(plan.counts[axis], lo, hi)
+            nodes.append(rule.nodes)
+        weights.append(rule.weights)
     if len(nodes) == 1:
         mesh = (nodes[0],)
         w = weights[0].copy()

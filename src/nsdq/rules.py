@@ -11,8 +11,10 @@ Three families cover everything the steepest-descent integrators need:
 * The periodic trapezoidal rule, used when the outer integration runs over a
   full period.
 
-Rules are memoized because the convergence experiments request the same
-small rules thousands of times.
+A rule is its nodes and weights (``QuadRule``) and nothing else: which
+family built it is the caller's business.  Rules are memoized, one shared
+read-only object per builder and arguments, because the convergence
+experiments request the same small rules thousands of times.
 
 Accuracy contracts used throughout the library:
 
@@ -32,9 +34,6 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 __all__ = [
-    "ExpPower",
-    "ClenshawCurtis",
-    "PeriodicTrapezoid",
     "QuadRule",
     "exp_power_moment",
     "gauss_exp_power",
@@ -49,61 +48,15 @@ _MAX_DEGREE = 8
 
 
 @dataclass(frozen=True)
-class ExpPower:
-    """Weight ``x^degree * exp(-x^alpha)`` on ``[0, inf)``."""
-
-    alpha: int
-    degree: int = 0
-
-    def __post_init__(self):
-        if self.alpha < 1:
-            raise ValueError(f"ExpPower weight needs alpha >= 1, got {self.alpha}")
-        if self.degree < 0:
-            raise ValueError(f"ExpPower weight needs degree >= 0, got {self.degree}")
-
-
-@dataclass(frozen=True)
-class ClenshawCurtis:
-    """Unit weight on the finite interval ``[a, b]``."""
-
-    a: float
-    b: float
-
-    def __post_init__(self):
-        if not self.a < self.b:
-            raise ValueError(f"ClenshawCurtis interval needs a < b, got [{self.a}, {self.b}]")
-
-
-@dataclass(frozen=True)
-class PeriodicTrapezoid:
-    """Unit weight on one period ``[0, period)`` of a periodic function."""
-
-    period: float
-
-    def __post_init__(self):
-        if not self.period > 0:
-            raise ValueError(f"PeriodicTrapezoid needs period > 0, got {self.period}")
-
-
-@dataclass(frozen=True)
 class QuadRule:
-    """Nodes and weights of a quadrature rule together with its weight function.
+    """Frozen nodes and weights of a quadrature rule.
 
-    Attributes
-    ----------
-    kind : ExpPower | ClenshawCurtis | PeriodicTrapezoid
-        Descriptor of the weight function and domain.
-    nodes, weights : ndarray
-        Strictly increasing nodes and the matching weights.
+    The nodes increase strictly; both arrays are read-only, because one rule
+    object is shared by every caller that asks for the same rule.
     """
 
-    kind: object
     nodes: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)
-
-    @property
-    def m(self) -> int:
-        return len(self.nodes)
 
 
 def exp_power_moment(k: int, alpha: int, degree: int = 0) -> float:
@@ -198,6 +151,24 @@ _cache: dict = {}
 _cache_lock = threading.Lock()
 
 
+def _memoized(key, build) -> QuadRule:
+    """The cached rule under ``key``; on a miss ``build()`` gives its nodes and weights.
+
+    The arrays are made read-only before the rule is shared.  The build
+    runs outside the lock, so two threads may both build a rule; the first
+    one stored is the one every caller gets.
+    """
+    with _cache_lock:
+        rule = _cache.get(key)
+    if rule is not None:
+        return rule
+    nodes, weights = build()
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    with _cache_lock:
+        return _cache.setdefault(key, QuadRule(nodes, weights))
+
+
 def gauss_exp_power(m: int, alpha: int, degree: int = 0) -> QuadRule:
     """m-point Gaussian rule for the weight ``x^degree exp(-x^alpha)`` on ``[0, inf)``.
 
@@ -233,24 +204,12 @@ def gauss_exp_power(m: int, alpha: int, degree: int = 0) -> QuadRule:
     if not 0 <= degree <= _MAX_DEGREE:
         raise ValueError(f"gauss_exp_power supports 0 <= degree <= {_MAX_DEGREE}, got {degree}")
 
-    key = ("exp_power", m, alpha, degree)
-    with _cache_lock:
-        rule = _cache.get(key)
-    if rule is not None:
-        return rule
+    def build():
+        if alpha == 1:
+            return _golub_welsch(*_laguerre_coefficients(m, degree))
+        return _golub_welsch(*_stieltjes_coefficients(m, alpha, degree))
 
-    if alpha == 1:
-        a, b = _laguerre_coefficients(m, degree)
-    else:
-        a, b = _stieltjes_coefficients(m, alpha, degree)
-    nodes, weights = _golub_welsch(a, b)
-    nodes.setflags(write=False)
-    weights.setflags(write=False)
-    rule = QuadRule(ExpPower(alpha, degree), nodes, weights)
-
-    with _cache_lock:
-        _cache.setdefault(key, rule)
-    return rule
+    return _memoized(("exp_power", m, alpha, degree), build)
 
 
 def clenshaw_curtis(n: int, a: float, b: float) -> QuadRule:
@@ -260,16 +219,9 @@ def clenshaw_curtis(n: int, a: float, b: float) -> QuadRule:
     if not a < b:
         raise ValueError(f"clenshaw_curtis needs a < b, got [{a}, {b}]")
 
-    key = ("cc", n, float(a), float(b))
-    with _cache_lock:
-        rule = _cache.get(key)
-    if rule is not None:
-        return rule
-
-    if n == 2:
-        nodes = np.array([a, b])
-        weights = np.array([0.5, 0.5]) * (b - a)
-    else:
+    def build():
+        if n == 2:
+            return np.array([a, b], dtype=float), np.array([0.5, 0.5]) * (b - a)
         N = n - 1
         theta = np.pi * np.arange(n) / N
         weights = np.ones(n)
@@ -284,14 +236,9 @@ def clenshaw_curtis(n: int, a: float, b: float) -> QuadRule:
         weights[-1] *= 0.5
         # theta runs from 0 to pi, so cos(theta) descends; flip to ascend.
         nodes = np.ascontiguousarray((0.5 * (b - a) * (np.cos(theta) + 1.0) + a)[::-1])
-        weights = np.ascontiguousarray((0.5 * (b - a) * weights)[::-1])
+        return nodes, np.ascontiguousarray((0.5 * (b - a) * weights)[::-1])
 
-    nodes.setflags(write=False)
-    weights.setflags(write=False)
-    rule = QuadRule(ClenshawCurtis(a, b), nodes, weights)
-    with _cache_lock:
-        _cache.setdefault(key, rule)
-    return rule
+    return _memoized(("cc", n, float(a), float(b)), build)
 
 
 def trapezoid_periodic(n: int, period: float) -> QuadRule:
@@ -304,20 +251,10 @@ def trapezoid_periodic(n: int, period: float) -> QuadRule:
     if not period > 0:
         raise ValueError(f"trapezoid_periodic needs period > 0, got {period}")
 
-    key = ("trap", n, float(period))
-    with _cache_lock:
-        rule = _cache.get(key)
-    if rule is not None:
-        return rule
+    def build():
+        return period * np.arange(n) / n, np.full(n, period / n)
 
-    nodes = period * np.arange(n) / n
-    weights = np.full(n, period / n)
-    nodes.setflags(write=False)
-    weights.setflags(write=False)
-    rule = QuadRule(PeriodicTrapezoid(period), nodes, weights)
-    with _cache_lock:
-        _cache.setdefault(key, rule)
-    return rule
+    return _memoized(("trap", n, float(period)), build)
 
 
 def integrate(rule: QuadRule, f) -> complex:

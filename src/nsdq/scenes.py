@@ -194,9 +194,11 @@ def sphere_scatter_scene(k: float, psi: float) -> RadialScene:
 
         dg/dr|_0+ = 1 + [-d3, d2] . Theta.
 
-    For psi in [0, pi/3] the leading coefficient stays positive in every
-    direction; psi = pi/2 puts the observation point on the shadow boundary
-    and the scene degenerates.
+    The leading coefficient ``1 - sin(psi) cos(theta)`` is at least
+    ``1 - sin(psi) > 0`` for every psi in [0, pi/2), so every direction
+    traces; near pi/2 the first path point needs the tracer's continuation
+    ramp (``test_first_point_ramp`` traces psi = 1.5).  psi = pi/2 puts the
+    observation point on the shadow boundary and the scene degenerates.
     """
     if not 0 <= psi < math.pi / 2:
         raise ValueError(

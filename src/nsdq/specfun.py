@@ -17,11 +17,9 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 __all__ = [
     "EULER_GAMMA",
-    "SpecialValue",
     "sin_int",
     "cos_int",
     "ellipsoid_reference",
@@ -32,22 +30,7 @@ EULER_GAMMA = 0.5772156649015328606
 _SERIES_CUTOFF = 4.0
 
 
-@dataclass(frozen=True)
-class SpecialValue:
-    """A special-function value with an estimate of its evaluation error."""
-
-    value: complex
-    est_error: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.est_error) or self.est_error < 0:
-            raise ValueError(f"est_error must be finite and >= 0, got {self.est_error}")
-        v = complex(self.value)
-        if not (math.isfinite(v.real) and math.isfinite(v.imag)):
-            raise ValueError(f"value must be finite, got {self.value}")
-
-
-def _sici_series(x: float) -> tuple[SpecialValue, SpecialValue]:
+def _sici_series(x: float) -> tuple[float, float]:
     # Power series around 0:
     #   Si(x)  = sum_{k>=0} (-1)^k x^(2k+1) / ((2k+1)(2k+1)!)
     #   Ci(x)  = gamma + ln x + sum_{k>=1} (-1)^k x^(2k) / (2k (2k)!)
@@ -68,8 +51,7 @@ def _sici_series(x: float) -> tuple[SpecialValue, SpecialValue]:
         ci += contrib
         if abs(contrib) < 1e-18 * max(1.0, abs(ci)):
             break
-    eps = 1e-16 * (1.0 + abs(x))
-    return SpecialValue(si, eps), SpecialValue(ci, eps)
+    return si, ci
 
 
 def _e1_continued_fraction(z: complex) -> complex:
@@ -93,17 +75,16 @@ def _e1_continued_fraction(z: complex) -> complex:
     return cmath.exp(-z) * h
 
 
-def _sici_asymptotic(x: float) -> tuple[SpecialValue, SpecialValue]:
+def _sici_asymptotic(x: float) -> tuple[float, float]:
     # For x > 0:  E1(ix) = -Ci(x) + i (Si(x) - pi/2),
     # i.e. Ci(x) = -Re E1(ix), Si(x) = pi/2 + Im E1(ix).
     e1 = _e1_continued_fraction(1j * x)
     ci = -e1.real
     si = 0.5 * math.pi + e1.imag
-    eps = 4e-16
-    return SpecialValue(si, eps), SpecialValue(ci, eps)
+    return si, ci
 
 
-def _sici(x: float) -> tuple[SpecialValue, SpecialValue]:
+def _sici(x: float) -> tuple[float, float]:
     if x <= _SERIES_CUTOFF:
         return _sici_series(x)
     return _sici_asymptotic(x)
@@ -117,7 +98,7 @@ def sin_int(x: float) -> float:
         raise ValueError(f"sin_int supports x <= 1e8, got {x}")
     if x == 0.0:
         return 0.0
-    return float(_sici(x)[0].value.real)
+    return float(_sici(x)[0])
 
 
 def cos_int(x: float) -> float:
@@ -126,7 +107,7 @@ def cos_int(x: float) -> float:
         raise ValueError(f"cos_int is defined for x > 0, got {x}")
     if x > 1e8:
         raise ValueError(f"cos_int supports x <= 1e8, got {x}")
-    return float(_sici(x)[1].value.real)
+    return float(_sici(x)[1])
 
 
 def ellipsoid_reference(omega: float) -> complex:

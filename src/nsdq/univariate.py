@@ -38,21 +38,17 @@ class Endpoint1D:
     side : +1 when the integration interval lies to the right of x,
         -1 when it lies to the left.  Selects the descent branch when
         alpha_local >= 2; irrelevant otherwise.
-    phase : optional precomputed exp(i w g(x)); must be unimodular.
     """
 
     x: float
     alpha_local: int = 1
     side: int = +1
-    phase: complex | None = None
 
     def __post_init__(self):
         if self.alpha_local < 1:
             raise ValueError(f"alpha_local must be >= 1, got {self.alpha_local}")
         if self.side not in (+1, -1):
             raise ValueError(f"side must be +1 or -1, got {self.side}")
-        if self.phase is not None and abs(abs(self.phase) - 1.0) > 1e-14:
-            raise ValueError(f"phase must have unit modulus, got |{self.phase}| = {abs(self.phase)}")
 
 
 def _phase_coefficient(g, x, alpha, dg=None):
@@ -104,7 +100,7 @@ def endpoint_contribution(f, g, endpoint: Endpoint1D, omega: float, m: int, dg=N
     alpha = endpoint.alpha_local
     x = endpoint.x
     gx = complex(g(x))
-    phase = endpoint.phase if endpoint.phase is not None else cmath.exp(1j * omega * gx)
+    phase = cmath.exp(1j * omega * gx)
     rule = gauss_exp_power(m, alpha, 0)
     dge = dg if dg is not None else (lambda z: complex_derivative(g, z))
     lead = _phase_coefficient(g, x, alpha, dg=dg)

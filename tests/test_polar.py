@@ -15,6 +15,7 @@ from nsdq.polar import (
     _boundary_grid,
     _boundary_phase,
     _central_grid,
+    _outer_grid,
     _weight_degree,
     integrate_star_shaped,
     integrate_unbounded,
@@ -435,7 +436,15 @@ def test_normalize_scene_interior_point_full_circle():
     region = AngularRegion.full(2)
     assert region.axis_periodic(0, region.boxes[0])
     plan = OuterPlan.for_region(region, trap=16)
-    assert plan.kinds == ("trap",)
+    mesh, w = _outer_grid(region, plan, region.boxes[0])
+    trap = trapezoid_periodic(16, 2 * math.pi)
+    np.testing.assert_array_equal(mesh[0], trap.nodes)
+    np.testing.assert_array_equal(w, trap.weights)
+    quarter = AngularRegion.box(2, (0.0, 0.5 * math.pi))
+    mesh, w = _outer_grid(quarter, OuterPlan.for_region(quarter, cc=16), quarter.boxes[0])
+    cc = clenshaw_curtis(16, 0.0, 0.5 * math.pi)
+    np.testing.assert_array_equal(mesh[0], cc.nodes)
+    np.testing.assert_array_equal(w, cc.weights)
 
 
 def test_region_and_plan_validation():
@@ -444,14 +453,21 @@ def test_region_and_plan_validation():
     with pytest.raises(ValueError, match="arity"):
         AngularRegion(3, (((0.0, 1.0),),))
     with pytest.raises(ValueError, match="counts"):
-        OuterPlan((1,), ("cc",))
-    with pytest.raises(ValueError, match="kind"):
-        OuterPlan((5,), ("simpson",))
-    region = AngularRegion.box(2, (0.0, 1.0))
-    plan = OuterPlan((8,), ("trap",))
-    sc = scenes.quarter_plane_scene(5.0)
-    with pytest.raises(ValueError, match="full-period"):
-        integrate_unbounded(sc, region, plan, 2)
+        OuterPlan((1,))
+
+
+def test_two_boxes_of_different_periodicity():
+    # the first box's phi2 axis is a full period (trapezoid), the second's is
+    # not (Clenshaw-Curtis); each box takes the rule its own axis calls for
+    sc = scenes.ellipsoid_scene(100.0)
+    boxes = (((0.0, 0.5 * math.pi), (0.0, 2 * math.pi)), ((0.5 * math.pi, math.pi), (0.0, math.pi)))
+    region = AngularRegion(3, boxes)
+    both = integrate_unbounded(sc, region, OuterPlan.for_region(region, cc=20, trap=20), 8)
+    parts = []
+    for box in boxes:
+        single = AngularRegion(3, (box,))
+        parts.append(integrate_unbounded(sc, single, OuterPlan.for_region(single, cc=20, trap=20), 8))
+    assert both == parts[0] + parts[1]
 
 
 @pytest.mark.parametrize("with_grad", [True, False])

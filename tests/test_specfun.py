@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from nsdq.oracle import adaptive_quad_1d
-from nsdq.specfun import EULER_GAMMA, SpecialValue, cos_int, ellipsoid_reference, sin_int
+from nsdq.specfun import EULER_GAMMA, cos_int, ellipsoid_reference, sin_int
 
 mp.mp.dps = 30
 
@@ -47,13 +47,6 @@ def test_si_ci_domains():
 
 def test_euler_gamma_value():
     assert abs(EULER_GAMMA - float(mp.euler)) < 1e-16
-
-
-def test_special_value_invariants():
-    with pytest.raises(ValueError):
-        SpecialValue(1.0, -1.0)
-    with pytest.raises(ValueError):
-        SpecialValue(math.inf, 0.0)
 
 
 def test_ellipsoid_reference_against_mpmath():

@@ -125,8 +125,6 @@ def test_phase_shift_covariance():
 def test_endpoint_validation():
     with pytest.raises(ValueError, match="alpha_local"):
         Endpoint1D(0.0, alpha_local=0)
-    with pytest.raises(ValueError, match="unit modulus"):
-        Endpoint1D(0.0, phase=2.0 + 0.0j)
     with pytest.raises(ValueError, match="side"):
         Endpoint1D(0.0, side=0)
     with pytest.raises(ValueError, match="omega"):
