@@ -41,7 +41,15 @@ _DERIV_FLOOR = 1e-14
 
 
 class PathError(RuntimeError):
-    """Raised when a descent path cannot be traced."""
+    """Raised when a descent path cannot be traced.
+
+    ``failed`` is None or, for a batched solve, the boolean mask of the
+    elements that failed (same shape as the starting points).
+    """
+
+    def __init__(self, message: str, failed=None):
+        super().__init__(message)
+        self.failed = failed
 
 
 @dataclass
@@ -71,6 +79,11 @@ class RadialScene:
         (d^alpha g / dr^alpha)(0+) / alpha!, as a callable of the angles.
     singularity_order : nu with amplitude = O(r^-nu) at the origin; nu < n.
     boundary_radius : R(*angles) for star-shaped domains, None if unbounded.
+    d_boundary_phase : optional dG/dtheta(theta) of the boundary phase
+        G(theta) = g(R(theta), theta), analytic in a complex theta; n = 2
+        only.  The univariate descent of the oscillatory boundary term uses
+        it for its Newton steps and path derivatives; without it they fall
+        back to the finite difference ``complex_derivative`` of G.
     phase_at_origin : constant exp(i w g(x0)) factored out by normalization.
     origin_path / boundary_path : optional closed forms
         (p, *angles) -> (rho, drho_dp) used by the integrators when present.
@@ -85,6 +98,7 @@ class RadialScene:
     alpha_coeff: Callable = lambda *angles: 1.0
     singularity_order: float = 0.0
     boundary_radius: Callable | None = None
+    d_boundary_phase: Callable | None = None
     phase_at_origin: complex = 1.0 + 0.0j
     origin_path: Callable | None = None
     boundary_path: Callable | None = None
@@ -120,8 +134,10 @@ def complex_derivative(f, z, h: float = 1e-5):
 def newton_descent(g, dg, target, z0, *, context: str = ""):
     """Solve ``g(z) = target`` by Newton from ``z0``.
 
-    Works elementwise on numpy arrays.  Raises PathError on non-convergence
-    after 50 iterations or when the derivative collapses (degenerate path).
+    Works elementwise on numpy arrays.  Raises PathError, with the mask of
+    the failing elements in ``failed``, when the derivative collapses or is
+    NaN (degenerate path), or when an element has not converged after 50
+    iterations; a non-finite residual never converges.
     """
     z = np.asarray(z0, dtype=complex)
     target = np.asarray(target, dtype=complex)
@@ -137,18 +153,19 @@ def newton_descent(g, dg, target, z0, *, context: str = ""):
         if np.all(np.abs(res) <= 1e-14 * scale):
             break
         dgz = np.atleast_1d(np.asarray(dg(z), dtype=complex))
-        small = np.abs(dgz) < _DERIV_FLOOR
+        # negated comparisons: NaN fails every comparison and must count as a failure
+        small = ~(np.abs(dgz) >= _DERIV_FLOOR)
         if np.any(small):
-            raise PathError(f"degenerate path: |dg/dz| < {_DERIV_FLOOR} {context}")
+            raise PathError(f"degenerate path: |dg/dz| < {_DERIV_FLOOR} or NaN {context}",
+                            np.broadcast_to(small, z.shape))
         z = z - res / dgz
     else:
         res = np.abs(np.atleast_1d(np.asarray(g(z), dtype=complex)) - tgt)
-        bad = res > 1e-12 * scale
+        bad = ~(res <= 1e-12 * scale)
         if np.any(bad):
-            raise PathError(
-                f"Newton did not converge after {_NEWTON_MAXIT} iterations "
-                f"(worst residual {res.max():.3e}) {context}"
-            )
+            raise PathError(f"Newton did not converge after {_NEWTON_MAXIT} iterations "
+                            f"(worst residual {np.max(res):.3e}) {context}",
+                            np.broadcast_to(bad, z.shape))
     return complex(z[0]) if scalar else z
 
 

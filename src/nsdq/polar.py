@@ -15,7 +15,10 @@ Main entry points
 ``integrate_star_shaped``
     The same for a star-shaped domain, minus its boundary term: by the
     plain outer rule when the boundary radius R is constant, by univariate
-    descent in the angle when R varies.
+    descent in the angle when R varies.  That descent traces the paths of
+    every interval endpoint in one continuation (``nsd_interval`` on arrays
+    of edges) and takes dG/dtheta from the scene's ``d_boundary_phase``
+    when it has one.
 ``rectangle_corner_contributions``
     The closed-form corner decomposition of the boundary term for an
     axis-aligned rectangle with phase sqrt(x^2 + y^2), including the
@@ -143,10 +146,15 @@ class OuterPlan:
 
     @classmethod
     def for_region(cls, region: AngularRegion, cc: int = 50, trap: int = 50) -> "OuterPlan":
-        """``trap`` nodes on the full-period axes of the first box, ``cc`` on the others."""
-        box = region.boxes[0]
-        return cls(tuple(trap if region.axis_periodic(axis, box) else cc
-                         for axis in range(region.n - 1)))
+        """``trap`` nodes on an axis that is a full period in every box, ``cc``
+        on an axis that is one in none; an axis that is a full period in some
+        boxes only takes ``max(cc, trap)``, so the plan does not depend on
+        the order of the boxes."""
+        counts = []
+        for axis in range(region.n - 1):
+            periodic = {region.axis_periodic(axis, box) for box in region.boxes}
+            counts.append(max(cc, trap) if periodic == {True, False} else trap if True in periodic else cc)
+        return cls(tuple(counts))
 
 
 def _outer_grid(region: AngularRegion, plan: OuterPlan, box):
@@ -371,23 +379,24 @@ def _stationary_points(G, lo, hi, nsamples=600):
 def _oscillatory_boundary_term(scene, region, m):
     # The boundary term int exp(i w G(th)) amp(th) dth with G = g(R(th), th)
     # handled by univariate steepest descent in the angle, split at the
-    # resonance-induced stationary points of G.
+    # resonance-induced stationary points of G.  Every interval of every box
+    # goes into one nsd_interval call, so all endpoint paths are traced in
+    # one continuation.
     if scene.n != 2:
         raise NotImplementedError("oscillatory boundary treatment implemented for n = 2 only")
     G = _boundary_phase(scene)
-    amp = _boundary_amplitude(scene, m)
-    total = 0.0 + 0.0j
+    a, b, alpha_a, alpha_b = [], [], [], []
     for box in region.boxes:
         (lo, hi), = box
         stat, end_lo, end_hi = _stationary_points(G, lo, hi)
         edges = [lo] + stat + [hi]
-        for i in range(len(edges) - 1):
-            a, b = edges[i], edges[i + 1]
-            alpha_a = 2 if (i > 0 or end_lo) else 1
-            alpha_b = 2 if (i < len(edges) - 2 or end_hi) else 1
-            total += nsd_interval(amp, G, a, b, scene.omega, m,
-                                  alpha_a=alpha_a, alpha_b=alpha_b)
-    return total
+        k = len(edges) - 1
+        a += edges[:-1]
+        b += edges[1:]
+        alpha_a += [2 if (i > 0 or end_lo) else 1 for i in range(k)]
+        alpha_b += [2 if (i < k - 1 or end_hi) else 1 for i in range(k)]
+    return nsd_interval(_boundary_amplitude(scene, m), G, a, b, scene.omega, m,
+                        dg=scene.d_boundary_phase, alpha_a=alpha_a, alpha_b=alpha_b)
 
 
 def integrate_star_shaped(scene: RadialScene, region: AngularRegion, plan: OuterPlan, m: int) -> complex:

@@ -56,7 +56,7 @@ def quarter_plane_scene(omega: float) -> RadialScene:
     )
 
 
-def _unit_radial_scene(omega, boundary_radius, name):
+def _unit_radial_scene(omega, boundary_radius, name, d_boundary_phase=None):
     return RadialScene(
         n=2,
         omega=omega,
@@ -67,6 +67,7 @@ def _unit_radial_scene(omega, boundary_radius, name):
         alpha_coeff=lambda th: 1.0,
         singularity_order=0.0,
         boundary_radius=boundary_radius,
+        d_boundary_phase=d_boundary_phase,
         origin_path=_linear_path,
         boundary_path=lambda p, th: (boundary_radius(th) + 1j * p + 0j * np.asarray(th, complex),
                                      1j + 0j * np.asarray(th, complex)),
@@ -91,12 +92,19 @@ def ellipse_scene(omega: float) -> RadialScene:
 
     The boundary radius R(theta) = 1/sqrt(1 + sin^2 theta) is analytic in
     the angle, so the oscillatory boundary term can be deformed in theta.
+    With g = z the boundary phase is R itself, and its derivative
+    R'(theta) = -sin theta cos theta (1 + sin^2 theta)^(-3/2) is given in
+    closed form.
     """
 
     def R(th):
         return 1.0 / np.sqrt(1.0 + np.sin(th) ** 2)
 
-    return _unit_radial_scene(omega, R, "ellipse")
+    def dR(th):
+        s = np.sin(th)
+        return -s * np.cos(th) * (1.0 + s**2) ** -1.5
+
+    return _unit_radial_scene(omega, R, "ellipse", dR)
 
 
 def duct_scene(omega: float, a: float = 1.0, b: float = 2.0) -> RadialScene:

@@ -230,6 +230,17 @@ def test_newton_failure_reports_context():
         newton_descent(lambda z: 0.0 * z + 1.0, lambda z: 0.0 * z, 0.0, 1.0 + 0.0j)
 
 
+def test_newton_rejects_non_finite_values():
+    # NaN fails every comparison, so it must not pass as converged or as a
+    # usable derivative
+    with pytest.raises(PathError, match="did not converge") as err:
+        newton_descent(lambda z: z + np.nan, lambda z: np.ones_like(z), [1j, 2j], [0, 0])
+    assert err.value.failed.tolist() == [True, True]
+    with pytest.raises(PathError, match="degenerate") as err:
+        newton_descent(lambda z: z, lambda z: np.array([1.0, np.nan]), [1j, 2j], [0, 0])
+    assert err.value.failed.tolist() == [False, True]
+
+
 def test_scene_rejects_non_integrable_singularity():
     with pytest.raises(ValueError, match="singularity order"):
         RadialScene(

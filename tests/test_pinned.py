@@ -49,9 +49,11 @@ PINNED = {
         "(-0.00015707963267948974+0j)",
         "(-0.00015726611831867027+0j)",
     ],
+    # re-recorded when the nsd boundary term took the ellipse's analytic
+    # dG/dtheta and traced all endpoint paths in one continuation
     "ellipse-nsd": [
-        "(0.15526932469962468+0.18715596514322577j)",
-        "(-0.0014557961931910253+0.0031422472760420424j)",
+        "(0.15526932469813348+0.18715596514526384j)",
+        "(-0.0014557961931336862+0.003142247276031695j)",
     ],
     "disk-plain": [
         "(-0.45737081717701505+0.4930223358092314j)",

@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 import warnings
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 from nsdq import scenes
 from nsdq.oracle import adaptive_quad_1d, brute_force_polar
-from nsdq.paths import PathError
+from nsdq.paths import PathError, complex_derivative
 from nsdq.polar import (
     AngularRegion,
     OuterPlan,
@@ -209,6 +210,59 @@ def test_ellipse_newton_boundary_at_complex_angles():
     assert abs(val - ref) <= 1e-8
 
 
+def test_ellipse_boundary_phase_derivative_matches_finite_difference():
+    sc = scenes.ellipse_scene(100.0)
+    G = _boundary_phase(sc)
+    th = np.array([0.0, 0.3, 1.2, 0.5 * math.pi, 2.5, 4.0, 0.3 + 0.2j, 1.2 - 0.1j, 2.5 + 0.4j])
+    got = np.asarray(sc.d_boundary_phase(th), dtype=complex)
+    np.testing.assert_allclose(got, complex_derivative(G, th), rtol=0, atol=1e-10)
+
+
+def test_ellipse_finite_difference_fallback_against_brute_force():
+    # without the closed-form dG/dtheta the descent takes the finite
+    # difference of G; the value must still meet the brute-force bound
+    omega = 200.0
+    sc = scenes.ellipse_scene(omega)
+    sc.d_boundary_phase = None
+    region = scenes.default_region("ellipse")
+    plan = OuterPlan.for_region(region, cc=40, trap=40)
+    val = integrate_star_shaped(sc, region, plan, 8)
+    ref = brute_force_polar(sc, region, 1e-8)
+    assert abs(val - ref) <= 1e-6 * abs(ref)
+
+
+def _ellipse_reference(omega, nodes):
+    # periodic trapezoid in theta of the closed-form radial integral
+    # int_0^R r exp(i w r) dr, R = 1/sqrt(1 + sin^2 theta)
+    th = np.arange(nodes) * (2.0 * math.pi / nodes)
+    R = 1.0 / np.sqrt(1.0 + np.sin(th) ** 2)
+    radial = ((1.0 - 1j * omega * R) * np.exp(1j * omega * R) - 1.0) / omega**2
+    return complex(np.sum(radial) * (2.0 * math.pi / nodes))
+
+
+@pytest.mark.parametrize("omega", [100.0, 316.0])
+def test_ellipse_star_shaped_against_trapezoid_reference(omega):
+    region = scenes.default_region("ellipse")
+    plan = OuterPlan.for_region(region, trap=40)
+    val = integrate_star_shaped(scenes.ellipse_scene(omega), region, plan, 8)
+    ref = _ellipse_reference(omega, 8192)
+    assert abs(_ellipse_reference(omega, 16384) - ref) <= 1e-14 * abs(ref)
+    assert abs(val - ref) <= 1e-11 * abs(ref)
+
+
+@pytest.mark.parametrize("omega", [1.0, 2.0, 5.0])
+def test_ellipse_below_asymptotic_regime_names_failing_endpoints(omega):
+    # the boundary paths run into the singularities of R before exp(-w p)
+    # has decayed: a typed error naming omega and the endpoints, never a value
+    region = scenes.default_region("ellipse")
+    plan = OuterPlan.for_region(region, trap=40)
+    with np.errstate(all="ignore"), pytest.raises(PathError) as err:
+        integrate_star_shaped(scenes.ellipse_scene(omega), region, plan, 8)
+    message = str(err.value)
+    assert f"omega={omega}" in message
+    assert re.search(r"\(x=[0-9.e+-]+, alpha=2, side=[+-]1\)", message)
+
+
 def _star_case(name, two_boxes=False):
     region = scenes.default_region(name)
     if two_boxes:
@@ -217,17 +271,18 @@ def _star_case(name, two_boxes=False):
     return lambda: integrate_star_shaped(scenes.scene_registry()[name](30.0), region, plan, 4), region
 
 
-def _count_calls(monkeypatch, name):
+def _count_calls(monkeypatch, name, module=None):
     from nsdq import polar
 
+    module = module or polar
     calls = []
-    original = getattr(polar, name)
+    original = getattr(module, name)
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls.append(args)
-        return original(*args)
+        return original(*args, **kwargs)
 
-    monkeypatch.setattr(polar, name, counted)
+    monkeypatch.setattr(module, name, counted)
     return calls
 
 
@@ -244,6 +299,18 @@ def test_star_shaped_builds_each_outer_grid_once(name, rule, two_boxes, monkeypa
     run()
     assert [box for _, _, box in built] == list(region.boxes)
     assert (len(plain), len(nsd)) == ((len(region.boxes), 0) if rule == "plain" else (0, 1))
+
+
+def test_ellipse_boundary_traces_all_endpoints_together(monkeypatch):
+    # four intervals between the stationary points of R, eight endpoints:
+    # one Newton call per radial node row, each solving all eight paths
+    from nsdq import univariate
+
+    newton = _count_calls(monkeypatch, "newton_descent", univariate)
+    region = scenes.default_region("ellipse")
+    m = 8
+    integrate_star_shaped(scenes.ellipse_scene(100.0), region, OuterPlan.for_region(region, trap=40), m)
+    assert [np.size(args[3]) for args in newton] == [8] * m
 
 
 @pytest.mark.parametrize("name", ["ellipse", "disk"], ids=["ellipse-nsd", "disk-plain"])
@@ -454,6 +521,18 @@ def test_region_and_plan_validation():
         AngularRegion(3, (((0.0, 1.0),),))
     with pytest.raises(ValueError, match="counts"):
         OuterPlan((1,))
+
+
+def test_plan_does_not_depend_on_box_order():
+    # phi2 is a full period in the first box only: it takes max(cc, trap)
+    # whichever box comes first
+    a = ((0.0, 0.5 * math.pi), (0.0, 2 * math.pi))
+    b = ((0.5 * math.pi, math.pi), (0.0, math.pi))
+    plans = [OuterPlan.for_region(AngularRegion(3, boxes), cc=20, trap=40).counts
+             for boxes in ((a, b), (b, a))]
+    assert plans == [(20, 40), (20, 40)]
+    assert OuterPlan.for_region(AngularRegion(3, (b,)), cc=20, trap=40).counts == (20, 20)
+    assert OuterPlan.for_region(AngularRegion(3, (a,)), cc=20, trap=40).counts == (20, 40)
 
 
 def test_two_boxes_of_different_periodicity():

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from nsdq.paths import PathError
 from nsdq.specfun import cos_int, sin_int
 from nsdq.univariate import Endpoint1D, endpoint_contribution, nsd_interval
 
@@ -129,3 +130,37 @@ def test_endpoint_validation():
         Endpoint1D(0.0, side=0)
     with pytest.raises(ValueError, match="omega"):
         endpoint_contribution(lambda z: 1.0, lambda z: z, Endpoint1D(0.0), -1.0, 2)
+
+
+# the finite-difference derivative carries ~1e-11 relative round-off, which
+# the extra Newton steps of the joint solve expose
+@pytest.mark.parametrize("dg, tol", [(lambda z: 2.0 * z, 1e-13), (None, 1e-11)],
+                         ids=["analytic", "finite-difference"])
+def test_endpoint_sequence_matches_single_endpoints(dg, tol):
+    # a sequence of endpoints, mixed orders and sides, is traced in one
+    # continuation; each value must match the endpoint traced on its own
+    f = lambda z: 1.0 / (1.0 + z)
+    g = lambda z: z * z
+    ends = [Endpoint1D(0.0, alpha_local=2), Endpoint1D(1.0, side=-1), Endpoint1D(0.5)]
+    batch = endpoint_contribution(f, g, ends, 40.0, 6, dg=dg)
+    assert batch.shape == (3,)
+    for e, got in zip(ends, batch):
+        single = endpoint_contribution(f, g, e, 40.0, 6, dg=dg)
+        assert type(single) is complex
+        assert abs(got - single) <= tol * abs(single)
+
+
+def test_interval_arrays_sum_in_order():
+    omega, m = 30.0, 4
+    f = lambda z: np.cos(z)
+    parts = [nsd_interval(f, lambda z: z, a, b, omega, m, dg=lambda z: 1.0)
+             for a, b in ((0.0, 0.4), (0.4, 1.0))]
+    whole = nsd_interval(f, lambda z: z, [0.0, 0.4], [0.4, 1.0], omega, m, dg=lambda z: 1.0)
+    assert abs(whole - (parts[0] + parts[1])) <= 1e-14 * abs(whole)
+
+
+def test_vanishing_phase_coefficient_names_endpoint():
+    # g = z^2 declared linear at 0: the seed coefficient g'(0) vanishes
+    ends = [Endpoint1D(0.5), Endpoint1D(0.0)]
+    with pytest.raises(PathError, match=r"omega=5\.0: .* \(x=0\.0, alpha=1, side=\+1\);"):
+        endpoint_contribution(lambda z: 1.0, lambda z: z * z, ends, 5.0, 4, dg=lambda z: 2.0 * z)
