@@ -58,6 +58,7 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * math.pi
+_MAX_RAMP_QUARTERS = 16  # the first-point ramp starts no lower than p / 4^16
 
 
 def spherical_map(r, angles):
@@ -201,26 +202,43 @@ def _closed_form_samples(path, p_values, angles):
     return np.broadcast_to(rho, shape), np.broadcast_to(drho, shape)
 
 
-def _traced_samples(scene: RadialScene, angles, base, p_values, seed, context):
+def _first_samples(g, dg, base, p, seed, start, grid, context):
+    # Newton from the series seed at the first p.  Where the seed is far from
+    # the root it can converge to another branch, so its root is trusted only
+    # within 0.5 |seed - start| of the seed in every direction.  Otherwise q
+    # is divided by 4 until every root lies within 0.1 |seed(q) - start| of
+    # its seed, and the roots are continued geometrically up to p, 4 steps
+    # per octave.
+    def solve(q, tol):
+        s = np.broadcast_to(seed(q), grid)
+        try:
+            z = newton_descent(g, dg, base + 1j * q, s, context=context)
+        except PathError:
+            return None
+        return z if np.all(np.abs(z - s) <= tol * np.abs(s - start)) else None
+
+    z = solve(p, 0.5)
+    if z is not None:
+        return z
+    for k in range(1, _MAX_RAMP_QUARTERS + 1):
+        z = solve(p / 4.0**k, 0.1)
+        if z is not None:
+            for q in np.geomspace(p / 4.0**k, p, 8 * k + 1)[1:]:
+                z = newton_descent(g, dg, base + 1j * q, z, context=context)
+            return z
+    raise PathError(f"no first path point near the series seed down to p/4^{_MAX_RAMP_QUARTERS} {context}")
+
+
+def _traced_samples(scene: RadialScene, angles, base, p_values, seed, start, context):
     # Newton continuation of g(rho(p)) = base + i p over ascending p, all
-    # directions at once: the first p starts from seed(p), each later p from
-    # the previous solution.
+    # directions at once: the first p from seed(p) (``_first_samples``), each
+    # later p from the previous solution.
     g = lambda z: scene.oscillator(z, *angles)
     dg = lambda z: scene.d_oscillator(z, *angles)
     grid = np.broadcast_shapes(*(np.shape(a) for a in angles))
-    zs = []
-    for p in p_values:
-        start = zs[-1] if zs else np.broadcast_to(seed(p), grid)
-        try:
-            z = newton_descent(g, dg, base + 1j * p, start, context=context)
-        except PathError:
-            if zs:
-                raise
-            # the seed is out of Newton's reach: ramp up to the first p instead
-            z = np.broadcast_to(seed(p / 64.0), grid)
-            for q in np.geomspace(p / 64.0, p, 8):
-                z = newton_descent(g, dg, base + 1j * q, z, context=context)
-        zs.append(z)
+    zs = [_first_samples(g, dg, base, p_values[0], seed, start, grid, context)]
+    for p in p_values[1:]:
+        zs.append(newton_descent(g, dg, base + 1j * p, zs[-1], context=context))
     rho = np.stack(zs)
     return rho, 1j / np.asarray(dg(rho), dtype=complex)
 
@@ -240,7 +258,7 @@ def _origin_samples(scene: RadialScene, angles, p_values):
         raise PathError("degenerate direction: vanishing leading coefficient on the grid")
     # leading term of the series rho ~ (i p / coeff)^(1/alpha)
     seed = lambda p: np.power(1j * p / coeff, 1.0 / scene.alpha)
-    return _traced_samples(scene, angles, 0.0, p_values, seed, "origin grid")
+    return _traced_samples(scene, angles, 0.0, p_values, seed, 0.0, "origin grid")
 
 
 def _boundary_samples(scene: RadialScene, angles, p_values):
@@ -257,7 +275,7 @@ def _boundary_samples(scene: RadialScene, angles, p_values):
     gR = np.asarray(scene.oscillator(R, *angles), dtype=complex)
     dgR = np.asarray(scene.d_oscillator(R, *angles), dtype=complex)
     seed = lambda p: R + 1j * p / dgR
-    return _traced_samples(scene, angles, gR, p_values, seed, "boundary grid")
+    return _traced_samples(scene, angles, gR, p_values, seed, R, "boundary grid")
 
 
 def _radial_sum(scene: RadialScene, angles, rule, power, rho, drho):

@@ -203,10 +203,13 @@ def sphere_scatter_scene(k: float, psi: float) -> RadialScene:
         dg/dr|_0+ = 1 + [-d3, d2] . Theta.
 
     The leading coefficient ``1 - sin(psi) cos(theta)`` is at least
-    ``1 - sin(psi) > 0`` for every psi in [0, pi/2), so every direction
-    traces; near pi/2 the first path point needs the tracer's continuation
-    ramp (``test_first_point_ramp`` traces psi = 1.5).  psi = pi/2 puts the
-    observation point on the shadow boundary and the scene degenerates.
+    ``1 - sin(psi) > 0`` for every psi in [0, pi/2).  Near pi/2 it is small
+    around theta = 0, so the series seed of the first path point lies far
+    from its root and Newton from it can land on another root; the tracer
+    then starts lower in p and continues up (``test_first_point_ramp``
+    checks the branch at psi = 1.3 and 1.5 against a fine continuation).
+    psi = pi/2 puts the observation point on the shadow boundary and the
+    scene degenerates.
     """
     if not 0 <= psi < math.pi / 2:
         raise ValueError(

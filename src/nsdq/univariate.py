@@ -138,14 +138,18 @@ def endpoint_contribution(f, g, endpoint, omega: float, m: int, dg=None):
     z = x + np.array([_branch_seed(pe, e.alpha_local, lead, e.side)
                       for pe, e, lead in zip(p[0], ends, leads)])
     zs = []
-    for pj in p:
-        try:
-            z = newton_descent(g, dge, gx + 1j * pj, z, context="along the endpoint paths")
-        except PathError as err:
-            failed = ends if err.failed is None else [e for e, bad in zip(ends, err.failed) if bad]
-            raise PathError(f"{err} at omega={omega}; failing endpoints {_endpoint_list(failed)}",
-                            err.failed) from err
-        zs.append(z)
+    # below the asymptotic regime Newton's iterates can reach angles where g
+    # overflows; newton_descent turns the non-finite values into PathError,
+    # so numpy's warnings are silenced here
+    with np.errstate(over="ignore", invalid="ignore"):
+        for pj in p:
+            try:
+                z = newton_descent(g, dge, gx + 1j * pj, z, context="along the endpoint paths")
+            except PathError as err:
+                failed = ends if err.failed is None else [e for e, bad in zip(ends, err.failed) if bad]
+                raise PathError(f"{err} at omega={omega}; failing endpoints {_endpoint_list(failed)}",
+                                err.failed) from err
+            zs.append(z)
     z = np.stack(zs)
     terms = weights * np.broadcast_to(f(z), z.shape) * (1j / np.broadcast_to(dge(z), z.shape))
     total = 0.0

@@ -78,6 +78,124 @@ def test_adaptive_rejects_bad_arguments():
         adaptive_quad_1d(lambda x: x, 1.0, 0.0, 1e-10)
 
 
+# The integrands above, with the (value, est_error, subdivisions) that
+# adaptive_quad_1d returned before it bisected panels in lockstep.  The
+# lockstep rounds keep each panel's heap order and error arithmetic, so the
+# results must not move by a single bit.
+_INTEGRANDS = {
+    "x": (lambda x: x, 0.0, 1.0),
+    "exp50": (lambda x: np.exp(1j * 50 * x), 0.0, 1.0),
+    "expsin": (lambda x: np.exp(np.sin(x)), 0.0, math.pi / 2),
+    "lin10": (lambda x: np.exp(1j * 10.0 * x) * np.cos(x), 0.0, 1.0),
+    "x5": (lambda x: x**5, 0.0, 1.0),
+    "exp": (lambda x: np.exp(x), 0.0, 1.0),
+    "runge": (lambda x: 1.0 / (1.0 + x * x), 0.0, 1.0),
+    "exp30": (lambda x: np.exp(1j * 30 * x), 0.0, 1.0),
+    "exp200": (lambda x: np.exp(1j * 200 * x), 0.0, 1.0),
+    "cosexp40": (lambda x: np.cos(x) * np.exp(1j * 40 * x), 0.0, 2.0),
+    "sqrt": (lambda x: np.sqrt(np.abs(x)), 0.0, 1.0),
+    "log": (lambda x: np.log(x + 1.0), 0.0, 1.0),
+    "invsqrt": (lambda x: 1.0 / np.sqrt(x + 1e-4), 0.0, 1.0),
+    "sin10": (lambda x: np.sin(10 * x) / (1.0 + x), 0.0, 3.0),
+}
+_RECORDED = [
+    ("x", 1e-13, "(0.5+0j)", "0.0", 1),
+    ("exp50", 1e-13, "(-0.005247497074078546+0.0007006794301577211j)", "9.926361063333706e-14", 57),
+    ("expsin", 1e-13, "(3.1043790178555555+0j)", "1.7319479184152442e-14", 3),
+    ("lin10", 1e-13, "(-0.022558628895439456+0.1514272808022171j)", "4.5797971652497296e-14", 7),
+    ("x5", 1e-06, "(0.16666666666666669+0j)", "5.551115123125783e-17", 1),
+    ("exp", 1e-06, "(1.718281828459045+0j)", "0.0", 1),
+    ("runge", 1e-06, "(0.7853981633974483+0j)", "6.659891527149853e-10", 1),
+    ("exp30", 1e-06, "(-0.03293438746976218+0.028191618337080417j)", "9.28213090409095e-08", 7),
+    ("exp200", 1e-06, "(-0.0043664864860703+0.0025640616249656112j)", "7.734987315630256e-09", 63),
+    ("cosexp40", 1e-06, "(0.010409330584858933+0.024431674986124353j)", "7.950525332257737e-07", 27),
+    ("sqrt", 1e-06, "(0.6666666929535451+0j)", "4.549992042265135e-07", 13),
+    ("log", 1e-06, "(0.38629436111989063+0j)", "2.0215495943887163e-12", 1),
+    ("invsqrt", 1e-06, "(1.9800999975003222+0j)", "2.7394481957182526e-08", 23),
+    ("sin10", 1e-06, "(0.09495476590786367+0j)", "7.98891896065454e-08", 7),
+    ("x5", 1e-10, "(0.16666666666666669+0j)", "5.551115123125783e-17", 1),
+    ("exp", 1e-10, "(1.718281828459045+0j)", "0.0", 1),
+    ("runge", 1e-10, "(0.7853981633974484+0j)", "8.798517470154366e-14", 3),
+    ("exp30", 1e-10, "(-0.03293438746976207+0.028191618337080518j)", "6.684536219112217e-12", 15),
+    ("exp200", 1e-10, "(-0.004366486486069951+0.002564061624965003j)", "5.289501518208665e-13", 127),
+    ("cosexp40", 1e-10, "(0.01040933058485901+0.024431674986124148j)", "8.770500618871394e-11", 53),
+    ("sqrt", 1e-10, "(0.6666666666689356+0j)", "3.937627748344598e-11", 31),
+    ("log", 1e-10, "(0.38629436111989063+0j)", "2.0215495943887163e-12", 1),
+    ("invsqrt", 1e-10, "(1.9800999975001252+0j)", "8.289113319348562e-12", 27),
+    ("sin10", 1e-10, "(0.09495476590786367+0j)", "3.850196203525336e-12", 15),
+]
+
+
+@pytest.mark.parametrize("name, tol, value, est_error, subdivisions", _RECORDED,
+                         ids=[f"{r[0]}-{r[1]:g}" for r in _RECORDED])
+def test_adaptive_matches_recorded_bits(name, tol, value, est_error, subdivisions):
+    f, a, b = _INTEGRANDS[name]
+    res = adaptive_quad_1d(f, a, b, tol)
+    assert (repr(res.value), repr(res.est_error), res.subdivisions, res.converged) == (
+        value, est_error, subdivisions, True)
+
+
+def test_adaptive_panels_match_separate_calls():
+    # lockstep panels: each panel's bisections are exactly those of a call
+    # on that panel alone, and the values are summed in panel order
+    f = lambda x: np.cos(x) * np.exp(1j * 40 * x)
+    edges = [0.0, 0.3, 1.1, 2.0]
+    res = adaptive_quad_1d(f, edges[:-1], edges[1:], 1e-12)
+    alone = [adaptive_quad_1d(f, lo, hi, 1e-12) for lo, hi in zip(edges[:-1], edges[1:])]
+    total = alone[0].value
+    for r in alone[1:]:
+        total += r.value
+    assert repr(res.value) == repr(total)
+    assert res.subdivisions == sum(r.subdivisions for r in alone)
+    assert res.est_error == math.fsum(r.est_error for r in alone)
+    assert res.converged and res.stalled == ()
+
+
+def test_adaptive_names_stalled_panel(monkeypatch):
+    # the smooth first panel converges at once; the oscillatory second one
+    # runs into the subdivision cap
+    monkeypatch.setattr(oracle, "_MAX_SUBDIVISIONS", 9)
+    f = lambda x: np.where(x < 1.0, x, np.exp(1j * 500 * x))
+    res = adaptive_quad_1d(f, [0.0, 1.0], [1.0, 2.0], 1e-13)
+    assert not res.converged
+    assert res.stalled == (1,)
+    assert res.subdivisions <= 1 + 9 + 2
+
+
+def test_adaptive_rejects_bad_panels():
+    with pytest.raises(ValueError, match=r"a < b, got \[2.0, 1.5\]"):
+        adaptive_quad_1d(lambda x: x, [0.0, 2.0], [1.0, 1.5], 1e-10)
+    with pytest.raises(ValueError, match="at least one panel"):
+        adaptive_quad_1d(lambda x: x, [], [], 1e-10)
+
+
+def test_acoustics_reference_one_integrand_call_per_round(monkeypatch):
+    # 100 panels bisected in lockstep: one call per round, where a call per
+    # panel made 6,300 calls at this omega
+    original = oracle.adaptive_quad_1d
+    calls = []
+
+    def counting(f, a, b, tol):
+        def counted(x):
+            calls.append(np.size(x))
+            return f(x)
+
+        return original(counted, a, b, tol)
+
+    monkeypatch.setattr(oracle, "adaptive_quad_1d", counting)
+    acoustics_reference(9952.19)
+    assert len(calls) <= 64
+    assert all(n % 15 == 0 for n in calls)
+
+
+def test_acoustics_stalled_panel_names_omega_and_panel(monkeypatch):
+    monkeypatch.setattr(oracle, "_MAX_SUBDIVISIONS", 3)
+    with pytest.raises(OracleNotConverged, match=r"panel 0 \[0\.0, 0\.01\] at omega=9952\.19"):
+        acoustics_reference(9952.19)
+    with pytest.raises(OracleNotConverged, match=r"panel 0 \[0\.0, 1\.0\] at omega=992\.37"):
+        acoustics_reference(992.37)
+
+
 def test_acoustics_linear_phase_part():
     # (i/w) int_0^1 exp(i w x) cos x dx has a closed-form antiderivative
     omega = 10.0

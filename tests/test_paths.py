@@ -23,7 +23,8 @@ from nsdq.paths import (
     corner_h22,
     newton_descent,
 )
-from nsdq.polar import _boundary_samples, _origin_samples
+from nsdq.polar import _boundary_samples, _origin_samples, _weight_degree
+from nsdq.rules import gauss_exp_power, trapezoid_periodic
 
 
 def _sample_ps():
@@ -116,12 +117,37 @@ def test_path_sample_invariants():
     assert np.all(step <= bound)
 
 
+def _fine_continuation(sc, angles, ps):
+    # the branch every traced path must follow: Newton from the series seed at
+    # p0 / 2^16, where the seed is accurate, then 16 geometric steps per
+    # octave through every p
+    coeff = np.asarray(sc.alpha_coeff(*angles), dtype=float)
+    g = lambda z: sc.oscillator(z, *angles)
+    dg = lambda z: sc.d_oscillator(z, *angles)
+    prev = ps[0] / 2.0**16
+    z = newton_descent(g, dg, 1j * prev, np.power(1j * prev / coeff, 1.0 / sc.alpha))
+    out = []
+    for p in ps:
+        steps = max(1, math.ceil(16 * math.log2(p / prev)))
+        for q in np.geomspace(prev, p, steps + 1)[1:]:
+            z = newton_descent(g, dg, 1j * q, z)
+        out.append(z)
+        prev = p
+    return np.stack(out)
+
+
+# quarterings of p before the first root lies within 0.1 |seed| of its seed
+_RAMP_QUARTERS = {1.5: 8, 1.3: 6}
+
+
 @pytest.mark.parametrize("psi, ps", [(1.5, [0.3, 0.33]), (1.3, [2.0, 2.2])])
 @pytest.mark.parametrize("angles", [(0.0,), (np.linspace(0.0, 2 * math.pi, 12, endpoint=False),)],
                          ids=["one-direction", "grid"])
 def test_first_point_ramp(psi, ps, angles, monkeypatch):
-    # Newton from the series seed diverges at the first p here; the tracer
-    # reaches it by a continuation ramp of 8 steps from p/64.
+    # Newton from the series seed at the first p lands on another root here
+    # (or diverges); the tracer divides p by 4 until the seed is trusted, then
+    # ramps up geometrically, 8 steps per quartering.  The roots must be the
+    # branch of a fine continuation, not just any root of g = i p.
     sc = scenes.sphere_scatter_scene(50.0, psi)
     calls = []
 
@@ -131,9 +157,24 @@ def test_first_point_ramp(psi, ps, angles, monkeypatch):
 
     monkeypatch.setattr(polar, "newton_descent", counted)
     rho, _ = _origin_samples(sc, angles, np.array(ps))
-    assert len(calls) == 1 + 8 + (len(ps) - 1)
+    k = _RAMP_QUARTERS[psi]
+    assert len(calls) == 1 + k + 8 * k + (len(ps) - 1)
     p = _column(np.array(ps), angles)
     assert np.all(np.abs(sc.oscillator(rho, *angles) - 1j * p) <= 1e-12 * (1 + p))
+    monkeypatch.undo()
+    assert np.max(np.abs(rho - _fine_continuation(sc, angles, ps))) <= 1e-10
+
+
+def test_sphere_near_shadow_boundary_traces_the_continued_branch():
+    # the series seed at the first node converges to another root at theta = 0
+    # (w0 was off by 4%); every node of the (8, 200) grid must follow the
+    # continued branch
+    sc = scenes.sphere_scatter_scene(50.0, 1.5)
+    rule = gauss_exp_power(8, sc.alpha, _weight_degree(sc))
+    ps = rule.nodes**sc.alpha / sc.omega
+    angles = (trapezoid_periodic(200, 2 * math.pi).nodes,)
+    rho, _ = _origin_samples(sc, angles, ps)
+    assert np.max(np.abs(rho - _fine_continuation(sc, angles, ps))) <= 1e-10
 
 
 def test_negative_leading_coefficient_traced():

@@ -15,6 +15,7 @@ The grids are small versions of the README commands:
 """
 
 from nsdq import experiments, polar, scenes
+from nsdq.oracle import acoustics_reference
 
 PINNED = {
     "ellipsoid": [
@@ -59,6 +60,17 @@ PINNED = {
         "(-0.45737081717701505+0.4930223358092314j)",
         "(-0.031902399166685864-0.05449925160024459j)",
     ],
+    # acoustics_reference at the duct benchmark's omegas, one-panel rows
+    # (omega <= 2000) and panelled ones; recorded before the panels were
+    # bisected in lockstep
+    "duct-oracle": [
+        "(0.05090338780259139+0.011230059762757255j)",
+        "(0.00021936563092316098-0.0001904688282307633j)",
+        "(1.026228551496396e-06-5.791367156345777e-05j)",
+        "(-2.0128208674848774e-05+1.0856557409139884e-06j)",
+        "(8.564157683071488e-06+4.6836392944230734e-06j)",
+        "(5.2515172701544344e-08-1.7745466168969507e-06j)",
+    ],
 }
 
 
@@ -97,3 +109,8 @@ def test_pinned_star_shaped():
     got = [repr(complex(polar.integrate_star_shaped(scenes.disk_scene(om), region, plan, 4)))
            for om in (10.0, 100.0)]
     assert got == PINNED["disk-plain"]
+
+
+def test_pinned_duct_oracle():
+    omegas = (9.99, 317.36, 992.37, 2000.0, 3186.21, 9952.19)
+    assert [repr(acoustics_reference(om)) for om in omegas] == PINNED["duct-oracle"]

@@ -256,7 +256,7 @@ def test_ellipse_below_asymptotic_regime_names_failing_endpoints(omega):
     # has decayed: a typed error naming omega and the endpoints, never a value
     region = scenes.default_region("ellipse")
     plan = OuterPlan.for_region(region, trap=40)
-    with np.errstate(all="ignore"), pytest.raises(PathError) as err:
+    with pytest.raises(PathError) as err:
         integrate_star_shaped(scenes.ellipse_scene(omega), region, plan, 8)
     message = str(err.value)
     assert f"omega={omega}" in message
