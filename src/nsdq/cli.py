@@ -44,6 +44,11 @@ def _parse_grid(spec: str):
     return np.array([float(v) for v in spec.split(",") if v.strip()], dtype=float)
 
 
+def _given(**options):
+    # the options given on the command line; the defaults live in experiments.run_*
+    return {key: value for key, value in options.items() if value is not None}
+
+
 def _build_parser() -> _Parser:
     p = _Parser(prog="nsdq", description="oscillatory-integral convergence experiments")
     sub = p.add_subparsers(dest="command", required=True)
@@ -57,10 +62,10 @@ def _build_parser() -> _Parser:
                      help="radial Gaussian points (ellipsoid/sphere/example1)")
     run.add_argument("--outer-cc", type=int, default=None, metavar="N")
     run.add_argument("--outer-trap", type=int, default=None, metavar="N")
-    run.add_argument("--gl", type=int, default=8, help="duct Gauss-Laguerre points")
+    run.add_argument("--gl", type=int, default=None, help="duct Gauss-Laguerre points")
     run.add_argument("--gh", type=int, default=None,
                      help="duct half-range Gauss-Hermite points (default 2*gl)")
-    run.add_argument("--mode", default="corner",
+    run.add_argument("--mode", default=None,
                      choices=["corner", "direct", "direct_modified"], help="duct mode")
     run.add_argument("--psi", default=f"0,{math.pi/10:.17g},{math.pi/5:.17g},{math.pi/3:.17g}",
                      help="sphere incidence angles (comma list, radians)")
@@ -69,8 +74,6 @@ def _build_parser() -> _Parser:
     run.add_argument("--dump-inner-grid", default=None, metavar="PATH",
                      help="also write (phi1, phi2, |Q_r|) of the ellipsoid scene at "
                           "the largest omega of the grid")
-    run.add_argument("--oracle-tol", type=float, default=1e-13,
-                     help="adaptive tolerance of the duct reference oracle")
     return p
 
 
@@ -81,27 +84,19 @@ def _run(args) -> int:
         sys.stderr.write(f"nsdq: error: {exc}\n")
         return _USAGE_EXIT
 
+    ellipsoid_sizes = _given(m=args.radial_points, outer_cc=args.outer_cc, outer_trap=args.outer_trap)
     try:
         if args.experiment == "ellipsoid":
-            rows = experiments.run_ellipsoid(
-                omega,
-                m=args.radial_points or 8,
-                outer_cc=args.outer_cc or 50,
-                outer_trap=args.outer_trap or 50,
-            )
+            rows = experiments.run_ellipsoid(omega, **ellipsoid_sizes)
         elif args.experiment == "duct":
-            rows = experiments.run_duct(
-                omega, n_gl=args.gl, n_gh=args.gh, mode=args.mode,
-                outer_cc=args.outer_cc or 30, oracle_tol=args.oracle_tol,
-            )
+            rows = experiments.run_duct(omega, **_given(n_gl=args.gl, n_gh=args.gh, mode=args.mode,
+                                                        outer_cc=args.outer_cc))
         elif args.experiment == "sphere":
             psi = [float(v) for v in args.psi.split(",") if v.strip()]
-            rows = experiments.run_sphere_scatter(
-                omega, psi, m=args.radial_points or 5, n_trap=args.outer_trap or 100,
-            )
+            rows = experiments.run_sphere_scatter(omega, psi, **_given(m=args.radial_points,
+                                                                       n_trap=args.outer_trap))
         else:
-            rows = experiments.run_example1(omega, m=args.radial_points or 4,
-                                            outer_cc=args.outer_cc or 10)
+            rows = experiments.run_example1(omega, **_given(m=args.radial_points, outer_cc=args.outer_cc))
     except OracleNotConverged as exc:
         sys.stderr.write(f"nsdq: oracle did not converge: {exc}\n")
         return _ORACLE_EXIT
@@ -123,10 +118,7 @@ def _run(args) -> int:
         if args.experiment != "ellipsoid":
             sys.stderr.write("nsdq: error: --dump-inner-grid applies to the ellipsoid experiment\n")
             return _USAGE_EXIT
-        grid = experiments.ellipsoid_inner_grid(
-            float(np.max(omega)), m=args.radial_points or 8,
-            outer_cc=args.outer_cc or 50, outer_trap=args.outer_trap or 50,
-        )
+        grid = experiments.ellipsoid_inner_grid(float(np.max(omega)), **ellipsoid_sizes)
         with open(args.dump_inner_grid, "w") as fh:
             fh.write("phi1,phi2,abs_qr\n")
             for phi1, phi2, qr in grid:

@@ -4,8 +4,8 @@ Everything here deliberately avoids the steepest-descent code paths so it
 can serve as the second route of every cross-check: a self-contained
 adaptive Gauss-Kronrod integrator (embedded 7/15-point pair with
 worst-interval bisection), the reduced one-dimensional reference for the
-rectangular-duct problem, and nested brute-force integration of polar
-integrands at moderate frequencies.
+rectangular-duct problem, and nested brute-force integration of planar
+polar integrands at moderate frequencies.
 
 The integrator takes one interval or a sequence of panels.  Panels are
 bisected in lockstep: each round pops the worst interval of every panel
@@ -215,12 +215,13 @@ def acoustics_reference(omega: float, a: float = 1.0, b: float = 2.0, tol: float
 
 
 def brute_force_polar(scene, region, tol: float = 1e-8) -> complex:
-    """Nested adaptive integration of a bounded polar integrand.
+    """Nested adaptive integration of a bounded polar integrand in two dimensions.
 
-    Integrates ``f(r, th) exp(i w g(r, th)) r^(n-1)`` over the star-shaped
-    domain of the scene and the angular boxes of ``region``.  Independent of
-    all steepest-descent machinery; practical up to roughly ``w = 200`` in
-    two dimensions and ``w = 60`` in three.
+    Integrates ``f(r, th) exp(i w g(r, th)) r`` over the star-shaped domain
+    of the scene and the angular intervals of ``region``.  Independent of
+    all steepest-descent machinery; practical up to roughly ``w = 200``.
+    Other dimensions raise ``NotImplementedError``: 3-D accuracy is checked
+    against the closed form ``specfun.ellipsoid_reference``.
 
     Unbounded scenes are rejected: adaptive quadrature cannot certify the
     oscillatory tail, so unbounded references must come from closed forms.
@@ -231,57 +232,31 @@ def brute_force_polar(scene, region, tol: float = 1e-8) -> complex:
 
     if not isinstance(region, AngularRegion):
         raise TypeError(f"expected AngularRegion, got {type(region).__name__}")
+    if scene.n != 2:
+        raise NotImplementedError(f"brute force only covers n = 2; got n = {scene.n}")
     omega = scene.omega
-    n = scene.n
 
-    def radial(theta_angles):
-        R = float(scene.boundary_radius(*theta_angles))
+    def radial(th):
+        R = float(scene.boundary_radius(th))
 
         def f_r(r):
             rr = np.asarray(r, dtype=float)
-            amp = scene.amplitude(rr, *theta_angles)
-            osc = np.exp(1j * omega * np.asarray(scene.oscillator(rr, *theta_angles), dtype=complex))
-            return amp * osc * rr ** (n - 1)
+            amp = scene.amplitude(rr, th)
+            osc = np.exp(1j * omega * np.asarray(scene.oscillator(rr, th), dtype=complex))
+            return amp * osc * rr
 
         res = adaptive_quad_1d(f_r, 0.0, R, tol * 0.1)
         if not res.converged:
-            raise OracleNotConverged(f"radial integral stalled at angles={theta_angles}")
+            raise OracleNotConverged(f"radial integral stalled at angle={th}")
         return res.value
 
+    def f_theta(th):
+        return np.array([radial(t) for t in np.atleast_1d(th)])
+
     total = 0.0 + 0.0j
-    for box in region.boxes:
-        if n == 2:
-            (lo, hi), = box
-
-            def f_theta(th):
-                th = np.atleast_1d(th)
-                return np.array([radial((t,)) for t in th])
-
-            res = adaptive_quad_1d(f_theta, lo, hi, tol)
-            if not res.converged:
-                raise OracleNotConverged("angular integral did not converge")
-            total += res.value
-        elif n == 3:
-            (lo1, hi1), (lo2, hi2) = box
-
-            def f_phi1(phi1_arr):
-                phi1_arr = np.atleast_1d(phi1_arr)
-                out = np.empty(phi1_arr.shape, dtype=complex)
-                for i, p1 in enumerate(phi1_arr):
-                    def f_phi2(phi2_arr):
-                        phi2_arr = np.atleast_1d(phi2_arr)
-                        return np.array([radial((p1, p2)) for p2 in phi2_arr])
-
-                    inner = adaptive_quad_1d(f_phi2, lo2, hi2, tol)
-                    if not inner.converged:
-                        raise OracleNotConverged("inner angular integral did not converge")
-                    out[i] = inner.value * math.sin(p1)
-                return out
-
-            res = adaptive_quad_1d(f_phi1, lo1, hi1, tol)
-            if not res.converged:
-                raise OracleNotConverged("outer angular integral did not converge")
-            total += res.value
-        else:
-            raise NotImplementedError(f"brute force only covers n = 2, 3; got n = {n}")
+    for (lo, hi), in region.boxes:
+        res = adaptive_quad_1d(f_theta, lo, hi, tol)
+        if not res.converged:
+            raise OracleNotConverged("angular integral did not converge")
+        total += res.value
     return complex(scene.phase_at_origin) * total

@@ -11,7 +11,10 @@ The descent path from the origin solves ``g(rho_0(p)) = i p``; the path from
 a boundary point ``R`` solves ``g(rho_R(p)) = g(R) + i p``.  Along either,
 ``exp(i w g)`` decays like ``exp(-w p)``.  A scene either supplies these
 paths in closed form or leaves them to :func:`newton_descent`, which the
-polar integrators run as a continuation in ``p`` over whole direction grids.
+one continuation in ``p`` (``univariate._trace``) runs row by row over
+whole direction grids and over the endpoints of the boundary term.  The
+leading Taylor coefficient that seeds a path of order ``alpha >= 2`` comes
+from one central-difference stencil, ``_taylor_coefficient``.
 
 The module also holds the closed-form angle paths of the rectangle's corner
 decomposition, ``corner_h11`` ... ``corner_h22``.
@@ -129,6 +132,16 @@ def complex_derivative(f, z, h: float = 1e-5):
     return (
         -f(z + 2 * step) + 8 * f(z + step) - 8 * f(z - step) + f(z - 2 * step)
     ) / (12 * step)
+
+
+def _taylor_coefficient(f, x, alpha: int, s: float):
+    # f^(alpha)(x) / alpha! by the order-alpha central difference with
+    # spacing s, summed in binomial order; it only seeds Newton, so modest
+    # accuracy suffices
+    total = 0
+    for k in range(alpha + 1):
+        total = total + (-1) ** k * math.comb(alpha, k) * f(x + (alpha / 2 - k) * s)
+    return total / s**alpha / math.factorial(alpha)
 
 
 def newton_descent(g, dg, target, z0, *, context: str = ""):

@@ -29,8 +29,9 @@ Main entry points
     cannot converge faster than w^-2 (the integrand after scaling is
     w-independent), which is the failure the polar rule repairs.
 
-Paths without a closed form are traced by one Newton continuation in ``p``
-over the whole direction grid (``_traced_samples``).
+Paths without a closed form are traced over the whole direction grid by
+the one Newton continuation in ``p``, ``univariate._trace``, which also
+traces the endpoint paths of the boundary term.
 """
 
 from __future__ import annotations
@@ -41,10 +42,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .paths import (PathError, RadialScene, complex_derivative, corner_h11, corner_h12,
-                    corner_h21, corner_h22, newton_descent)
+from .paths import (PathError, RadialScene, _taylor_coefficient, complex_derivative, corner_h11,
+                    corner_h12, corner_h21, corner_h22)
+from .paths import newton_descent  # not called here; perfbench/layertrace.py patches this name
 from .rules import clenshaw_curtis, gauss_exp_power, trapezoid_periodic
-from .univariate import nsd_interval
+from .univariate import _trace, nsd_interval
 
 __all__ = [
     "AngularRegion",
@@ -58,7 +60,6 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * math.pi
-_MAX_RAMP_QUARTERS = 16  # the first-point ramp starts no lower than p / 4^16
 
 
 def spherical_map(r, angles):
@@ -93,20 +94,18 @@ class AngularRegion:
     """Union of coordinate boxes on the (n-1)-sphere's angle space.
 
     Each box is a tuple of per-angle intervals: one interval for n = 2, a
-    pair (phi1-range, phi2-range) for n = 3.  ``full_sphere`` marks the
-    whole sphere, whose last axis is periodic.
+    pair (phi1-range, phi2-range) for n = 3.
     """
 
     n: int
     boxes: tuple = ()
-    full_sphere: bool = False
 
     @classmethod
     def full(cls, n: int) -> "AngularRegion":
         if n == 2:
-            return cls(2, (((0.0, _TWO_PI),),), full_sphere=True)
+            return cls(2, (((0.0, _TWO_PI),),))
         if n == 3:
-            return cls(3, (((0.0, math.pi), (0.0, _TWO_PI)),), full_sphere=True)
+            return cls(3, (((0.0, math.pi), (0.0, _TWO_PI)),))
         raise NotImplementedError(f"full sphere regions cover n = 2, 3; got {n}")
 
     @classmethod
@@ -202,44 +201,13 @@ def _closed_form_samples(path, p_values, angles):
     return np.broadcast_to(rho, shape), np.broadcast_to(drho, shape)
 
 
-def _first_samples(g, dg, base, p, seed, start, grid, context):
-    # Newton from the series seed at the first p.  Where the seed is far from
-    # the root it can converge to another branch, so its root is trusted only
-    # within 0.5 |seed - start| of the seed in every direction.  Otherwise q
-    # is divided by 4 until every root lies within 0.1 |seed(q) - start| of
-    # its seed, and the roots are continued geometrically up to p, 4 steps
-    # per octave.
-    def solve(q, tol):
-        s = np.broadcast_to(seed(q), grid)
-        try:
-            z = newton_descent(g, dg, base + 1j * q, s, context=context)
-        except PathError:
-            return None
-        return z if np.all(np.abs(z - s) <= tol * np.abs(s - start)) else None
-
-    z = solve(p, 0.5)
-    if z is not None:
-        return z
-    for k in range(1, _MAX_RAMP_QUARTERS + 1):
-        z = solve(p / 4.0**k, 0.1)
-        if z is not None:
-            for q in np.geomspace(p / 4.0**k, p, 8 * k + 1)[1:]:
-                z = newton_descent(g, dg, base + 1j * q, z, context=context)
-            return z
-    raise PathError(f"no first path point near the series seed down to p/4^{_MAX_RAMP_QUARTERS} {context}")
-
-
 def _traced_samples(scene: RadialScene, angles, base, p_values, seed, start, context):
-    # Newton continuation of g(rho(p)) = base + i p over ascending p, all
-    # directions at once: the first p from seed(p) (``_first_samples``), each
-    # later p from the previous solution.
+    # the paths of all directions at once, one continuation row per p
+    # (``univariate._trace``), and their derivative on the stacked roots
     g = lambda z: scene.oscillator(z, *angles)
     dg = lambda z: scene.d_oscillator(z, *angles)
     grid = np.broadcast_shapes(*(np.shape(a) for a in angles))
-    zs = [_first_samples(g, dg, base, p_values[0], seed, start, grid, context)]
-    for p in p_values[1:]:
-        zs.append(newton_descent(g, dg, base + 1j * p, zs[-1], context=context))
-    rho = np.stack(zs)
+    rho = _trace(g, dg, base, p_values, lambda q: np.broadcast_to(seed(q), grid), start, context)
     return rho, 1j / np.asarray(dg(rho), dtype=complex)
 
 
@@ -609,16 +577,7 @@ def normalize_scene(x0, f, g, omega: float, *, n: int | None = None, alpha: int 
             return complex_derivative(lambda zz: g_tilde(zz, *angles), z)
 
     def coeff(*angles):
-        h = 1e-4
-        if alpha == 1:
-            return np.real((g_tilde(h, *angles) - g_tilde(-h, *angles)) / (2 * h))
-        ks = np.arange(-alpha, alpha + 1)
-        vals = np.stack([np.asarray(g_tilde(k * h, *angles), dtype=complex) for k in ks])
-        A = np.vander(ks * h, 2 * alpha + 1, increasing=True).T
-        rhs = np.zeros(2 * alpha + 1)
-        rhs[alpha] = math.factorial(alpha)
-        c = np.linalg.solve(A, rhs)
-        return np.real(np.tensordot(c, vals, axes=1)) / math.factorial(alpha)
+        return np.real(_taylor_coefficient(lambda z: g_tilde(z, *angles), 0.0, alpha, 2e-4))
 
     return RadialScene(
         n=n,

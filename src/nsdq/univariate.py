@@ -15,20 +15,23 @@ weight ``exp(-q^alpha)``, giving an error of order ``w^-((2m-1)/alpha)``.
 The paths of any number of endpoints are traced together: one Newton
 continuation in ``p`` over the (m, E) array of descent parameters, with
 ``newton_descent`` solving one node row for all E endpoints at a time.
+That continuation, ``_trace``, is the only one in the package: the polar
+rules trace their radial paths with it too.
 """
 
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .paths import PathError, complex_derivative, newton_descent
+from .paths import PathError, _taylor_coefficient, complex_derivative, newton_descent
 from .rules import gauss_exp_power
 
 __all__ = ["Endpoint1D", "endpoint_contribution", "nsd_interval"]
+
+_MAX_RAMP_QUARTERS = 16  # the first-row ramp starts no lower than p / 4^16
 
 
 @dataclass(frozen=True)
@@ -56,24 +59,12 @@ class Endpoint1D:
 
 
 def _phase_coefficient(g, x, alpha, dg=None):
-    # Leading Taylor coefficient g^(alpha)(x)/alpha! by finite differences;
-    # only seeds Newton, so modest accuracy suffices.
+    # Leading Taylor coefficient g^(alpha)(x)/alpha!; only seeds Newton.
     if alpha == 1:
         if dg is not None:
             return complex(dg(x))
         return complex_derivative(g, complex(x))
-    h = 1e-2
-    if alpha == 2:
-        d2 = (complex(g(x + h)) - 2 * complex(g(x)) + complex(g(x - h))) / h**2
-        return d2 / 2.0
-    # generic stencil for the alpha-th derivative
-    ks = np.arange(-alpha, alpha + 1)
-    A = np.vander(ks * h, 2 * alpha + 1, increasing=True).T
-    rhs = np.zeros(2 * alpha + 1)
-    rhs[alpha] = math.factorial(alpha)
-    coeffs = np.linalg.solve(A, rhs)
-    vals = np.array([complex(g(x + k * h)) for k in ks])
-    return (coeffs @ vals) / math.factorial(alpha)
+    return complex(_taylor_coefficient(g, x, alpha, 1e-2))
 
 
 def _branch_seed(p, alpha, lead_coeff, side):
@@ -91,13 +82,54 @@ def _endpoint_list(endpoints):
     return ", ".join(f"(x={e.x!r}, alpha={e.alpha_local}, side={e.side:+d})" for e in endpoints)
 
 
+def _trace(g, dg, base, p, seed, start, context):
+    # Newton continuation of g(z) = base + i p over the rows of ascending p,
+    # the one tracer of every descent path: a row is a scalar (one p for a
+    # whole direction grid) or an array (one p per path), and each row is one
+    # newton_descent call from the previous row's roots.  The first row
+    # starts from seed(p[0]).  Far from its root a seed can converge to
+    # another branch, so that root is trusted only within 0.5 |seed - start|
+    # of the seed in every path.  Otherwise q = p[0] is divided by 4 until
+    # every root lies within 0.1 |seed(q) - start| of its seed, and those
+    # roots are continued geometrically up to p[0], 4 steps per octave.  Only
+    # Newton's own failures (``failed`` set) start the ramp; any other
+    # PathError, such as a scene refusing a complex argument, propagates.
+    def solve(q, tol):
+        # (roots, None), or (None, mask of the paths without a trusted root)
+        s = seed(q)
+        try:
+            z = newton_descent(g, dg, base + 1j * q, s, context=context)
+        except PathError as err:
+            if err.failed is None:
+                raise
+            return None, err.failed
+        far = ~(np.abs(z - s) <= tol * np.abs(s - start))
+        return (None, far) if np.any(far) else (z, None)
+
+    (z, failed), k = solve(p[0], 0.5), 0
+    while z is None:
+        k += 1
+        if k > _MAX_RAMP_QUARTERS:
+            raise PathError(f"no first path point near the series seed down to "
+                            f"p/4^{_MAX_RAMP_QUARTERS} {context}", failed)
+        z, failed = solve(p[0] / 4.0**k, 0.1)
+    for q in np.geomspace(p[0] / 4.0**k, p[0], 8 * k + 1)[1:] if k else ():
+        z = newton_descent(g, dg, base + 1j * q, z, context=context)
+    zs = [z]
+    for q in p[1:]:
+        zs.append(newton_descent(g, dg, base + 1j * q, zs[-1], context=context))
+    return np.stack(zs)
+
+
 def endpoint_contribution(f, g, endpoint, omega: float, m: int, dg=None):
     """Descent-path contribution G(x) of one endpoint, or of a sequence of them.
 
     Every endpoint's path is traced in one Newton continuation in ``p``:
     row j of the (m, E) array of descent parameters is one
     ``newton_descent`` call over all E endpoints, seeded from the previous
-    row (the first from each endpoint's branch seed).  ``f`` and ``dg`` are
+    row (the first from each endpoint's branch seed, whose root is trusted
+    only near the seed; otherwise the first row is ramped up from a smaller
+    p).  ``f`` and ``dg`` are
     then evaluated once on the (m, E) array of path points, and each
     endpoint's node sum is taken in node order.
 
@@ -135,22 +167,18 @@ def endpoint_contribution(f, g, endpoint, omega: float, m: int, dg=None):
     weights = np.stack([r.weights for r in rules], axis=1) * nodes ** (alpha - 1)
     p = nodes**alpha / omega
     gx = np.broadcast_to(np.asarray(g(x), dtype=complex), x.shape)
-    z = x + np.array([_branch_seed(pe, e.alpha_local, lead, e.side)
-                      for pe, e, lead in zip(p[0], ends, leads)])
-    zs = []
+    seed = lambda q: x + np.array([_branch_seed(qe, e.alpha_local, lead, e.side)
+                                   for qe, e, lead in zip(q, ends, leads)])
     # below the asymptotic regime Newton's iterates can reach angles where g
     # overflows; newton_descent turns the non-finite values into PathError,
     # so numpy's warnings are silenced here
     with np.errstate(over="ignore", invalid="ignore"):
-        for pj in p:
-            try:
-                z = newton_descent(g, dge, gx + 1j * pj, z, context="along the endpoint paths")
-            except PathError as err:
-                failed = ends if err.failed is None else [e for e, bad in zip(ends, err.failed) if bad]
-                raise PathError(f"{err} at omega={omega}; failing endpoints {_endpoint_list(failed)}",
-                                err.failed) from err
-            zs.append(z)
-    z = np.stack(zs)
+        try:
+            z = _trace(g, dge, gx, p, seed, x, "along the endpoint paths")
+        except PathError as err:
+            failed = ends if err.failed is None else [e for e, bad in zip(ends, err.failed) if bad]
+            raise PathError(f"{err} at omega={omega}; failing endpoints {_endpoint_list(failed)}",
+                            err.failed) from err
     terms = weights * np.broadcast_to(f(z), z.shape) * (1j / np.broadcast_to(dge(z), z.shape))
     total = 0.0
     for term in terms:

@@ -11,12 +11,36 @@ from pathlib import Path
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def test_tracer_installs_and_restores():
+def _tracer():
     sys.path.insert(0, str(PERFBENCH))
     try:
         from layertrace import Tracer
     finally:
         sys.path.remove(str(PERFBENCH))
-    tracer = Tracer()
+    return Tracer()
+
+
+def test_tracer_installs_and_restores():
+    tracer = _tracer()
     tracer.install()
     tracer.restore()
+
+
+def test_tracer_counts_every_newton_call():
+    # every traced path, radial or endpoint, must reach the wrapped
+    # newton_descent: one call per node row of the continuation
+    from nsdq import experiments, polar, scenes
+
+    tracer = _tracer()
+    tracer.install()
+    try:
+        region = scenes.default_region("ellipse")
+        polar.integrate_star_shaped(scenes.ellipse_scene(100.0), region,
+                                    polar.OuterPlan.for_region(region, trap=40), 8)
+        ellipse = tracer.take()["counts"]
+        experiments.run_sphere_scatter([100.0], [0.6283], m=5, n_trap=100)
+        sphere = tracer.take()["counts"]
+    finally:
+        tracer.restore()
+    assert (ellipse["paths.newton_calls"], ellipse["paths.newton_points"]) == (8, 64)
+    assert (sphere["paths.newton_calls"], sphere["paths.newton_points"]) == (13, 2100)

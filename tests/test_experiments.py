@@ -257,6 +257,14 @@ def test_cli_usage_errors_exit_one():
                     "--dump-inner-grid", "/tmp/x.csv").returncode == 1
 
 
+@pytest.mark.parametrize("flag", ["--radial-points", "--outer-cc", "--outer-trap"])
+def test_cli_zero_sizes_exit_one(flag):
+    # a size given as 0 reaches run_ellipsoid, which rejects it
+    res = _run_cli("run", "--experiment", "ellipsoid", "--omega", "100", flag, "0")
+    assert res.returncode == 1
+    assert "error" in res.stderr
+
+
 def test_cli_json_format():
     res = _run_cli("run", "--experiment", "example1", "--omega", "10", "--format", "json")
     assert res.returncode == 0

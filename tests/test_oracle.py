@@ -255,6 +255,14 @@ def test_brute_force_rejects_unbounded():
         brute_force_polar(sc, scenes.default_region("quarter-plane"), 1e-8)
 
 
+def test_brute_force_names_unsupported_dimension():
+    # 3-D references come from closed forms (specfun.ellipsoid_reference)
+    sc = scenes.ellipsoid_scene(10.0)
+    sc.boundary_radius = lambda *angles: 1.0
+    with pytest.raises(NotImplementedError, match="n = 3"):
+        brute_force_polar(sc, AngularRegion.full(3), 1e-8)
+
+
 def test_brute_force_rejects_wrong_region_type():
     sc = scenes.disk_scene(10.0)
     with pytest.raises(TypeError):

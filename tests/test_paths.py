@@ -13,7 +13,7 @@ import math
 import numpy as np
 import pytest
 
-from nsdq import polar, scenes
+from nsdq import polar, scenes, univariate
 from nsdq.paths import (
     PathError,
     RadialScene,
@@ -155,7 +155,7 @@ def test_first_point_ramp(psi, ps, angles, monkeypatch):
         calls.append(1)
         return newton_descent(*args, **kwargs)
 
-    monkeypatch.setattr(polar, "newton_descent", counted)
+    monkeypatch.setattr(univariate, "newton_descent", counted)
     rho, _ = _origin_samples(sc, angles, np.array(ps))
     k = _RAMP_QUARTERS[psi]
     assert len(calls) == 1 + k + 8 * k + (len(ps) - 1)

@@ -462,6 +462,18 @@ def test_normalize_scene_identity():
     assert abs(complex(sc.oscillator(r, th)) - expect) < 1e-12
 
 
+@pytest.mark.parametrize("omega", [10.0, 100.0])
+def test_normalize_scene_quadratic_phase(omega):
+    # alpha = 2: the seed coefficient comes from the second central
+    # difference; on the quarter plane int exp(i w (x^2 + y^2)) = i pi / (4 w)
+    sc = normalize_scene(np.zeros(2), lambda x: 1.0 + 0.0 * x[0], lambda x: x[0] ** 2 + x[1] ** 2,
+                         omega, alpha=2)
+    region = AngularRegion.box(2, (0.0, 0.5 * math.pi))
+    got = integrate_unbounded(sc, region, OuterPlan.for_region(region, cc=8), 8)
+    exact = 1j * math.pi / (4.0 * omega)
+    assert abs(got - exact) <= 2e-12 * abs(exact)
+
+
 def test_normalize_scene_distance_phase():
     x0 = np.array([0.5, -0.2])
     g = lambda x: np.sqrt((x[0] - 0.5) ** 2 + (x[1] + 0.2) ** 2) + 1.0

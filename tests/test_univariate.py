@@ -7,7 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from nsdq.paths import PathError
+from nsdq import univariate
+from nsdq.oracle import adaptive_quad_1d
+from nsdq.paths import PathError, newton_descent
+from nsdq.rules import gauss_exp_power
 from nsdq.specfun import cos_int, sin_int
 from nsdq.univariate import Endpoint1D, endpoint_contribution, nsd_interval
 
@@ -68,6 +71,51 @@ def test_interval_quadratic_phase():
                        dg=lambda z: 2.0 * z, alpha_a=2)
     oracle = _quad_oracle(lambda x: 1.0, lambda x: x * x, 0.0, 1.0, omega)
     assert abs(got - oracle) <= 1e-7
+
+
+@pytest.mark.parametrize("omega", [20.0, 50.0, 200.0])
+def test_interval_cubic_phase(omega):
+    # alpha = 3 at 0: the branch seed's coefficient comes from the third-order
+    # central difference, and the path (i p)^(1/3) is exact for the rule
+    got = nsd_interval(lambda z: 1.0, lambda z: z**3, 0.0, 1.0, omega, 8,
+                       dg=lambda z: 3.0 * z**2, alpha_a=3)
+    ref = adaptive_quad_1d(lambda x: np.exp(1j * omega * x**3), 0.0, 1.0, 1e-14)
+    assert ref.converged
+    assert abs(got - ref.value) <= 5e-14 * abs(ref.value)
+
+
+def test_endpoint_first_row_ramp(monkeypatch):
+    # g = z + c z^2 at x = 0, w = 1: the first node's root lies 0.73 |seed|
+    # from the seed i p, beyond the 0.5 trust radius, so the tracer ramps up
+    # from p/4^3 (1 + 3 + 8 * 3 calls) before the other m - 1 rows
+    c, m = 30.0, 8
+    calls, paths = [], []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return newton_descent(*args, **kwargs)
+
+    def f(z):
+        paths.append(z)
+        return np.ones_like(z)
+
+    monkeypatch.setattr(univariate, "newton_descent", counted)
+    endpoint_contribution(f, lambda z: z + c * z * z, Endpoint1D(0.0), 1.0, m,
+                          dg=lambda z: 1.0 + 2.0 * c * z)
+    assert len(calls) == 1 + 3 + 8 * 3 + (m - 1)
+    p = gauss_exp_power(m, 1, 0).nodes
+    exact = (-1.0 + np.sqrt(1.0 + 4.0 * c * 1j * p)) / (2.0 * c)
+    assert np.max(np.abs(paths[0][:, 0] - exact) / np.abs(exact)) <= 1e-13
+
+
+def test_endpoint_without_trusted_seed_is_named():
+    # dg(1) = -1 points the seed at 1 - i p while the path runs to 1 + i p:
+    # no quartering of p brings the root near its seed, and the error names
+    # that endpoint only
+    dg = lambda z: np.where(z == 1.0, -1.0, 1.0) + 0j
+    ends = [Endpoint1D(0.0), Endpoint1D(1.0, side=-1)]
+    with pytest.raises(PathError, match=r"p/4\^16 .* failing endpoints \(x=1\.0, alpha=1, side=-1\)$"):
+        endpoint_contribution(lambda z: 1.0, lambda z: z, ends, 10.0, 4, dg=dg)
 
 
 def _closed_form_inverse_linear(omega):
