@@ -6,14 +6,14 @@ Usage::
              --format csv --out table.csv
 
 Omega grids are either comma-separated lists ("10,100,1000") or
-logarithmic ranges "min:max:count".  Exit codes: 0 on success, 1 on usage
-errors, 2 when a reference oracle fails to converge.
+logarithmic ranges "min:max:count".  An option the chosen experiment does
+not read is a usage error.  Exit codes: 0 on success, 1 on usage errors,
+2 when a reference oracle fails to converge.
 """
 
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 
 import numpy as np
@@ -41,12 +41,24 @@ def _parse_grid(spec: str):
         if not (0 < lo < hi and count >= 1):
             raise ValueError(f"bad grid range {spec!r}")
         return np.geomspace(lo, hi, count)
-    return np.array([float(v) for v in spec.split(",") if v.strip()], dtype=float)
+    return np.array(_parse_list(spec), dtype=float)
 
 
-def _given(**options):
-    # the options given on the command line; the defaults live in experiments.run_*
-    return {key: value for key, value in options.items() if value is not None}
+def _parse_list(spec: str):
+    return [float(v) for v in spec.split(",") if v.strip()]
+
+
+# experiment -> (its experiments.run_* function, {option it reads: keyword of
+# that function}); keyword None marks an option the command reads itself.
+# Options are None unless given, so the defaults live in experiments.run_*.
+_EXPERIMENTS = {
+    "ellipsoid": ("run_ellipsoid", {"radial_points": "m", "outer_cc": "outer_cc",
+                                    "outer_trap": "outer_trap", "dump_inner_grid": None}),
+    "duct": ("run_duct", {"gl": "n_gl", "gh": "n_gh", "mode": "mode", "outer_cc": "outer_cc"}),
+    "sphere": ("run_sphere_scatter", {"radial_points": "m", "outer_trap": "n_trap", "psi": "psi_grid"}),
+    "example1": ("run_example1", {"radial_points": "m", "outer_cc": "outer_cc"}),
+}
+_OPTIONS = sorted({dest for _, reads in _EXPERIMENTS.values() for dest in reads})
 
 
 def _build_parser() -> _Parser:
@@ -54,7 +66,7 @@ def _build_parser() -> _Parser:
     sub = p.add_subparsers(dest="command", required=True)
     run = sub.add_parser("run", help="run one experiment and emit a convergence table")
     run.add_argument("--experiment", required=True,
-                     choices=["ellipsoid", "duct", "sphere", "example1"])
+                     choices=list(_EXPERIMENTS))
     run.add_argument("--omega", default="10:2000:20",
                      help="comma list or min:max:count (log-spaced); for the sphere "
                           "experiment this is the wavenumber grid")
@@ -67,8 +79,8 @@ def _build_parser() -> _Parser:
                      help="duct half-range Gauss-Hermite points (default 2*gl)")
     run.add_argument("--mode", default=None,
                      choices=["corner", "direct", "direct_modified"], help="duct mode")
-    run.add_argument("--psi", default=f"0,{math.pi/10:.17g},{math.pi/5:.17g},{math.pi/3:.17g}",
-                     help="sphere incidence angles (comma list, radians)")
+    run.add_argument("--psi", type=_parse_list, default=None,
+                     help="sphere incidence angles (comma list, radians; default 0, pi/10, pi/5, pi/3)")
     run.add_argument("--format", dest="fmt", default="csv", choices=["csv", "json"])
     run.add_argument("--out", default="-", help="output path, '-' for stdout")
     run.add_argument("--dump-inner-grid", default=None, metavar="PATH",
@@ -78,25 +90,22 @@ def _build_parser() -> _Parser:
 
 
 def _run(args) -> int:
+    run, reads = _EXPERIMENTS[args.experiment]
+    unread = [dest for dest in _OPTIONS if getattr(args, dest) is not None and dest not in reads]
+    if unread:
+        flags = ", ".join("--" + dest.replace("_", "-") for dest in unread)
+        sys.stderr.write(f"nsdq: error: the {args.experiment} experiment does not read {flags}\n")
+        return _USAGE_EXIT
     try:
         omega = _parse_grid(args.omega)
     except ValueError as exc:
         sys.stderr.write(f"nsdq: error: {exc}\n")
         return _USAGE_EXIT
 
-    ellipsoid_sizes = _given(m=args.radial_points, outer_cc=args.outer_cc, outer_trap=args.outer_trap)
+    given = {key: getattr(args, dest) for dest, key in reads.items()
+             if key is not None and getattr(args, dest) is not None}
     try:
-        if args.experiment == "ellipsoid":
-            rows = experiments.run_ellipsoid(omega, **ellipsoid_sizes)
-        elif args.experiment == "duct":
-            rows = experiments.run_duct(omega, **_given(n_gl=args.gl, n_gh=args.gh, mode=args.mode,
-                                                        outer_cc=args.outer_cc))
-        elif args.experiment == "sphere":
-            psi = [float(v) for v in args.psi.split(",") if v.strip()]
-            rows = experiments.run_sphere_scatter(omega, psi, **_given(m=args.radial_points,
-                                                                       n_trap=args.outer_trap))
-        else:
-            rows = experiments.run_example1(omega, **_given(m=args.radial_points, outer_cc=args.outer_cc))
+        rows = getattr(experiments, run)(omega, **given)
     except OracleNotConverged as exc:
         sys.stderr.write(f"nsdq: oracle did not converge: {exc}\n")
         return _ORACLE_EXIT
@@ -115,10 +124,7 @@ def _run(args) -> int:
         sys.stderr.write(experiments.sphere_table(rows) + "\n")
 
     if args.dump_inner_grid:
-        if args.experiment != "ellipsoid":
-            sys.stderr.write("nsdq: error: --dump-inner-grid applies to the ellipsoid experiment\n")
-            return _USAGE_EXIT
-        grid = experiments.ellipsoid_inner_grid(float(np.max(omega)), **ellipsoid_sizes)
+        grid = experiments.ellipsoid_inner_grid(float(np.max(omega)), **given)
         with open(args.dump_inner_grid, "w") as fh:
             fh.write("phi1,phi2,abs_qr\n")
             for phi1, phi2, qr in grid:

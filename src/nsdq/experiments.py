@@ -148,7 +148,7 @@ def ellipsoid_inner_grid(omega: float, m: int = 8, outer_cc: int = 50, outer_tra
     sc = scenes.ellipsoid_scene(omega)
     region = scenes.default_region("ellipsoid")
     plan = OuterPlan.for_region(region, cc=outer_cc, trap=outer_trap)
-    mesh, _ = _outer_grid(region, plan, region.boxes[0])
+    mesh, _ = _outer_grid(region, plan)
     q = np.abs(_central_grid(sc, mesh, m))
     phi1 = np.broadcast_to(mesh[0], q.shape)
     phi2 = np.broadcast_to(mesh[1], q.shape)
@@ -211,7 +211,8 @@ def _sphere_w0(k, psi, m, n_trap):
     return complex(np.sum(rule.weights * q))
 
 
-def run_sphere_scatter(k_grid, psi_grid, m: int = 5, n_trap: int = 100):
+def run_sphere_scatter(k_grid, psi_grid=(0.0, math.pi / 10, math.pi / 5, math.pi / 3),
+                       m: int = 5, n_trap: int = 100):
     """Sphere-scattering kernel experiment.
 
     Emits the prototype surface-field value ``-1/w0`` per (psi, k) with
@@ -220,9 +221,11 @@ def run_sphere_scatter(k_grid, psi_grid, m: int = 5, n_trap: int = 100):
     this package does not ship.
     """
     ks = _omega_array(k_grid)
+    psis = [float(psi) for psi in psi_grid]
+    if not psis:
+        raise ValueError("psi grid must be non-empty")
     rows = []
-    for psi in psi_grid:
-        psi = float(psi)
+    for psi in psis:
         if abs(psi - 0.5 * math.pi) < 1e-12:
             raise ValueError("psi = pi/2 puts the point on the shadow boundary; rejected")
         for k in ks:

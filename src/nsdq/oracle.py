@@ -218,7 +218,7 @@ def brute_force_polar(scene, region, tol: float = 1e-8) -> complex:
     """Nested adaptive integration of a bounded polar integrand in two dimensions.
 
     Integrates ``f(r, th) exp(i w g(r, th)) r`` over the star-shaped domain
-    of the scene and the angular intervals of ``region``.  Independent of
+    of the scene and the angular interval of ``region``.  Independent of
     all steepest-descent machinery; practical up to roughly ``w = 200``.
     Other dimensions raise ``NotImplementedError``: 3-D accuracy is checked
     against the closed form ``specfun.ellipsoid_reference``.
@@ -253,10 +253,8 @@ def brute_force_polar(scene, region, tol: float = 1e-8) -> complex:
     def f_theta(th):
         return np.array([radial(t) for t in np.atleast_1d(th)])
 
-    total = 0.0 + 0.0j
-    for (lo, hi), in region.boxes:
-        res = adaptive_quad_1d(f_theta, lo, hi, tol)
-        if not res.converged:
-            raise OracleNotConverged("angular integral did not converge")
-        total += res.value
-    return complex(scene.phase_at_origin) * total
+    (lo, hi), = region.intervals
+    res = adaptive_quad_1d(f_theta, lo, hi, tol)
+    if not res.converged:
+        raise OracleNotConverged("angular integral did not converge")
+    return complex(scene.phase_at_origin) * res.value

@@ -10,15 +10,15 @@ trapezoid).
 Main entry points
 -----------------
 ``integrate_unbounded``
-    Outer tensor rule over an angular region applied to the pre-quadrature
+    Outer tensor rule over an angular box applied to the pre-quadrature
     value Q_r, which captures the special point.
 ``integrate_star_shaped``
     The same for a star-shaped domain, minus its boundary term: by the
-    plain outer rule when the boundary radius R is constant, by univariate
-    descent in the angle when R varies.  That descent traces the paths of
-    every interval endpoint in one continuation (``nsd_interval`` on arrays
-    of edges) and takes dG/dtheta from the scene's ``d_boundary_phase``
-    when it has one.
+    plain outer rule when the boundary phase G = g(R(Theta), Theta) is
+    constant, by univariate descent in the angle when G varies.  That
+    descent traces the paths of every interval endpoint in one continuation
+    (``nsd_interval`` on arrays of edges) and takes dG/dtheta from the
+    scene's ``d_boundary_phase`` when it has one.
 ``rectangle_corner_contributions``
     The closed-form corner decomposition of the boundary term for an
     axis-aligned rectangle with phase sqrt(x^2 + y^2), including the
@@ -37,6 +37,7 @@ traces the endpoint paths of the boundary term.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -91,41 +92,40 @@ def spherical_map(r, angles):
 
 @dataclass(frozen=True)
 class AngularRegion:
-    """Union of coordinate boxes on the (n-1)-sphere's angle space.
+    """One coordinate box on the (n-1)-sphere's angle space.
 
-    Each box is a tuple of per-angle intervals: one interval for n = 2, a
-    pair (phi1-range, phi2-range) for n = 3.
+    ``intervals`` holds one (lo, hi) interval per angle: the theta-range for
+    n = 2, the phi1-range and the phi2-range for n = 3.
     """
 
     n: int
-    boxes: tuple = ()
+    intervals: tuple
 
     @classmethod
     def full(cls, n: int) -> "AngularRegion":
         if n == 2:
-            return cls(2, (((0.0, _TWO_PI),),))
+            return cls(2, ((0.0, _TWO_PI),))
         if n == 3:
-            return cls(3, (((0.0, math.pi), (0.0, _TWO_PI)),))
+            return cls(3, ((0.0, math.pi), (0.0, _TWO_PI)))
         raise NotImplementedError(f"full sphere regions cover n = 2, 3; got {n}")
 
     @classmethod
     def box(cls, n: int, *intervals) -> "AngularRegion":
         if len(intervals) != n - 1:
             raise ValueError(f"need {n - 1} angle intervals for n = {n}, got {len(intervals)}")
-        return cls(n, (tuple((float(a), float(b)) for a, b in intervals),))
+        return cls(n, tuple((float(a), float(b)) for a, b in intervals))
 
     def __post_init__(self):
         ranges = [(0.0, math.pi)] * (self.n - 2) + [(0.0, _TWO_PI)]
-        for box in self.boxes:
-            if len(box) != self.n - 1:
-                raise ValueError(f"box {box} has wrong arity for n = {self.n}")
-            for (lo, hi), (rlo, rhi) in zip(box, ranges):
-                if not (rlo - 1e-12 <= lo < hi <= rhi + 1e-12):
-                    raise ValueError(f"angle interval [{lo}, {hi}] outside [{rlo}, {rhi}]")
+        if len(self.intervals) != self.n - 1:
+            raise ValueError(f"box {self.intervals} has wrong arity for n = {self.n}")
+        for (lo, hi), (rlo, rhi) in zip(self.intervals, ranges):
+            if not (rlo - 1e-12 <= lo < hi <= rhi + 1e-12):
+                raise ValueError(f"angle interval [{lo}, {hi}] outside [{rlo}, {rhi}]")
 
-    def axis_periodic(self, axis: int, box) -> bool:
+    def axis_periodic(self, axis: int) -> bool:
         # only the last angle can be periodic, and only over its full range
-        lo, hi = box[axis]
+        lo, hi = self.intervals[axis]
         return axis == self.n - 2 and abs((hi - lo) - _TWO_PI) < 1e-12
 
 
@@ -146,40 +146,34 @@ class OuterPlan:
 
     @classmethod
     def for_region(cls, region: AngularRegion, cc: int = 50, trap: int = 50) -> "OuterPlan":
-        """``trap`` nodes on an axis that is a full period in every box, ``cc``
-        on an axis that is one in none; an axis that is a full period in some
-        boxes only takes ``max(cc, trap)``, so the plan does not depend on
-        the order of the boxes."""
-        counts = []
-        for axis in range(region.n - 1):
-            periodic = {region.axis_periodic(axis, box) for box in region.boxes}
-            counts.append(max(cc, trap) if periodic == {True, False} else trap if True in periodic else cc)
-        return cls(tuple(counts))
+        """``trap`` nodes on a full-period axis, ``cc`` on any other."""
+        return cls(tuple(trap if region.axis_periodic(axis) else cc for axis in range(region.n - 1)))
 
 
-def _outer_grid(region: AngularRegion, plan: OuterPlan, box):
-    """Tensor nodes/weights over one angular box, surface factor included.
+def _outer_grid(region: AngularRegion, plan: OuterPlan):
+    """Tensor nodes/weights over the angular box, surface factor included.
 
     The first angle is the outermost tensor index.  Returns a tuple of
     angle arrays (meshgrid, 'ij' indexing) and the combined weight array.
     """
     nodes, weights = [], []
-    for axis, (lo, hi) in enumerate(box):
-        if region.axis_periodic(axis, box):
+    for axis, (lo, hi) in enumerate(region.intervals):
+        if region.axis_periodic(axis):
             rule = trapezoid_periodic(plan.counts[axis], hi - lo)
             nodes.append(rule.nodes + lo)
         else:
             rule = clenshaw_curtis(plan.counts[axis], lo, hi)
             nodes.append(rule.nodes)
         weights.append(rule.weights)
-    if len(nodes) == 1:
-        mesh = (nodes[0],)
-        w = weights[0].copy()
-    else:
-        mesh = np.meshgrid(*nodes, indexing="ij")
-        w = weights[0][:, None] * weights[1][None, :]
+    mesh = np.meshgrid(*nodes, indexing="ij")
     _, factor = spherical_map(1.0, mesh)
-    return mesh, w * factor
+    return mesh, functools.reduce(np.multiply.outer, weights) * factor
+
+
+def _check_dimensions(scene: RadialScene, region: AngularRegion, plan: OuterPlan):
+    if not scene.n == region.n == len(plan.counts) + 1:
+        raise ValueError(f"scene, region and plan disagree: scene.n = {scene.n}, region.n = {region.n}, "
+                         f"len(plan.counts) = {len(plan.counts)} (needs n - 1)")
 
 
 def _weight_degree(scene: RadialScene) -> int:
@@ -302,20 +296,17 @@ def integrate_unbounded(scene: RadialScene, region: AngularRegion, plan: OuterPl
     Error: the outer rule's own error on the smooth integrand Q_r plus the
     radial pre-quadrature error O(w^-((2m-1)/alpha)).
     """
-    total = 0.0 + 0.0j
-    for box in region.boxes:
-        mesh, w = _outer_grid(region, plan, box)
-        q = _central_grid(scene, mesh, m)
-        total += complex(np.sum(w * q))
-    return complex(scene.phase_at_origin) * total
+    _check_dimensions(scene, region, plan)
+    mesh, w = _outer_grid(region, plan)
+    q = _central_grid(scene, mesh, m)
+    return complex(scene.phase_at_origin) * complex(np.sum(w * q))
 
 
-def _boundary_is_constant(scene, grids):
-    for mesh, _ in grids:
-        R = np.asarray(scene.boundary_radius(*mesh), dtype=float)
-        if np.max(R) - np.min(R) > 1e-12 * max(1.0, np.max(np.abs(R))):
-            return False
-    return True
+def _boundary_is_constant(scene, mesh):
+    # the boundary term carries exp(i w G) with G = g(R(Theta), Theta):
+    # it is smooth when G is constant on the outer grid, whatever R does
+    G = np.asarray(scene.oscillator(scene.boundary_radius(*mesh), *mesh), dtype=complex)
+    return np.max(np.abs(G - G.flat[0])) <= 1e-12 * max(1.0, np.max(np.abs(G)))
 
 
 def _boundary_phase(scene):
@@ -365,23 +356,19 @@ def _stationary_points(G, lo, hi, nsamples=600):
 def _oscillatory_boundary_term(scene, region, m):
     # The boundary term int exp(i w G(th)) amp(th) dth with G = g(R(th), th)
     # handled by univariate steepest descent in the angle, split at the
-    # resonance-induced stationary points of G.  Every interval of every box
-    # goes into one nsd_interval call, so all endpoint paths are traced in
-    # one continuation.
+    # resonance-induced stationary points of G.  Every interval goes into
+    # one nsd_interval call, so all endpoint paths are traced in one
+    # continuation.
     if scene.n != 2:
         raise NotImplementedError("oscillatory boundary treatment implemented for n = 2 only")
     G = _boundary_phase(scene)
-    a, b, alpha_a, alpha_b = [], [], [], []
-    for box in region.boxes:
-        (lo, hi), = box
-        stat, end_lo, end_hi = _stationary_points(G, lo, hi)
-        edges = [lo] + stat + [hi]
-        k = len(edges) - 1
-        a += edges[:-1]
-        b += edges[1:]
-        alpha_a += [2 if (i > 0 or end_lo) else 1 for i in range(k)]
-        alpha_b += [2 if (i < k - 1 or end_hi) else 1 for i in range(k)]
-    return nsd_interval(_boundary_amplitude(scene, m), G, a, b, scene.omega, m,
+    (lo, hi), = region.intervals
+    stat, end_lo, end_hi = _stationary_points(G, lo, hi)
+    edges = [lo] + stat + [hi]
+    k = len(edges) - 1
+    alpha_a = [2 if (i > 0 or end_lo) else 1 for i in range(k)]
+    alpha_b = [2 if (i < k - 1 or end_hi) else 1 for i in range(k)]
+    return nsd_interval(_boundary_amplitude(scene, m), G, edges[:-1], edges[1:], scene.omega, m,
                         dg=scene.d_boundary_phase, alpha_a=alpha_a, alpha_b=alpha_b)
 
 
@@ -389,21 +376,20 @@ def integrate_star_shaped(scene: RadialScene, region: AngularRegion, plan: Outer
     """Outer rule applied to the star-shaped pre-quadrature values.
 
     The central part is always smooth in the angles.  The boundary part
-    carries the factor ``exp(i w g(R(Theta) Theta))``: with a boundary
-    radius that is constant on the outer grid it is smooth as well and the
-    plain outer rule applies; otherwise it oscillates and is treated by
-    univariate descent in the angle (n = 2 only).
+    carries the factor ``exp(i w G(Theta))``, G = g(R(Theta), Theta): with a
+    boundary phase G that is constant on the outer grid it is smooth as
+    well and the plain outer rule applies; otherwise it oscillates and is
+    treated by univariate descent in the angle (n = 2 only).
     """
     if scene.boundary_radius is None:
         raise ValueError("integrate_star_shaped needs a bounded scene")
-    grids = [_outer_grid(region, plan, box) for box in region.boxes]
-    constant = _boundary_is_constant(scene, grids)
-    total = 0.0 + 0.0j
-    for mesh, w in grids:
-        q = _central_grid(scene, mesh, m)
-        if constant:
-            q = q - _boundary_grid(scene, mesh, m)
-        total += complex(np.sum(w * q))
+    _check_dimensions(scene, region, plan)
+    mesh, w = _outer_grid(region, plan)
+    constant = _boundary_is_constant(scene, mesh)
+    q = _central_grid(scene, mesh, m)
+    if constant:
+        q = q - _boundary_grid(scene, mesh, m)
+    total = complex(np.sum(w * q))
     if not constant:
         total -= _oscillatory_boundary_term(scene, region, m)
     # complex(): the nsd term turns the total into a numpy scalar

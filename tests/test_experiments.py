@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -263,6 +264,42 @@ def test_cli_zero_sizes_exit_one(flag):
     res = _run_cli("run", "--experiment", "ellipsoid", "--omega", "100", flag, "0")
     assert res.returncode == 1
     assert "error" in res.stderr
+
+
+@pytest.mark.parametrize("args, named", [
+    (["--experiment", "duct", "--omega", "10", "--outer-trap", "5"], ["--outer-trap", "duct"]),
+    (["--experiment", "ellipsoid", "--omega", "100", "--gl", "4"], ["--gl", "ellipsoid"]),
+    (["--experiment", "example1", "--omega", "10", "--psi", "0.3"], ["--psi", "example1"]),
+    (["--experiment", "sphere", "--omega", "50", "--psi", ","], ["psi"]),
+    (["--experiment", "example1", "--omega", "10", "--dump-inner-grid", "grid.csv"],
+     ["--dump-inner-grid", "example1"]),
+], ids=["duct-outer-trap", "ellipsoid-gl", "example1-psi", "sphere-empty-psi", "example1-dump"])
+def test_cli_rejects_options_the_experiment_does_not_read(args, named, tmp_path):
+    # rejected before anything runs or prints: no table, no file
+    grid = tmp_path / "grid.csv"
+    res = _run_cli("run", *[str(grid) if a == "grid.csv" else a for a in args])
+    assert res.returncode == 1
+    assert res.stdout == ""
+    assert all(word in res.stderr for word in named), res.stderr
+    assert not grid.exists()
+
+
+def _readme_commands():
+    # the nsdq run lines of the README's "Command line" block
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```bash", 1)[1].split("```", 1)[0]
+    return [shlex.split(line) for line in block.splitlines() if line.startswith("nsdq run")]
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=lambda argv: argv[3])
+def test_readme_commands_run(argv, tmp_path):
+    args = argv[1:]
+    if "--out" in args:
+        args = args[:args.index("--out")] + args[args.index("--out") + 2:]
+    out = tmp_path / "table.out"
+    res = _run_cli(*args, "--out", str(out))
+    assert res.returncode == 0, res.stderr
+    assert len(out.read_text().splitlines()) > 1
 
 
 def test_cli_json_format():

@@ -8,7 +8,7 @@ import pytest
 
 from nsdq import scenes
 from nsdq.oracle import adaptive_quad_1d, brute_force_polar
-from nsdq.paths import PathError, complex_derivative
+from nsdq.paths import PathError, RadialScene, complex_derivative
 from nsdq.polar import (
     AngularRegion,
     OuterPlan,
@@ -250,6 +250,59 @@ def test_ellipse_star_shaped_against_trapezoid_reference(omega):
     assert abs(val - ref) <= 1e-11 * abs(ref)
 
 
+def _angular_speed(th):
+    # s(theta) = sqrt(cos^2 theta + 2 sin^2 theta), analytic near the real axis
+    th = np.asarray(th)
+    return np.sqrt(np.cos(th) ** 2 + 2.0 * np.sin(th) ** 2)
+
+
+def _disk_with_angular_phase(omega):
+    # unit disk (constant R), unit amplitude, g = z s(theta) with traced
+    # paths: the boundary phase G = s(theta) oscillates although R does not
+    return RadialScene(
+        n=2, omega=omega,
+        amplitude=lambda z, th: np.ones(np.broadcast_shapes(np.shape(z), np.shape(th)), dtype=complex),
+        oscillator=lambda z, th: z * _angular_speed(th),
+        d_oscillator=lambda z, th: _angular_speed(th) + 0.0 * z,
+        alpha_coeff=_angular_speed,
+        boundary_radius=lambda th: 1.0 + 0.0 * np.asarray(th),
+        name="disk-angular-phase",
+    )
+
+
+def _angular_phase_reference(omega, nodes):
+    # periodic trapezoid in theta of int_0^1 r exp(i w s r) dr in closed form
+    th = np.arange(nodes) * (2.0 * math.pi / nodes)
+    k = omega * _angular_speed(th)
+    return complex(np.sum(((1.0 - 1j * k) * np.exp(1j * k) - 1.0) / k**2) * (2.0 * math.pi / nodes))
+
+
+@pytest.mark.parametrize("omega", [50.0, 100.0, 300.0])
+def test_boundary_rule_follows_the_boundary_phase(omega):
+    # R is constant but G is not: the plain outer rule on exp(i w G) would be
+    # off by O(1) at omega = 100; univariate descent in the angle is not
+    region = scenes.default_region("disk")
+    plan = OuterPlan.for_region(region, trap=40)
+    val = integrate_star_shaped(_disk_with_angular_phase(omega), region, plan, 8)
+    ref = _angular_phase_reference(omega, 8192)
+    assert abs(_angular_phase_reference(omega, 16384) - ref) <= 1e-14 * abs(ref)
+    assert abs(val - ref) <= 1e-9 * abs(ref)
+
+
+@pytest.mark.parametrize("integrate, scene, region, counts", [
+    (integrate_unbounded, scenes.ellipsoid_scene(100.0), AngularRegion.full(3), (10,)),
+    (integrate_unbounded, scenes.ellipsoid_scene(100.0), AngularRegion.full(2), (10,)),
+    (integrate_star_shaped, scenes.disk_scene(100.0), AngularRegion.full(3), (10, 10)),
+    (integrate_unbounded, scenes.quarter_plane_scene(100.0),
+     AngularRegion.box(2, (0.0, 0.5 * math.pi)), (10, 12)),
+], ids=["plan-short", "region-2d-scene-3d", "region-3d-scene-2d", "plan-long"])
+def test_scene_region_and_plan_must_agree(integrate, scene, region, counts):
+    pattern = (rf"scene.n = {scene.n}, region.n = {region.n}, "
+               rf"len\(plan.counts\) = {len(counts)}")
+    with pytest.raises(ValueError, match=pattern):
+        integrate(scene, region, OuterPlan(counts), 4)
+
+
 @pytest.mark.parametrize("omega", [1.0, 2.0, 5.0])
 def test_ellipse_below_asymptotic_regime_names_failing_endpoints(omega):
     # the boundary paths run into the singularities of R before exp(-w p)
@@ -263,10 +316,8 @@ def test_ellipse_below_asymptotic_regime_names_failing_endpoints(omega):
     assert re.search(r"\(x=[0-9.e+-]+, alpha=2, side=[+-]1\)", message)
 
 
-def _star_case(name, two_boxes=False):
+def _star_case(name):
     region = scenes.default_region(name)
-    if two_boxes:
-        region = AngularRegion(2, (((0.0, math.pi),), ((math.pi, 2 * math.pi),)))
     plan = OuterPlan.for_region(region, cc=12, trap=16)
     return lambda: integrate_star_shaped(scenes.scene_registry()[name](30.0), region, plan, 4), region
 
@@ -286,19 +337,18 @@ def _count_calls(monkeypatch, name, module=None):
     return calls
 
 
-# ``rule`` is the boundary rule the scene's radius calls for: ``plain`` for a
-# constant R, ``nsd`` (univariate descent in the angle) for a varying one
-@pytest.mark.parametrize("name, rule, two_boxes", [
-    ("ellipse", "nsd", False), ("disk", "plain", False), ("disk", "plain", True),
-])
-def test_star_shaped_builds_each_outer_grid_once(name, rule, two_boxes, monkeypatch):
+# ``rule`` is the boundary rule the scene's boundary phase calls for:
+# ``plain`` for a constant G, ``nsd`` (univariate descent in the angle) for
+# a varying one
+@pytest.mark.parametrize("name, rule", [("ellipse", "nsd"), ("disk", "plain")])
+def test_star_shaped_builds_each_outer_grid_once(name, rule, monkeypatch):
     built = _count_calls(monkeypatch, "_outer_grid")
     plain = _count_calls(monkeypatch, "_boundary_grid")
     nsd = _count_calls(monkeypatch, "_oscillatory_boundary_term")
-    run, region = _star_case(name, two_boxes)
+    run, region = _star_case(name)
     run()
-    assert [box for _, _, box in built] == list(region.boxes)
-    assert (len(plain), len(nsd)) == ((len(region.boxes), 0) if rule == "plain" else (0, 1))
+    assert [args[0] for args in built] == [region]
+    assert (len(plain), len(nsd)) == ((1, 0) if rule == "plain" else (0, 1))
 
 
 def test_ellipse_boundary_traces_all_endpoints_together(monkeypatch):
@@ -513,14 +563,14 @@ def test_normalize_scene_interior_point_full_circle():
     R = radius(ths)
     assert np.all(np.isfinite(R)) and np.all(R > 0)
     region = AngularRegion.full(2)
-    assert region.axis_periodic(0, region.boxes[0])
+    assert region.axis_periodic(0)
     plan = OuterPlan.for_region(region, trap=16)
-    mesh, w = _outer_grid(region, plan, region.boxes[0])
+    mesh, w = _outer_grid(region, plan)
     trap = trapezoid_periodic(16, 2 * math.pi)
     np.testing.assert_array_equal(mesh[0], trap.nodes)
     np.testing.assert_array_equal(w, trap.weights)
     quarter = AngularRegion.box(2, (0.0, 0.5 * math.pi))
-    mesh, w = _outer_grid(quarter, OuterPlan.for_region(quarter, cc=16), quarter.boxes[0])
+    mesh, w = _outer_grid(quarter, OuterPlan.for_region(quarter, cc=16))
     cc = clenshaw_curtis(16, 0.0, 0.5 * math.pi)
     np.testing.assert_array_equal(mesh[0], cc.nodes)
     np.testing.assert_array_equal(w, cc.weights)
@@ -530,35 +580,17 @@ def test_region_and_plan_validation():
     with pytest.raises(ValueError, match="outside"):
         AngularRegion.box(2, (0.0, 7.0))
     with pytest.raises(ValueError, match="arity"):
-        AngularRegion(3, (((0.0, 1.0),),))
+        AngularRegion(3, ((0.0, 1.0),))
     with pytest.raises(ValueError, match="counts"):
         OuterPlan((1,))
 
 
 def test_plan_does_not_depend_on_box_order():
-    # phi2 is a full period in the first box only: it takes max(cc, trap)
-    # whichever box comes first
+    # phi2 takes trap nodes where it is a full period and cc nodes elsewhere
     a = ((0.0, 0.5 * math.pi), (0.0, 2 * math.pi))
     b = ((0.5 * math.pi, math.pi), (0.0, math.pi))
-    plans = [OuterPlan.for_region(AngularRegion(3, boxes), cc=20, trap=40).counts
-             for boxes in ((a, b), (b, a))]
-    assert plans == [(20, 40), (20, 40)]
-    assert OuterPlan.for_region(AngularRegion(3, (b,)), cc=20, trap=40).counts == (20, 20)
-    assert OuterPlan.for_region(AngularRegion(3, (a,)), cc=20, trap=40).counts == (20, 40)
-
-
-def test_two_boxes_of_different_periodicity():
-    # the first box's phi2 axis is a full period (trapezoid), the second's is
-    # not (Clenshaw-Curtis); each box takes the rule its own axis calls for
-    sc = scenes.ellipsoid_scene(100.0)
-    boxes = (((0.0, 0.5 * math.pi), (0.0, 2 * math.pi)), ((0.5 * math.pi, math.pi), (0.0, math.pi)))
-    region = AngularRegion(3, boxes)
-    both = integrate_unbounded(sc, region, OuterPlan.for_region(region, cc=20, trap=20), 8)
-    parts = []
-    for box in boxes:
-        single = AngularRegion(3, (box,))
-        parts.append(integrate_unbounded(sc, single, OuterPlan.for_region(single, cc=20, trap=20), 8))
-    assert both == parts[0] + parts[1]
+    assert OuterPlan.for_region(AngularRegion(3, b), cc=20, trap=40).counts == (20, 20)
+    assert OuterPlan.for_region(AngularRegion(3, a), cc=20, trap=40).counts == (20, 40)
 
 
 @pytest.mark.parametrize("with_grad", [True, False])

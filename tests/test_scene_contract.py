@@ -49,7 +49,7 @@ CASES = list(_cases())
 
 def _grid(region):
     plan = OuterPlan.for_region(region, cc=5, trap=6)
-    mesh, _ = _outer_grid(region, plan, region.boxes[0])
+    mesh, _ = _outer_grid(region, plan)
     return tuple(mesh)
 
 
