@@ -26,6 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .polar import AngularRegion
+
 __all__ = [
     "AdaptiveResult",
     "OracleNotConverged",
@@ -228,10 +230,10 @@ def brute_force_polar(scene, region, tol: float = 1e-8) -> complex:
     """
     if scene.boundary_radius is None:
         raise ValueError("brute_force_polar requires a bounded (star-shaped) scene")
-    from .polar import AngularRegion  # local import to avoid a cycle
-
     if not isinstance(region, AngularRegion):
         raise TypeError(f"expected AngularRegion, got {type(region).__name__}")
+    if scene.n != region.n:
+        raise ValueError(f"scene and region disagree: scene.n = {scene.n}, region.n = {region.n}")
     if scene.n != 2:
         raise NotImplementedError(f"brute force only covers n = 2; got n = {scene.n}")
     omega = scene.omega

@@ -14,7 +14,8 @@ paths in closed form or leaves them to :func:`newton_descent`, which the
 one continuation in ``p`` (``univariate._trace``) runs row by row over
 whole direction grids and over the endpoints of the boundary term.  The
 leading Taylor coefficient that seeds a path of order ``alpha >= 2`` comes
-from one central-difference stencil, ``_taylor_coefficient``.
+from ``_taylor_coefficient``, the package's one difference stencil, which
+``complex_derivative`` and ``polar._stationary_points`` also use.
 
 The module also holds the closed-form angle paths of the rectangle's corner
 decomposition, ``corner_h11`` ... ``corner_h22``.
@@ -121,27 +122,22 @@ class RadialScene:
             )
 
 
-def complex_derivative(f, z, h: float = 1e-5):
-    """Fourth-order central difference df/dz for analytic ``f``; fallback when
-    a scene has no closed-form derivative.  ``z`` may be a scalar or an array
-    (elementwise steps)."""
-    if np.ndim(z):
-        step = h * np.maximum(1.0, np.abs(z))
-    else:
-        step = h * max(1.0, abs(z))
-    return (
-        -f(z + 2 * step) + 8 * f(z + step) - 8 * f(z - step) + f(z - 2 * step)
-    ) / (12 * step)
-
-
-def _taylor_coefficient(f, x, alpha: int, s: float):
+def _taylor_coefficient(f, x, alpha: int, s):
     # f^(alpha)(x) / alpha! by the order-alpha central difference with
-    # spacing s, summed in binomial order; it only seeds Newton, so modest
-    # accuracy suffices
+    # spacing s (a scalar or elementwise array), summed in binomial order;
+    # the package's only difference formula
     total = 0
     for k in range(alpha + 1):
         total = total + (-1) ** k * math.comb(alpha, k) * f(x + (alpha / 2 - k) * s)
     return total / s**alpha / math.factorial(alpha)
+
+
+def complex_derivative(f, z):
+    """Fourth-order df/dz for analytic ``f`` (central differences at z +- h and
+    z +- 2h, h = 1e-5 max(1, |z|), extrapolated); fallback when a scene has no
+    closed-form derivative.  ``z`` may be a scalar or an array."""
+    s = 2e-5 * np.maximum(1.0, np.abs(z))
+    return (4 * _taylor_coefficient(f, z, 1, s) - _taylor_coefficient(f, z, 1, 2 * s)) / 3
 
 
 def newton_descent(g, dg, target, z0, *, context: str = ""):

@@ -15,10 +15,13 @@ Main entry points
 ``integrate_star_shaped``
     The same for a star-shaped domain, minus its boundary term: by the
     plain outer rule when the boundary phase G = g(R(Theta), Theta) is
-    constant, by univariate descent in the angle when G varies.  That
-    descent traces the paths of every interval endpoint in one continuation
-    (``nsd_interval`` on arrays of edges) and takes dG/dtheta from the
-    scene's ``d_boundary_phase`` when it has one.
+    constant, by univariate descent in the angle when G varies.  Both take
+    one Gauss-Laguerre sum along the boundary paths.  The descent splits
+    the angle at the stationary points of G, which a sign-change scan with
+    the difference stencil of ``paths`` finds; it traces the paths of every
+    interval endpoint in one continuation (``nsd_interval`` on arrays of
+    edges) and takes dG/dtheta from the scene's ``d_boundary_phase`` when
+    it has one.
 ``rectangle_corner_contributions``
     The closed-form corner decomposition of the boundary term for an
     axis-aligned rectangle with phase sqrt(x^2 + y^2), including the
@@ -273,21 +276,24 @@ def _central_grid(scene: RadialScene, angles, m: int):
     return total * (alpha / (n * omega))
 
 
+def _boundary_sum(scene: RadialScene, angles, m: int):
+    # sum_j w_j f(rho_R) d(rho_R^n)/dp along the boundary paths, with the
+    # plain Gauss-Laguerre rule (the phase is regular at the boundary)
+    rule = gauss_exp_power(m, 1, 0)
+    rho, drho = _boundary_samples(scene, angles, rule.nodes / scene.omega)
+    return _radial_sum(scene, angles, rule, 0, rho, drho)
+
+
 def _boundary_grid(scene: RadialScene, angles, m: int):
     """Boundary term of the star-shaped rule over a direction grid.
 
-    Returns ``exp(i w g(R Theta))/(n w) sum_j w_j f(rho_R) d(rho_R^n)/dp``
-    with the plain Gauss-Laguerre rule (the phase is regular at the
-    boundary).  The star-shaped pre-quadrature value is
+    Returns ``exp(i w g(R Theta))/(n w) sum_j w_j f(rho_R) d(rho_R^n)/dp``.
+    The star-shaped pre-quadrature value is
     ``_central_grid - _boundary_grid``.
     """
-    n, omega = scene.n, scene.omega
-    rule = gauss_exp_power(m, 1, 0)
-    rho, drho = _boundary_samples(scene, angles, rule.nodes / omega)
     R = np.asarray(scene.boundary_radius(*angles))
     gR = np.asarray(scene.oscillator(R, *angles), dtype=complex)
-    total = _radial_sum(scene, angles, rule, 0, rho, drho)
-    return np.exp(1j * omega * gR) * total / (n * omega)
+    return np.exp(1j * scene.omega * gR) * _boundary_sum(scene, angles, m) / (scene.n * scene.omega)
 
 
 def integrate_unbounded(scene: RadialScene, region: AngularRegion, plan: OuterPlan, m: int) -> complex:
@@ -321,32 +327,30 @@ def _boundary_amplitude(scene, m):
     # amplitude of the boundary term as an analytic function of the
     # (possibly complex) angle; the oscillatory factor exp(i w G) is
     # supplied by the univariate descent machinery.
-    rule = gauss_exp_power(m, 1, 0)
-    ps = rule.nodes / scene.omega
-    scale = scene.n * scene.omega
-    return lambda th: _radial_sum(scene, (th,), rule, 0, *_boundary_samples(scene, (th,), ps)) / scale
+    return lambda th: _boundary_sum(scene, (th,), m) / (scene.n * scene.omega)
 
 
-def _stationary_points(G, lo, hi, nsamples=600):
-    # interior zeros of G' located by sign changes plus bisection
-    ths = np.linspace(lo, hi, nsamples)
-    h = (hi - lo) / (8.0 * nsamples)
-    dG = (np.asarray(G(ths + h), float) - np.asarray(G(ths - h), float)) / (2 * h)
+def _stationary_points(G, lo, hi):
+    # interior zeros of G' located by sign changes plus bisection; a bracket
+    # is halved until its midpoint rounds to one of its ends
+    ths = np.linspace(lo, hi, 600)
+    s = (hi - lo) / 2400
+    dG = np.asarray(_taylor_coefficient(G, ths, 1, s), float)
     points = []
-    for i in range(nsamples - 1):
+    for i in range(len(ths) - 1):
         if dG[i] == 0.0 and lo < ths[i] < hi:
             points.append(ths[i])
         elif dG[i] * dG[i + 1] < 0:
             a, b = ths[i], ths[i + 1]
-            fa = dG[i]
-            for _ in range(80):
-                mid = 0.5 * (a + b)
-                fm = (float(G(mid + h)) - float(G(mid - h))) / (2 * h)
+            fa, mid = dG[i], 0.5 * (a + b)
+            while a < mid < b:
+                fm = float(_taylor_coefficient(G, mid, 1, s))
                 if fa * fm <= 0:
                     b = mid
                 else:
                     a, fa = mid, fm
-            points.append(0.5 * (a + b))
+                mid = 0.5 * (a + b)
+            points.append(mid)
     scale = max(abs(float(dG[0])), abs(float(dG[-1])), 1e-30)
     end_a = abs(float(dG[0])) < 1e-7 * max(1.0, scale)
     end_b = abs(float(dG[-1])) < 1e-7 * max(1.0, scale)

@@ -40,23 +40,8 @@ def _linear_path(p, th):
     return 1j * p * shape, 1j * shape
 
 
-def quarter_plane_scene(omega: float) -> RadialScene:
-    """Unit amplitude, phase r, over the first quadrant (unbounded)."""
-    return RadialScene(
-        n=2,
-        omega=omega,
-        amplitude=lambda z, th: _ones(z),
-        oscillator=lambda z, th: z,
-        d_oscillator=lambda z, th: _ones(z),
-        alpha=1,
-        alpha_coeff=lambda th: 1.0,
-        singularity_order=0.0,
-        origin_path=_linear_path,
-        name="quarter-plane",
-    )
-
-
 def _unit_radial_scene(omega, boundary_radius, name, d_boundary_phase=None):
+    # unit amplitude and phase r; unbounded when boundary_radius is None
     return RadialScene(
         n=2,
         omega=omega,
@@ -69,10 +54,16 @@ def _unit_radial_scene(omega, boundary_radius, name, d_boundary_phase=None):
         boundary_radius=boundary_radius,
         d_boundary_phase=d_boundary_phase,
         origin_path=_linear_path,
-        boundary_path=lambda p, th: (boundary_radius(th) + 1j * p + 0j * np.asarray(th, complex),
-                                     1j + 0j * np.asarray(th, complex)),
+        boundary_path=None if boundary_radius is None else (
+            lambda p, th: (boundary_radius(th) + 1j * p + 0j * np.asarray(th, complex),
+                           1j + 0j * np.asarray(th, complex))),
         name=name,
     )
+
+
+def quarter_plane_scene(omega: float) -> RadialScene:
+    """Unit amplitude, phase r, over the first quadrant (unbounded)."""
+    return _unit_radial_scene(omega, None, "quarter-plane")
 
 
 def disk_scene(omega: float, radius: float = 1.0) -> RadialScene:

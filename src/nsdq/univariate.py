@@ -63,7 +63,7 @@ def _phase_coefficient(g, x, alpha, dg=None):
     if alpha == 1:
         if dg is not None:
             return complex(dg(x))
-        return complex_derivative(g, complex(x))
+        return complex(complex_derivative(g, complex(x)))
     return complex(_taylor_coefficient(g, x, alpha, 1e-2))
 
 
@@ -121,8 +121,8 @@ def _trace(g, dg, base, p, seed, start, context):
     return np.stack(zs)
 
 
-def endpoint_contribution(f, g, endpoint, omega: float, m: int, dg=None):
-    """Descent-path contribution G(x) of one endpoint, or of a sequence of them.
+def endpoint_contribution(f, g, endpoints, omega: float, m: int, dg=None):
+    """Descent-path contributions G(x) of a sequence of endpoints.
 
     Every endpoint's path is traced in one Newton continuation in ``p``:
     row j of the (m, E) array of descent parameters is one
@@ -137,8 +137,8 @@ def endpoint_contribution(f, g, endpoint, omega: float, m: int, dg=None):
     ----------
     f, g : callables accepting complex arrays, analytic near the paths;
         a scalar result is broadcast.
-    endpoint : an :class:`Endpoint1D` (returns a complex) or a sequence of
-        them (returns a complex array, one value per endpoint).
+    endpoints : a sequence of :class:`Endpoint1D`; the result is a complex
+        array, one value per endpoint.
     omega : frequency (> 0).
     m : number of Gaussian points for the radial rule.
     dg : optional analytic derivative of g; a finite-difference fallback is
@@ -149,8 +149,7 @@ def endpoint_contribution(f, g, endpoint, omega: float, m: int, dg=None):
     """
     if not omega > 0:
         raise ValueError(f"omega must be positive, got {omega}")
-    single = isinstance(endpoint, Endpoint1D)
-    ends = (endpoint,) if single else tuple(endpoint)
+    ends = tuple(endpoints)
     dge = dg if dg is not None else (lambda z: complex_derivative(g, z))
     leads = [_phase_coefficient(g, e.x, e.alpha_local, dg=dg) for e in ends]
     flat = [e for e, lead in zip(ends, leads) if abs(lead) < 1e-14]
@@ -183,8 +182,7 @@ def endpoint_contribution(f, g, endpoint, omega: float, m: int, dg=None):
     total = 0.0
     for term in terms:
         total = total + term
-    values = np.exp(1j * omega * gx) * (alpha / omega) * total
-    return complex(values[0]) if single else values
+    return np.exp(1j * omega * gx) * (alpha / omega) * total
 
 
 def nsd_interval(f, g, a, b, omega: float, m: int, *, dg=None, alpha_a=1, alpha_b=1) -> complex:
@@ -193,7 +191,9 @@ def nsd_interval(f, g, a, b, omega: float, m: int, *, dg=None, alpha_a=1, alpha_
     The phase must be monotone on ``[a, b]`` with nonvanishing derivative in
     the interior; endpoints with vanishing derivatives are declared through
     ``alpha_a`` and ``alpha_b``.  Returns G(a) - G(b); the error is of order
-    ``w^-((2m-1)/alpha_max)`` plus exponentially small terms.
+    ``w^-((2m-1)/alpha_max)`` plus exponentially small terms.  The branch
+    of an ``alpha >= 2`` endpoint is chosen to point into the interval, so
+    ``a < b`` is required.
 
     ``a``, ``b``, ``alpha_a`` and ``alpha_b`` may also be equal-length
     sequences of intervals: every endpoint is then traced in one
@@ -203,6 +203,8 @@ def nsd_interval(f, g, a, b, omega: float, m: int, *, dg=None, alpha_a=1, alpha_
     a, b, alpha_a, alpha_b = np.broadcast_arrays(a, b, alpha_a, alpha_b)
     ends = []
     for ai, bi, aa, ab in zip(a.ravel(), b.ravel(), alpha_a.ravel(), alpha_b.ravel()):
+        if not ai < bi:
+            raise ValueError(f"nsd_interval needs a < b, got [{ai}, {bi}]")
         ends += [Endpoint1D(float(ai), int(aa), side=+1), Endpoint1D(float(bi), int(ab), side=-1)]
     values = endpoint_contribution(f, g, ends, omega, m, dg=dg)
     total = 0.0 + 0.0j

@@ -263,6 +263,11 @@ def test_brute_force_names_unsupported_dimension():
         brute_force_polar(sc, AngularRegion.full(3), 1e-8)
 
 
+def test_brute_force_names_scene_and_region_dimensions():
+    with pytest.raises(ValueError, match=r"scene\.n = 2, region\.n = 3"):
+        brute_force_polar(scenes.disk_scene(10.0), AngularRegion.full(3), 1e-8)
+
+
 def test_brute_force_rejects_wrong_region_type():
     sc = scenes.disk_scene(10.0)
     with pytest.raises(TypeError):

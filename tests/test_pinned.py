@@ -14,6 +14,8 @@ The grids are small versions of the README commands:
     nsdq run --experiment example1 --omega 1,10,100
 """
 
+import math
+
 from nsdq import experiments, polar, scenes
 from nsdq.oracle import acoustics_reference
 
@@ -71,6 +73,16 @@ PINNED = {
         "(8.564157683071488e-06+4.6836392944230734e-06j)",
         "(5.2515172701544344e-08-1.7745466168969507e-06j)",
     ],
+    # the ellipse's stationary points of G on [0, 2 pi] and its two end
+    # flags, recorded while the scan had its own inline difference and 80
+    # halvings per bracket
+    "ellipse-stationary-points": [
+        "1.570796326794877",
+        "3.1415926535897416",
+        "4.71238898038467",
+        "True",
+        "True",
+    ],
 }
 
 
@@ -114,3 +126,10 @@ def test_pinned_star_shaped():
 def test_pinned_duct_oracle():
     omegas = (9.99, 317.36, 992.37, 2000.0, 3186.21, 9952.19)
     assert [repr(acoustics_reference(om)) for om in omegas] == PINNED["duct-oracle"]
+
+
+def test_pinned_stationary_points():
+    G = polar._boundary_phase(scenes.ellipse_scene(100.0))
+    points, end_lo, end_hi = polar._stationary_points(G, 0.0, 2.0 * math.pi)
+    assert [repr(float(x)) for x in points] + [repr(end_lo), repr(end_hi)] == \
+        PINNED["ellipse-stationary-points"]

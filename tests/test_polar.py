@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from nsdq import scenes
 from nsdq.oracle import adaptive_quad_1d, brute_force_polar
@@ -17,6 +19,7 @@ from nsdq.polar import (
     _boundary_phase,
     _central_grid,
     _outer_grid,
+    _stationary_points,
     _weight_degree,
     integrate_star_shaped,
     integrate_unbounded,
@@ -216,6 +219,58 @@ def test_ellipse_boundary_phase_derivative_matches_finite_difference():
     th = np.array([0.0, 0.3, 1.2, 0.5 * math.pi, 2.5, 4.0, 0.3 + 0.2j, 1.2 - 0.1j, 2.5 + 0.4j])
     got = np.asarray(sc.d_boundary_phase(th), dtype=complex)
     np.testing.assert_allclose(got, complex_derivative(G, th), rtol=0, atol=1e-10)
+
+
+def _stationary_points_80(G, lo, hi):
+    # reference: the scan with its own central difference and 80 halvings per
+    # bracket; also returns each point's last bracket
+    ths = np.linspace(lo, hi, 600)
+    h = (hi - lo) / 4800.0
+    dG = (np.asarray(G(ths + h), float) - np.asarray(G(ths - h), float)) / (2 * h)
+    points, brackets = [], []
+    for i in range(599):
+        if dG[i] == 0.0 and lo < ths[i] < hi:
+            points.append(ths[i])
+            brackets.append((ths[i], ths[i]))
+        elif dG[i] * dG[i + 1] < 0:
+            a, b = ths[i], ths[i + 1]
+            fa = dG[i]
+            for _ in range(80):
+                mid = 0.5 * (a + b)
+                fm = (float(G(mid + h)) - float(G(mid - h))) / (2 * h)
+                if fa * fm <= 0:
+                    b = mid
+                else:
+                    a, fa = mid, fm
+            points.append(0.5 * (a + b))
+            brackets.append((a, b))
+    scale = max(abs(float(dG[0])), abs(float(dG[-1])), 1e-30)
+    end_a = abs(float(dG[0])) < 1e-7 * max(1.0, scale)
+    end_b = abs(float(dG[-1])) < 1e-7 * max(1.0, scale)
+    return points, brackets, end_a, end_b
+
+
+@given(coeffs=st.lists(st.floats(-2.0, 2.0), min_size=6, max_size=6),
+       ends=st.tuples(st.floats(0.0, 2 * math.pi), st.floats(0.0, 2 * math.pi)))
+@settings(max_examples=80, deadline=None)
+def test_stationary_scan_matches_80_halvings(coeffs, ends):
+    # the scan's bisection stops once the midpoint rounds to an end of its
+    # bracket; from there 80 fixed halvings move neither the bracket nor the
+    # midpoint, so every point they settle is bit-identical.  A bracket 80
+    # halvings leave unsettled (a root within ~1e-11 of 0) is only narrowed.
+    lo, hi = sorted(ends)
+    assume(hi - lo > 1e-3)
+    pairs = list(zip(coeffs[::2], coeffs[1::2]))
+    G = lambda th: sum(a * np.cos(k * th) + b * np.sin(k * th) for k, (a, b) in enumerate(pairs, start=1))
+    got, end_a, end_b = _stationary_points(G, lo, hi)
+    want, brackets, want_a, want_b = _stationary_points_80(G, lo, hi)
+    assert (end_a, end_b) == (want_a, want_b)
+    assert len(got) == len(want)
+    for x, y, (a, b) in zip(got, want, brackets):
+        if a < y < b:
+            assert a <= x <= b
+        else:
+            assert x == y
 
 
 def test_ellipse_finite_difference_fallback_against_brute_force():

@@ -27,7 +27,7 @@ def test_linear_endpoint_at_origin():
     one = lambda z: 1.0
     ident = lambda z: z
     for omega in (3.0, 40.0):
-        got = endpoint_contribution(one, ident, Endpoint1D(0.0), omega, 1, dg=lambda z: 1.0)
+        got = endpoint_contribution(one, ident, [Endpoint1D(0.0)], omega, 1, dg=lambda z: 1.0)[0]
         assert abs(got - 1j / omega) <= 1e-14 * abs(1j / omega)
 
 
@@ -35,7 +35,7 @@ def test_linear_endpoint_with_phase():
     one = lambda z: 1.0
     ident = lambda z: z
     omega = 25.0
-    got = endpoint_contribution(one, ident, Endpoint1D(1.0), omega, 1, dg=lambda z: 1.0)
+    got = endpoint_contribution(one, ident, [Endpoint1D(1.0)], omega, 1, dg=lambda z: 1.0)[0]
     expect = 1j * cmath.exp(1j * omega) / omega
     assert abs(got - expect) <= 1e-14 * abs(expect)
 
@@ -44,9 +44,9 @@ def test_quadratic_endpoint_fresnel():
     # int_0^inf exp(i w x^2) dx = (1/2) sqrt(pi/w) exp(i pi/4)
     omega = 20.0
     got = endpoint_contribution(
-        lambda z: 1.0, lambda z: z * z, Endpoint1D(0.0, alpha_local=2), omega, 8,
+        lambda z: 1.0, lambda z: z * z, [Endpoint1D(0.0, alpha_local=2)], omega, 8,
         dg=lambda z: 2.0 * z,
-    )
+    )[0]
     expect = 0.5 * math.sqrt(math.pi / omega) * cmath.exp(1j * math.pi / 4)
     assert abs(got - expect) <= 1e-6
 
@@ -71,6 +71,19 @@ def test_interval_quadratic_phase():
                        dg=lambda z: 2.0 * z, alpha_a=2)
     oracle = _quad_oracle(lambda x: 1.0, lambda x: x * x, 0.0, 1.0, omega)
     assert abs(got - oracle) <= 1e-7
+
+
+def test_interval_needs_increasing_ends():
+    # an alpha >= 2 endpoint's branch is chosen from its side, which assumes
+    # a < b: [1, 0] with alpha_b = 2 read 0.0913+0.0982j, where the value is
+    # -0.0859-0.0790j
+    f, g, dg = lambda z: 1.0, lambda z: z * z, lambda z: 2.0 * z
+    with pytest.raises(ValueError, match=r"a < b, got \[1\.0, 0\.0\]"):
+        nsd_interval(f, g, 1.0, 0.0, 50.0, 8, dg=dg, alpha_b=2)
+    with pytest.raises(ValueError, match=r"a < b, got \[0\.4, 0\.4\]"):
+        nsd_interval(f, g, [0.0, 0.4], [0.4, 0.4], 50.0, 8, dg=dg)
+    with pytest.raises(ValueError, match=r"a < b, got \[nan, 1\.0\]"):
+        nsd_interval(f, g, math.nan, 1.0, 50.0, 8, dg=dg)
 
 
 @pytest.mark.parametrize("omega", [20.0, 50.0, 200.0])
@@ -100,7 +113,7 @@ def test_endpoint_first_row_ramp(monkeypatch):
         return np.ones_like(z)
 
     monkeypatch.setattr(univariate, "newton_descent", counted)
-    endpoint_contribution(f, lambda z: z + c * z * z, Endpoint1D(0.0), 1.0, m,
+    endpoint_contribution(f, lambda z: z + c * z * z, [Endpoint1D(0.0)], 1.0, m,
                           dg=lambda z: 1.0 + 2.0 * c * z)
     assert len(calls) == 1 + 3 + 8 * 3 + (m - 1)
     p = gauss_exp_power(m, 1, 0).nodes
@@ -177,7 +190,7 @@ def test_endpoint_validation():
     with pytest.raises(ValueError, match="side"):
         Endpoint1D(0.0, side=0)
     with pytest.raises(ValueError, match="omega"):
-        endpoint_contribution(lambda z: 1.0, lambda z: z, Endpoint1D(0.0), -1.0, 2)
+        endpoint_contribution(lambda z: 1.0, lambda z: z, [Endpoint1D(0.0)], -1.0, 2)
 
 
 # the finite-difference derivative carries ~1e-11 relative round-off, which
@@ -193,8 +206,7 @@ def test_endpoint_sequence_matches_single_endpoints(dg, tol):
     batch = endpoint_contribution(f, g, ends, 40.0, 6, dg=dg)
     assert batch.shape == (3,)
     for e, got in zip(ends, batch):
-        single = endpoint_contribution(f, g, e, 40.0, 6, dg=dg)
-        assert type(single) is complex
+        single = endpoint_contribution(f, g, [e], 40.0, 6, dg=dg)[0]
         assert abs(got - single) <= tol * abs(single)
 
 
