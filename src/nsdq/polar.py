@@ -33,8 +33,9 @@ Main entry points
     w-independent), which is the failure the polar rule repairs.
 
 Paths without a closed form are traced over the whole direction grid by
-the one Newton continuation in ``p``, ``univariate._trace``, which also
-traces the endpoint paths of the boundary term.
+``univariate._trace``, the one Newton continuation in ``p``; it also traces
+the boundary term's endpoint paths, starts each row from the tangent step
+of the last and returns drho/dp = i / g' with the roots.
 """
 
 from __future__ import annotations
@@ -198,14 +199,14 @@ def _closed_form_samples(path, p_values, angles):
     return np.broadcast_to(rho, shape), np.broadcast_to(drho, shape)
 
 
-def _traced_samples(scene: RadialScene, angles, base, p_values, seed, start, context):
+def _traced_samples(scene: RadialScene, angles, base, p_values, seed, start, alpha, context):
     # the paths of all directions at once, one continuation row per p
-    # (``univariate._trace``), and their derivative on the stacked roots
+    # (``univariate._trace``), with the derivative the continuation took
     g = lambda z: scene.oscillator(z, *angles)
     dg = lambda z: scene.d_oscillator(z, *angles)
     grid = np.broadcast_shapes(*(np.shape(a) for a in angles))
-    rho = _trace(g, dg, base, p_values, lambda q: np.broadcast_to(seed(q), grid), start, context)
-    return rho, 1j / np.asarray(dg(rho), dtype=complex)
+    grid_seed = lambda q: np.broadcast_to(seed(q), grid)
+    return _trace(g, dg, base, p_values, grid_seed, start, alpha, context)
 
 
 def _origin_samples(scene: RadialScene, angles, p_values):
@@ -213,8 +214,8 @@ def _origin_samples(scene: RadialScene, angles, p_values):
 
     Both arrays have shape ``(m,) + angle shape``.  A closed-form path is
     evaluated once on the whole node x direction array; a traced path is
-    continued node by node in p, and its derivative evaluated once on the
-    stacked solutions.
+    continued node by node in p, each row predicted by the tangent of the
+    previous one, and its derivative is the one the continuation took.
     """
     if scene.origin_path is not None:
         return _closed_form_samples(scene.origin_path, p_values, angles)
@@ -223,7 +224,7 @@ def _origin_samples(scene: RadialScene, angles, p_values):
         raise PathError("degenerate direction: vanishing leading coefficient on the grid")
     # leading term of the series rho ~ (i p / coeff)^(1/alpha)
     seed = lambda p: np.power(1j * p / coeff, 1.0 / scene.alpha)
-    return _traced_samples(scene, angles, 0.0, p_values, seed, 0.0, "origin grid")
+    return _traced_samples(scene, angles, 0.0, p_values, seed, 0.0, scene.alpha, "origin grid")
 
 
 def _boundary_samples(scene: RadialScene, angles, p_values):
@@ -240,7 +241,7 @@ def _boundary_samples(scene: RadialScene, angles, p_values):
     gR = np.asarray(scene.oscillator(R, *angles), dtype=complex)
     dgR = np.asarray(scene.d_oscillator(R, *angles), dtype=complex)
     seed = lambda p: R + 1j * p / dgR
-    return _traced_samples(scene, angles, gR, p_values, seed, R, "boundary grid")
+    return _traced_samples(scene, angles, gR, p_values, seed, R, 1, "boundary grid")
 
 
 def _radial_sum(scene: RadialScene, angles, rule, power, rho, drho):

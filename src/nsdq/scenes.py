@@ -174,6 +174,8 @@ def _csinc(w):
     # sin(w)/w, safe at w = 0, complex-capable; the series only where |w| is small
     w = np.asarray(w, dtype=complex)
     small = np.abs(w) < 1e-4
+    if not small.any():
+        return np.sin(w) / w
     out = np.empty_like(w)
     big = ~small
     out[big] = np.sin(w[big]) / w[big]
@@ -201,54 +203,41 @@ def sphere_scatter_scene(k: float, psi: float) -> RadialScene:
     checks the branch at psi = 1.3 and 1.5 against a fine continuation).
     psi = pi/2 puts the observation point on the shadow boundary and the
     scene degenerates.
+
+    The amplitude, the oscillator and its derivative share one kernel for
+    the local offsets u, v, cos(theta), sin(theta) and the square-root
+    distance; the terms of d2 = 0 are left out.
     """
     if not 0 <= psi < math.pi / 2:
         raise ValueError(
             f"sphere scattering scene needs 0 <= psi < pi/2 (shadow boundary at pi/2), got {psi}"
         )
-    d1, d2, d3 = -math.cos(psi), 0.0, math.sin(psi)
+    d1, d3 = -math.cos(psi), math.sin(psi)
 
-    def _uv(z, th):
-        # local parameter-plane offsets: phi1 = pi/2 + u, phi2 = pi + v
-        return -z * np.cos(th), z * np.sin(th)
-
-    def _sqrt_dist(z, th):
+    def _kernel(z, th):
+        # local parameter-plane offsets phi1 = pi/2 + u, phi2 = pi + v, then
         # sqrt(2 - 2 cos u cos v) continued analytically through the origin:
         # 2 - 2 cos u cos v = 2 sin^2(z(c+s)/2) + 2 sin^2(z(s-c)/2) = z^2 C(z)
         # with C(0) = 1; take z sqrt(C) on the principal branch of C.
         c, s = np.cos(th), np.sin(th)
-        A = 0.5 * (c + s)
-        B = 0.5 * (s - c)
+        A, B = 0.5 * (c + s), 0.5 * (s - c)
         C = 2.0 * (A**2 * _csinc(z * A) ** 2 + B**2 * _csinc(z * B) ** 2)
-        return z * np.sqrt(C)
+        return -z * c, z * s, c, s, z * np.sqrt(C)
 
     def oscillator(z, th):
-        u, v = _uv(z, th)
-        cu, cv = np.cos(u), np.cos(v)
-        return (
-            _sqrt_dist(z, th)
-            + d1 * (cu * cv - 1.0)
-            + d2 * cu * np.sin(v)
-            + d3 * np.sin(u)
-        )
+        u, v, _, _, dist = _kernel(z, th)
+        return dist + d1 * (np.cos(u) * np.cos(v) - 1.0) + d3 * np.sin(u)
 
     def d_oscillator(z, th):
-        u, v = _uv(z, th)
-        c, s = np.cos(th), np.sin(th)
+        u, v, c, s, dist = _kernel(z, th)
         su, cu = np.sin(u), np.cos(u)
         sv, cv = np.sin(v), np.cos(v)
         dE = -2.0 * c * su * cv + 2.0 * s * cu * sv
-        d_sqrt = dE / (2.0 * _sqrt_dist(z, th))
-        return (
-            d_sqrt
-            + d1 * (c * su * cv - s * cu * sv)
-            + d2 * (c * su * sv + s * cu * cv)
-            - d3 * c * cu
-        )
+        return dE / (2.0 * dist) + d1 * (c * su * cv - s * cu * sv) - d3 * c * cu
 
     def amplitude(z, th):
-        u, _ = _uv(z, th)
-        return np.cos(u) / (4.0 * math.pi * _sqrt_dist(z, th))
+        u, _, _, _, dist = _kernel(z, th)
+        return np.cos(u) / (4.0 * math.pi * dist)
 
     return RadialScene(
         n=2,
@@ -257,7 +246,7 @@ def sphere_scatter_scene(k: float, psi: float) -> RadialScene:
         oscillator=oscillator,
         d_oscillator=d_oscillator,
         alpha=1,
-        alpha_coeff=lambda th: 1.0 + d2 * np.sin(th) - d3 * np.cos(th),
+        alpha_coeff=lambda th: 1.0 - d3 * np.cos(th),
         singularity_order=1.0,
         name="sphere-scatter",
     )

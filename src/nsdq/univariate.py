@@ -16,7 +16,11 @@ The paths of any number of endpoints are traced together: one Newton
 continuation in ``p`` over the (m, E) array of descent parameters, with
 ``newton_descent`` solving one node row for all E endpoints at a time.
 That continuation, ``_trace``, is the only one in the package: the polar
-rules trace their radial paths with it too.
+rules trace their radial paths with it too.  It is a predictor-corrector:
+each row starts from the tangent step dz/dp = i / g'(z) of the previous
+row's roots, taken in the node variable ``x = (w p)^(1/alpha)`` in which
+the path is analytic, and it returns that derivative on the roots with
+them, so the callers never evaluate g' again.
 """
 
 from __future__ import annotations
@@ -82,18 +86,20 @@ def _endpoint_list(endpoints):
     return ", ".join(f"(x={e.x!r}, alpha={e.alpha_local}, side={e.side:+d})" for e in endpoints)
 
 
-def _trace(g, dg, base, p, seed, start, context):
+def _trace(g, dg, base, p, seed, start, alpha, context):
     # Newton continuation of g(z) = base + i p over the rows of ascending p,
     # the one tracer of every descent path: a row is a scalar (one p for a
     # whole direction grid) or an array (one p per path), and each row is one
-    # newton_descent call from the previous row's roots.  The first row
-    # starts from seed(p[0]).  Far from its root a seed can converge to
-    # another branch, so that root is trusted only within 0.5 |seed - start|
-    # of the seed in every path.  Otherwise q = p[0] is divided by 4 until
-    # every root lies within 0.1 |seed(q) - start| of its seed, and those
-    # roots are continued geometrically up to p[0], 4 steps per octave.  Only
-    # Newton's own failures (``failed`` set) start the ramp; any other
-    # PathError, such as a scene refusing a complex argument, propagates.
+    # newton_descent call.  Returns the roots and dz/dp = i / g'(z) on them.
+    # The first row starts from seed(p[0]).  Far from its root a seed can
+    # converge to another branch, so that root is trusted only within
+    # 0.5 |seed - start| of the seed in every path.  Otherwise q = p[0] is
+    # divided by 4 until every root lies within 0.1 |seed(q) - start| of its
+    # seed, and those roots are continued geometrically up to p[0], 4 steps
+    # per octave.  Only Newton's own failures (``failed`` set) start the
+    # ramp; any other PathError, such as a scene refusing a complex argument,
+    # propagates.  Every later row, ramp or node, starts from the tangent
+    # step in the node variable (p^(1/alpha)), where the path is analytic.
     def solve(q, tol):
         # (roots, None), or (None, mask of the paths without a trusted root)
         s = seed(q)
@@ -113,12 +119,14 @@ def _trace(g, dg, base, p, seed, start, context):
             raise PathError(f"no first path point near the series seed down to "
                             f"p/4^{_MAX_RAMP_QUARTERS} {context}", failed)
         z, failed = solve(p[0] / 4.0**k, 0.1)
-    for q in np.geomspace(p[0] / 4.0**k, p[0], 8 * k + 1)[1:] if k else ():
-        z = newton_descent(g, dg, base + 1j * q, z, context=context)
-    zs = [z]
-    for q in p[1:]:
-        zs.append(newton_descent(g, dg, base + 1j * q, zs[-1], context=context))
-    return np.stack(zs)
+    derivative = lambda z: np.broadcast_to(1j / np.asarray(dg(z), dtype=complex), np.shape(z))
+    zs, dzs, prev = [z], [derivative(z)], p[0] / 4.0**k
+    for q in [*(np.geomspace(prev, p[0], 8 * k + 1)[1:] if k else ()), *p[1:]]:
+        step = alpha * prev * ((q / prev) ** (1.0 / alpha) - 1.0)
+        zs.append(newton_descent(g, dg, base + 1j * q, zs[-1] + step * dzs[-1], context=context))
+        dzs.append(derivative(zs[-1]))
+        prev = q
+    return np.stack(zs[-len(p):]), np.stack(dzs[-len(p):])
 
 
 def endpoint_contribution(f, g, endpoints, omega: float, m: int, dg=None):
@@ -126,12 +134,14 @@ def endpoint_contribution(f, g, endpoints, omega: float, m: int, dg=None):
 
     Every endpoint's path is traced in one Newton continuation in ``p``:
     row j of the (m, E) array of descent parameters is one
-    ``newton_descent`` call over all E endpoints, seeded from the previous
-    row (the first from each endpoint's branch seed, whose root is trusted
+    ``newton_descent`` call over all E endpoints, seeded by the tangent step
+    from the previous row in each endpoint's node variable (p^(1/alpha))
+    (the first row from each endpoint's branch seed, whose root is trusted
     only near the seed; otherwise the first row is ramped up from a smaller
-    p).  ``f`` and ``dg`` are
-    then evaluated once on the (m, E) array of path points, and each
-    endpoint's node sum is taken in node order.
+    p).  The continuation evaluates ``dg`` on each row's roots, for the next
+    row's tangent and for the path derivative h' = i / dg; ``f`` is then
+    evaluated once on the (m, E) array of path points, and each endpoint's
+    node sum is taken in node order.
 
     Parameters
     ----------
@@ -173,12 +183,12 @@ def endpoint_contribution(f, g, endpoints, omega: float, m: int, dg=None):
     # so numpy's warnings are silenced here
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            z = _trace(g, dge, gx, p, seed, x, "along the endpoint paths")
+            z, dz = _trace(g, dge, gx, p, seed, x, alpha, "along the endpoint paths")
         except PathError as err:
             failed = ends if err.failed is None else [e for e, bad in zip(ends, err.failed) if bad]
             raise PathError(f"{err} at omega={omega}; failing endpoints {_endpoint_list(failed)}",
                             err.failed) from err
-    terms = weights * np.broadcast_to(f(z), z.shape) * (1j / np.broadcast_to(dge(z), z.shape))
+    terms = weights * np.broadcast_to(f(z), z.shape) * dz
     total = 0.0
     for term in terms:
         total = total + term

@@ -142,6 +142,31 @@ def test_sphere_rejects_shadow_boundary():
         run_sphere_scatter([50.0], [math.pi / 2])
 
 
+def test_sphere_row_oscillator_calls(monkeypatch):
+    # cost guard: every evaluation of the sphere's oscillator in one README
+    # row, counted by wrapping the scene the builder returns; the tangent
+    # predictor of the continuation brought it from 60 to 49
+    from nsdq import scenes
+
+    calls = []
+    build = scenes.sphere_scatter_scene
+
+    def counted_scene(*args):
+        scene = build(*args)
+        oscillator = scene.oscillator
+
+        def counted(*a):
+            calls.append(1)
+            return oscillator(*a)
+
+        scene.oscillator = counted
+        return scene
+
+    monkeypatch.setattr(scenes, "sphere_scatter_scene", counted_scene)
+    run_sphere_scatter([100.0], [0.6283])
+    assert 0 < len(calls) <= 52
+
+
 def test_sphere_table_layout():
     psis = [0.0, math.pi / 10, math.pi / 5, math.pi / 3]
     rows = run_sphere_scatter([50.0, 100.0, 150.0, 200.0], psis, m=3, n_trap=32)

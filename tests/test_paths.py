@@ -181,16 +181,32 @@ def test_first_point_ramp(psi, ps, angles, monkeypatch):
     assert np.max(np.abs(rho - _fine_continuation(sc, angles, ps))) <= 1e-10
 
 
-def test_sphere_near_shadow_boundary_traces_the_continued_branch():
-    # the series seed at the first node converges to another root at theta = 0
-    # (w0 was off by 4%); every node of the (8, 200) grid must follow the
-    # continued branch
-    sc = scenes.sphere_scatter_scene(50.0, 1.5)
+@pytest.mark.parametrize("k", [50.0, 200.0])
+@pytest.mark.parametrize("psi", [1.3, 1.45, 1.5, 1.55])
+def test_sphere_near_shadow_boundary_traces_the_continued_branch(psi, k):
+    # the series seed at the first node converges to another root near
+    # theta = 0 (at psi = 1.5, k = 50 w0 was off by 4%); every node of the
+    # (8, 200) grid must follow the continued branch, also where the first
+    # row is ramped and every later row starts from the tangent step
+    sc = scenes.sphere_scatter_scene(k, psi)
     rule = gauss_exp_power(8, sc.alpha, _weight_degree(sc))
     ps = rule.nodes**sc.alpha / sc.omega
     angles = (trapezoid_periodic(200, 2 * math.pi).nodes,)
     rho, _ = _origin_samples(sc, angles, ps)
     assert np.max(np.abs(rho - _fine_continuation(sc, angles, ps))) <= 1e-10
+
+
+def test_traced_derivative_is_i_over_dg_on_the_roots():
+    # the derivative the continuation returns is the one it predicted the
+    # next row with, i / g'(z) on each row's roots: bit for bit what a
+    # separate evaluation on the stacked roots gives
+    sc = scenes.sphere_scatter_scene(100.0, math.pi / 5)
+    rule = gauss_exp_power(8, sc.alpha, _weight_degree(sc))
+    angles = (trapezoid_periodic(200, 2 * math.pi).nodes,)
+    rho, drho = _origin_samples(sc, angles, rule.nodes**sc.alpha / sc.omega)
+    assert rho.shape == drho.shape == (8, 200)
+    expected = 1j / np.asarray(sc.d_oscillator(rho, *angles), dtype=complex)
+    assert np.ascontiguousarray(drho).tobytes() == np.ascontiguousarray(expected).tobytes()
 
 
 def test_negative_leading_coefficient_traced():

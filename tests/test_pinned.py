@@ -32,17 +32,20 @@ PINNED = {
         "(0.050571847848663594+0.012516602346797318j)",
         "(-0.0004457996435259646-0.0016713706870459713j)",
     ],
+    # re-recorded when the continuation seeded each row by the tangent step
+    # of the previous one: Newton stops at other last bits (values moved by
+    # <= 6.6e-17 relative)
     "sphere": [
         "(-1.992213106363966+100.07886436103453j)",
         "(-1.9995008790727002+400.01998155074773j)",
-        "(-7.559971012453944+53.23359076662341j)",
-        "(-10.236904965369371+201.88259029249966j)",
+        "(-7.559971012453947+53.23359076662341j)",
+        "(-10.236904965369375+201.88259029249966j)",
     ],
     "sphere-self-err": [
-        "1.7091050624077643e-11",
+        "1.7090952466188498e-11",
         "1.7396033358408065e-16",
-        "0.0006162845763104555",
-        "2.1963885932456885e-06",
+        "0.0006162845763104108",
+        "2.1963885932729503e-06",
     ],
     "example1": [
         "(-1.570796326794897+0j)",
@@ -53,10 +56,13 @@ PINNED = {
         "(-0.00015726611831867027+0j)",
     ],
     # re-recorded when the nsd boundary term took the ellipse's analytic
-    # dG/dtheta and traced all endpoint paths in one continuation
+    # dG/dtheta and traced all endpoint paths in one continuation, and again
+    # when that continuation seeded each row by the tangent step in the node
+    # variable (moves of 6.9e-16 and 4.1e-14 relative, inside the alpha = 2
+    # endpoint floor)
     "ellipse-nsd": [
-        "(0.15526932469813348+0.18715596514526384j)",
-        "(-0.0014557961931336862+0.003142247276031695j)",
+        "(0.15526932469813365+0.1871559651452638j)",
+        "(-0.0014557961931335587+0.003142247276031755j)",
     ],
     "disk-plain": [
         "(-0.45737081717701505+0.4930223358092314j)",

@@ -184,6 +184,30 @@ def test_phase_shift_covariance():
     assert abs(shifted - cmath.exp(1j * omega * c) * base) <= 1e-13 * abs(base)
 
 
+def test_endpoint_derivative_is_i_over_dg_on_the_roots(monkeypatch):
+    # the ellipse's boundary term on a box around its stationary point at
+    # pi/2: alpha = 1 endpoints at the box ends, alpha = 2 on either side of
+    # pi/2.  The path derivative the continuation returns must equal
+    # i / dG on the stacked roots bit for bit.
+    from nsdq import polar, scenes
+
+    seen, trace = [], univariate._trace
+
+    def recorded(g, dg, base, p, seed, start, alpha, context):
+        z, dz = trace(g, dg, base, p, seed, start, alpha, context)
+        seen.append((dg, alpha, z, dz))
+        return z, dz
+
+    monkeypatch.setattr(univariate, "_trace", recorded)
+    sc = scenes.ellipse_scene(100.0)
+    region = polar.AngularRegion.box(2, (0.3, 2.5))
+    polar.integrate_star_shaped(sc, region, polar.OuterPlan.for_region(region, cc=20), 8)
+    (dg, alpha, z, dz), = seen
+    assert list(alpha) == [1, 2, 2, 1]
+    expected = 1j / np.broadcast_to(np.asarray(dg(z), dtype=complex), z.shape)
+    assert np.ascontiguousarray(dz).tobytes() == np.ascontiguousarray(expected).tobytes()
+
+
 def test_endpoint_validation():
     with pytest.raises(ValueError, match="alpha_local"):
         Endpoint1D(0.0, alpha_local=0)
