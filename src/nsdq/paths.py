@@ -15,7 +15,8 @@ one continuation in ``p`` (``univariate._trace``) runs row by row over
 whole direction grids and over the endpoints of the boundary term.  The
 leading Taylor coefficient that seeds a path of order ``alpha >= 2`` comes
 from ``_taylor_coefficient``, the package's one difference stencil, which
-``complex_derivative`` and ``polar._stationary_points`` also use.
+``complex_derivative`` also uses, and ``polar._stationary_points`` when a
+scene has no ``d_boundary_phase``.
 
 The module also holds the closed-form angle paths of the rectangle's corner
 decomposition, ``corner_h11`` ... ``corner_h22``.
@@ -85,9 +86,9 @@ class RadialScene:
     boundary_radius : R(*angles) for star-shaped domains, None if unbounded.
     d_boundary_phase : optional dG/dtheta(theta) of the boundary phase
         G(theta) = g(R(theta), theta), analytic in a complex theta; n = 2
-        only.  The univariate descent of the oscillatory boundary term uses
-        it for its Newton steps and path derivatives; without it they fall
-        back to the finite difference ``complex_derivative`` of G.
+        only.  The boundary term's stationary-point scan and its univariate
+        descent (Newton steps, path derivatives) use it; without it they
+        fall back to the difference stencil of G and ``complex_derivative``.
     phase_at_origin : constant exp(i w g(x0)) factored out by normalization.
     origin_path / boundary_path : optional closed forms
         (p, *angles) -> (rho, drho_dp) used by the integrators when present.

@@ -17,11 +17,11 @@ Main entry points
     plain outer rule when the boundary phase G = g(R(Theta), Theta) is
     constant, by univariate descent in the angle when G varies.  Both take
     one Gauss-Laguerre sum along the boundary paths.  The descent splits
-    the angle at the stationary points of G, which a sign-change scan with
-    the difference stencil of ``paths`` finds; it traces the paths of every
-    interval endpoint in one continuation (``nsd_interval`` on arrays of
-    edges) and takes dG/dtheta from the scene's ``d_boundary_phase`` when
-    it has one.
+    the angle at the stationary points of G, which a sign-change scan finds
+    from the scene's dG/dtheta (``d_boundary_phase``), or from the
+    difference stencil of ``paths`` when the scene has none; it traces the
+    paths of every interval endpoint in one continuation (``nsd_interval``
+    on arrays of edges) with the same dG/dtheta.
 ``rectangle_corner_contributions``
     The closed-form corner decomposition of the boundary term for an
     axis-aligned rectangle with phase sqrt(x^2 + y^2), including the
@@ -331,30 +331,48 @@ def _boundary_amplitude(scene, m):
     return lambda th: _boundary_sum(scene, (th,), m) / (scene.n * scene.omega)
 
 
-def _stationary_points(G, lo, hi):
-    # interior zeros of G' located by sign changes plus bisection; a bracket
+def _real_on_real_angles(f, scene):
+    # G and dG/dtheta are real on real angles; a complex dtype whose
+    # imaginary part is round-off is read by its real part.  Scalar floats,
+    # one per bisection step, skip the dtype test
+    def real(th):
+        v = f(th)
+        if isinstance(v, float) or not np.iscomplexobj(v):
+            return v
+        if np.any(np.abs(np.imag(v)) > 1e-12 * np.maximum(1.0, np.abs(v))):
+            raise ValueError(f"scene {scene.name!r}: the boundary phase is not real on real angles")
+        return np.real(v)
+
+    return real
+
+
+def _stationary_points(G, lo, hi, dG=None):
+    # interior zeros of G' located by sign changes plus bisection; G' is dG,
+    # the scene's dG/dtheta, or else the difference stencil of G.  A bracket
     # is halved until its midpoint rounds to one of its ends
     ths = np.linspace(lo, hi, 600)
     s = (hi - lo) / 2400
-    dG = np.asarray(_taylor_coefficient(G, ths, 1, s), float)
+    dG = dG or (lambda th: _taylor_coefficient(G, th, 1, s))
+    d = np.asarray(dG(ths), float)
+    zero = (d[:-1] == 0.0) & (lo < ths[:-1]) & (ths[:-1] < hi)
     points = []
-    for i in range(len(ths) - 1):
-        if dG[i] == 0.0 and lo < ths[i] < hi:
+    for i in np.flatnonzero(zero | (d[:-1] * d[1:] < 0)):
+        if zero[i]:
             points.append(ths[i])
-        elif dG[i] * dG[i + 1] < 0:
-            a, b = ths[i], ths[i + 1]
-            fa, mid = dG[i], 0.5 * (a + b)
-            while a < mid < b:
-                fm = float(_taylor_coefficient(G, mid, 1, s))
-                if fa * fm <= 0:
-                    b = mid
-                else:
-                    a, fa = mid, fm
-                mid = 0.5 * (a + b)
-            points.append(mid)
-    scale = max(abs(float(dG[0])), abs(float(dG[-1])), 1e-30)
-    end_a = abs(float(dG[0])) < 1e-7 * max(1.0, scale)
-    end_b = abs(float(dG[-1])) < 1e-7 * max(1.0, scale)
+            continue
+        a, b = ths[i], ths[i + 1]
+        fa, mid = d[i], 0.5 * (a + b)
+        while a < mid < b:
+            fm = float(dG(mid))
+            if fa * fm <= 0:
+                b = mid
+            else:
+                a, fa = mid, fm
+            mid = 0.5 * (a + b)
+        points.append(mid)
+    scale = max(abs(float(d[0])), abs(float(d[-1])), 1e-30)
+    end_a = abs(float(d[0])) < 1e-7 * max(1.0, scale)
+    end_b = abs(float(d[-1])) < 1e-7 * max(1.0, scale)
     return points, end_a, end_b
 
 
@@ -368,13 +386,15 @@ def _oscillatory_boundary_term(scene, region, m):
         raise NotImplementedError("oscillatory boundary treatment implemented for n = 2 only")
     G = _boundary_phase(scene)
     (lo, hi), = region.intervals
-    stat, end_lo, end_hi = _stationary_points(G, lo, hi)
+    dG = scene.d_boundary_phase
+    stat, end_lo, end_hi = _stationary_points(_real_on_real_angles(G, scene), lo, hi,
+                                              None if dG is None else _real_on_real_angles(dG, scene))
     edges = [lo] + stat + [hi]
     k = len(edges) - 1
     alpha_a = [2 if (i > 0 or end_lo) else 1 for i in range(k)]
     alpha_b = [2 if (i < k - 1 or end_hi) else 1 for i in range(k)]
     return nsd_interval(_boundary_amplitude(scene, m), G, edges[:-1], edges[1:], scene.omega, m,
-                        dg=scene.d_boundary_phase, alpha_a=alpha_a, alpha_b=alpha_b)
+                        dg=dG, alpha_a=alpha_a, alpha_b=alpha_b)
 
 
 def integrate_star_shaped(scene: RadialScene, region: AngularRegion, plan: OuterPlan, m: int) -> complex:

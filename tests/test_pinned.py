@@ -59,10 +59,13 @@ PINNED = {
     # dG/dtheta and traced all endpoint paths in one continuation, and again
     # when that continuation seeded each row by the tangent step in the node
     # variable (moves of 6.9e-16 and 4.1e-14 relative, inside the alpha = 2
-    # endpoint floor)
+    # endpoint floor), and again when the stationary-point scan read the
+    # analytic dG/dtheta: the split points moved from the roots of the
+    # difference stencil to the doubles nearest pi/2, pi and 3 pi/2, about
+    # 2e-14 away (moves of 5.7e-16 and 2.9e-13 relative)
     "ellipse-nsd": [
-        "(0.15526932469813365+0.1871559651452638j)",
-        "(-0.0014557961931335587+0.003142247276031755j)",
+        "(0.15526932469813354+0.18715596514526373j)",
+        "(-0.0014557961931342736+0.0031422472760324442j)",
     ],
     "disk-plain": [
         "(-0.45737081717701505+0.4930223358092314j)",

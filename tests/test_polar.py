@@ -273,6 +273,90 @@ def test_stationary_scan_matches_80_halvings(coeffs, ends):
             assert x == y
 
 
+def test_stationary_scan_reads_the_scene_derivative():
+    # with the ellipse's dG/dtheta the scan makes no G call: one call on the
+    # 600 samples, then one scalar call per halving of each of 3 brackets
+    sc = scenes.ellipse_scene(100.0)
+    G, dR = _boundary_phase(sc), sc.d_boundary_phase
+    g_calls, dg_shapes = [], []
+
+    def counted_G(th):
+        g_calls.append(th)
+        return G(th)
+
+    def counted_dG(th):
+        dg_shapes.append(np.shape(th))
+        return dR(th)
+
+    points, end_a, end_b = _stationary_points(counted_G, 0.0, 2 * math.pi, counted_dG)
+    assert g_calls == []
+    assert dg_shapes[0] == (600,)
+    assert set(dg_shapes[1:]) == {()} and len(dg_shapes) - 1 <= 3 * 64
+    assert [float(x) for x in points] == [math.pi / 2, math.pi, 3 * math.pi / 2]
+    assert end_a is True and end_b is True
+    # the integrator hands the scan the scene's derivative
+    dg_shapes.clear()
+    sc.d_boundary_phase = counted_dG
+    region = scenes.default_region("ellipse")
+    integrate_star_shaped(sc, region, OuterPlan.for_region(region, trap=40), 8)
+    assert (600,) in dg_shapes
+
+
+@given(coeffs=st.lists(st.floats(-2.0, 2.0), min_size=6, max_size=6),
+       ends=st.tuples(st.floats(0.0, 2 * math.pi), st.floats(0.0, 2 * math.pi)))
+@settings(max_examples=80, deadline=None)
+def test_stationary_scan_with_exact_derivative_brackets_each_root(coeffs, ends):
+    # with the exact dG every point is a root certificate: dG changes sign
+    # (or vanishes) between the point and one of its neighbouring doubles
+    lo, hi = sorted(ends)
+    assume(hi - lo > 1e-3)
+    pairs = list(enumerate(zip(coeffs[::2], coeffs[1::2]), start=1))
+    G = lambda th: sum(a * np.cos(k * th) + b * np.sin(k * th) for k, (a, b) in pairs)
+    dG = lambda th: sum(k * (b * np.cos(k * th) - a * np.sin(k * th)) for k, (a, b) in pairs)
+    got, _, _ = _stationary_points(G, lo, hi, dG)
+    for x in got:
+        assert min(dG(x) * dG(np.nextafter(x, -np.inf)), dG(x) * dG(np.nextafter(x, np.inf))) <= 0
+    # the stencil scan finds as many points unless a root lies so close to a
+    # sample that the stencil's error flips the sign there: truncation
+    # h^2/6 max|G^(3)| plus round-off, with h = (hi - lo)/4800
+    size = sum(abs(a) + abs(b) for _, (a, b) in pairs)
+    assume(size > 1e-100)
+    h = (hi - lo) / 4800
+    err = h * h / 6 * sum(k**3 * (abs(a) + abs(b)) for k, (a, b) in pairs) + 1e-14 * size / h
+    assume(np.all(np.abs(dG(np.linspace(lo, hi, 600))) > 2 * err))
+    assert len(got) == len(_stationary_points(G, lo, hi)[0])
+
+
+def _ellipse_100(analytic_dG=True):
+    sc = scenes.ellipse_scene(100.0)
+    if not analytic_dG:
+        sc.d_boundary_phase = None
+    region = scenes.default_region("ellipse")
+    return sc, lambda: integrate_star_shaped(sc, region, OuterPlan.for_region(region, trap=40), 8)
+
+
+@pytest.mark.parametrize("field, analytic_dG", [("oscillator", True), ("oscillator", False),
+                                                ("d_boundary_phase", True)])
+def test_complex_dtype_boundary_phase_is_read_by_its_real_part(field, analytic_dG):
+    want = _ellipse_100(analytic_dG)[1]()
+    sc, run = _ellipse_100(analytic_dG)
+    f = getattr(sc, field)
+    setattr(sc, field, lambda *args: np.asarray(f(*args), dtype=complex))
+    assert run() == want
+
+
+# the scan reads G only without the scene's dG/dtheta
+@pytest.mark.parametrize("field, analytic_dG, non_real", [
+    ("oscillator", False, lambda z, th: 1e-3j * z * np.sin(th)),
+    ("d_boundary_phase", True, lambda th: 1e-3j * np.sin(th))], ids=["oscillator", "d_boundary_phase"])
+def test_boundary_phase_not_real_on_real_angles_is_rejected(field, analytic_dG, non_real):
+    sc, run = _ellipse_100(analytic_dG)
+    f = getattr(sc, field)
+    setattr(sc, field, lambda *args: f(*args) + non_real(*args))
+    with pytest.raises(ValueError, match="scene 'ellipse': the boundary phase is not real on real angles"):
+        run()
+
+
 def test_ellipse_finite_difference_fallback_against_brute_force():
     # without the closed-form dG/dtheta the descent takes the finite
     # difference of G; the value must still meet the brute-force bound
