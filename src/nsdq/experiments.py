@@ -37,7 +37,7 @@ from .polar import (
     rectangle_corner_contributions,
     rectangle_direct_terms,
 )
-from .rules import trapezoid_periodic
+from .rules import trapezoid_periodic  # not called here; perfbench/layertrace.py patches this name
 from .specfun import ellipsoid_reference
 
 __all__ = [
@@ -205,10 +205,9 @@ def run_duct(omega_grid, n_gl: int = 8, n_gh: int | None = None, a: float = 1.0,
 
 
 def _sphere_w0(k, psi, m, n_trap):
-    sc = scenes.sphere_scatter_scene(k, psi)
-    rule = trapezoid_periodic(n_trap, 2.0 * math.pi)
-    q = _central_grid(sc, (rule.nodes,), m)
-    return complex(np.sum(rule.weights * q))
+    region = scenes.default_region("sphere-scatter")
+    return integrate_unbounded(scenes.sphere_scatter_scene(k, psi), region,
+                               OuterPlan.for_region(region, trap=n_trap), m)
 
 
 def run_sphere_scatter(k_grid, psi_grid=(0.0, math.pi / 10, math.pi / 5, math.pi / 3),

@@ -89,6 +89,8 @@ class RadialScene:
         only.  The boundary term's stationary-point scan and its univariate
         descent (Newton steps, path derivatives) use it; without it they
         fall back to the difference stencil of G and ``complex_derivative``.
+        G and dG/dtheta must be real on real angles: ``integrate_star_shaped``
+        checks both once on its outer grid before the descent in the angle.
     phase_at_origin : constant exp(i w g(x0)) factored out by normalization.
     origin_path / boundary_path : optional closed forms
         (p, *angles) -> (rho, drho_dp) used by the integrators when present.
@@ -144,25 +146,20 @@ def complex_derivative(f, z):
 def newton_descent(g, dg, target, z0, *, context: str = ""):
     """Solve ``g(z) = target`` by Newton from ``z0``.
 
-    Works elementwise on numpy arrays.  Raises PathError, with the mask of
-    the failing elements in ``failed``, when the derivative collapses or is
-    NaN (degenerate path), or when an element has not converged after 50
-    iterations; a non-finite residual never converges.
+    Works elementwise on numpy arrays; a scalar start returns a 0-d value,
+    element 0 of the same solve from a one-element array.  Raises PathError,
+    with the mask of the failing elements in ``failed``, when the derivative
+    collapses or is NaN (degenerate path), or when an element has not
+    converged after 50 iterations; a non-finite residual never converges.
     """
     z = np.asarray(z0, dtype=complex)
-    target = np.asarray(target, dtype=complex)
-    scalar = z.ndim == 0
-    z = np.atleast_1d(z).copy()
-    tgt = np.atleast_1d(target).astype(complex)
-    if tgt.shape != z.shape:
-        tgt = np.broadcast_to(tgt, z.shape).copy()
+    tgt = np.asarray(target, dtype=complex)
     scale = np.maximum(1.0, np.abs(tgt))
     for _ in range(_NEWTON_MAXIT):
-        gz = np.atleast_1d(np.asarray(g(z), dtype=complex))
-        res = gz - tgt
+        res = np.asarray(g(z), dtype=complex) - tgt
         if np.all(np.abs(res) <= 1e-14 * scale):
             break
-        dgz = np.atleast_1d(np.asarray(dg(z), dtype=complex))
+        dgz = np.asarray(dg(z), dtype=complex)
         # negated comparisons: NaN fails every comparison and must count as a failure
         small = ~(np.abs(dgz) >= _DERIV_FLOOR)
         if np.any(small):
@@ -170,13 +167,13 @@ def newton_descent(g, dg, target, z0, *, context: str = ""):
                             np.broadcast_to(small, z.shape))
         z = z - res / dgz
     else:
-        res = np.abs(np.atleast_1d(np.asarray(g(z), dtype=complex)) - tgt)
+        res = np.abs(np.asarray(g(z), dtype=complex) - tgt)
         bad = ~(res <= 1e-12 * scale)
         if np.any(bad):
             raise PathError(f"Newton did not converge after {_NEWTON_MAXIT} iterations "
                             f"(worst residual {np.max(res):.3e}) {context}",
                             np.broadcast_to(bad, z.shape))
-    return complex(z[0]) if scalar else z
+    return z
 
 
 # --- the rectangle's corner angle paths -------------------------------------

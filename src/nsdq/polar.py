@@ -16,12 +16,13 @@ Main entry points
     The same for a star-shaped domain, minus its boundary term: by the
     plain outer rule when the boundary phase G = g(R(Theta), Theta) is
     constant, by univariate descent in the angle when G varies.  Both take
-    one Gauss-Laguerre sum along the boundary paths.  The descent splits
-    the angle at the stationary points of G, which a sign-change scan finds
-    from the scene's dG/dtheta (``d_boundary_phase``), or from the
-    difference stencil of ``paths`` when the scene has none; it traces the
-    paths of every interval endpoint in one continuation (``nsd_interval``
-    on arrays of edges) with the same dG/dtheta.
+    one Gauss-Laguerre sum along the boundary paths.  G is read once, on
+    the outer grid; the descent first checks there that G and dG/dtheta are
+    real.  It splits the angle at the stationary points of G, which a
+    sign-change scan finds from the scene's dG/dtheta (``d_boundary_phase``),
+    or from the difference stencil of ``paths`` when the scene has none; it
+    traces the paths of every interval endpoint in one continuation
+    (``nsd_interval`` on arrays of edges) with the same dG/dtheta.
 ``rectangle_corner_contributions``
     The closed-form corner decomposition of the boundary term for an
     axis-aligned rectangle with phase sqrt(x^2 + y^2), including the
@@ -115,8 +116,6 @@ class AngularRegion:
 
     @classmethod
     def box(cls, n: int, *intervals) -> "AngularRegion":
-        if len(intervals) != n - 1:
-            raise ValueError(f"need {n - 1} angle intervals for n = {n}, got {len(intervals)}")
         return cls(n, tuple((float(a), float(b)) for a, b in intervals))
 
     def __post_init__(self):
@@ -231,8 +230,6 @@ def _boundary_samples(scene: RadialScene, angles, p_values):
     """Boundary-path counterpart of ``_origin_samples``, same shapes."""
     if scene.boundary_path is not None:
         return _closed_form_samples(scene.boundary_path, p_values, angles)
-    if scene.boundary_radius is None:
-        raise ValueError("scene has no boundary radius")
     # keep a complex dtype when tracing at complex angles (deformed outer
     # integration); real otherwise
     R = np.asarray(scene.boundary_radius(*angles))
@@ -292,8 +289,7 @@ def _boundary_grid(scene: RadialScene, angles, m: int):
     The star-shaped pre-quadrature value is
     ``_central_grid - _boundary_grid``.
     """
-    R = np.asarray(scene.boundary_radius(*angles))
-    gR = np.asarray(scene.oscillator(R, *angles), dtype=complex)
+    gR = np.asarray(_boundary_phase(scene)(*angles), dtype=complex)
     return np.exp(1j * scene.omega * gR) * _boundary_sum(scene, angles, m) / (scene.n * scene.omega)
 
 
@@ -309,19 +305,15 @@ def integrate_unbounded(scene: RadialScene, region: AngularRegion, plan: OuterPl
     return complex(scene.phase_at_origin) * complex(np.sum(w * q))
 
 
-def _boundary_is_constant(scene, mesh):
+def _boundary_is_constant(G):
     # the boundary term carries exp(i w G) with G = g(R(Theta), Theta):
     # it is smooth when G is constant on the outer grid, whatever R does
-    G = np.asarray(scene.oscillator(scene.boundary_radius(*mesh), *mesh), dtype=complex)
     return np.max(np.abs(G - G.flat[0])) <= 1e-12 * max(1.0, np.max(np.abs(G)))
 
 
 def _boundary_phase(scene):
-    def G(th):
-        R = scene.boundary_radius(th)
-        return scene.oscillator(R, th)
-
-    return G
+    # G(*angles) = g(R(Theta), Theta), the phase of the boundary term
+    return lambda *angles: scene.oscillator(scene.boundary_radius(*angles), *angles)
 
 
 def _boundary_amplitude(scene, m):
@@ -331,29 +323,15 @@ def _boundary_amplitude(scene, m):
     return lambda th: _boundary_sum(scene, (th,), m) / (scene.n * scene.omega)
 
 
-def _real_on_real_angles(f, scene):
-    # G and dG/dtheta are real on real angles; a complex dtype whose
-    # imaginary part is round-off is read by its real part.  Scalar floats,
-    # one per bisection step, skip the dtype test
-    def real(th):
-        v = f(th)
-        if isinstance(v, float) or not np.iscomplexobj(v):
-            return v
-        if np.any(np.abs(np.imag(v)) > 1e-12 * np.maximum(1.0, np.abs(v))):
-            raise ValueError(f"scene {scene.name!r}: the boundary phase is not real on real angles")
-        return np.real(v)
-
-    return real
-
-
 def _stationary_points(G, lo, hi, dG=None):
     # interior zeros of G' located by sign changes plus bisection; G' is dG,
-    # the scene's dG/dtheta, or else the difference stencil of G.  A bracket
-    # is halved until its midpoint rounds to one of its ends
+    # the scene's dG/dtheta, or else the difference stencil of G, each read
+    # by its real part.  A bracket is halved until its midpoint rounds to
+    # one of its ends
     ths = np.linspace(lo, hi, 600)
     s = (hi - lo) / 2400
-    dG = dG or (lambda th: _taylor_coefficient(G, th, 1, s))
-    d = np.asarray(dG(ths), float)
+    dG = dG or (lambda th: _taylor_coefficient(lambda x: G(x).real, th, 1, s))
+    d = dG(ths).real
     zero = (d[:-1] == 0.0) & (lo < ths[:-1]) & (ths[:-1] < hi)
     points = []
     for i in np.flatnonzero(zero | (d[:-1] * d[1:] < 0)):
@@ -363,7 +341,7 @@ def _stationary_points(G, lo, hi, dG=None):
         a, b = ths[i], ths[i + 1]
         fa, mid = d[i], 0.5 * (a + b)
         while a < mid < b:
-            fm = float(dG(mid))
+            fm = float(dG(mid).real)
             if fa * fm <= 0:
                 b = mid
             else:
@@ -376,19 +354,22 @@ def _stationary_points(G, lo, hi, dG=None):
     return points, end_a, end_b
 
 
-def _oscillatory_boundary_term(scene, region, m):
+def _oscillatory_boundary_term(scene, region, m, mesh, G_mesh):
     # The boundary term int exp(i w G(th)) amp(th) dth with G = g(R(th), th)
     # handled by univariate steepest descent in the angle, split at the
     # resonance-induced stationary points of G.  Every interval goes into
     # one nsd_interval call, so all endpoint paths are traced in one
-    # continuation.
+    # continuation.  G and dG/dtheta must be real on real angles; each is
+    # checked once, on the outer grid ``mesh`` (G_mesh holds G there), and
+    # a complex dtype whose imaginary part is round-off passes
     if scene.n != 2:
         raise NotImplementedError("oscillatory boundary treatment implemented for n = 2 only")
-    G = _boundary_phase(scene)
+    G, dG = _boundary_phase(scene), scene.d_boundary_phase
+    for values in [G_mesh] if dG is None else [G_mesh, dG(*mesh)]:
+        if np.any(np.abs(np.imag(values)) > 1e-12 * np.maximum(1.0, np.abs(values))):
+            raise ValueError(f"scene {scene.name!r}: the boundary phase is not real on real angles")
     (lo, hi), = region.intervals
-    dG = scene.d_boundary_phase
-    stat, end_lo, end_hi = _stationary_points(_real_on_real_angles(G, scene), lo, hi,
-                                              None if dG is None else _real_on_real_angles(dG, scene))
+    stat, end_lo, end_hi = _stationary_points(G, lo, hi, dG)
     edges = [lo] + stat + [hi]
     k = len(edges) - 1
     alpha_a = [2 if (i > 0 or end_lo) else 1 for i in range(k)]
@@ -410,18 +391,26 @@ def integrate_star_shaped(scene: RadialScene, region: AngularRegion, plan: Outer
         raise ValueError("integrate_star_shaped needs a bounded scene")
     _check_dimensions(scene, region, plan)
     mesh, w = _outer_grid(region, plan)
-    constant = _boundary_is_constant(scene, mesh)
+    G = np.asarray(_boundary_phase(scene)(*mesh), dtype=complex)
+    constant = _boundary_is_constant(G)
     q = _central_grid(scene, mesh, m)
     if constant:
         q = q - _boundary_grid(scene, mesh, m)
     total = complex(np.sum(w * q))
     if not constant:
-        total -= _oscillatory_boundary_term(scene, region, m)
+        total -= _oscillatory_boundary_term(scene, region, m, mesh, G)
     # complex(): the nsd term turns the total into a numpy scalar
     return complex(complex(scene.phase_at_origin) * total)
 
 
 # --- rectangle decompositions ---------------------------------------------
+
+
+def _check_rectangle(name, a, b, omega):
+    if not (a > 0 and b > 0):
+        raise ValueError(f"rectangle sides must be positive, got a={a}, b={b}")
+    if not (omega > 0 and math.isfinite(omega)):
+        raise ValueError(f"{name} needs a finite omega > 0, got omega={omega}")
 
 
 def _assert_finite(K, corner):
@@ -450,8 +439,7 @@ def rectangle_corner_contributions(f_polar, a: float, b: float, omega: float,
     Returns I_ext = I11 - I12 + I21 - I22; the full rectangle integral is
     (integral of Q_r over [0, pi/2]) minus this value.
     """
-    if not (a > 0 and b > 0):
-        raise ValueError(f"rectangle sides must be positive, got a={a}, b={b}")
+    _check_rectangle("rectangle_corner_contributions", a, b, omega)
     eta = math.hypot(a, b)
     gl = gauss_exp_power(m_lag, 1, 0)
     gh = gauss_exp_power(m_herm, 2, 0)
@@ -492,23 +480,19 @@ def _direct_corner(f, x0, y0, omega, m_lag, m_herm, outer_resonance_fix):
     # the plain recipe leaves it untreated (and therefore stalls), the
     # resonance fix applies the same substitution there.
     G = math.hypot(x0, y0)
-    p_singular = (x0 == 0.0 and y0 > 0.0) and outer_resonance_fix
-    q_singular = (y0 == 0.0)
-    gl = gauss_exp_power(m_lag, 1, 0)
-    gh = gauss_exp_power(m_herm, 2, 0)
 
-    if p_singular:
-        P = (gh.nodes**2 / omega)[:, None]
-        wp = 2.0 * gh.weights * gh.nodes / omega
-    else:
-        P = (gl.nodes / omega)[:, None]
-        wp = gl.weights / omega
-    if q_singular:
-        Q = (gh.nodes**2 / omega)[None, :]
-        wq = 2.0 * gh.weights * gh.nodes / omega
-    else:
-        Q = (gl.nodes / omega)[None, :]
-        wq = gl.weights / omega
+    def rule(singular):
+        # (nodes, weights) in the path variable: Laguerre, or half-range
+        # Hermite after the q -> q^2 substitution at a square-root singularity
+        if singular:
+            gh = gauss_exp_power(m_herm, 2, 0)
+            return gh.nodes**2 / omega, 2.0 * gh.weights * gh.nodes / omega
+        gl = gauss_exp_power(m_lag, 1, 0)
+        return gl.nodes / omega, gl.weights / omega
+
+    P, wp = rule(x0 == 0.0 and y0 > 0.0 and outer_resonance_fix)
+    Q, wq = rule(y0 == 0.0)
+    P, Q = P[:, None], Q[None, :]
 
     u = np.sqrt(x0**2 - P**2 + 2j * P * G)
     du = 1j * (G + 1j * P) / u
@@ -538,8 +522,7 @@ def rectangle_direct_terms(f, a, b, omega, m, m_herm=None, outer_resonance_fix=F
 
     ``f(x, y)`` must be analytic in both arguments along the corner paths.
     """
-    if not (a > 0 and b > 0):
-        raise ValueError(f"rectangle sides must be positive, got a={a}, b={b}")
+    _check_rectangle("rectangle_direct_terms", a, b, omega)
     if m_herm is None:
         m_herm = 2 * m
     return {

@@ -8,6 +8,7 @@ with the integrators' Newton tracer and checks the residuals.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -103,9 +104,10 @@ def duct_scene(omega: float, a: float = 1.0, b: float = 2.0) -> RadialScene:
 
     Point amplitude ``y cos(x)/sqrt(x^2+y^2)``, phase ``sqrt(x^2+y^2)``.  On
     the ray through angle theta the kernel's 1/r cancels against the zero of
-    y, leaving ``sin(theta) cos(z cos(theta))``.  The boundary radius is
-    defined on real angles only: the oscillatory boundary term goes through
-    the corner decomposition of ``experiments.run_duct``.
+    y, leaving ``sin(theta) cos(z cos(theta))``.  It is the disk's phase-r
+    scene, closed-form paths included, with this amplitude.  The boundary
+    radius is defined on real angles only: the oscillatory boundary term
+    goes through the corner decomposition of ``experiments.run_duct``.
     """
     beta = math.atan2(b, a)
 
@@ -119,20 +121,9 @@ def duct_scene(omega: float, a: float = 1.0, b: float = 2.0) -> RadialScene:
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             return np.where(th <= beta, a / np.cos(th), b / np.sin(th))
 
-    return RadialScene(
-        n=2,
-        omega=omega,
-        amplitude=lambda z, th: np.sin(th) * np.cos(z * np.cos(th)),
-        oscillator=lambda z, th: z,
-        d_oscillator=lambda z, th: _ones(z),
-        alpha=1,
-        alpha_coeff=lambda th: 1.0,
-        singularity_order=1.0,
-        boundary_radius=boundary_radius,
-        origin_path=_linear_path,
-        boundary_path=lambda p, th: (boundary_radius(th) + 1j * p, 1j + 0j * np.asarray(th, complex)),
-        name="duct",
-    )
+    return dataclasses.replace(_unit_radial_scene(omega, boundary_radius, "duct"),
+                               amplitude=lambda z, th: np.sin(th) * np.cos(z * np.cos(th)),
+                               singularity_order=1.0)
 
 
 def _ellipsoid_slope(phi1, phi2):

@@ -26,6 +26,7 @@ them, so the callers never evaluate g' again.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -149,7 +150,7 @@ def endpoint_contribution(f, g, endpoints, omega: float, m: int, dg=None):
         a scalar result is broadcast.
     endpoints : a sequence of :class:`Endpoint1D`; the result is a complex
         array, one value per endpoint.
-    omega : frequency (> 0).
+    omega : frequency (finite, > 0).
     m : number of Gaussian points for the radial rule.
     dg : optional analytic derivative of g; a finite-difference fallback is
         used when omitted.
@@ -157,8 +158,8 @@ def endpoint_contribution(f, g, endpoints, omega: float, m: int, dg=None):
     Raises PathError naming omega and the failing endpoints as
     (x, alpha, side) when a path cannot be traced.
     """
-    if not omega > 0:
-        raise ValueError(f"omega must be positive, got {omega}")
+    if not (omega > 0 and math.isfinite(omega)):
+        raise ValueError(f"omega must be finite and positive, got {omega}")
     ends = tuple(endpoints)
     dge = dg if dg is not None else (lambda z: complex_derivative(g, z))
     leads = [_phase_coefficient(g, e.x, e.alpha_local, dg=dg) for e in ends]

@@ -28,7 +28,10 @@ def test_tracer_installs_and_restores():
 
 def test_tracer_counts_every_newton_call():
     # every traced path, radial or endpoint, must reach the wrapped
-    # newton_descent: one call per node row of the continuation
+    # newton_descent: one call per node row of the continuation.  The rule
+    # builds and the polar grids are counted too: the sphere's two w0 sums
+    # build their trapezoid and Gauss rules and Q_r grids (100 + 200
+    # directions) through the wrapped names, whichever composition sums them
     from nsdq import experiments, polar, scenes
 
     tracer = _tracer()
@@ -44,3 +47,6 @@ def test_tracer_counts_every_newton_call():
         tracer.restore()
     assert (ellipse["paths.newton_calls"], ellipse["paths.newton_points"]) == (8, 64)
     assert (sphere["paths.newton_calls"], sphere["paths.newton_points"]) == (13, 2100)
+    layers = ("rules.calls", "polar.calls", "polar.directions")
+    assert tuple(ellipse[k] for k in layers) == (11, 2, 104)
+    assert tuple(sphere[k] for k in layers) == (4, 2, 300)

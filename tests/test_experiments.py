@@ -338,6 +338,7 @@ def test_cli_json_format():
 def test_non_finite_omega_rejected(bad):
     from nsdq import scenes
     from nsdq.oracle import acoustics_reference
+    from nsdq.polar import rectangle_corner_contributions, rectangle_direct_terms
     from nsdq.specfun import ellipsoid_reference
 
     with pytest.raises(ValueError, match="omega"):
@@ -354,6 +355,21 @@ def test_non_finite_omega_rejected(bad):
         ellipsoid_reference(bad)
     with pytest.raises(ValueError, match="omega"):
         acoustics_reference(bad)
+    with pytest.raises(ValueError, match="omega"):
+        rectangle_corner_contributions(lambda z, th: z, 1.0, 2.0, bad, 8, 16)
+    with pytest.raises(ValueError, match="omega"):
+        rectangle_direct_terms(lambda x, y: x, 1.0, 2.0, bad, 8)
+
+
+@pytest.mark.parametrize("bad", [-10.0, 0.0])
+def test_rectangle_entries_reject_non_positive_omega(bad):
+    # the descent needs omega > 0: -10 returned a value and 0 divided by zero
+    from nsdq.polar import rectangle_corner_contributions, rectangle_direct_terms
+
+    with pytest.raises(ValueError, match="omega"):
+        rectangle_corner_contributions(lambda z, th: z, 1.0, 2.0, bad, 8, 16)
+    with pytest.raises(ValueError, match="omega"):
+        rectangle_direct_terms(lambda x, y: x, 1.0, 2.0, bad, 8)
 
 
 def test_cli_non_finite_omega_exits_one():

@@ -282,6 +282,9 @@ def test_duct_corner_paths_against_newton():
             z = h if z is None else newton_descent(g, dg, base + 1j * q, z)
             zn = newton_descent(g, dg, base + 1j * q, z)
             assert abs(zn - h) <= 1e-12, (key, q)
+            # a scalar start is solved as a 0-d array: element 0 of the same
+            # solve from a one-element array
+            assert np.ndim(zn) == 0 and zn == newton_descent(g, dg, base + 1j * q, [z])[0]
             z = zn
 
 

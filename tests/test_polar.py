@@ -345,14 +345,19 @@ def test_complex_dtype_boundary_phase_is_read_by_its_real_part(field, analytic_d
     assert run() == want
 
 
-# the scan reads G only without the scene's dG/dtheta
-@pytest.mark.parametrize("field, analytic_dG, non_real", [
-    ("oscillator", False, lambda z, th: 1e-3j * z * np.sin(th)),
-    ("d_boundary_phase", True, lambda th: 1e-3j * np.sin(th))], ids=["oscillator", "d_boundary_phase"])
-def test_boundary_phase_not_real_on_real_angles_is_rejected(field, analytic_dG, non_real):
+# G is checked on the outer grid whether or not the scene has dG/dtheta: in
+# the third case the scene's dG stays real, so the scan alone would not see it
+@pytest.mark.parametrize("non_real, analytic_dG", [
+    ({"oscillator": lambda z, th: 1e-3j * z * np.sin(th)}, False),
+    ({"d_boundary_phase": lambda th: 1e-3j * np.sin(th)}, True),
+    ({"oscillator": lambda z, th: 1e-3j * z * np.sin(th),
+      "d_oscillator": lambda z, th: 1e-3j * np.sin(th) + 0.0 * z}, True)],
+    ids=["oscillator", "d_boundary_phase", "oscillator-with-real-dG"])
+def test_boundary_phase_not_real_on_real_angles_is_rejected(non_real, analytic_dG):
     sc, run = _ellipse_100(analytic_dG)
-    f = getattr(sc, field)
-    setattr(sc, field, lambda *args: f(*args) + non_real(*args))
+    for field, extra in non_real.items():
+        f = getattr(sc, field)
+        setattr(sc, field, lambda *args, f=f, extra=extra: f(*args) + extra(*args))
     with pytest.raises(ValueError, match="scene 'ellipse': the boundary phase is not real on real angles"):
         run()
 
@@ -720,6 +725,8 @@ def test_region_and_plan_validation():
         AngularRegion.box(2, (0.0, 7.0))
     with pytest.raises(ValueError, match="arity"):
         AngularRegion(3, ((0.0, 1.0),))
+    with pytest.raises(ValueError):
+        AngularRegion.box(2, (0.0, 1.0), (0.0, 1.0))
     with pytest.raises(ValueError, match="counts"):
         OuterPlan((1,))
 

@@ -215,6 +215,9 @@ def test_endpoint_validation():
         Endpoint1D(0.0, side=0)
     with pytest.raises(ValueError, match="omega"):
         endpoint_contribution(lambda z: 1.0, lambda z: z, [Endpoint1D(0.0)], -1.0, 2)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="omega"):
+            endpoint_contribution(lambda z: 1.0, lambda z: z, [Endpoint1D(0.0)], bad, 2)
 
 
 # the finite-difference derivative carries ~1e-11 relative round-off, which
