@@ -97,6 +97,8 @@ def fit_slope(rows, *, use: str = "abs", floor: float = ERROR_FLOOR) -> SlopeFit
     Rows without a reference or with error at or below ``floor`` are
     excluded.  Raises ValueError when fewer than 3 usable rows remain.
     """
+    if use not in ("abs", "rel"):
+        raise ValueError(f"fit_slope use must be 'abs' or 'rel', got use={use!r}")
     pts = []
     for r in rows:
         err = r.abs_err if use == "abs" else r.rel_err
@@ -295,11 +297,21 @@ def _fmt(x) -> str:
         return ""
     if isinstance(x, float):
         return f"{x:.17g}"
+    if isinstance(x, dict):
+        return ";".join(f"{k}={_fmt(v)}" for k, v in sorted(x.items()))
     return str(x)
 
 
-def _params_str(params: dict) -> str:
-    return ";".join(f"{k}={_fmt(v)}" for k, v in sorted(params.items()))
+_FIELDS = ("omega", "approx_re", "approx_im", "ref_re", "ref_im", "abs_err", "rel_err", "params")
+
+
+def _records(rows):
+    # one field dict per row, sorted by omega; a row without a reference
+    # holds None in its reference and error fields
+    for r in sorted(rows, key=lambda r: r.omega):
+        ref = (None, None) if r.reference is None else (r.reference.real, r.reference.imag)
+        values = (r.omega, r.approx.real, r.approx.imag, *ref, r.abs_err, r.rel_err, r.params)
+        yield dict(zip(_FIELDS, values))
 
 
 def rows_to_csv(rows) -> str:
@@ -307,28 +319,9 @@ def rows_to_csv(rows) -> str:
 
     Reference-free rows leave the reference and error columns empty.
     """
-    out = ["omega,approx_re,approx_im,ref_re,ref_im,abs_err,rel_err,params"]
-    for r in sorted(rows, key=lambda r: r.omega):
-        ref_re = _fmt(r.reference.real) if r.reference is not None else ""
-        ref_im = _fmt(r.reference.imag) if r.reference is not None else ""
-        out.append(",".join([
-            _fmt(r.omega), _fmt(r.approx.real), _fmt(r.approx.imag),
-            ref_re, ref_im, _fmt(r.abs_err), _fmt(r.rel_err), _params_str(r.params),
-        ]))
-    return "\n".join(out) + "\n"
+    lines = [",".join(_FIELDS)] + [",".join(map(_fmt, rec.values())) for rec in _records(rows)]
+    return "\n".join(lines) + "\n"
 
 
 def rows_to_json(rows) -> str:
-    payload = []
-    for r in sorted(rows, key=lambda r: r.omega):
-        payload.append({
-            "omega": r.omega,
-            "approx_re": r.approx.real,
-            "approx_im": r.approx.imag,
-            "ref_re": r.reference.real if r.reference is not None else None,
-            "ref_im": r.reference.imag if r.reference is not None else None,
-            "abs_err": r.abs_err,
-            "rel_err": r.rel_err,
-            "params": {k: v for k, v in sorted(r.params.items())},
-        })
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return json.dumps(list(_records(rows)), indent=2, sort_keys=True) + "\n"

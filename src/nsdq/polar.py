@@ -241,16 +241,26 @@ def _boundary_samples(scene: RadialScene, angles, p_values):
     return _traced_samples(scene, angles, gR, p_values, seed, R, 1, "boundary grid")
 
 
-def _radial_sum(scene: RadialScene, angles, rule, power, rho, drho):
-    # sum_j w_j x_j^power f(rho_j) d(rho_j^n)/dp, summed node by node in node
-    # order: a BLAS contraction would reorder the additions and change the
-    # last bits
-    n = scene.n
+def _descent_sum(scene: RadialScene, angles, m: int, alpha, d, samples):
+    """The Gaussian descent sum along every path of a direction grid.
+
+    ``sum_j w_j x_j^(alpha-1-d) f(rho(p_j)) d(rho^n)/dp (p_j)`` at
+    ``p_j = x_j^alpha / w``, with the rule for ``x^d exp(-x^alpha)`` and the
+    path samples from ``samples`` (``_origin_samples`` or
+    ``_boundary_samples``).  Summed node by node in node order: a BLAS
+    contraction would reorder the additions and change the last bits.
+    """
+    rule = gauss_exp_power(m, alpha, d)
+    rho, drho = samples(scene, angles, rule.nodes**alpha / scene.omega)
+    n, power = scene.n, alpha - 1 - d
     f = scene.amplitude(rho, *angles)
     jac = n * rho ** (n - 1) * drho
     total = 0.0
     for j, (xj, wj) in enumerate(zip(rule.nodes, rule.weights)):
         total = total + wj * xj ** power * f[j] * jac[j]
+    # free the products before the path samples: in the other order the
+    # allocator gives the pages back, and an ellipsoid op faults 280 times, not 202
+    del f, jac
     return total
 
 
@@ -266,31 +276,22 @@ def _central_grid(scene: RadialScene, angles, m: int):
     Jacobian inside the product, which is evaluated at strictly positive
     nodes.
     """
-    alpha, n, omega = scene.alpha, scene.n, scene.omega
-    d = _weight_degree(scene)
-    rule = gauss_exp_power(m, alpha, d)
-    rho, drho = _origin_samples(scene, angles, rule.nodes**alpha / omega)
-    total = _radial_sum(scene, angles, rule, alpha - 1 - d, rho, drho)
-    return total * (alpha / (n * omega))
+    alpha = scene.alpha
+    total = _descent_sum(scene, angles, m, alpha, _weight_degree(scene), _origin_samples)
+    return total * (alpha / (scene.n * scene.omega))
 
 
-def _boundary_sum(scene: RadialScene, angles, m: int):
-    # sum_j w_j f(rho_R) d(rho_R^n)/dp along the boundary paths, with the
-    # plain Gauss-Laguerre rule (the phase is regular at the boundary)
-    rule = gauss_exp_power(m, 1, 0)
-    rho, drho = _boundary_samples(scene, angles, rule.nodes / scene.omega)
-    return _radial_sum(scene, angles, rule, 0, rho, drho)
-
-
-def _boundary_grid(scene: RadialScene, angles, m: int):
+def _boundary_grid(scene: RadialScene, angles, m: int, G):
     """Boundary term of the star-shaped rule over a direction grid.
 
-    Returns ``exp(i w g(R Theta))/(n w) sum_j w_j f(rho_R) d(rho_R^n)/dp``.
-    The star-shaped pre-quadrature value is
-    ``_central_grid - _boundary_grid``.
+    Returns ``exp(i w G)/(n w) sum_j w_j f(rho_R) d(rho_R^n)/dp``, the
+    plain Gauss-Laguerre sum along the boundary paths (the phase is regular
+    at the boundary).  ``G`` holds the boundary phase g(R(Theta), Theta) on
+    ``angles``, as the caller already evaluated it.  The star-shaped
+    pre-quadrature value is ``_central_grid - _boundary_grid``.
     """
-    gR = np.asarray(_boundary_phase(scene)(*angles), dtype=complex)
-    return np.exp(1j * scene.omega * gR) * _boundary_sum(scene, angles, m) / (scene.n * scene.omega)
+    total = _descent_sum(scene, angles, m, 1, 0, _boundary_samples)
+    return np.exp(1j * scene.omega * G) * total / (scene.n * scene.omega)
 
 
 def integrate_unbounded(scene: RadialScene, region: AngularRegion, plan: OuterPlan, m: int) -> complex:
@@ -320,7 +321,7 @@ def _boundary_amplitude(scene, m):
     # amplitude of the boundary term as an analytic function of the
     # (possibly complex) angle; the oscillatory factor exp(i w G) is
     # supplied by the univariate descent machinery.
-    return lambda th: _boundary_sum(scene, (th,), m) / (scene.n * scene.omega)
+    return lambda th: _descent_sum(scene, (th,), m, 1, 0, _boundary_samples) / (scene.n * scene.omega)
 
 
 def _stationary_points(G, lo, hi, dG=None):
@@ -395,7 +396,7 @@ def integrate_star_shaped(scene: RadialScene, region: AngularRegion, plan: Outer
     constant = _boundary_is_constant(G)
     q = _central_grid(scene, mesh, m)
     if constant:
-        q = q - _boundary_grid(scene, mesh, m)
+        q = q - _boundary_grid(scene, mesh, m, G)
     total = complex(np.sum(w * q))
     if not constant:
         total -= _oscillatory_boundary_term(scene, region, m, mesh, G)
@@ -525,12 +526,8 @@ def rectangle_direct_terms(f, a, b, omega, m, m_herm=None, outer_resonance_fix=F
     _check_rectangle("rectangle_direct_terms", a, b, omega)
     if m_herm is None:
         m_herm = 2 * m
-    return {
-        (0.0, 0.0): _direct_corner(f, 0.0, 0.0, omega, m, m_herm, outer_resonance_fix),
-        (a, 0.0): _direct_corner(f, a, 0.0, omega, m, m_herm, outer_resonance_fix),
-        (0.0, b): _direct_corner(f, 0.0, b, omega, m, m_herm, outer_resonance_fix),
-        (a, b): _direct_corner(f, a, b, omega, m, m_herm, outer_resonance_fix),
-    }
+    return {(x0, y0): _direct_corner(f, x0, y0, omega, m, m_herm, outer_resonance_fix)
+            for x0, y0 in ((0.0, 0.0), (a, 0.0), (0.0, b), (a, b))}
 
 
 def normalize_scene(x0, f, g, omega: float, *, n: int | None = None, alpha: int = 1,

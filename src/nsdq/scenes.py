@@ -28,9 +28,6 @@ __all__ = [
     "default_region",
 ]
 
-_TWO_PI = 2.0 * math.pi
-
-
 def _ones(z):
     return np.ones_like(np.asarray(z, dtype=complex))
 
@@ -243,28 +240,26 @@ def sphere_scatter_scene(k: float, psi: float) -> RadialScene:
     )
 
 
+def _table() -> dict:
+    # name -> (builder, region), built on each call so that a builder
+    # replaced after import (perfbench/layertrace.py wraps them) is the one
+    # returned
+    return {
+        "quarter-plane": (quarter_plane_scene, AngularRegion.box(2, (0.0, 0.5 * math.pi))),
+        "disk": (disk_scene, AngularRegion.full(2)),
+        "quarter-disk": (quarter_disk_scene, AngularRegion.box(2, (0.0, 0.5 * math.pi))),
+        "ellipse": (ellipse_scene, AngularRegion.full(2)),
+        "duct": (duct_scene, AngularRegion.box(2, (0.0, 0.5 * math.pi))),
+        "ellipsoid": (ellipsoid_scene, AngularRegion.full(3)),
+        "sphere-scatter": (lambda omega: sphere_scatter_scene(omega, math.pi / 5), AngularRegion.full(2)),
+    }
+
+
 def scene_registry() -> dict:
     """Builders of every registered scene, keyed by name."""
-    return {
-        "quarter-plane": quarter_plane_scene,
-        "disk": disk_scene,
-        "quarter-disk": quarter_disk_scene,
-        "ellipse": ellipse_scene,
-        "duct": duct_scene,
-        "ellipsoid": ellipsoid_scene,
-        "sphere-scatter": lambda omega: sphere_scatter_scene(omega, math.pi / 5),
-    }
+    return {name: build for name, (build, _) in _table().items()}
 
 
 def default_region(name: str) -> AngularRegion:
     """The angular region each registered scene is integrated over."""
-    regions = {
-        "quarter-plane": AngularRegion.box(2, (0.0, 0.5 * math.pi)),
-        "disk": AngularRegion.full(2),
-        "quarter-disk": AngularRegion.box(2, (0.0, 0.5 * math.pi)),
-        "ellipse": AngularRegion.full(2),
-        "duct": AngularRegion.box(2, (0.0, 0.5 * math.pi)),
-        "ellipsoid": AngularRegion.full(3),
-        "sphere-scatter": AngularRegion.full(2),
-    }
-    return regions[name]
+    return _table()[name][1]

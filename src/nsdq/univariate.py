@@ -46,7 +46,8 @@ class Endpoint1D:
     Attributes
     ----------
     x : location of the endpoint.
-    alpha_local : 1 + number of vanishing derivatives of the phase at x.
+    alpha_local : 1 + number of vanishing derivatives of the phase at x,
+        an integer.
     side : +1 when the integration interval lies to the right of x,
         -1 when it lies to the left.  Selects the descent branch when
         alpha_local >= 2; irrelevant otherwise.
@@ -57,8 +58,8 @@ class Endpoint1D:
     side: int = +1
 
     def __post_init__(self):
-        if self.alpha_local < 1:
-            raise ValueError(f"alpha_local must be >= 1, got {self.alpha_local}")
+        if not isinstance(self.alpha_local, (int, np.integer)) or self.alpha_local < 1:
+            raise ValueError(f"alpha_local must be an integer >= 1, got {self.alpha_local!r}")
         if self.side not in (+1, -1):
             raise ValueError(f"side must be +1 or -1, got {self.side}")
 
@@ -201,7 +202,8 @@ def nsd_interval(f, g, a, b, omega: float, m: int, *, dg=None, alpha_a=1, alpha_
 
     The phase must be monotone on ``[a, b]`` with nonvanishing derivative in
     the interior; endpoints with vanishing derivatives are declared through
-    ``alpha_a`` and ``alpha_b``.  Returns G(a) - G(b); the error is of order
+    the integer orders ``alpha_a`` and ``alpha_b`` (1 + the number of
+    vanishing derivatives).  Returns G(a) - G(b); the error is of order
     ``w^-((2m-1)/alpha_max)`` plus exponentially small terms.  The branch
     of an ``alpha >= 2`` endpoint is chosen to point into the interval, so
     ``a < b`` is required.
@@ -212,6 +214,9 @@ def nsd_interval(f, g, a, b, omega: float, m: int, *, dg=None, alpha_a=1, alpha_
     in order.
     """
     a, b, alpha_a, alpha_b = np.broadcast_arrays(a, b, alpha_a, alpha_b)
+    for name, order in (("alpha_a", alpha_a), ("alpha_b", alpha_b)):
+        if order.dtype.kind not in "iu" or order.min() < 1:
+            raise ValueError(f"{name} must hold integers >= 1, got {order.tolist()}")
     ends = []
     for ai, bi, aa, ab in zip(a.ravel(), b.ravel(), alpha_a.ravel(), alpha_b.ravel()):
         if not ai < bi:

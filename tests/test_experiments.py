@@ -39,6 +39,14 @@ def test_fit_slope_synthetic_with_prefactor():
     assert abs(fit.intercept - math.log(5.0)) < 1e-8
 
 
+def test_fit_slope_rejects_unknown_error_kind():
+    # use="ABS" was read as "rel": these rows then fit -9.7e-15, not -2.0
+    rows = [r for r in run_example1([10.0, 100.0, 1000.0], m=4) if r.params["mode"] == "direct"]
+    assert abs(fit_slope(rows, use="abs").slope + 2.0) < 1e-2
+    with pytest.raises(ValueError, match="use"):
+        fit_slope(rows, use="ABS")
+
+
 def test_fit_slope_too_few_points():
     rows = synthetic_rows(1.0, -3.0, omegas=(10.0, 20.0))
     with pytest.raises(ValueError, match="too few"):
@@ -210,6 +218,30 @@ def test_json_roundtrip():
     assert len(payload) == len(rows)
     assert payload[0]["omega"] == 10.0
     assert payload[0]["params"]["m"] == 3
+
+
+def _same(cell, value):
+    # a CSV cell against a JSON value: empty for null, floats to the bit
+    if value is None:
+        return cell == ""
+    return float(cell) == value if isinstance(value, float) else cell == str(value)
+
+
+def test_csv_and_json_records_agree():
+    # a sphere row (no reference) and both example1 rows, field by field
+    rows = run_sphere_scatter([50.0], [0.0], m=3, n_trap=32) + run_example1([10.0], m=3)
+    lines = rows_to_csv(rows).splitlines()
+    records = json.loads(rows_to_json(rows))
+    assert len(lines) == 1 + len(records) == 1 + len(rows)
+    header = lines[0].split(",")
+    for line, record in zip(lines[1:], records):
+        cells = dict(zip(header, line.split(",")))
+        assert set(cells) == set(record)
+        params = dict(item.split("=", 1) for item in cells.pop("params").split(";"))
+        assert set(params) == set(record["params"])
+        assert all(_same(params[k], v) for k, v in record["params"].items())
+        assert all(_same(cell, record[k]) for k, cell in cells.items())
+    assert [r["ref_re"] for r in records] == [-math.pi / 200, -math.pi / 200, None]
 
 
 def test_tables_are_deterministic():

@@ -108,7 +108,7 @@ def test_disk_boundary_contribution_value():
     # this term is subtracted from the central contribution.
     omega = 50.0
     sc = scenes.disk_scene(omega)
-    got = complex(_boundary_grid(sc, (0.1,), 2))
+    got = complex(_boundary_grid(sc, (0.1,), 2, _boundary_phase(sc)(0.1)))
     expect = cmath.exp(1j * omega) * (1j / omega - 1.0 / omega**2)
     assert abs(got - expect) <= 1e-13 * abs(expect)
 
@@ -119,9 +119,10 @@ def test_duct_boundary_at_split_angle():
     beta = math.atan2(b, a)
     eta = math.hypot(a, b)
     assert abs(float(sc.boundary_radius(beta)) - eta) < 1e-12
-    closed = complex(_boundary_grid(sc, (beta,), 6))
+    G = _boundary_phase(sc)(beta)
+    closed = complex(_boundary_grid(sc, (beta,), 6, G))
     sc.boundary_path = None  # force the Newton tracer
-    traced = complex(_boundary_grid(sc, (beta,), 6))
+    traced = complex(_boundary_grid(sc, (beta,), 6, G))
     assert abs(closed - traced) <= 1e-12 * abs(closed)
 
 
@@ -142,7 +143,7 @@ def test_ellipsoid_truncated_boundary_against_oracle():
     oracle = cmath.exp(1j * omega * s) / 3.0 * adaptive_quad_1d(
         descent_integrand, 1e-14, 60.0 / omega, 1e-13
     ).value
-    got = complex(_boundary_grid(sc, angles, 12))
+    got = complex(_boundary_grid(sc, angles, 12, _boundary_phase(sc)(*angles)))
     assert abs(got - oracle) <= 1e-9 * abs(oracle)
 
 
@@ -495,6 +496,22 @@ def test_star_shaped_builds_each_outer_grid_once(name, rule, monkeypatch):
     assert (len(plain), len(nsd)) == ((1, 0) if rule == "plain" else (0, 1))
 
 
+def test_plain_boundary_rule_reads_the_boundary_phase_once():
+    # G = g(R(Theta), Theta) chooses the rule and feeds the plain boundary
+    # term: one call of R and one of g on the 16 outer angles
+    region = scenes.default_region("disk")
+    sc = scenes.disk_scene(30.0)
+    calls = {"boundary_radius": [], "oscillator": []}
+    for field, seen in calls.items():
+        fn = getattr(sc, field)
+        setattr(sc, field, lambda *args, fn=fn, seen=seen: seen.append(args) or fn(*args))
+    plan = OuterPlan.for_region(region, trap=16)
+    integrate_star_shaped(sc, region, plan, 4)
+    th = _outer_grid(region, plan)[0][0]
+    assert [np.array_equal(args[0], th) for args in calls["boundary_radius"]] == [True]
+    assert [np.array_equal(args[-1], th) for args in calls["oscillator"]] == [True]
+
+
 def test_ellipse_boundary_traces_all_endpoints_together(monkeypatch):
     # four intervals between the stationary points of R, eight endpoints:
     # one Newton call per radial node row, each solving all eight paths
@@ -548,7 +565,7 @@ def test_boundary_amplitude_matches_boundary_grid(build):
     amp, G = _boundary_amplitude(sc, 8), _boundary_phase(sc)
     for th in np.linspace(0.05, 1.5, 7):
         got = complex(amp(th) * np.exp(1j * sc.omega * complex(G(th))))
-        want = complex(_boundary_grid(sc, (th,), 8))
+        want = complex(_boundary_grid(sc, (th,), 8, G(th)))
         assert abs(got - want) <= 1e-14 * abs(want)
 
 

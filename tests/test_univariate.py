@@ -86,6 +86,15 @@ def test_interval_needs_increasing_ends():
         nsd_interval(f, g, math.nan, 1.0, 50.0, 8, dg=dg)
 
 
+def test_interval_endpoint_orders_must_be_integers():
+    # alpha_a = 2.7 was truncated to 2, and 1.5 to 1, whose vanishing
+    # coefficient was blamed instead
+    f, g, dg = lambda z: 1.0, lambda z: z * z, lambda z: 2.0 * z
+    for name, bad in (("alpha_a", 2.7), ("alpha_a", 1.5), ("alpha_b", 2.0), ("alpha_b", [1, 0])):
+        with pytest.raises(ValueError, match=f"{name} must hold integers >= 1"):
+            nsd_interval(f, g, [0.0, 0.5], [0.5, 1.0], 50.0, 8, dg=dg, **{name: bad})
+
+
 @pytest.mark.parametrize("omega", [20.0, 50.0, 200.0])
 def test_interval_cubic_phase(omega):
     # alpha = 3 at 0: the branch seed's coefficient comes from the third-order
@@ -209,8 +218,9 @@ def test_endpoint_derivative_is_i_over_dg_on_the_roots(monkeypatch):
 
 
 def test_endpoint_validation():
-    with pytest.raises(ValueError, match="alpha_local"):
-        Endpoint1D(0.0, alpha_local=0)
+    for bad in (0, 2.5, 2.0):
+        with pytest.raises(ValueError, match="alpha_local"):
+            Endpoint1D(0.0, alpha_local=bad)
     with pytest.raises(ValueError, match="side"):
         Endpoint1D(0.0, side=0)
     with pytest.raises(ValueError, match="omega"):
