@@ -7,12 +7,12 @@ worst-interval bisection), the reduced one-dimensional reference for the
 rectangular-duct problem, and nested brute-force integration of planar
 polar integrands at moderate frequencies.
 
-The integrator takes one interval or a sequence of panels.  Panels are
-bisected in lockstep: each round pops the worst interval of every panel
-still above tolerance, in that panel's own heap order, and evaluates all
-their children in one integrand call on a flat 1-D array.  A panel's
-result is therefore bit-identical to integrating it alone; only the number
-of integrand calls falls, from two per bisection to one per round.
+The integrator takes one interval or a sequence of panels, and bisects
+each panel worst interval first.  Each integrand call looks ahead: it
+evaluates, on one flat 1-D array, the children of the worst intervals of
+every unfinished panel, 128 in all, that have none yet.  Each panel then
+replays its bisections while its worst interval has its children, so it
+is bit-identical to bisecting it alone; only the number of calls falls.
 
 Integrand callables must be numpy-vectorized (1-D array in, array out);
 every integrand in this package is.
@@ -37,6 +37,7 @@ __all__ = [
 ]
 
 _MAX_SUBDIVISIONS = 10**6
+_BUDGET = 128  # intervals whose children one look-ahead call evaluates
 
 # Gauss 7 / Kronrod 15 pair on [-1, 1].  Kronrod nodes are symmetric; the
 # odd-indexed ones are the embedded Gauss nodes.
@@ -134,45 +135,68 @@ def adaptive_quad_1d(f, a, b, tol: float = 1e-12) -> AdaptiveResult:
 
     ``a`` and ``b`` may also be equal-length sequences of panels.  Each
     panel is bisected on its own, to its own ``tol``, exactly as a single
-    interval would be; the panels run in lockstep, so one round bisects the
-    worst interval of every panel still above ``tol`` and evaluates all
-    their children in one call of ``f``.  The panel values are summed in
-    panel order.
+    interval would be, and the panel values are summed in panel order.
+    Each call of ``f`` takes the ``max(1, _BUDGET // panels)`` worst
+    intervals of each unfinished panel (``_BUDGET`` = 128) and evaluates the
+    children of those that have none; the result does not depend on this
+    batching.  Endpoints must be finite with a < b, and ``tol`` finite and
+    at least 1e-14.
     """
-    if tol < 1e-14:
-        raise ValueError(f"tolerance below 1e-14 is not resolvable, got {tol}")
+    if not (tol >= 1e-14 and math.isfinite(tol)):
+        raise ValueError(f"adaptive_quad_1d needs a finite tol >= 1e-14, got {tol}")
     lo, hi = (np.ravel(x).astype(float) for x in np.broadcast_arrays(a, b))
     if not lo.size:
         raise ValueError("adaptive_quad_1d needs at least one panel")
-    bad = np.flatnonzero(~(lo < hi))
+    bad = np.flatnonzero(~((lo < hi) & np.isfinite(lo) & np.isfinite(hi)))
     if bad.size:
         i = bad[0]
-        raise ValueError(f"adaptive_quad_1d needs a < b, got [{lo[i]}, {hi[i]}]")
+        raise ValueError(f"adaptive_quad_1d needs finite a < b, got [{lo[i]}, {hi[i]}]")
     vals, errs = _gk15(f, lo, hi)
-    heaps = [[(-e, 0, l, h, v)] for l, h, v, e in zip(lo.tolist(), hi.tolist(), vals, errs)]
+    # Heap entry: (-err, count, lo, hi, value, children or None); count is
+    # unique in a panel, so entries compare on (-err, count) alone.
+    heaps = [[(-e, 0, l, h, v, None)] for l, h, v, e in zip(lo.tolist(), hi.tolist(), vals, errs)]
     total_err = errs
     count = [1] * len(heaps)
     active = [i for i, e in enumerate(total_err) if e > tol and count[i] < _MAX_SUBDIVISIONS]
     while active:
-        popped = [heapq.heappop(heaps[i]) for i in active]
-        edges = []
-        for i, (neg_err, _, l, h, _) in zip(active, popped):
-            total_err[i] += neg_err  # remove this interval's estimate
-            mid = 0.5 * (l + h)
-            edges += [(l, mid), (mid, h)]
-        child_lo, child_hi = np.array(edges).T
+        width = max(1, _BUDGET // len(active))
+        tops, edges = [], []
+        for i in active[:_BUDGET]:
+            heap = heaps[i]
+            top = [heapq.heappop(heap)]
+            while len(top) < width and heap:
+                top.append(heapq.heappop(heap))
+            tops.append(top)
+            for _, _, l, h, _, kids in top:
+                if kids is None:
+                    mid = 0.5 * (l + h)
+                    edges += (l, mid, mid, h)
+        child_lo, child_hi = np.array(edges).reshape(-1, 2).T
         vals, errs = _gk15(f, child_lo, child_hi)
-        still = []
-        for k, i in enumerate(active):
-            (l, mid), (_, h) = edges[2 * k], edges[2 * k + 1]
-            e1, e2 = errs[2 * k], errs[2 * k + 1]
-            heapq.heappush(heaps[i], (-e1, count[i], l, mid, vals[2 * k]))
-            heapq.heappush(heaps[i], (-e2, count[i] + 1, mid, h, vals[2 * k + 1]))
-            total_err[i] += e1 + e2
-            count[i] += 2
-            exhausted = h - l < 1e-15 * max(1.0, abs(l) + abs(h))  # at machine resolution
-            if not exhausted and total_err[i] > tol and count[i] < _MAX_SUBDIVISIONS:
+        fresh = zip(vals[0::2], errs[0::2], vals[1::2], errs[1::2])
+        still = active[_BUDGET:]
+        for i, top in zip(active, tops):
+            heap, n = heaps[i], 0
+            for t in top:
+                if n and heap[0] < t:  # a child of this round comes first: wait for its children
+                    still.append(i)
+                    break
+                neg_err, _, l, h, _, kids = t
+                v1, e1, v2, e2 = kids or next(fresh)
+                total_err[i] += neg_err  # remove this interval's estimate
+                mid = 0.5 * (l + h)
+                heapq.heappush(heap, (-e1, count[i], l, mid, v1, None))
+                heapq.heappush(heap, (-e2, count[i] + 1, mid, h, v2, None))
+                total_err[i] += e1 + e2
+                count[i] += 2
+                n += 1
+                if (h - l < 1e-15 * max(1.0, abs(l) + abs(h))  # at machine resolution
+                        or not total_err[i] > tol or count[i] >= _MAX_SUBDIVISIONS):
+                    break
+            else:
                 still.append(i)
+            for neg_err, k, l, h, v, kids in top[n:]:
+                heapq.heappush(heap, (neg_err, k, l, h, v, kids or next(fresh)))
         active = still
     values = [complex(np.sum(np.array([item[4] for item in sorted(heap, key=lambda t: t[2])])))
               for heap in heaps]
@@ -194,13 +218,14 @@ def acoustics_reference(omega: float, a: float = 1.0, b: float = 2.0, tol: float
 
     which is evaluated adaptively.  For ``w > 2000`` the range is split into
     ``ceil(w/100)`` panels first to keep each subdivision queue shallow.
-    All panels go into one ``adaptive_quad_1d`` call, which bisects them in
-    lockstep, so a row makes one integrand call per bisection round rather
-    than two per bisection.  Each panel must reach ``tol`` on its own; a
-    stalled panel raises ``OracleNotConverged`` naming omega and the panel.
+    All panels go into one ``adaptive_quad_1d`` call, which evaluates the
+    children of up to 128 intervals per integrand call.  ``omega``, ``a`` and
+    ``b`` must be finite and > 0, and each panel must reach ``tol``; a stalled
+    panel raises ``OracleNotConverged`` naming omega and the panel.
     """
-    if not (omega > 0 and math.isfinite(omega)):
-        raise ValueError(f"acoustics_reference needs a finite omega > 0, got omega={omega}")
+    for name, arg in (("omega", omega), ("a", a), ("b", b)):
+        if not (arg > 0 and math.isfinite(arg)):
+            raise ValueError(f"acoustics_reference needs a finite {name} > 0, got {name}={arg}")
 
     def integrand(x):
         return (np.exp(1j * omega * x) - np.exp(1j * omega * np.sqrt(x * x + b * b))) * np.cos(x)

@@ -169,6 +169,98 @@ def test_adaptive_rejects_bad_panels():
         adaptive_quad_1d(lambda x: x, [], [], 1e-10)
 
 
+# Multi-panel calls through the edge paths of the look-ahead replay, with the
+# (value, est_error, subdivisions, stalled) that adaptive_quad_1d returned
+# when it evaluated only the children of the intervals it bisected.
+def _jump(x):
+    # a jump of 1e6 inside [0, 0.5]: that panel bisects down to machine
+    # resolution and stalls there, long before the subdivision cap
+    return np.where(x < math.pi / 10, 0.0, 1e6) + np.exp(1j * 40 * x)
+
+
+def _record(res):
+    return repr(res.value), repr(res.est_error), res.subdivisions, res.stalled
+
+
+def test_adaptive_panel_at_machine_resolution_keeps_bits():
+    res = adaptive_quad_1d(_jump, [0.0, 0.5, 1.2], [0.5, 1.2, 2.0], 1e-12)
+    assert _record(res) == (
+        "(1685840.7097938044+0.027759681095976332j)", "2.6883507204530982e-11", 381, (0,))
+
+
+@pytest.mark.parametrize("cap, value, est_error, subdivisions, stalled", [
+    (9, "(-0.03203903807600265+0.1268060115518455j)", "0.2456966897771211", 36, (0, 1, 2, 3)),
+    (25, "(-0.010781208287380011+0.03121335333380941j)", "0.01847079668119863", 100, (0, 1, 2, 3)),
+    (40, "(-5.119508381087786e-05+0.0019471070446160038j)", "0.00022749696747773892", 152, (0, 2, 3)),
+])
+def test_adaptive_capped_panels_keep_bits(monkeypatch, cap, value, est_error, subdivisions, stalled):
+    monkeypatch.setattr(oracle, "_MAX_SUBDIVISIONS", cap)
+    f = lambda x: np.exp(1j * 300 * x) * np.cos(x)
+    res = adaptive_quad_1d(f, [0.0, 0.4, 0.5, 1.3], [0.4, 0.5, 1.3, 2.0], 1e-13)
+    assert _record(res) == (value, est_error, subdivisions, stalled)
+
+
+def test_adaptive_panels_finishing_in_different_rounds_keep_bits():
+    f = lambda x: np.cos(x) * np.exp(1j * 40 * x) + 1.0 / (1.0 + 25 * x * x)
+    lo, hi = [0.0, 0.3, 1.1, 2.0, 2.05], [0.3, 1.1, 2.0, 2.05, 3.5]
+    res = adaptive_quad_1d(f, lo, hi, 1e-12)
+    assert _record(res) == ("(0.2797365616274512+0.020596684092007916j)", "1.857442739141776e-12", 125, ())
+    alone = [adaptive_quad_1d(f, a, b, 1e-12).subdivisions for a, b in zip(lo, hi)]
+    assert alone == [7, 29, 31, 1, 57]
+
+
+def test_adaptive_more_panels_than_the_budget_match_separate_calls():
+    # more panels than one look-ahead call serves: the ones left over wait a
+    # round, and every panel still bisects exactly as it would alone
+    f = lambda x: np.exp(1j * 3000 * x) * np.cos(x)
+    edges = np.linspace(0.0, 3.0, 2 * oracle._BUDGET + 7)
+    sizes = []
+    res = adaptive_quad_1d(lambda x: sizes.append(x.size) or f(x), edges[:-1], edges[1:], 1e-13)
+    alone = [adaptive_quad_1d(f, a, b, 1e-13) for a, b in zip(edges[:-1], edges[1:])]
+    total = alone[0].value
+    for r in alone[1:]:
+        total += r.value
+    assert repr(res.value) == repr(total)
+    assert res.subdivisions == sum(r.subdivisions for r in alone)
+    assert res.est_error == math.fsum(r.est_error for r in alone)
+    assert sizes[0] == 15 * len(edges[1:])
+    assert max(sizes[1:]) == 15 * 2 * oracle._BUDGET
+
+
+def _counted_acoustics(monkeypatch, omega):
+    # the integrand call sizes and the AdaptiveResult of one acoustics_reference
+    original = oracle.adaptive_quad_1d
+    sizes, results = [], []
+
+    def counting(f, a, b, tol):
+        def counted(x):
+            sizes.append(np.size(x))
+            return f(x)
+
+        results.append(original(counted, a, b, tol))
+        return results[-1]
+
+    monkeypatch.setattr(oracle, "adaptive_quad_1d", counting)
+    acoustics_reference(omega)
+    return sizes, results[0]
+
+
+def test_acoustics_one_panel_row_looks_ahead(monkeypatch):
+    # one interval per integrand call made 510 calls at this omega
+    sizes, res = _counted_acoustics(monkeypatch, 992.37)
+    assert res.subdivisions == 1019
+    assert len(sizes) <= 40
+
+
+@pytest.mark.parametrize("omega", [float(w) for w in np.geomspace(10.0, 10000.0, 7)])
+def test_acoustics_look_ahead_waste_and_call_size(monkeypatch, omega):
+    # the duct table's frequencies: children evaluated but never bisected
+    # stay under 30% of the work, and no call exceeds the look-ahead budget
+    sizes, res = _counted_acoustics(monkeypatch, omega)
+    assert max(sizes) <= 15 * 2 * oracle._BUDGET
+    assert sum(sizes) <= 1.3 * 15 * res.subdivisions
+
+
 def test_acoustics_reference_one_integrand_call_per_round(monkeypatch):
     # 100 panels bisected in lockstep: one call per round, where a call per
     # panel made 6,300 calls at this omega
@@ -194,6 +286,28 @@ def test_acoustics_stalled_panel_names_omega_and_panel(monkeypatch):
         acoustics_reference(9952.19)
     with pytest.raises(OracleNotConverged, match=r"panel 0 \[0\.0, 1\.0\] at omega=992\.37"):
         acoustics_reference(992.37)
+
+
+@pytest.mark.parametrize("a, b, tol", [
+    (0.0, math.inf, 1e-10), (-math.inf, 0.0, 1e-10), (math.nan, 1.0, 1e-10),
+    ([0.0, 1.0], [1.0, math.inf], 1e-10), (0.0, 1.0, math.nan), (0.0, 1.0, math.inf),
+])
+def test_adaptive_rejects_non_finite_input(a, b, tol):
+    # [0, inf] used to return a NaN marked only as stalled, and a NaN tol a
+    # finite value with stalled=(0,)
+    with pytest.raises(ValueError, match="finite"):
+        adaptive_quad_1d(lambda x: np.exp(-x), a, b, tol)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"a": 0.0}, "finite a > 0, got a=0.0"),
+    ({"a": math.inf}, "finite a > 0, got a=inf"),
+    ({"b": -2.0}, "finite b > 0, got b=-2.0"),
+    ({"b": math.nan}, "finite b > 0, got b=nan"),
+])
+def test_acoustics_rejects_bad_sides(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        acoustics_reference(100.0, **kwargs)
 
 
 def test_acoustics_linear_phase_part():
