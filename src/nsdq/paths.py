@@ -69,7 +69,11 @@ class RadialScene:
     direction grid as one ``(m,) + angle shape`` array).  Each element of
     the result may depend only on the matching elements of ``z`` and the
     angles.  Closed-form paths follow the same rule with ``p`` in place of
-    ``z``.
+    ``z``.  Every callable is a pure function of its argument values: a
+    result may not depend on earlier calls, on which array object holds
+    the values, or on whether the caller mutated an array after an earlier
+    call.  A scene may share work between its callables only within that
+    rule, as the sphere scene does (``scenes.sphere_scatter_scene``).
 
     Attributes
     ----------

@@ -22,7 +22,8 @@ Main entry points
     sign-change scan finds from the scene's dG/dtheta (``d_boundary_phase``),
     or from the difference stencil of ``paths`` when the scene has none; it
     traces the paths of every interval endpoint in one continuation
-    (``nsd_interval`` on arrays of edges) with the same dG/dtheta.
+    (``nsd_interval`` on arrays of edges) with the same dG/dtheta.  A
+    phase that is stationary inside the domain raises PathError.
 ``rectangle_corner_contributions``
     The closed-form corner decomposition of the boundary term for an
     axis-aligned rectangle with phase sqrt(x^2 + y^2), including the
@@ -66,6 +67,9 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * math.pi
+# the interior radii, as fractions of R, of integrate_star_shaped's scan for
+# stationary points of the phase along each ray
+_SCAN_T = np.arange(1, 33) / 33
 
 
 def spherical_map(r, angles):
@@ -379,6 +383,30 @@ def _oscillatory_boundary_term(scene, region, m, mesh, G_mesh):
                         dg=dG, alpha_a=alpha_a, alpha_b=alpha_b)
 
 
+def _check_no_radial_stationary_point(scene, mesh, R):
+    # Re g'(rho, Theta) on the _SCAN_T fractions of R on every outer ray, in
+    # one d_oscillator call.  A sign change or a zero marks a stationary
+    # point of the phase inside the domain: its contribution lies on
+    # neither the origin nor the boundary paths, so the value would be
+    # silently wrong.  Two stationary points between neighbouring radii
+    # cancel in sign and are not seen
+    shape = _SCAN_T.shape + np.shape(mesh[0])
+    rho = _SCAN_T.reshape((-1,) + (1,) * (len(shape) - 1)) * np.real(R)
+    d = np.real(scene.d_oscillator(rho, *mesh))
+    if np.shape(d) != shape:  # broadcast only then: it is slow
+        d = np.broadcast_to(d, shape)
+    stationary = d[:-1] * d[1:] <= 0
+    if not stationary.any():
+        return
+    j, *ray = np.argwhere(stationary)[0]
+    rho = np.broadcast_to(rho, shape)
+    angles = ", ".join(f"{float(a[tuple(ray)]):.6g}" for a in mesh)
+    raise PathError(f"scene {scene.name!r}: the phase is stationary inside the domain on the ray "
+                    f"at angles ({angles}), between rho = {rho[(j, *ray)]:.6g} and "
+                    f"{rho[(j + 1, *ray)]:.6g}; integrate_star_shaped covers only the origin "
+                    "and boundary contributions")
+
+
 def integrate_star_shaped(scene: RadialScene, region: AngularRegion, plan: OuterPlan, m: int) -> complex:
     """Outer rule applied to the star-shaped pre-quadrature values.
 
@@ -387,12 +415,20 @@ def integrate_star_shaped(scene: RadialScene, region: AngularRegion, plan: Outer
     boundary phase G that is constant on the outer grid it is smooth as
     well and the plain outer rule applies; otherwise it oscillates and is
     treated by univariate descent in the angle (n = 2 only).
+
+    A stationary point of the phase inside the domain contributes to
+    neither part, so the rule first samples Re dg/dr at 32 interior radii
+    of every outer ray, in one ``d_oscillator`` call, and raises PathError
+    on a sign change or a zero, naming the scene, the ray and the bracket
+    in rho.
     """
     if scene.boundary_radius is None:
         raise ValueError("integrate_star_shaped needs a bounded scene")
     _check_dimensions(scene, region, plan)
     mesh, w = _outer_grid(region, plan)
-    G = np.asarray(_boundary_phase(scene)(*mesh), dtype=complex)
+    R = scene.boundary_radius(*mesh)
+    _check_no_radial_stationary_point(scene, mesh, R)
+    G = np.asarray(scene.oscillator(R, *mesh), dtype=complex)
     constant = _boundary_is_constant(G)
     q = _central_grid(scene, mesh, m)
     if constant:

@@ -172,6 +172,14 @@ def _csinc(w):
     return out
 
 
+def _value_key(*args):
+    # the exact values of the arguments: dtype, shape and bytes of a copy.
+    # Unlike ==, it tells 1+0j from 1-0j (their sphere amplitudes differ in
+    # the sign of a zero) and a float from a complex array, and an array
+    # the caller mutates in place no longer matches
+    return tuple((a.dtype.str, a.shape, a.tobytes()) for a in map(np.asarray, args))
+
+
 def sphere_scatter_scene(k: float, psi: float) -> RadialScene:
     r"""Kernel of the phase-extracted sphere-scattering integral equation.
 
@@ -192,40 +200,60 @@ def sphere_scatter_scene(k: float, psi: float) -> RadialScene:
     psi = pi/2 puts the observation point on the shadow boundary and the
     scene degenerates.
 
-    The amplitude, the oscillator and its derivative share one kernel for
-    the local offsets u, v, cos(theta), sin(theta) and the square-root
-    distance; the terms of d2 = 0 are left out.
+    The amplitude, the oscillator and its derivative share the kernel
+    terms of one ``(z, theta)``: cos(theta), sin(theta), both ``_csinc``
+    terms, the square-root distance and the sines and cosines of the local
+    offsets u, v.  The last distinct argument pair and its terms sit in a
+    one-slot cache, keyed on a copy of the argument values, so a Newton
+    step's g and g' and the path derivative i/g' on a converged root cost
+    one kernel evaluation.  The amplitude needs only cos u and the distance
+    and computes nothing more when it misses.  The terms of d2 = 0 are left
+    out.
     """
     if not 0 <= psi < math.pi / 2:
         raise ValueError(
             f"sphere scattering scene needs 0 <= psi < pi/2 (shadow boundary at pi/2), got {psi}"
         )
     d1, d3 = -math.cos(psi), math.sin(psi)
+    last = [None]  # (key, terms) of the last distinct (z, theta)
 
-    def _kernel(z, th):
+    def _terms(z, th, newton):
         # local parameter-plane offsets phi1 = pi/2 + u, phi2 = pi + v, then
         # sqrt(2 - 2 cos u cos v) continued analytically through the origin:
         # 2 - 2 cos u cos v = 2 sin^2(z(c+s)/2) + 2 sin^2(z(s-c)/2) = z^2 C(z)
-        # with C(0) = 1; take z sqrt(C) on the principal branch of C.
-        c, s = np.cos(th), np.sin(th)
-        A, B = 0.5 * (c + s), 0.5 * (s - c)
-        C = 2.0 * (A**2 * _csinc(z * A) ** 2 + B**2 * _csinc(z * B) ** 2)
-        return -z * c, z * s, c, s, z * np.sqrt(C)
+        # with C(0) = 1; take z sqrt(C) on the principal branch of C.  The
+        # terms only g and g' read are added when one of them first asks.
+        # An entry of the slot is replaced, never changed, so a thread that
+        # reads it sees a key and the terms of that key
+        key = _value_key(z, th)
+        entry = last[0]
+        if entry is None or entry[0] != key:
+            c, s = np.cos(th), np.sin(th)
+            A, B = 0.5 * (c + s), 0.5 * (s - c)
+            C = 2.0 * (A**2 * _csinc(z * A) ** 2 + B**2 * _csinc(z * B) ** 2)
+            u = -z * c
+            entry = key, {"c": c, "s": s, "u": u, "dist": z * np.sqrt(C), "cu": np.cos(u)}
+            last[0] = entry
+        t = entry[1]
+        if newton and "sv" not in t:
+            v = z * t["s"]
+            t = {**t, "su": np.sin(t["u"]), "sv": np.sin(v), "cv": np.cos(v)}
+            last[0] = key, t
+        return t
 
     def oscillator(z, th):
-        u, v, _, _, dist = _kernel(z, th)
-        return dist + d1 * (np.cos(u) * np.cos(v) - 1.0) + d3 * np.sin(u)
+        t = _terms(z, th, True)
+        return t["dist"] + d1 * (t["cu"] * t["cv"] - 1.0) + d3 * t["su"]
 
     def d_oscillator(z, th):
-        u, v, c, s, dist = _kernel(z, th)
-        su, cu = np.sin(u), np.cos(u)
-        sv, cv = np.sin(v), np.cos(v)
+        t = _terms(z, th, True)
+        c, s, su, cu, sv, cv = (t[name] for name in ("c", "s", "su", "cu", "sv", "cv"))
         dE = -2.0 * c * su * cv + 2.0 * s * cu * sv
-        return dE / (2.0 * dist) + d1 * (c * su * cv - s * cu * sv) - d3 * c * cu
+        return dE / (2.0 * t["dist"]) + d1 * (c * su * cv - s * cu * sv) - d3 * c * cu
 
     def amplitude(z, th):
-        u, _, _, _, dist = _kernel(z, th)
-        return np.cos(u) / (4.0 * math.pi * dist)
+        t = _terms(z, th, False)
+        return t["cu"] / (4.0 * math.pi * t["dist"])
 
     return RadialScene(
         n=2,

@@ -175,6 +175,19 @@ def test_sphere_row_oscillator_calls(monkeypatch):
     assert 0 < len(calls) <= 52
 
 
+def test_sphere_row_kernel_evaluations(monkeypatch):
+    # cost guard: g, g' and f share one kernel evaluation per distinct
+    # (z, theta), so a Newton step's g and g' and the path derivative on
+    # its root cost two _csinc calls, not four; 200 before the sharing
+    from nsdq import scenes
+
+    calls = []
+    csinc = scenes._csinc
+    monkeypatch.setattr(scenes, "_csinc", lambda w: calls.append(1) or csinc(w))
+    run_sphere_scatter([100.0], [0.6283])
+    assert 0 < len(calls) <= 102
+
+
 def test_sphere_table_layout():
     psis = [0.0, math.pi / 10, math.pi / 5, math.pi / 3]
     rows = run_sphere_scatter([50.0, 100.0, 150.0, 200.0], psis, m=3, n_trap=32)

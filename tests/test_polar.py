@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 import re
 import warnings
@@ -540,6 +541,65 @@ def test_duct_star_shaped_raises_typed_error(omega):
         warnings.simplefilter("error")
         with pytest.raises(PathError, match="analytic"):
             integrate_star_shaped(scenes.duct_scene(omega), region, plan, 6)
+
+
+def _disk_saddle_scene(omega):
+    # disk of radius 2, unit amplitude, g = z - 0.4 z^2: g' vanishes at
+    # rho = 1.25 on every ray, inside the domain.  Without the check the
+    # integrator read -0.388 + 0.160i at omega = 50 (trap 16, m = 8), where
+    # brute_force_polar gives 1.419 - 2.375i
+    return RadialScene(
+        n=2, omega=omega,
+        amplitude=lambda z, th: np.ones(np.broadcast_shapes(np.shape(z), np.shape(th)), dtype=complex),
+        oscillator=lambda z, th: z - 0.4 * z * z + 0.0 * th,
+        d_oscillator=lambda z, th: 1.0 - 0.8 * z + 0.0 * th,
+        boundary_radius=lambda th: 2.0 + 0.0 * np.asarray(th),
+        name="disk-saddle",
+    )
+
+
+@pytest.mark.parametrize("omega", [50.0, 100.0, 200.0])
+def test_interior_stationary_point_raises(omega):
+    region = scenes.default_region("disk")
+    plan = OuterPlan.for_region(region, trap=16)
+    with pytest.raises(PathError, match=r"scene 'disk-saddle': the phase is stationary inside the "
+                                        r"domain on the ray at angles \(0\), between "
+                                        r"rho = 1\.21212 and 1\.27273"):
+        integrate_star_shaped(_disk_saddle_scene(omega), region, plan, 8)
+
+
+def test_interior_stationary_point_on_a_later_ray_with_scalar_radius():
+    # R is a Python float and g' vanishes inside only where sin^2 theta is
+    # large; the error names the smallest bracket in rho, on theta = pi / 2
+    sc = dataclasses.replace(_disk_saddle_scene(50.0), boundary_radius=lambda th: 2.0,
+                             d_oscillator=lambda z, th: 1.0 - 0.8 * z * np.sin(th) ** 2)
+    region = scenes.default_region("disk")
+    with pytest.raises(PathError, match=r"at angles \(1\.5708\), between rho = 1\.21212 and 1\.27273"):
+        integrate_star_shaped(sc, region, OuterPlan.for_region(region, trap=16), 8)
+
+
+def test_offset_special_point_stationary_phase_raises():
+    # around x0 = (0.1, -0.2) the rays that head back past the phase's
+    # minimum at the origin have g' < 0 near x0 and g' > 0 further out.
+    # Without the check the integrator read -0.00852 + 0.00223i at
+    # omega = 40 (trap 40, m = 8); brute_force_polar gives -0.00912 - 0.00458i
+    region = scenes.default_region("ellipse")
+    with pytest.raises(PathError, match="scene 'normalized': the phase is stationary inside"):
+        integrate_star_shaped(_offset_ellipse_scene(40.0), region,
+                              OuterPlan.for_region(region, trap=40), 8)
+
+
+def test_interior_stationary_point_scan_is_one_call():
+    # the disk's paths are closed forms, so every d_oscillator call is the
+    # scan's: one call on 32 interior radii of each of the 16 rays
+    sc = scenes.disk_scene(30.0, radius=1.5)
+    radii = []
+    dg = sc.d_oscillator
+    sc.d_oscillator = lambda z, th: radii.append(z) or dg(z, th)
+    region = scenes.default_region("disk")
+    integrate_star_shaped(sc, region, OuterPlan.for_region(region, trap=16), 4)
+    assert [np.shape(z) for z in radii] == [(32, 16)]
+    assert 0.0 < np.min(radii[0]) and np.max(radii[0]) < 1.5
 
 
 def _offset_ellipse_scene(omega):

@@ -98,3 +98,96 @@ def test_callables_are_elementwise_over_node_axis(name, scene, region):
         stacked = fn(rho, *angles)
         for j in range(M):
             assert _same_bits(np.broadcast_to(stacked, rho.shape)[j], fn(rho[j], *angles))
+
+
+# The sphere scene shares its kernel terms between its callables through a
+# one-slot cache on the argument values.  Each call must still return what a
+# freshly built scene returns, bit for bit, whatever came before it.
+SPHERE_PSIS = [0.0, math.pi / 3]
+FIELDS = ("oscillator", "d_oscillator", "amplitude")
+
+
+def _assert_fresh(scene, psi, field, z, th):
+    got = getattr(scene, field)(z, th)
+    want = getattr(scenes.sphere_scatter_scene(OMEGA, psi), field)(np.copy(z), np.copy(th))
+    assert type(got) is type(want)
+    got, want = np.asarray(got), np.asarray(want)
+    assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+
+
+def _sphere_rows(psi):
+    # origin-path points of a small direction grid, node axis leading
+    angles = _grid(scenes.default_region("sphere-scatter"))
+    rho, _ = _origin_samples(scenes.sphere_scatter_scene(OMEGA, psi), angles,
+                             gauss_exp_power(M, 1, 0).nodes / OMEGA)
+    return rho, angles[0]
+
+
+@pytest.mark.parametrize("psi", SPHERE_PSIS)
+def test_sphere_interleaved_calls_match_a_fresh_scene(psi):
+    rho, th = _sphere_rows(psi)
+    scene = scenes.sphere_scatter_scene(OMEGA, psi)
+    for j in (0, 1, 1, 0, 2):
+        for field in FIELDS[j % 3:] + FIELDS[:j % 3]:
+            _assert_fresh(scene, psi, field, rho[j], th)
+    _assert_fresh(scene, psi, "amplitude", rho[3], th)
+    _assert_fresh(scene, psi, "amplitude", rho[3], th[::-1])
+    _assert_fresh(scene, psi, "d_oscillator", rho[3], th[::-1])
+    _assert_fresh(scene, psi, "oscillator", rho[3], th)
+
+
+@pytest.mark.parametrize("psi", SPHERE_PSIS)
+def test_sphere_arrays_mutated_in_place_match_a_fresh_scene(psi):
+    rho, th = _sphere_rows(psi)
+    z, th = rho[0].copy(), th.copy()
+    scene = scenes.sphere_scatter_scene(OMEGA, psi)
+    for field in FIELDS:
+        scene.oscillator(z, th)
+        z *= 1.01
+        _assert_fresh(scene, psi, field, z, th)
+        th += 0.1
+        _assert_fresh(scene, psi, field, z, th)
+
+
+@pytest.mark.parametrize("psi", SPHERE_PSIS)
+def test_sphere_signed_zero_and_dtype_match_a_fresh_scene(psi):
+    # 1+0j and 1-0j compare equal, but the amplitudes on them differ in the
+    # sign of a zero; a float z compares equal to its complex copy
+    th = np.linspace(0.1, 6.0, 5)
+    z = np.array([0.5, 1.0, 2.0, 3.0, 5.0]) + 0j
+    scene = scenes.sphere_scatter_scene(OMEGA, psi)
+    for first, then in ((z, np.conj(z)), (z.real, z)):
+        for field in FIELDS:
+            scene.oscillator(first, th)
+            _assert_fresh(scene, psi, field, then, th)
+
+
+@pytest.mark.parametrize("psi", SPHERE_PSIS)
+def test_sphere_nan_element_matches_a_fresh_scene(psi):
+    rho, th = _sphere_rows(psi)
+    z = rho[2].copy()
+    z[1] = complex(np.nan, 0.0)
+    scene = scenes.sphere_scatter_scene(OMEGA, psi)
+    with np.errstate(invalid="ignore"):
+        for field in FIELDS + FIELDS[::-1]:
+            _assert_fresh(scene, psi, field, z, th)
+        _assert_fresh(scene, psi, "d_oscillator", rho[2], th)
+
+
+@pytest.mark.parametrize("psi", SPHERE_PSIS)
+def test_sphere_scalar_z_matches_a_fresh_scene(psi):
+    scene = scenes.sphere_scatter_scene(OMEGA, psi)
+    for z, th in ((0.3 + 0.02j, 0.7), (0.3 + 0.02j, 0.7), (0.3 + 0.02j, np.float64(1.2)), (0.4, 1.2)):
+        for field in FIELDS:
+            _assert_fresh(scene, psi, field, z, th)
+
+
+@pytest.mark.parametrize("psi", SPHERE_PSIS)
+def test_sphere_node_axis_z_matches_a_fresh_scene(psi):
+    # the (m,) + grid array of the pre-quadrature after the rows it stacks
+    rho, th = _sphere_rows(psi)
+    scene = scenes.sphere_scatter_scene(OMEGA, psi)
+    for field in FIELDS:
+        scene.oscillator(rho[-1], th)
+        _assert_fresh(scene, psi, field, rho, th)
+        _assert_fresh(scene, psi, field, rho[:, :1], th[:1])
