@@ -5,8 +5,10 @@ point where the observation point meets the surface.  Integrating only the
 central contribution of the polar descent rule gives a local approximation
 w0 of the kernel's action on a constant field, and -1/w0 approximates the
 surface density itself.  An analytic comparison would require a Mie-series
-evaluation, so the table reports self-convergence of w0 under a doubled
-rule instead.
+evaluation, so the table reports the error estimate of w0 = w0(m, N)
+instead: |w0 - w0c|/|w0| + d^2, where w0c takes the companion radial rule
+with m + 3 points on the same N directions and d = |w0 - w0(m, N/2)|/|w0|
+is the gap to the nested N/2 trapezoid, summed from the same Q_r values.
 """
 
 import math

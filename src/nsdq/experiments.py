@@ -10,9 +10,11 @@ Four experiments drive the library end to end:
   Cartesian descent (the documented failure), and the direct decomposition
   with the central term repaired by the polar rule.
 * ``sphere``: the high-frequency sphere-scattering kernel; emits the local
-  surface-field approximation -1/w0 and self-convergence diagnostics (the
-  analytic reference would require a Mie-series evaluation, which is out of
-  scope, so the reference column stays empty).
+  surface-field approximation -1/w0 and its error estimate ``self_err`` =
+  |w0 - w0c|/|w0| + d^2, from a companion radial rule (m + 3 points) on the
+  same directions and the gap d to the nested N/2 trapezoid (the analytic
+  reference would require a Mie-series evaluation, which is out of scope,
+  so the reference column stays empty).
 * ``example1``: the quarter-plane sanity case with known value
   -pi/(2 w^2), plus the stagnating direct origin term for contrast.
 
@@ -33,10 +35,12 @@ from .polar import (
     OuterPlan,
     _central_grid,
     _outer_grid,
+    _outer_sums,
     integrate_unbounded,
     rectangle_corner_contributions,
     rectangle_direct_terms,
 )
+from .rules import _MAX_POINTS, _count
 from .rules import trapezoid_periodic  # not called here; perfbench/layertrace.py patches this name
 from .specfun import ellipsoid_reference
 
@@ -216,38 +220,66 @@ def run_sphere_scatter(k_grid, psi_grid=(0.0, math.pi / 10, math.pi / 5, math.pi
                        m: int = 5, n_trap: int = 100):
     """Sphere-scattering kernel experiment.
 
-    Emits the prototype surface-field value ``-1/w0`` per (psi, k) with
-    self-convergence diagnostics in the params.  The reference column stays
-    empty: the analytic comparison requires a Mie-series evaluation, which
-    this package does not ship.
+    Emits the prototype surface-field value ``-1/w0`` per (psi, k), where
+    w0 = w0(m, N) is the polar rule's integral with m radial points on
+    N = ``n_trap`` trapezoid directions.  Its error estimate ``self_err``
+    goes into the params:
+
+        self_err = |w0 - w0c|/|w0| + d^2,   d = |w0 - w0h|/|w0|,
+
+    where w0c takes the companion radial rule (m + 3 points) on the same N
+    directions, and w0h sums the Q_r values of w0 on every other direction
+    with doubled weights (the nested N/2 trapezoid, no new scene
+    evaluation).  The trapezoid converges geometrically on the smooth
+    periodic angular integrand, so d^2 stands for the error of the N-node
+    rule, and the companion gap for that of the radial rule.  The reference
+    column stays empty: the analytic comparison requires a Mie-series
+    evaluation, which this package does not ship.
+
+    Every input is checked before any row runs: each psi lies in
+    [0, pi/2), m is an integer with m + 3 <= 64 and n_trap an even integer
+    >= 4; otherwise ValueError.
     """
     ks = _omega_array(k_grid)
     psis = [float(psi) for psi in psi_grid]
     if not psis:
         raise ValueError("psi grid must be non-empty")
-    rows = []
     for psi in psis:
         if abs(psi - 0.5 * math.pi) < 1e-12:
             raise ValueError("psi = pi/2 puts the point on the shadow boundary; rejected")
+        if not 0.0 <= psi < 0.5 * math.pi:
+            raise ValueError(f"run_sphere_scatter needs 0 <= psi < pi/2, got psi={psi}")
+    m, n_trap = _count("run_sphere_scatter", "m", m), _count("run_sphere_scatter", "n_trap", n_trap)
+    if not 1 <= m <= _MAX_POINTS - 3:
+        raise ValueError(f"run_sphere_scatter needs 1 <= m and m + 3 <= {_MAX_POINTS} "
+                         f"(the companion rule has m + 3 points), got m={m}")
+    if n_trap < 4 or n_trap % 2:
+        raise ValueError("run_sphere_scatter needs an even n_trap >= 4 (the estimate also sums "
+                         f"every other direction), got n_trap={n_trap}")
+    region = scenes.default_region("sphere-scatter")
+    plan = OuterPlan.for_region(region, trap=n_trap)
+    rows = []
+    for psi in psis:
         for k in ks:
             k = float(k)
-            w0 = _sphere_w0(k, psi, m, n_trap)
-            w0_fine = _sphere_w0(k, psi, m + 3, 2 * n_trap)
+            w0, w0c, w0h = _outer_sums(scenes.sphere_scatter_scene(k, psi), region, plan, m, m + 3)
+            d = abs(w0 - w0h) / abs(w0)
             rows.append(ExperimentRow(
                 k, -1.0 / w0, None,
                 params={"psi": psi, "m": m, "n_trap": n_trap,
                         "w0_re": w0.real, "w0_im": w0.imag,
-                        "self_err": abs(w0 - w0_fine) / abs(w0)},
+                        "self_err": abs(w0 - w0c) / abs(w0) + d * d},
             ))
     return rows
 
 
 def sphere_table(rows) -> str:
-    """Self-convergence table in the (psi row, k column) layout.
+    """Error-estimate table in the (psi row, k column) layout.
 
-    One line per psi, one column per k; cells are the relative
-    self-convergence of w0.  A trailing note records why no analytic
-    reference is printed.
+    One line per psi, one column per k; cells are each row's ``self_err``,
+    |w0 - w0c|/|w0| + d^2 (see ``run_sphere_scatter``).  A trailing note
+    gives that definition and records why no analytic reference is
+    printed.
     """
     psis = sorted({r.params["psi"] for r in rows})
     ks = sorted({r.omega for r in rows})
@@ -256,7 +288,8 @@ def sphere_table(rows) -> str:
     for psi in psis:
         lines.append(f"{psi:8.5f} " + "  ".join(f"{cell[(psi, k)]:12.5e}" for k in ks))
     lines.append(
-        "note: cells are self-convergence diagnostics |w0(m,N) - w0(m+3,2N)|/|w0|; "
+        "note: cells are error estimates |w0 - w0c|/|w0| + d^2 of w0 = w0(m, N), with w0c the "
+        "companion rule w0(m+3, N) and d = |w0 - w0(m, N/2)|/|w0| on the nested trapezoid; "
         "the analytic reference needs a Mie-series evaluation and is not shipped."
     )
     return "\n".join(lines)

@@ -298,16 +298,35 @@ def _boundary_grid(scene: RadialScene, angles, m: int, G):
     return np.exp(1j * scene.omega * G) * total / (scene.n * scene.omega)
 
 
+def _outer_sums(scene: RadialScene, region: AngularRegion, plan: OuterPlan, m: int,
+                m_companion: int | None = None) -> list:
+    """The outer sum ``phase * sum(w * Q_r)`` of ``integrate_unbounded``, in a list.
+
+    With ``m_companion`` the list also holds the two sums an error estimate
+    reads, after the value: the companion radial rule's Q_r on the same
+    outer grid, and the value's own Q_r on every other node of the last
+    axis with doubled weights.  That axis must be a periodic trapezoid with
+    an even count, so the second sum is the nested N/2 trapezoid; it costs
+    no scene evaluation.
+    """
+    _check_dimensions(scene, region, plan)
+    mesh, w = _outer_grid(region, plan)
+    q = _central_grid(scene, mesh, m)
+    terms = [(w, q)]
+    if m_companion is not None:
+        half = (..., slice(None, None, 2))
+        terms += [(w, _central_grid(scene, mesh, m_companion)), (2.0 * w[half], q[half])]
+    return [complex(scene.phase_at_origin) * complex(np.sum(w * q)) for w, q in terms]
+
+
 def integrate_unbounded(scene: RadialScene, region: AngularRegion, plan: OuterPlan, m: int) -> complex:
     """Outer tensor rule applied to the central contribution over a cone.
 
     Error: the outer rule's own error on the smooth integrand Q_r plus the
     radial pre-quadrature error O(w^-((2m-1)/alpha)).
     """
-    _check_dimensions(scene, region, plan)
-    mesh, w = _outer_grid(region, plan)
-    q = _central_grid(scene, mesh, m)
-    return complex(scene.phase_at_origin) * complex(np.sum(w * q))
+    value, = _outer_sums(scene, region, plan, m)
+    return value
 
 
 def _boundary_is_constant(G):

@@ -147,6 +147,14 @@ def _golub_welsch(a: np.ndarray, b: np.ndarray):
     return nodes, weights
 
 
+def _count(builder: str, name: str, value) -> int:
+    # a rule size must be an int or a numpy integer: a float such as 2.5
+    # would build a rule of another size and memoize it under the float
+    if not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{builder} needs an integer {name}, got {name}={value!r}")
+    return int(value)
+
+
 _cache: dict = {}
 _cache_lock = threading.Lock()
 
@@ -175,7 +183,7 @@ def gauss_exp_power(m: int, alpha: int, degree: int = 0) -> QuadRule:
     Parameters
     ----------
     m : int
-        Number of points, ``1 <= m <= 64``.
+        Number of points, an integer ``1 <= m <= 64``.
     alpha : int
         Exponent of the exponential decay, one of 1, 2, 3, 4.
     degree : int
@@ -190,10 +198,11 @@ def gauss_exp_power(m: int, alpha: int, degree: int = 0) -> QuadRule:
     Raises
     ------
     ValueError
-        If the requested rule is outside the range for which construction is
-        numerically stable in double precision (m > 64, alpha not in
-        {1, 2, 3, 4}, or degree > 8).
+        If ``m`` is not an integer, or the requested rule is outside the
+        range for which construction is numerically stable in double
+        precision (m > 64, alpha not in {1, 2, 3, 4}, or degree > 8).
     """
+    m = _count("gauss_exp_power", "m", m)
     if not 1 <= m <= _MAX_POINTS:
         raise ValueError(f"gauss_exp_power supports 1 <= m <= {_MAX_POINTS}, got m={m}")
     if alpha not in _SUPPORTED_ALPHA:
@@ -213,7 +222,8 @@ def gauss_exp_power(m: int, alpha: int, degree: int = 0) -> QuadRule:
 
 
 def clenshaw_curtis(n: int, a: float, b: float) -> QuadRule:
-    """n-point Clenshaw-Curtis rule on ``[a, b]``, exact on degree ``n - 1``."""
+    """n-point Clenshaw-Curtis rule on ``[a, b]``, exact on degree ``n - 1``; n is an integer."""
+    n = _count("clenshaw_curtis", "n", n)
     if n < 2:
         raise ValueError(f"clenshaw_curtis needs n >= 2, got {n}")
     if not a < b:
@@ -244,8 +254,10 @@ def clenshaw_curtis(n: int, a: float, b: float) -> QuadRule:
 def trapezoid_periodic(n: int, period: float) -> QuadRule:
     """n-point trapezoidal rule on one period ``[0, period)``.
 
-    Exact on constants and on ``exp(2 pi i k x / period)`` for ``0 < |k| < n``.
+    Exact on constants and on ``exp(2 pi i k x / period)`` for ``0 < |k| < n``;
+    n is an integer.
     """
+    n = _count("trapezoid_periodic", "n", n)
     if n < 1:
         raise ValueError(f"trapezoid_periodic needs n >= 1, got {n}")
     if not period > 0:

@@ -29,9 +29,10 @@ def test_tracer_installs_and_restores():
 def test_tracer_counts_every_newton_call():
     # every traced path, radial or endpoint, must reach the wrapped
     # newton_descent: one call per node row of the continuation.  The rule
-    # builds and the polar grids are counted too: the sphere's two w0 sums
-    # build their trapezoid and Gauss rules and Q_r grids (100 + 200
-    # directions) through the wrapped names, whichever composition sums them
+    # builds and the polar grids are counted too: the sphere's w0 and its
+    # companion build one trapezoid, two Gauss rules and two Q_r grids on
+    # the same 100 directions through the wrapped names, whichever
+    # composition sums them
     from nsdq import experiments, polar, scenes
 
     tracer = _tracer()
@@ -46,7 +47,7 @@ def test_tracer_counts_every_newton_call():
     finally:
         tracer.restore()
     assert (ellipse["paths.newton_calls"], ellipse["paths.newton_points"]) == (8, 64)
-    assert (sphere["paths.newton_calls"], sphere["paths.newton_points"]) == (13, 2100)
+    assert (sphere["paths.newton_calls"], sphere["paths.newton_points"]) == (13, 1300)
     layers = ("rules.calls", "polar.calls", "polar.directions")
     assert tuple(ellipse[k] for k in layers) == (11, 2, 104)
-    assert tuple(sphere[k] for k in layers) == (4, 2, 300)
+    assert tuple(sphere[k] for k in layers) == (3, 2, 200)

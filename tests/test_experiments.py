@@ -12,6 +12,7 @@ import pytest
 import nsdq
 from nsdq.experiments import (
     ExperimentRow,
+    _sphere_w0,
     fit_slope,
     rows_to_csv,
     rows_to_json,
@@ -148,6 +149,65 @@ def test_sphere_rows_have_no_reference():
 def test_sphere_rejects_shadow_boundary():
     with pytest.raises(ValueError, match="shadow"):
         run_sphere_scatter([50.0], [math.pi / 2])
+
+
+@pytest.mark.parametrize("kwargs, named", [
+    ({"psi_grid": [0.0, 0.314, -0.1]}, "psi=-0.1"),
+    ({"psi_grid": [0.0, 1.6]}, "psi=1.6"),
+    ({"psi_grid": [0.0, math.nan]}, "psi=nan"),
+    ({"psi_grid": [0.0, math.pi / 2]}, "shadow"),
+    ({"m": 2.5}, "m=2.5"),
+    ({"m": 0}, "m=0"),
+    ({"m": 62}, "m=62"),
+    ({"n_trap": 101}, "n_trap=101"),
+    ({"n_trap": 2}, "n_trap=2"),
+    ({"n_trap": 100.0}, "n_trap=100.0"),
+], ids=["psi-negative", "psi-above", "psi-nan", "psi-shadow", "m-float", "m-zero",
+        "m-companion-above-64", "n-trap-odd", "n-trap-2", "n-trap-float"])
+def test_sphere_inputs_checked_before_any_row(kwargs, named, monkeypatch):
+    # a bad input late in the grid used to raise only after the earlier
+    # rows ran; now no scene is built before every input is checked
+    from nsdq import scenes
+
+    built = []
+    build = scenes.sphere_scatter_scene
+    monkeypatch.setattr(scenes, "sphere_scatter_scene", lambda *a: built.append(a) or build(*a))
+    with pytest.raises(ValueError, match=named):
+        run_sphere_scatter([50.0, 100.0], **kwargs)
+    assert built == []
+
+
+def test_sphere_accepts_largest_companion_and_numpy_sizes():
+    # m + 3 = 64 is the largest companion rule; numpy integers pass
+    row, = run_sphere_scatter([50.0], [0.0], m=np.int64(61), n_trap=np.int64(8))
+    assert row.params["m"] == 61 and row.params["self_err"] >= 0.0
+
+
+@pytest.mark.parametrize("psi", [0.0, 0.314, 0.628, 1.047, 1.3])
+@pytest.mark.parametrize("k", [50.0, 200.0])
+def test_sphere_self_err_is_honest(k, psi):
+    # self_err against the true error (an m = 14, N = 400 reference) and
+    # against its old definition |w0(5, 100) - w0(8, 200)|/|w0|, both from
+    # integrate_unbounded.  At psi = 1.3, k = 50 both read 1.2e-2 against
+    # a true 1.8e-2
+    row, = run_sphere_scatter([k], [psi], m=5, n_trap=100)
+    w0 = complex(row.params["w0_re"], row.params["w0_im"])
+    ref = _sphere_w0(k, psi, 14, 400)
+    true = abs(w0 - ref) / abs(ref)
+    old = abs(w0 - _sphere_w0(k, psi, 8, 200)) / abs(w0)
+    est = row.params["self_err"]
+    if true > 1e-12:
+        assert est >= 0.5 * true, (est, true)
+    if old > 1e-13:
+        assert est >= 0.99 * old, (est, old)
+
+
+def test_cli_sphere_odd_outer_trap_exits_one():
+    res = _run_cli("run", "--experiment", "sphere", "--omega", "50", "--psi", "0",
+                   "--outer-trap", "101")
+    assert res.returncode == 1
+    assert res.stdout == ""
+    assert "n_trap=101" in res.stderr
 
 
 def test_sphere_row_oscillator_calls(monkeypatch):

@@ -41,11 +41,35 @@ PINNED = {
         "(-7.559971012453947+53.23359076662341j)",
         "(-10.236904965369375+201.88259029249966j)",
     ],
+    # re-recorded when self_err became |w0 - w0c|/|w0| + d^2 (companion
+    # rule on the same 100 directions plus the nested 50-node trapezoid) in
+    # place of |w0(5, 100) - w0(8, 200)|/|w0|: the estimate moved in the 6th
+    # digit or less, w0 itself did not move
     "sphere-self-err": [
-        "1.7090952466188498e-11",
+        "1.7091050624077643e-11",
         "1.7396033358408065e-16",
-        "0.0006162845763104108",
-        "2.1963885932729503e-06",
+        "0.0006162845763104088",
+        "2.196388593272954e-06",
+    ],
+    # w0 of all 16 rows of the README sphere command, psi-major, k-minor;
+    # recorded before self_err took the companion rule and nested subset
+    "sphere-readme-w0": [
+        "(0.00019882866369479055+0.009988161809312654j)",
+        "(4.992546590914394e-05+0.0049985051990073075j)",
+        "(2.220744862818824e-05+0.0033328895772309335j)",
+        "(1.2495319856585587e-05+0.0024998126636584096j)",
+        "(0.00025307203074455146+0.010493572475517934j)",
+        "(6.382106118461468e-05+0.0052544171433932165j)",
+        "(2.8412811658684994e-05+0.0035039123741635076j)",
+        "(1.5991747737960084e-05+0.0026281898188201007j)",
+        "(0.0005196566282752148+0.012270248127638866j)",
+        "(0.0001347294622309109+0.006166907437465749j)",
+        "(6.035916929817778e-05+0.004115640099601777j)",
+        "(3.40515798260544e-05+0.0030879099192024223j)",
+        "(0.0026150307106213456+0.018413757732939073j)",
+        "(0.000863240760777426+0.009661067314095526j)",
+        "(0.0004241836996168904+0.006541829946650625j)",
+        "(0.0002505276705451181+0.004940670567978595j)",
     ],
     "example1": [
         "(-1.570796326794897+0j)",
@@ -113,6 +137,13 @@ def test_pinned_sphere():
     rows = experiments.run_sphere_scatter([50.0, 200.0], [0.0, 1.047], m=5, n_trap=100)
     assert _approx(rows) == PINNED["sphere"]
     assert [repr(r.params["self_err"]) for r in rows] == PINNED["sphere-self-err"]
+
+
+def test_pinned_sphere_readme_w0():
+    rows = experiments.run_sphere_scatter([50.0, 100.0, 150.0, 200.0], [0.0, 0.314, 0.628, 1.047],
+                                          m=5, n_trap=100)
+    got = [repr(complex(r.params["w0_re"], r.params["w0_im"])) for r in rows]
+    assert got == PINNED["sphere-readme-w0"]
 
 
 def test_pinned_example1():

@@ -206,3 +206,22 @@ def test_rule_preconditions():
         trapezoid_periodic(0, 1.0)
     with pytest.raises(ValueError):
         trapezoid_periodic(4, 0.0)
+
+
+@pytest.mark.parametrize("build, args, named", [
+    (gauss_exp_power, (2.5, 1, 0), "m=2.5"),
+    (gauss_exp_power, (5.0, 1, 0), "m=5.0"),
+    (trapezoid_periodic, (10.5, 1.0), "n=10.5"),
+    (clenshaw_curtis, (7.5, 0.0, 1.0), "n=7.5"),
+], ids=["gauss-2.5", "gauss-5.0", "trap-10.5", "cc-7.5"])
+def test_rule_sizes_must_be_integers(build, args, named):
+    # a float size once built a rule of another size (m = 2.5 gave three
+    # points) and memoized it under the float
+    with pytest.raises(ValueError, match=named):
+        build(*args)
+
+
+def test_rule_sizes_accept_numpy_integers():
+    assert gauss_exp_power(np.int64(5), 1, 0) is gauss_exp_power(5, 1, 0)
+    assert trapezoid_periodic(np.int32(10), 1.0) is trapezoid_periodic(10, 1.0)
+    assert clenshaw_curtis(np.int64(7), 0.0, 1.0) is clenshaw_curtis(7, 0.0, 1.0)
