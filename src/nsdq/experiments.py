@@ -132,7 +132,13 @@ def _omega_array(omega_grid):
 
 
 def run_ellipsoid(omega_grid, m: int = 8, outer_cc: int = 50, outer_trap: int = 50):
-    """Ellipsoidal-phase experiment against the Si/Ci closed form."""
+    """Ellipsoidal-phase experiment against the Si/Ci closed form.
+
+    The sizes are integers, checked before any row runs: 1 <= m <= 16 and
+    outer counts >= 2; otherwise ValueError.
+    """
+    m, outer_cc = _count("run_ellipsoid", "m", m), _count("run_ellipsoid", "outer_cc", outer_cc)
+    outer_trap = _count("run_ellipsoid", "outer_trap", outer_trap)
     if not 1 <= m <= 16:
         raise ValueError(f"run_ellipsoid supports 1 <= m <= 16, got {m}")
     oms = _omega_array(omega_grid)
@@ -161,11 +167,9 @@ def ellipsoid_inner_grid(omega: float, m: int = 8, outer_cc: int = 50, outer_tra
     return np.column_stack([phi1.ravel(), phi2.ravel(), q.ravel()])
 
 
-def _duct_polar_central(omega, n_gl, a, b, outer_cc):
-    sc = scenes.duct_scene(omega, a, b)
-    region = scenes.default_region("duct")
-    plan = OuterPlan.for_region(region, cc=outer_cc)
-    return integrate_unbounded(sc, region, plan, n_gl)
+def _duct_polar_central(omega, n_gl, a, b, plan):
+    return integrate_unbounded(scenes.duct_scene(omega, a, b), scenes.default_region("duct"),
+                               plan, n_gl)
 
 
 def run_duct(omega_grid, n_gl: int = 8, n_gh: int | None = None, a: float = 1.0, b: float = 2.0,
@@ -176,11 +180,22 @@ def run_duct(omega_grid, n_gl: int = 8, n_gh: int | None = None, a: float = 1.0,
     ``direct`` (the plain Cartesian descent decomposition, which stalls),
     ``direct_modified`` (direct corners with the resonance substitution,
     central term replaced by the polar rule).
+
+    The sizes are integers, checked before any row runs: the Laguerre
+    ``n_gl`` and the Hermite ``n_gh`` (default ``2 * n_gl``) lie in
+    [1, 64], and ``outer_cc >= 2``; otherwise ValueError.
     """
     if mode not in ("corner", "direct", "direct_modified"):
         raise ValueError(f"unknown duct mode {mode!r}")
-    if n_gh is None:
-        n_gh = 2 * n_gl
+    n_gl = _count("run_duct", "n_gl", n_gl)
+    if not 1 <= n_gl <= _MAX_POINTS:
+        raise ValueError(f"run_duct needs 1 <= n_gl <= {_MAX_POINTS}, got n_gl={n_gl}")
+    n_gh = _count("run_duct", "n_gh", 2 * n_gl if n_gh is None else n_gh)
+    if not 1 <= n_gh <= _MAX_POINTS:
+        raise ValueError(f"run_duct needs 1 <= n_gh <= {_MAX_POINTS} (n_gh defaults to "
+                         f"2 * n_gl), got n_gh={n_gh}")
+    outer_cc = _count("run_duct", "outer_cc", outer_cc)
+    plan = OuterPlan.for_region(scenes.default_region("duct"), cc=outer_cc)
     oms = _omega_array(omega_grid)
 
     def f_point(x, y):
@@ -193,14 +208,14 @@ def run_duct(omega_grid, n_gl: int = 8, n_gh: int | None = None, a: float = 1.0,
     for om in oms:
         om = float(om)
         if mode == "corner":
-            approx = _duct_polar_central(om, n_gl, a, b, outer_cc) - \
+            approx = _duct_polar_central(om, n_gl, a, b, plan) - \
                 rectangle_corner_contributions(f_polar, a, b, om, n_gl, n_gh)
         elif mode == "direct":
             t = rectangle_direct_terms(f_point, a, b, om, n_gl, n_gh)
             approx = t[(0.0, 0.0)] - t[(a, 0.0)] - t[(0.0, b)] + t[(a, b)]
         else:
             t = rectangle_direct_terms(f_point, a, b, om, n_gl, n_gh, outer_resonance_fix=True)
-            approx = _duct_polar_central(om, n_gl, a, b, outer_cc) \
+            approx = _duct_polar_central(om, n_gl, a, b, plan) \
                 - t[(a, 0.0)] - t[(0.0, b)] + t[(a, b)]
         rows.append(ExperimentRow(
             om, complex(approx), acoustics_reference(om, a, b),
@@ -300,8 +315,14 @@ def run_example1(omega_grid, m: int = 4, outer_cc: int = 10):
 
     Emits one polar-rule row and one direct-descent row (the origin term of
     the Cartesian decomposition, whose relative error is frequency
-    independent) per omega.
+    independent) per omega.  The sizes are integers, checked before any
+    row runs: the direct row takes a 2m-point Hermite rule, so
+    1 <= m <= 32, and ``outer_cc >= 2``; otherwise ValueError.
     """
+    m, outer_cc = _count("run_example1", "m", m), _count("run_example1", "outer_cc", outer_cc)
+    if not 1 <= 2 * m <= _MAX_POINTS:
+        raise ValueError(f"run_example1 needs 1 <= m <= {_MAX_POINTS // 2} (the direct row "
+                         f"takes a 2m-point Hermite rule), got m={m}")
     oms = _omega_array(omega_grid)
     region = scenes.default_region("quarter-plane")
     plan = OuterPlan.for_region(region, cc=outer_cc)

@@ -5,7 +5,10 @@ Three families cover everything the steepest-descent integrators need:
 * Gaussian rules for the half-line weights ``x^d exp(-x^alpha)``, used to
   resolve the radial descent integrals after the ``p -> q^alpha``
   substitution.  For ``alpha = 1`` these are the (generalized) Gauss-Laguerre
-  rules; ``alpha = 2`` gives the half-range Gauss-Hermite rules.
+  rules; ``alpha = 2`` gives the half-range Gauss-Hermite rules.  The
+  nodes are the eigenvalues of the Jacobi matrix (Golub & Welsch), taken
+  from numpy's dense symmetric eigensolver; the weights come from the
+  orthonormal recurrence.
 * Clenshaw-Curtis rules on finite intervals, used for the non-oscillatory
   outer (angular) integrations.
 * The periodic trapezoidal rule, used when the outer integration runs over a
@@ -31,7 +34,6 @@ import threading
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 __all__ = [
     "QuadRule",
@@ -125,17 +127,18 @@ def _stieltjes_coefficients(m: int, alpha: int, degree: int):
 
 
 def _golub_welsch(a: np.ndarray, b: np.ndarray):
-    # Nodes are the eigenvalues of the Jacobi matrix.  Weights are NOT taken
-    # from the eigenvector first components (those underflow for the extreme
-    # nodes of large rules); instead w_j = 1 / sum_k p_k(x_j)^2 with p_k the
-    # orthonormal recurrence, which keeps even 1e-100 weights relatively
-    # accurate.
+    # Nodes are the eigenvalues of the Jacobi matrix (at most 64 x 64), from
+    # numpy's dense symmetric solver, which returns them ascending; on the
+    # supported rules they equal LAPACK's tridiagonal solver bit for bit
+    # (tests/test_rules.py).  Weights are NOT taken from the eigenvector
+    # first components (those underflow for the extreme nodes of large
+    # rules); instead w_j = 1 / sum_k p_k(x_j)^2 with p_k the orthonormal
+    # recurrence, which keeps even 1e-100 weights relatively accurate.
     m = len(a)
     if m == 1:
         return np.array([a[0]]), np.array([b[0]])
-    nodes = eigh_tridiagonal(a, np.sqrt(b[1:]), eigvals_only=True)
-    nodes = np.sort(nodes)
     sqrt_b = np.sqrt(b)
+    nodes = np.linalg.eigvalsh(np.diag(a) + np.diag(sqrt_b[1:], 1) + np.diag(sqrt_b[1:], -1))
     p_prev = np.zeros_like(nodes)
     p_cur = np.full_like(nodes, 1.0 / sqrt_b[0])
     total = p_cur**2

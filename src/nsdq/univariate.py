@@ -208,12 +208,14 @@ def nsd_interval(f, g, a, b, omega: float, m: int, *, dg=None, alpha_a=1, alpha_
     of an ``alpha >= 2`` endpoint is chosen to point into the interval, so
     ``a < b`` is required.
 
-    ``a``, ``b``, ``alpha_a`` and ``alpha_b`` may also be equal-length
-    sequences of intervals: every endpoint is then traced in one
+    ``a``, ``b``, ``alpha_a`` and ``alpha_b`` may also be equal-length,
+    non-empty sequences of intervals: every endpoint is then traced in one
     :func:`endpoint_contribution` call and the interval values are summed
     in order.
     """
     a, b, alpha_a, alpha_b = np.broadcast_arrays(a, b, alpha_a, alpha_b)
+    if a.size == 0:
+        raise ValueError("nsd_interval needs at least one interval, got empty a and b")
     for name, order in (("alpha_a", alpha_a), ("alpha_b", alpha_b)):
         if order.dtype.kind not in "iu" or order.min() < 1:
             raise ValueError(f"{name} must hold integers >= 1, got {order.tolist()}")

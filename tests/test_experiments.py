@@ -210,6 +210,61 @@ def test_cli_sphere_odd_outer_trap_exits_one():
     assert "n_trap=101" in res.stderr
 
 
+@pytest.mark.parametrize("run, kwargs", [
+    (run_ellipsoid, {"m": np.int64(3), "outer_cc": np.int64(10), "outer_trap": np.int32(10)}),
+    (run_duct, {"n_gl": np.int64(4), "n_gh": np.int32(6), "outer_cc": np.int64(10)}),
+    (run_example1, {"m": np.int64(3), "outer_cc": np.int64(10)}),
+], ids=["ellipsoid", "duct", "example1"])
+def test_numpy_integer_sizes_are_stored_as_ints(run, kwargs):
+    # a numpy-integer size went into the row params as given, and
+    # rows_to_json raised "Object of type int64 is not JSON serializable"
+    rows = run([10.0], **kwargs)
+    for row in rows:
+        for name, value in kwargs.items():
+            assert type(row.params[name]) is int and row.params[name] == value
+    assert len(json.loads(rows_to_json(rows))) == len(rows)
+
+
+@pytest.mark.parametrize("run, kwargs, named", [
+    (run_ellipsoid, {"m": 4.0}, "m=4.0"),
+    (run_ellipsoid, {"outer_trap": 10.5}, "outer_trap=10.5"),
+    (run_duct, {"n_gl": 8.0}, "n_gl=8.0"),
+    (run_duct, {"n_gl": 0}, "n_gl=0"),
+    (run_duct, {"n_gl": 65}, "n_gl=65"),
+    (run_duct, {"n_gl": 40}, r"defaults to 2 \* n_gl\), got n_gh=80"),
+    (run_duct, {"n_gh": 65}, "n_gh=65"),
+    (run_duct, {"outer_cc": 1}, "must be >= 2, got 1"),
+    (run_example1, {"m": 33}, "m=33"),
+    (run_example1, {"outer_cc": 10.0}, "outer_cc=10.0"),
+], ids=["ellipsoid-m-float", "ellipsoid-trap-float", "duct-gl-float", "duct-gl-zero",
+        "duct-gl-above-64", "duct-gh-default-above-64", "duct-gh-above-64", "duct-cc-1",
+        "example1-hermite-above-64", "example1-cc-float"])
+def test_sizes_checked_before_any_row(run, kwargs, named, monkeypatch):
+    # duct n_gl = 40 used to compute the polar term first and then fail on
+    # a Hermite rule "m=80" that nobody had asked for
+    from nsdq import scenes
+
+    built = []
+    for name in ("ellipsoid_scene", "duct_scene", "quarter_plane_scene"):
+        build = getattr(scenes, name)
+        monkeypatch.setattr(scenes, name, lambda *a, build=build: built.append(a) or build(*a))
+    with pytest.raises(ValueError, match=named):
+        run([10.0, 100.0], **kwargs)
+    assert built == []
+
+
+def test_cli_duct_default_gh_above_64_exits_one(monkeypatch, capsys):
+    from nsdq import cli, scenes
+
+    built = []
+    build = scenes.duct_scene
+    monkeypatch.setattr(scenes, "duct_scene", lambda *a: built.append(a) or build(*a))
+    assert cli.main(["run", "--experiment", "duct", "--omega", "100", "--gl", "40"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and built == []
+    assert "n_gh defaults to 2 * n_gl" in err and "n_gh=80" in err
+
+
 def test_sphere_row_oscillator_calls(monkeypatch):
     # cost guard: every evaluation of the sphere's oscillator in one README
     # row, counted by wrapping the scene the builder returns; the tangent

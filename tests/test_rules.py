@@ -1,12 +1,16 @@
 import math
+import os
+import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nsdq
 from nsdq.rules import (
     clenshaw_curtis,
     exp_power_moment,
@@ -225,3 +229,41 @@ def test_rule_sizes_accept_numpy_integers():
     assert gauss_exp_power(np.int64(5), 1, 0) is gauss_exp_power(5, 1, 0)
     assert trapezoid_periodic(np.int32(10), 1.0) is trapezoid_periodic(10, 1.0)
     assert clenshaw_curtis(np.int64(7), 0.0, 1.0) is clenshaw_curtis(7, 0.0, 1.0)
+
+
+def test_import_loads_no_scipy():
+    # the Gauss nodes come from numpy's eigensolver: scipy is a test-only
+    # reference, so neither the import nor a rule build may load it
+    code = ("import sys, nsdq; from nsdq.rules import gauss_exp_power; gauss_exp_power(8, 2); "
+            "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))")
+    src = str(Path(nsdq.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"
+
+
+_NODE_CASES = [(m, 1, degree) for m in range(2, 65) for degree in range(9)] + [
+    (m, alpha, degree) for alpha in (2, 3, 4) for m in (2, 3, 4, 5, 8, 11, 16, 32, 64)
+    for degree in (0, 1, 8)]
+
+
+def test_nodes_match_scipy_tridiagonal_solver():
+    # the nodes are the eigenvalues of the Jacobi matrix, taken from numpy's
+    # dense symmetric solver; scipy's tridiagonal solver on the same
+    # coefficients gives the same bits.  A different LAPACK that breaks this
+    # fails here, by name, rather than by drifting every pinned value
+    from scipy.linalg import eigh_tridiagonal
+
+    from nsdq.rules import _laguerre_coefficients, _stieltjes_coefficients
+
+    differ = []
+    for m, alpha, degree in _NODE_CASES:
+        if alpha == 1:
+            a, b = _laguerre_coefficients(m, degree)
+        else:
+            a, b = _stieltjes_coefficients(m, alpha, degree)
+        expected = np.sort(eigh_tridiagonal(a, np.sqrt(b[1:]), eigvals_only=True))
+        if not np.array_equal(gauss_exp_power(m, alpha, degree).nodes, expected):
+            differ.append((m, alpha, degree))
+    assert differ == [], f"{len(differ)} of {len(_NODE_CASES)} rules differ from scipy: {differ[:5]}"

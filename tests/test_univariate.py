@@ -86,6 +86,12 @@ def test_interval_needs_increasing_ends():
         nsd_interval(f, g, math.nan, 1.0, 50.0, 8, dg=dg)
 
 
+def test_interval_rejects_empty_interval_lists():
+    # used to raise numpy's "zero-size array to reduction operation minimum"
+    with pytest.raises(ValueError, match="empty a and b"):
+        nsd_interval(lambda z: 1.0, lambda z: z, [], [], 10.0, 4, dg=lambda z: 1.0)
+
+
 def test_interval_endpoint_orders_must_be_integers():
     # alpha_a = 2.7 was truncated to 2, and 1.5 to 1, whose vanishing
     # coefficient was blamed instead
