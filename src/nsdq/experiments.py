@@ -137,10 +137,8 @@ def run_ellipsoid(omega_grid, m: int = 8, outer_cc: int = 50, outer_trap: int = 
     The sizes are integers, checked before any row runs: 1 <= m <= 16 and
     outer counts >= 2; otherwise ValueError.
     """
-    m, outer_cc = _count("run_ellipsoid", "m", m), _count("run_ellipsoid", "outer_cc", outer_cc)
+    m, outer_cc = _count("run_ellipsoid", "m", m, hi=16), _count("run_ellipsoid", "outer_cc", outer_cc)
     outer_trap = _count("run_ellipsoid", "outer_trap", outer_trap)
-    if not 1 <= m <= 16:
-        raise ValueError(f"run_ellipsoid supports 1 <= m <= 16, got {m}")
     oms = _omega_array(omega_grid)
     region = scenes.default_region("ellipsoid")
     plan = OuterPlan.for_region(region, cc=outer_cc, trap=outer_trap)
@@ -187,13 +185,9 @@ def run_duct(omega_grid, n_gl: int = 8, n_gh: int | None = None, a: float = 1.0,
     """
     if mode not in ("corner", "direct", "direct_modified"):
         raise ValueError(f"unknown duct mode {mode!r}")
-    n_gl = _count("run_duct", "n_gl", n_gl)
-    if not 1 <= n_gl <= _MAX_POINTS:
-        raise ValueError(f"run_duct needs 1 <= n_gl <= {_MAX_POINTS}, got n_gl={n_gl}")
-    n_gh = _count("run_duct", "n_gh", 2 * n_gl if n_gh is None else n_gh)
-    if not 1 <= n_gh <= _MAX_POINTS:
-        raise ValueError(f"run_duct needs 1 <= n_gh <= {_MAX_POINTS} (n_gh defaults to "
-                         f"2 * n_gl), got n_gh={n_gh}")
+    n_gl = _count("run_duct", "n_gl", n_gl, hi=_MAX_POINTS)
+    n_gh = _count("run_duct", "n_gh", 2 * n_gl if n_gh is None else n_gh, hi=_MAX_POINTS,
+                  reason=" (n_gh defaults to 2 * n_gl)")
     outer_cc = _count("run_duct", "outer_cc", outer_cc)
     plan = OuterPlan.for_region(scenes.default_region("duct"), cc=outer_cc)
     oms = _omega_array(omega_grid)
@@ -223,12 +217,6 @@ def run_duct(omega_grid, n_gl: int = 8, n_gh: int | None = None, a: float = 1.0,
                     "outer_cc": outer_cc},
         ))
     return rows
-
-
-def _sphere_w0(k, psi, m, n_trap):
-    region = scenes.default_region("sphere-scatter")
-    return integrate_unbounded(scenes.sphere_scatter_scene(k, psi), region,
-                               OuterPlan.for_region(region, trap=n_trap), m)
 
 
 def run_sphere_scatter(k_grid, psi_grid=(0.0, math.pi / 10, math.pi / 5, math.pi / 3),
@@ -264,13 +252,12 @@ def run_sphere_scatter(k_grid, psi_grid=(0.0, math.pi / 10, math.pi / 5, math.pi
             raise ValueError("psi = pi/2 puts the point on the shadow boundary; rejected")
         if not 0.0 <= psi < 0.5 * math.pi:
             raise ValueError(f"run_sphere_scatter needs 0 <= psi < pi/2, got psi={psi}")
-    m, n_trap = _count("run_sphere_scatter", "m", m), _count("run_sphere_scatter", "n_trap", n_trap)
-    if not 1 <= m <= _MAX_POINTS - 3:
-        raise ValueError(f"run_sphere_scatter needs 1 <= m and m + 3 <= {_MAX_POINTS} "
-                         f"(the companion rule has m + 3 points), got m={m}")
-    if n_trap < 4 or n_trap % 2:
-        raise ValueError("run_sphere_scatter needs an even n_trap >= 4 (the estimate also sums "
-                         f"every other direction), got n_trap={n_trap}")
+    m = _count("run_sphere_scatter", "m", m, hi=_MAX_POINTS - 3,
+               reason=" (the companion rule has m + 3 points)")
+    n_trap = _count("run_sphere_scatter", "n_trap", n_trap, 4)
+    if n_trap % 2:
+        raise ValueError("run_sphere_scatter needs an even n_trap (the estimate also sums every "
+                         f"other direction), got n_trap={n_trap}")
     region = scenes.default_region("sphere-scatter")
     plan = OuterPlan.for_region(region, trap=n_trap)
     rows = []
@@ -319,10 +306,9 @@ def run_example1(omega_grid, m: int = 4, outer_cc: int = 10):
     row runs: the direct row takes a 2m-point Hermite rule, so
     1 <= m <= 32, and ``outer_cc >= 2``; otherwise ValueError.
     """
-    m, outer_cc = _count("run_example1", "m", m), _count("run_example1", "outer_cc", outer_cc)
-    if not 1 <= 2 * m <= _MAX_POINTS:
-        raise ValueError(f"run_example1 needs 1 <= m <= {_MAX_POINTS // 2} (the direct row "
-                         f"takes a 2m-point Hermite rule), got m={m}")
+    m = _count("run_example1", "m", m, hi=_MAX_POINTS // 2,
+               reason=" (the direct row takes a 2m-point Hermite rule)")
+    outer_cc = _count("run_example1", "outer_cc", outer_cc)
     oms = _omega_array(omega_grid)
     region = scenes.default_region("quarter-plane")
     plan = OuterPlan.for_region(region, cc=outer_cc)

@@ -15,8 +15,9 @@ one continuation in ``p`` (``univariate._trace``) runs row by row over
 whole direction grids and over the endpoints of the boundary term.  The
 leading Taylor coefficient that seeds a path of order ``alpha >= 2`` comes
 from ``_taylor_coefficient``, the package's one difference stencil, which
-``complex_derivative`` also uses, and ``polar._stationary_points`` when a
-scene has no ``d_boundary_phase``.
+``complex_derivative`` also uses.  ``complex_derivative`` is the dG/dtheta
+of a boundary phase whose scene has no ``d_boundary_phase``, for the
+stationary-point scan and the descent paths alike.
 
 The module also holds the closed-form angle paths of the rectangle's corner
 decomposition, ``corner_h11`` ... ``corner_h22``.
@@ -91,8 +92,8 @@ class RadialScene:
     d_boundary_phase : optional dG/dtheta(theta) of the boundary phase
         G(theta) = g(R(theta), theta), analytic in a complex theta; n = 2
         only.  The boundary term's stationary-point scan and its univariate
-        descent (Newton steps, path derivatives) use it; without it they
-        fall back to the difference stencil of G and ``complex_derivative``.
+        descent (Newton steps, path derivatives) use it; without it both
+        use the one fallback ``complex_derivative`` of G.
         G and dG/dtheta must be real on real angles: ``integrate_star_shaped``
         checks both once on its outer grid before the descent in the angle.
     phase_at_origin : constant exp(i w g(x0)) factored out by normalization.

@@ -18,12 +18,13 @@ Main entry points
     constant, by univariate descent in the angle when G varies.  Both take
     one Gauss-Laguerre sum along the boundary paths.  G is read once, on
     the outer grid; the descent first checks there that G and dG/dtheta are
-    real.  It splits the angle at the stationary points of G, which a
-    sign-change scan finds from the scene's dG/dtheta (``d_boundary_phase``),
-    or from the difference stencil of ``paths`` when the scene has none; it
-    traces the paths of every interval endpoint in one continuation
-    (``nsd_interval`` on arrays of edges) with the same dG/dtheta.  A
-    phase that is stationary inside the domain raises PathError.
+    real.  dG/dtheta is the scene's ``d_boundary_phase``, or
+    ``complex_derivative`` of G when the scene has none, and that one
+    callable serves throughout: the descent splits the angle at the
+    stationary points of G, which a sign-change scan of dG/dtheta finds,
+    and traces the paths of every interval endpoint in one continuation
+    (``nsd_interval`` on arrays of edges) with it.  A phase that is
+    stationary inside the domain raises PathError.
 ``rectangle_corner_contributions``
     The closed-form corner decomposition of the boundary term for an
     axis-aligned rectangle with phase sqrt(x^2 + y^2), including the
@@ -347,14 +348,11 @@ def _boundary_amplitude(scene, m):
     return lambda th: _descent_sum(scene, (th,), m, 1, 0, _boundary_samples) / (scene.n * scene.omega)
 
 
-def _stationary_points(G, lo, hi, dG=None):
-    # interior zeros of G' located by sign changes plus bisection; G' is dG,
-    # the scene's dG/dtheta, or else the difference stencil of G, each read
-    # by its real part.  A bracket is halved until its midpoint rounds to
-    # one of its ends
+def _stationary_points(dG, lo, hi):
+    # interior zeros of dG/dtheta, read by its real part, located by sign
+    # changes on 600 samples plus bisection.  A bracket is halved until its
+    # midpoint rounds to one of its ends
     ths = np.linspace(lo, hi, 600)
-    s = (hi - lo) / 2400
-    dG = dG or (lambda th: _taylor_coefficient(lambda x: G(x).real, th, 1, s))
     d = dG(ths).real
     zero = (d[:-1] == 0.0) & (lo < ths[:-1]) & (ths[:-1] < hi)
     points = []
@@ -383,17 +381,20 @@ def _oscillatory_boundary_term(scene, region, m, mesh, G_mesh):
     # handled by univariate steepest descent in the angle, split at the
     # resonance-induced stationary points of G.  Every interval goes into
     # one nsd_interval call, so all endpoint paths are traced in one
-    # continuation.  G and dG/dtheta must be real on real angles; each is
-    # checked once, on the outer grid ``mesh`` (G_mesh holds G there), and
-    # a complex dtype whose imaginary part is round-off passes
+    # continuation.  dG/dtheta is the scene's, or else complex_derivative
+    # of G; the realness check, the scan and the paths all read that one.
+    # G and dG/dtheta must be real on real angles; each is checked once, on
+    # the outer grid ``mesh`` (G_mesh holds G there), and a complex dtype
+    # whose imaginary part is round-off passes
     if scene.n != 2:
         raise NotImplementedError("oscillatory boundary treatment implemented for n = 2 only")
-    G, dG = _boundary_phase(scene), scene.d_boundary_phase
-    for values in [G_mesh] if dG is None else [G_mesh, dG(*mesh)]:
+    G = _boundary_phase(scene)
+    dG = scene.d_boundary_phase or (lambda th: complex_derivative(G, th))
+    for values in (G_mesh, dG(*mesh)):
         if np.any(np.abs(np.imag(values)) > 1e-12 * np.maximum(1.0, np.abs(values))):
             raise ValueError(f"scene {scene.name!r}: the boundary phase is not real on real angles")
     (lo, hi), = region.intervals
-    stat, end_lo, end_hi = _stationary_points(G, lo, hi, dG)
+    stat, end_lo, end_hi = _stationary_points(dG, lo, hi)
     edges = [lo] + stat + [hi]
     k = len(edges) - 1
     alpha_a = [2 if (i > 0 or end_lo) else 1 for i in range(k)]

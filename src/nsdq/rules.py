@@ -150,12 +150,23 @@ def _golub_welsch(a: np.ndarray, b: np.ndarray):
     return nodes, weights
 
 
-def _count(builder: str, name: str, value) -> int:
-    # a rule size must be an int or a numpy integer: a float such as 2.5
-    # would build a rule of another size and memoize it under the float
+def _count(builder: str, name: str, value, lo: int = 1, hi: int | None = None, reason: str = "") -> int:
+    # a rule size is an int or a numpy integer in [lo, hi]: a float such as
+    # 2.5 would build a rule of another size and memoize it under the float.
+    # ``reason`` explains a bound that the builder takes from another rule
     if not isinstance(value, (int, np.integer)):
         raise ValueError(f"{builder} needs an integer {name}, got {name}={value!r}")
+    if value < lo or (hi is not None and value > hi):
+        bounds = f"{lo} <= {name}" + ("" if hi is None else f" <= {hi}")
+        raise ValueError(f"{builder} needs {bounds}{reason}, got {name}={value}")
     return int(value)
+
+
+def _length(builder: str, length, got: str) -> None:
+    # an interval length must be finite and positive: an infinite or NaN end
+    # gives NaN nodes, which would be memoized like any other rule
+    if not 0 < length < math.inf:
+        raise ValueError(f"{builder} needs a finite interval of positive length, got {got}")
 
 
 _cache: dict = {}
@@ -205,9 +216,7 @@ def gauss_exp_power(m: int, alpha: int, degree: int = 0) -> QuadRule:
         range for which construction is numerically stable in double
         precision (m > 64, alpha not in {1, 2, 3, 4}, or degree > 8).
     """
-    m = _count("gauss_exp_power", "m", m)
-    if not 1 <= m <= _MAX_POINTS:
-        raise ValueError(f"gauss_exp_power supports 1 <= m <= {_MAX_POINTS}, got m={m}")
+    m = _count("gauss_exp_power", "m", m, hi=_MAX_POINTS)
     if alpha not in _SUPPORTED_ALPHA:
         raise ValueError(
             f"gauss_exp_power supports alpha in {_SUPPORTED_ALPHA} "
@@ -226,11 +235,8 @@ def gauss_exp_power(m: int, alpha: int, degree: int = 0) -> QuadRule:
 
 def clenshaw_curtis(n: int, a: float, b: float) -> QuadRule:
     """n-point Clenshaw-Curtis rule on ``[a, b]``, exact on degree ``n - 1``; n is an integer."""
-    n = _count("clenshaw_curtis", "n", n)
-    if n < 2:
-        raise ValueError(f"clenshaw_curtis needs n >= 2, got {n}")
-    if not a < b:
-        raise ValueError(f"clenshaw_curtis needs a < b, got [{a}, {b}]")
+    n = _count("clenshaw_curtis", "n", n, 2)
+    _length("clenshaw_curtis", b - a, f"[a, b] = [{a}, {b}]")
 
     def build():
         if n == 2:
@@ -255,16 +261,13 @@ def clenshaw_curtis(n: int, a: float, b: float) -> QuadRule:
 
 
 def trapezoid_periodic(n: int, period: float) -> QuadRule:
-    """n-point trapezoidal rule on one period ``[0, period)``.
+    """n-point trapezoidal rule on one finite period ``[0, period)``.
 
     Exact on constants and on ``exp(2 pi i k x / period)`` for ``0 < |k| < n``;
     n is an integer.
     """
     n = _count("trapezoid_periodic", "n", n)
-    if n < 1:
-        raise ValueError(f"trapezoid_periodic needs n >= 1, got {n}")
-    if not period > 0:
-        raise ValueError(f"trapezoid_periodic needs period > 0, got {period}")
+    _length("trapezoid_periodic", period, f"period={period}")
 
     def build():
         return period * np.arange(n) / n, np.full(n, period / n)

@@ -45,7 +45,7 @@ class Endpoint1D:
 
     Attributes
     ----------
-    x : location of the endpoint.
+    x : location of the endpoint, a finite real.
     alpha_local : 1 + number of vanishing derivatives of the phase at x,
         an integer.
     side : +1 when the integration interval lies to the right of x,
@@ -58,18 +58,18 @@ class Endpoint1D:
     side: int = +1
 
     def __post_init__(self):
+        if not math.isfinite(self.x):
+            raise ValueError(f"x must be finite, got x={self.x!r}")
         if not isinstance(self.alpha_local, (int, np.integer)) or self.alpha_local < 1:
             raise ValueError(f"alpha_local must be an integer >= 1, got {self.alpha_local!r}")
         if self.side not in (+1, -1):
             raise ValueError(f"side must be +1 or -1, got {self.side}")
 
 
-def _phase_coefficient(g, x, alpha, dg=None):
+def _phase_coefficient(g, dg, x, alpha):
     # Leading Taylor coefficient g^(alpha)(x)/alpha!; only seeds Newton.
     if alpha == 1:
-        if dg is not None:
-            return complex(dg(x))
-        return complex(complex_derivative(g, complex(x)))
+        return complex(dg(x))
     return complex(_taylor_coefficient(g, x, alpha, 1e-2))
 
 
@@ -149,8 +149,8 @@ def endpoint_contribution(f, g, endpoints, omega: float, m: int, dg=None):
     ----------
     f, g : callables accepting complex arrays, analytic near the paths;
         a scalar result is broadcast.
-    endpoints : a sequence of :class:`Endpoint1D`; the result is a complex
-        array, one value per endpoint.
+    endpoints : a non-empty sequence of :class:`Endpoint1D`; the result is a
+        complex array, one value per endpoint.
     omega : frequency (finite, > 0).
     m : number of Gaussian points for the radial rule.
     dg : optional analytic derivative of g; a finite-difference fallback is
@@ -162,8 +162,10 @@ def endpoint_contribution(f, g, endpoints, omega: float, m: int, dg=None):
     if not (omega > 0 and math.isfinite(omega)):
         raise ValueError(f"omega must be finite and positive, got {omega}")
     ends = tuple(endpoints)
+    if not ends:
+        raise ValueError("endpoint_contribution needs at least one endpoint, got endpoints=[]")
     dge = dg if dg is not None else (lambda z: complex_derivative(g, z))
-    leads = [_phase_coefficient(g, e.x, e.alpha_local, dg=dg) for e in ends]
+    leads = [_phase_coefficient(g, dge, e.x, e.alpha_local) for e in ends]
     flat = [e for e, lead in zip(ends, leads) if abs(lead) < 1e-14]
     if flat:
         raise PathError(

@@ -39,9 +39,16 @@ from nsdq.polar import (
 )
 from nsdq.rules import exp_power_moment, gauss_exp_power
 from nsdq.specfun import ellipsoid_reference
-from nsdq.experiments import _sphere_w0
 
 FLOOR = 1e-13  # measurability floor for slope windows (see module docstring)
+
+
+def _sphere_w0(k, psi, m, n_trap):
+    # the sphere's w0 = w0(m, N): integrate_unbounded with m radial points on
+    # N = n_trap trapezoid directions
+    region = scenes.default_region("sphere-scatter")
+    return integrate_unbounded(scenes.sphere_scatter_scene(k, psi), region,
+                               OuterPlan.for_region(region, trap=n_trap), m)
 
 
 def _verdict(num, ok, detail, t0, budget):

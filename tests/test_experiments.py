@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 
 import nsdq
+from nsdq import scenes
 from nsdq.experiments import (
     ExperimentRow,
-    _sphere_w0,
     fit_slope,
     rows_to_csv,
     rows_to_json,
@@ -22,6 +22,15 @@ from nsdq.experiments import (
     run_sphere_scatter,
     sphere_table,
 )
+from nsdq.polar import OuterPlan, integrate_unbounded
+
+
+def _sphere_w0(k, psi, m, n_trap):
+    # the sphere's w0 = w0(m, N): integrate_unbounded with m radial points on
+    # N = n_trap trapezoid directions
+    region = scenes.default_region("sphere-scatter")
+    return integrate_unbounded(scenes.sphere_scatter_scene(k, psi), region,
+                               OuterPlan.for_region(region, trap=n_trap), m)
 
 
 def synthetic_rows(c, slope, omegas=(10.0, 30.0, 100.0, 300.0, 1000.0)):

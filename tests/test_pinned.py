@@ -18,6 +18,7 @@ import math
 
 from nsdq import experiments, polar, scenes
 from nsdq.oracle import acoustics_reference
+from nsdq.paths import complex_derivative
 
 PINNED = {
     "ellipsoid": [
@@ -107,12 +108,15 @@ PINNED = {
         "(5.2515172701544344e-08-1.7745466168969507e-06j)",
     ],
     # the ellipse's stationary points of G on [0, 2 pi] and its two end
-    # flags, recorded while the scan had its own inline difference and 80
-    # halvings per bracket
+    # flags, scanned with the dG/dtheta of a scene without d_boundary_phase.
+    # Re-recorded when that fallback became complex_derivative of G, the
+    # derivative its descent paths already took, in place of the scan's own
+    # second-order difference: the points moved from 2e-14 to 1.2e-12,
+    # 2.9e-12 and 1.9e-12 off pi/2, pi and 3 pi/2
     "ellipse-stationary-points": [
-        "1.570796326794877",
-        "3.1415926535897416",
-        "4.71238898038467",
+        "1.5707963267937126",
+        "3.141592653586856",
+        "4.712388980383498",
         "True",
         "True",
     ],
@@ -170,6 +174,7 @@ def test_pinned_duct_oracle():
 
 def test_pinned_stationary_points():
     G = polar._boundary_phase(scenes.ellipse_scene(100.0))
-    points, end_lo, end_hi = polar._stationary_points(G, 0.0, 2.0 * math.pi)
+    dG = lambda th: complex_derivative(G, th)
+    points, end_lo, end_hi = polar._stationary_points(dG, 0.0, 2.0 * math.pi)
     assert [repr(float(x)) for x in points] + [repr(end_lo), repr(end_hi)] == \
         PINNED["ellipse-stationary-points"]

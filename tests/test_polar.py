@@ -223,32 +223,31 @@ def test_ellipse_boundary_phase_derivative_matches_finite_difference():
     np.testing.assert_allclose(got, complex_derivative(G, th), rtol=0, atol=1e-10)
 
 
-def _stationary_points_80(G, lo, hi):
-    # reference: the scan with its own central difference and 80 halvings per
-    # bracket; also returns each point's last bracket
+def _stationary_points_80(dG, lo, hi):
+    # reference: the scan with 80 halvings per bracket; also returns each
+    # point's last bracket
     ths = np.linspace(lo, hi, 600)
-    h = (hi - lo) / 4800.0
-    dG = (np.asarray(G(ths + h), float) - np.asarray(G(ths - h), float)) / (2 * h)
+    d = dG(ths).real
     points, brackets = [], []
     for i in range(599):
-        if dG[i] == 0.0 and lo < ths[i] < hi:
+        if d[i] == 0.0 and lo < ths[i] < hi:
             points.append(ths[i])
             brackets.append((ths[i], ths[i]))
-        elif dG[i] * dG[i + 1] < 0:
+        elif d[i] * d[i + 1] < 0:
             a, b = ths[i], ths[i + 1]
-            fa = dG[i]
+            fa = d[i]
             for _ in range(80):
                 mid = 0.5 * (a + b)
-                fm = (float(G(mid + h)) - float(G(mid - h))) / (2 * h)
+                fm = float(dG(mid).real)
                 if fa * fm <= 0:
                     b = mid
                 else:
                     a, fa = mid, fm
             points.append(0.5 * (a + b))
             brackets.append((a, b))
-    scale = max(abs(float(dG[0])), abs(float(dG[-1])), 1e-30)
-    end_a = abs(float(dG[0])) < 1e-7 * max(1.0, scale)
-    end_b = abs(float(dG[-1])) < 1e-7 * max(1.0, scale)
+    scale = max(abs(float(d[0])), abs(float(d[-1])), 1e-30)
+    end_a = abs(float(d[0])) < 1e-7 * max(1.0, scale)
+    end_b = abs(float(d[-1])) < 1e-7 * max(1.0, scale)
     return points, brackets, end_a, end_b
 
 
@@ -260,12 +259,15 @@ def test_stationary_scan_matches_80_halvings(coeffs, ends):
     # bracket; from there 80 fixed halvings move neither the bracket nor the
     # midpoint, so every point they settle is bit-identical.  A bracket 80
     # halvings leave unsettled (a root within ~1e-11 of 0) is only narrowed.
+    # dG/dtheta is the fallback of a scene without d_boundary_phase,
+    # complex_derivative of G
     lo, hi = sorted(ends)
     assume(hi - lo > 1e-3)
     pairs = list(zip(coeffs[::2], coeffs[1::2]))
     G = lambda th: sum(a * np.cos(k * th) + b * np.sin(k * th) for k, (a, b) in enumerate(pairs, start=1))
-    got, end_a, end_b = _stationary_points(G, lo, hi)
-    want, brackets, want_a, want_b = _stationary_points_80(G, lo, hi)
+    dG = lambda th: complex_derivative(G, th)
+    got, end_a, end_b = _stationary_points(dG, lo, hi)
+    want, brackets, want_a, want_b = _stationary_points_80(dG, lo, hi)
     assert (end_a, end_b) == (want_a, want_b)
     assert len(got) == len(want)
     for x, y, (a, b) in zip(got, want, brackets):
@@ -276,22 +278,17 @@ def test_stationary_scan_matches_80_halvings(coeffs, ends):
 
 
 def test_stationary_scan_reads_the_scene_derivative():
-    # with the ellipse's dG/dtheta the scan makes no G call: one call on the
-    # 600 samples, then one scalar call per halving of each of 3 brackets
+    # the ellipse's dG/dtheta: one call on the 600 samples, then one scalar
+    # call per halving of each of 3 brackets
     sc = scenes.ellipse_scene(100.0)
-    G, dR = _boundary_phase(sc), sc.d_boundary_phase
-    g_calls, dg_shapes = [], []
-
-    def counted_G(th):
-        g_calls.append(th)
-        return G(th)
+    dR = sc.d_boundary_phase
+    dg_shapes = []
 
     def counted_dG(th):
         dg_shapes.append(np.shape(th))
         return dR(th)
 
-    points, end_a, end_b = _stationary_points(counted_G, 0.0, 2 * math.pi, counted_dG)
-    assert g_calls == []
+    points, end_a, end_b = _stationary_points(counted_dG, 0.0, 2 * math.pi)
     assert dg_shapes[0] == (600,)
     assert set(dg_shapes[1:]) == {()} and len(dg_shapes) - 1 <= 3 * 64
     assert [float(x) for x in points] == [math.pi / 2, math.pi, 3 * math.pi / 2]
@@ -315,18 +312,87 @@ def test_stationary_scan_with_exact_derivative_brackets_each_root(coeffs, ends):
     pairs = list(enumerate(zip(coeffs[::2], coeffs[1::2]), start=1))
     G = lambda th: sum(a * np.cos(k * th) + b * np.sin(k * th) for k, (a, b) in pairs)
     dG = lambda th: sum(k * (b * np.cos(k * th) - a * np.sin(k * th)) for k, (a, b) in pairs)
-    got, _, _ = _stationary_points(G, lo, hi, dG)
+    got, _, _ = _stationary_points(dG, lo, hi)
     for x in got:
         assert min(dG(x) * dG(np.nextafter(x, -np.inf)), dG(x) * dG(np.nextafter(x, np.inf))) <= 0
-    # the stencil scan finds as many points unless a root lies so close to a
-    # sample that the stencil's error flips the sign there: truncation
-    # h^2/6 max|G^(3)| plus round-off, with h = (hi - lo)/4800
+    # the complex_derivative scan (a scene without d_boundary_phase) finds
+    # as many points unless a root lies so close to a sample that the
+    # derivative's error flips the sign there: truncation s^4/480 max|G^(5)|
+    # plus round-off, with spacing s = 2e-5 max(1, |theta|)
     size = sum(abs(a) + abs(b) for _, (a, b) in pairs)
     assume(size > 1e-100)
-    h = (hi - lo) / 4800
-    err = h * h / 6 * sum(k**3 * (abs(a) + abs(b)) for k, (a, b) in pairs) + 1e-14 * size / h
+    s = 2e-5 * 2 * math.pi
+    err = s**4 / 480 * sum(k**5 * (abs(a) + abs(b)) for k, (a, b) in pairs) + 1e-14 * size / 2e-5
     assume(np.all(np.abs(dG(np.linspace(lo, hi, 600))) > 2 * err))
-    assert len(got) == len(_stationary_points(G, lo, hi)[0])
+    assert len(got) == len(_stationary_points(lambda th: complex_derivative(G, th), lo, hi)[0])
+
+
+def _asymmetric_scene(omega, analytic_dG):
+    # unit amplitude and phase r inside R = 1 + 0.1 sin^3 + 0.04 cos
+    # + 0.02 sin(2 theta + 0.3): no symmetry puts the stationary points of
+    # G = R on doubles
+    R = lambda th: 1.0 + 0.1 * np.sin(th) ** 3 + 0.04 * np.cos(th) + 0.02 * np.sin(2.0 * th + 0.3)
+    dR = lambda th: (0.3 * np.sin(th) ** 2 * np.cos(th) - 0.04 * np.sin(th)
+                     + 0.04 * np.cos(2.0 * th + 0.3))
+    return scenes._unit_radial_scene(omega, R, "asym", dR if analytic_dG else None)
+
+
+def _asymmetric_reference(omega, nodes=65536):
+    # periodic trapezoid in theta of int_0^R r exp(i w r) dr in closed form
+    th = np.arange(nodes) * (2.0 * math.pi / nodes)
+    R = _asymmetric_scene(omega, False).boundary_radius(th)
+    radial = ((1.0 - 1j * omega * R) * np.exp(1j * omega * R) - 1.0) / omega**2
+    return complex(np.sum(radial) * (2.0 * math.pi / nodes))
+
+
+def _recorded_boundary_calls(monkeypatch, scene):
+    # run integrate_star_shaped on the ellipse region (trap 40, m = 8) and
+    # record the dG/dtheta that the scan and nsd_interval receive, with the
+    # scan's points
+    import nsdq.polar as polar
+
+    calls = {}
+    scan, nsd = polar._stationary_points, polar.nsd_interval
+
+    def recorded_scan(dG, lo, hi):
+        found = scan(dG, lo, hi)
+        calls["scan"], calls["points"] = dG, found[0]
+        return found
+
+    def recorded_nsd(*args, dg, **kwargs):
+        calls["nsd"] = dg
+        return nsd(*args, dg=dg, **kwargs)
+
+    monkeypatch.setattr(polar, "_stationary_points", recorded_scan)
+    monkeypatch.setattr(polar, "nsd_interval", recorded_nsd)
+    region = scenes.default_region("ellipse")
+    value = integrate_star_shaped(scene, region, OuterPlan.for_region(region, trap=40), 8)
+    return value, calls
+
+
+def test_scan_and_paths_share_the_fallback_derivative(monkeypatch):
+    # without d_boundary_phase the scan and the descent paths read one dG,
+    # complex_derivative of G; the split points it gives lie within 1e-10 of
+    # those of the analytic dG (the old difference stencil put them 1.1e-7
+    # to 6.2e-7 off)
+    _, exact = _recorded_boundary_calls(monkeypatch, _asymmetric_scene(100.0, True))
+    _, fallback = _recorded_boundary_calls(monkeypatch, _asymmetric_scene(100.0, False))
+    assert fallback["scan"] is fallback["nsd"]
+    assert exact["scan"] is exact["nsd"]
+    assert len(fallback["points"]) == len(exact["points"]) == 4
+    np.testing.assert_allclose(fallback["points"], exact["points"], rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("analytic_dG", [True, False])
+def test_asymmetric_boundary_against_trapezoid_reference(analytic_dG):
+    # at omega = 1e4 the split points must sit on the stationary points of G:
+    # the difference-stencil scan read 3.3e-8 here without dR
+    omega = 1e4
+    sc = _asymmetric_scene(omega, analytic_dG)
+    region = scenes.default_region("ellipse")
+    val = integrate_star_shaped(sc, region, OuterPlan.for_region(region, trap=40), 8)
+    ref = _asymmetric_reference(omega)
+    assert abs(val - ref) <= 1e-8 * abs(ref)
 
 
 def _ellipse_100(analytic_dG=True):

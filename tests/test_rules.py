@@ -212,6 +212,21 @@ def test_rule_preconditions():
         trapezoid_periodic(4, 0.0)
 
 
+@pytest.mark.parametrize("build, args", [
+    (clenshaw_curtis, (3, 0.0, math.inf)),
+    (clenshaw_curtis, (3, -math.inf, 1.0)),
+    (clenshaw_curtis, (3, math.nan, 1.0)),
+    (clenshaw_curtis, (3, -1e308, 1e308)),
+    (trapezoid_periodic, (4, math.inf)),
+    (trapezoid_periodic, (4, math.nan)),
+], ids=["cc-inf-b", "cc-inf-a", "cc-nan-a", "cc-overflowing-length", "trap-inf", "trap-nan"])
+def test_rules_need_a_finite_interval(build, args):
+    # clenshaw_curtis(3, 0, inf) gave nodes [nan, inf, inf] and
+    # trapezoid_periodic(4, inf) [nan, inf, inf, inf], each memoized
+    with pytest.raises(ValueError, match="needs a finite interval of positive length"):
+        build(*args)
+
+
 @pytest.mark.parametrize("build, args, named", [
     (gauss_exp_power, (2.5, 1, 0), "m=2.5"),
     (gauss_exp_power, (5.0, 1, 0), "m=5.0"),

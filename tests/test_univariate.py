@@ -101,6 +101,19 @@ def test_interval_endpoint_orders_must_be_integers():
             nsd_interval(f, g, [0.0, 0.5], [0.5, 1.0], 50.0, 8, dg=dg, **{name: bad})
 
 
+def test_endpoint_contribution_rejects_no_endpoints():
+    # used to raise numpy's "need at least one array to stack"
+    with pytest.raises(ValueError, match=r"endpoint_contribution needs at least one endpoint, got endpoints=\[\]"):
+        endpoint_contribution(lambda z: 1.0, lambda z: z, [], 10.0, 4, dg=lambda z: 1.0)
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+def test_endpoint_location_must_be_finite(x):
+    # a non-finite x ramped 16 quarters and then blamed the series seed
+    with pytest.raises(ValueError, match=f"x must be finite, got x={x!r}"):
+        Endpoint1D(x)
+
+
 @pytest.mark.parametrize("omega", [20.0, 50.0, 200.0])
 def test_interval_cubic_phase(omega):
     # alpha = 3 at 0: the branch seed's coefficient comes from the third-order
