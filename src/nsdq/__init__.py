@@ -18,7 +18,7 @@ from .rules import (
 )
 from .specfun import EULER_GAMMA, cos_int, ellipsoid_reference, sin_int
 from .paths import RadialScene
-from .univariate import Endpoint1D, endpoint_contribution, nsd_interval
+from .univariate import endpoint_contribution, nsd_interval
 from .polar import (
     AngularRegion,
     OuterPlan,

@@ -284,4 +284,4 @@ def brute_force_polar(scene, region, tol: float = 1e-8) -> complex:
     res = adaptive_quad_1d(f_theta, lo, hi, tol)
     if not res.converged:
         raise OracleNotConverged("angular integral did not converge")
-    return complex(scene.phase_at_origin) * res.value
+    return res.value

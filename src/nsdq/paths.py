@@ -81,7 +81,8 @@ class RadialScene:
     n : dimension of the ambient space (>= 2).
     omega : oscillation frequency (> 0).
     amplitude : f(z, *angles), the full amplitude at the point z*Theta,
-        singular kernels included.
+        singular kernels and any constant phase factor included
+        (``polar.normalize_scene`` puts exp(i w g(x0)) there).
     oscillator : g(z, *angles), normalized so g(0, .) == 0.
     d_oscillator : dg/dz(z, *angles).
     alpha : radial vanishing order of the oscillator at the origin.
@@ -96,7 +97,6 @@ class RadialScene:
         use the one fallback ``complex_derivative`` of G.
         G and dG/dtheta must be real on real angles: ``integrate_star_shaped``
         checks both once on its outer grid before the descent in the angle.
-    phase_at_origin : constant exp(i w g(x0)) factored out by normalization.
     origin_path / boundary_path : optional closed forms
         (p, *angles) -> (rho, drho_dp) used by the integrators when present.
     """
@@ -111,7 +111,6 @@ class RadialScene:
     singularity_order: float = 0.0
     boundary_radius: Callable | None = None
     d_boundary_phase: Callable | None = None
-    phase_at_origin: complex = 1.0 + 0.0j
     origin_path: Callable | None = None
     boundary_path: Callable | None = None
     name: str = ""

@@ -53,7 +53,7 @@ import numpy as np
 from .paths import (PathError, RadialScene, _taylor_coefficient, complex_derivative, corner_h11,
                     corner_h12, corner_h21, corner_h22)
 from .paths import newton_descent  # not called here; perfbench/layertrace.py patches this name
-from .rules import clenshaw_curtis, gauss_exp_power, trapezoid_periodic
+from .rules import _count, clenshaw_curtis, gauss_exp_power, trapezoid_periodic
 from .univariate import _trace, nsd_interval
 
 __all__ = [
@@ -149,8 +149,7 @@ class OuterPlan:
 
     def __post_init__(self):
         for c in self.counts:
-            if c < 2:
-                raise ValueError(f"outer rule counts must be >= 2, got {c}")
+            _count("OuterPlan", "counts", c, 2)
 
     @classmethod
     def for_region(cls, region: AngularRegion, cc: int = 50, trap: int = 50) -> "OuterPlan":
@@ -301,7 +300,7 @@ def _boundary_grid(scene: RadialScene, angles, m: int, G):
 
 def _outer_sums(scene: RadialScene, region: AngularRegion, plan: OuterPlan, m: int,
                 m_companion: int | None = None) -> list:
-    """The outer sum ``phase * sum(w * Q_r)`` of ``integrate_unbounded``, in a list.
+    """The outer sum ``sum(w * Q_r)`` of ``integrate_unbounded``, in a list.
 
     With ``m_companion`` the list also holds the two sums an error estimate
     reads, after the value: the companion radial rule's Q_r on the same
@@ -317,7 +316,7 @@ def _outer_sums(scene: RadialScene, region: AngularRegion, plan: OuterPlan, m: i
     if m_companion is not None:
         half = (..., slice(None, None, 2))
         terms += [(w, _central_grid(scene, mesh, m_companion)), (2.0 * w[half], q[half])]
-    return [complex(scene.phase_at_origin) * complex(np.sum(w * q)) for w, q in terms]
+    return [complex(np.sum(w * q)) for w, q in terms]
 
 
 def integrate_unbounded(scene: RadialScene, region: AngularRegion, plan: OuterPlan, m: int) -> complex:
@@ -456,8 +455,7 @@ def integrate_star_shaped(scene: RadialScene, region: AngularRegion, plan: Outer
     total = complex(np.sum(w * q))
     if not constant:
         total -= _oscillatory_boundary_term(scene, region, m, mesh, G)
-    # complex(): the nsd term turns the total into a numpy scalar
-    return complex(complex(scene.phase_at_origin) * total)
+    return total
 
 
 # --- rectangle decompositions ---------------------------------------------
@@ -592,15 +590,16 @@ def normalize_scene(x0, f, g, omega: float, *, n: int | None = None, alpha: int 
     """Shift the special point of Cartesian callables to the origin.
 
     Builds a scene with ``g~(z, angles) = g(x0 + z Theta) - g(x0)`` and the
-    constant ``exp(i w g(x0))`` recorded in ``phase_at_origin`` (the
-    integrators multiply it back).  ``f`` and ``g`` must accept complex
-    coordinate vectors and be analytic along the rays actually traced; that
-    region is the caller's responsibility.
+    amplitude ``exp(i w g(x0)) f(x0 + z Theta)``, which carries the constant
+    phase.  ``f`` and ``g`` must accept complex coordinate vectors and be
+    analytic along the rays actually traced; that region is the caller's
+    responsibility.
     """
     x0 = np.asarray(x0, dtype=float)
     if n is None:
         n = len(x0)
     g0 = float(np.real(g(x0)))
+    phase = cmath.exp(1j * omega * g0)
 
     def point(z, *angles):
         # coordinates on axis 0; z may carry node axes in front of the angle shape
@@ -612,7 +611,7 @@ def normalize_scene(x0, f, g, omega: float, *, n: int | None = None, alpha: int 
         return g(point(z, *angles)) - g0
 
     def f_tilde(z, *angles):
-        return f(point(z, *angles))
+        return phase * f(point(z, *angles))
 
     if grad_g is not None:
         def dg_tilde(z, *angles):
@@ -636,6 +635,5 @@ def normalize_scene(x0, f, g, omega: float, *, n: int | None = None, alpha: int 
         alpha_coeff=coeff,
         singularity_order=singularity_order,
         boundary_radius=boundary_radius,
-        phase_at_origin=cmath.exp(1j * omega * g0),
         name=name or "normalized",
     )

@@ -92,7 +92,7 @@ def _sici(x: float) -> tuple[float, float]:
 
 def sin_int(x: float) -> float:
     """Sine integral Si(x) for ``0 <= x <= 1e8``."""
-    if x < 0:
+    if not x >= 0:
         raise ValueError(f"sin_int is defined for x >= 0, got {x}")
     if x > 1e8:
         raise ValueError(f"sin_int supports x <= 1e8, got {x}")

@@ -12,7 +12,9 @@ behaves like ``p^(1/alpha)`` and the substitution ``p -> q^alpha`` restores
 analyticity; the integral is then resolved by the Gaussian rule for the
 weight ``exp(-q^alpha)``, giving an error of order ``w^-((2m-1)/alpha)``.
 
-The paths of any number of endpoints are traced together: one Newton
+An endpoint is a location, an order ``alpha`` and the side its interval
+lies on; ``endpoint_contribution`` takes them as three arrays.  The
+paths of any number of endpoints are traced together: one Newton
 continuation in ``p`` over the (m, E) array of descent parameters, with
 ``newton_descent`` solving one node row for all E endpoints at a time.
 That continuation, ``_trace``, is the only one in the package: the polar
@@ -27,50 +29,32 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .paths import PathError, _taylor_coefficient, complex_derivative, newton_descent
 from .rules import gauss_exp_power
 
-__all__ = ["Endpoint1D", "endpoint_contribution", "nsd_interval"]
+__all__ = ["endpoint_contribution", "nsd_interval"]
 
 _MAX_RAMP_QUARTERS = 16  # the first-row ramp starts no lower than p / 4^16
 
 
-@dataclass(frozen=True)
-class Endpoint1D:
-    """An endpoint of an oscillatory integral.
-
-    Attributes
-    ----------
-    x : location of the endpoint, a finite real.
-    alpha_local : 1 + number of vanishing derivatives of the phase at x,
-        an integer.
-    side : +1 when the integration interval lies to the right of x,
-        -1 when it lies to the left.  Selects the descent branch when
-        alpha_local >= 2; irrelevant otherwise.
-    """
-
-    x: float
-    alpha_local: int = 1
-    side: int = +1
-
-    def __post_init__(self):
-        if not math.isfinite(self.x):
-            raise ValueError(f"x must be finite, got x={self.x!r}")
-        if not isinstance(self.alpha_local, (int, np.integer)) or self.alpha_local < 1:
-            raise ValueError(f"alpha_local must be an integer >= 1, got {self.alpha_local!r}")
-        if self.side not in (+1, -1):
-            raise ValueError(f"side must be +1 or -1, got {self.side}")
+def _orders(name, order):
+    # endpoint orders are integer arrays, each >= 1; a float order is refused, not rounded
+    if order.dtype.kind not in "iu" or order.min() < 1:
+        raise ValueError(f"{name} must hold integers >= 1, got {order.tolist()}")
 
 
-def _phase_coefficient(g, dg, x, alpha):
-    # Leading Taylor coefficient g^(alpha)(x)/alpha!; only seeds Newton.
-    if alpha == 1:
-        return complex(dg(x))
-    return complex(_taylor_coefficient(g, x, alpha, 1e-2))
+def _phase_coefficients(g, dg, x, alpha):
+    # Leading Taylor coefficients g^(alpha)(x)/alpha!, one dg call (alpha = 1)
+    # or one stencil call per higher order on all its endpoints; they only
+    # seed Newton
+    lead = np.empty(x.shape, dtype=complex)
+    for order in np.unique(alpha):
+        at = alpha == order
+        lead[at] = dg(x[at]) if order == 1 else _taylor_coefficient(g, x[at], int(order), 1e-2)
+    return lead
 
 
 def _branch_seed(p, alpha, lead_coeff, side):
@@ -84,8 +68,9 @@ def _branch_seed(p, alpha, lead_coeff, side):
     return max(roots, key=key)
 
 
-def _endpoint_list(endpoints):
-    return ", ".join(f"(x={e.x!r}, alpha={e.alpha_local}, side={e.side:+d})" for e in endpoints)
+def _endpoint_list(x, alpha, side, mask):
+    return ", ".join(f"(x={float(xe)!r}, alpha={int(ae)}, side={int(se):+d})"
+                     for xe, ae, se in zip(x[mask], alpha[mask], side[mask]))
 
 
 def _trace(g, dg, base, p, seed, start, alpha, context):
@@ -131,7 +116,7 @@ def _trace(g, dg, base, p, seed, start, alpha, context):
     return np.stack(zs[-len(p):]), np.stack(dzs[-len(p):])
 
 
-def endpoint_contribution(f, g, endpoints, omega: float, m: int, dg=None):
+def endpoint_contribution(f, g, x, omega: float, m: int, *, dg=None, alpha=1, side=1):
     """Descent-path contributions G(x) of a sequence of endpoints.
 
     Every endpoint's path is traced in one Newton continuation in ``p``:
@@ -149,39 +134,48 @@ def endpoint_contribution(f, g, endpoints, omega: float, m: int, dg=None):
     ----------
     f, g : callables accepting complex arrays, analytic near the paths;
         a scalar result is broadcast.
-    endpoints : a non-empty sequence of :class:`Endpoint1D`; the result is a
-        complex array, one value per endpoint.
+    x : the endpoint locations, a non-empty 1-D array of finite reals; the
+        result is a complex array, one value per endpoint.
     omega : frequency (finite, > 0).
     m : number of Gaussian points for the radial rule.
     dg : optional analytic derivative of g; a finite-difference fallback is
         used when omitted.
+    alpha, side : the endpoint orders (1 + the number of vanishing
+        derivatives of the phase at x, integers >= 1) and sides (+1 where
+        the interval lies to the right of x, -1 to the left; the branch of
+        an alpha >= 2 path points into it), broadcast against x.
 
     Raises PathError naming omega and the failing endpoints as
     (x, alpha, side) when a path cannot be traced.
     """
+    x, alpha, side = np.broadcast_arrays(np.asarray(x, dtype=float), alpha, side)
+    if x.ndim != 1 or x.size == 0:
+        raise ValueError(f"endpoint_contribution needs at least one endpoint in a 1-D x, "
+                         f"got x={x.tolist()}")
+    if not np.all(np.isfinite(x)):
+        raise ValueError(f"x must be finite, got x={float(x[~np.isfinite(x)][0])!r}")
+    _orders("alpha", alpha)
+    if not np.all((side == 1) | (side == -1)):
+        raise ValueError(f"side must hold +1 or -1, got {side.tolist()}")
     if not (omega > 0 and math.isfinite(omega)):
         raise ValueError(f"omega must be finite and positive, got {omega}")
-    ends = tuple(endpoints)
-    if not ends:
-        raise ValueError("endpoint_contribution needs at least one endpoint, got endpoints=[]")
     dge = dg if dg is not None else (lambda z: complex_derivative(g, z))
-    leads = [_phase_coefficient(g, dge, e.x, e.alpha_local) for e in ends]
-    flat = [e for e, lead in zip(ends, leads) if abs(lead) < 1e-14]
-    if flat:
+    leads = _phase_coefficients(g, dge, x, alpha)
+    flat = np.abs(leads) < 1e-14
+    if np.any(flat):
         raise PathError(
             f"omega={omega}: phase coefficient of the declared order vanishes at endpoints "
-            f"{_endpoint_list(flat)}; alpha_local is wrong or the path is degenerate"
+            f"{_endpoint_list(x, alpha, side, flat)}; alpha is wrong or the path is degenerate"
         )
 
-    x = np.array([e.x for e in ends], dtype=float)
-    alpha = np.array([e.alpha_local for e in ends])
-    rules = [gauss_exp_power(m, e.alpha_local, 0) for e in ends]
+    rules = [gauss_exp_power(m, a, 0) for a in alpha.tolist()]
     nodes = np.stack([r.nodes for r in rules], axis=1)            # (m, E)
     weights = np.stack([r.weights for r in rules], axis=1) * nodes ** (alpha - 1)
     p = nodes**alpha / omega
     gx = np.broadcast_to(np.asarray(g(x), dtype=complex), x.shape)
-    seed = lambda q: x + np.array([_branch_seed(qe, e.alpha_local, lead, e.side)
-                                   for qe, e, lead in zip(q, ends, leads)])
+    branches = list(zip(alpha.tolist(), leads.tolist(), side.tolist()))
+    seed = lambda q: x + np.array([_branch_seed(qe, a, lead, s)
+                                   for qe, (a, lead, s) in zip(q, branches)])
     # below the asymptotic regime Newton's iterates can reach angles where g
     # overflows; newton_descent turns the non-finite values into PathError,
     # so numpy's warnings are silenced here
@@ -189,9 +183,9 @@ def endpoint_contribution(f, g, endpoints, omega: float, m: int, dg=None):
         try:
             z, dz = _trace(g, dge, gx, p, seed, x, alpha, "along the endpoint paths")
         except PathError as err:
-            failed = ends if err.failed is None else [e for e, bad in zip(ends, err.failed) if bad]
-            raise PathError(f"{err} at omega={omega}; failing endpoints {_endpoint_list(failed)}",
-                            err.failed) from err
+            failed = slice(None) if err.failed is None else err.failed
+            raise PathError(f"{err} at omega={omega}; failing endpoints "
+                            f"{_endpoint_list(x, alpha, side, failed)}", err.failed) from err
     terms = weights * np.broadcast_to(f(z), z.shape) * dz
     total = 0.0
     for term in terms:
@@ -218,16 +212,16 @@ def nsd_interval(f, g, a, b, omega: float, m: int, *, dg=None, alpha_a=1, alpha_
     a, b, alpha_a, alpha_b = np.broadcast_arrays(a, b, alpha_a, alpha_b)
     if a.size == 0:
         raise ValueError("nsd_interval needs at least one interval, got empty a and b")
-    for name, order in (("alpha_a", alpha_a), ("alpha_b", alpha_b)):
-        if order.dtype.kind not in "iu" or order.min() < 1:
-            raise ValueError(f"{name} must hold integers >= 1, got {order.tolist()}")
-    ends = []
-    for ai, bi, aa, ab in zip(a.ravel(), b.ravel(), alpha_a.ravel(), alpha_b.ravel()):
+    _orders("alpha_a", alpha_a)
+    _orders("alpha_b", alpha_b)
+    for ai, bi in zip(a.ravel(), b.ravel()):
         if not ai < bi:
             raise ValueError(f"nsd_interval needs a < b, got [{ai}, {bi}]")
-        ends += [Endpoint1D(float(ai), int(aa), side=+1), Endpoint1D(float(bi), int(ab), side=-1)]
-    values = endpoint_contribution(f, g, ends, omega, m, dg=dg)
+    # the ends interleaved, a_0, b_0, a_1, b_1, ..., each side pointing into its interval
+    interleave = lambda lo, hi: np.stack([lo, hi], axis=-1).ravel()
+    values = endpoint_contribution(f, g, interleave(a, b), omega, m, dg=dg,
+                                   alpha=interleave(alpha_a, alpha_b), side=np.tile([+1, -1], a.size))
     total = 0.0 + 0.0j
-    for i in range(0, len(ends), 2):
-        total += complex(values[i] - values[i + 1])
+    for ga, gb in values.reshape(-1, 2):
+        total += complex(ga - gb)
     return total

@@ -47,6 +47,7 @@ def test_tracer_counts_every_newton_call():
     finally:
         tracer.restore()
     assert (ellipse["paths.newton_calls"], ellipse["paths.newton_points"]) == (8, 64)
+    assert ellipse["univariate.calls"] == 1
     assert (sphere["paths.newton_calls"], sphere["paths.newton_points"]) == (13, 1300)
     layers = ("rules.calls", "polar.calls", "polar.directions")
     assert tuple(ellipse[k] for k in layers) == (11, 2, 104)

@@ -242,7 +242,7 @@ def test_numpy_integer_sizes_are_stored_as_ints(run, kwargs):
     (run_duct, {"n_gl": 65}, "n_gl=65"),
     (run_duct, {"n_gl": 40}, r"defaults to 2 \* n_gl\), got n_gh=80"),
     (run_duct, {"n_gh": 65}, "n_gh=65"),
-    (run_duct, {"outer_cc": 1}, "must be >= 2, got 1"),
+    (run_duct, {"outer_cc": 1}, "2 <= counts, got counts=1"),
     (run_example1, {"m": 33}, "m=33"),
     (run_example1, {"outer_cc": 10.0}, "outer_cc=10.0"),
 ], ids=["ellipsoid-m-float", "ellipsoid-trap-float", "duct-gl-float", "duct-gl-zero",

@@ -386,12 +386,3 @@ def test_brute_force_rejects_wrong_region_type():
     sc = scenes.disk_scene(10.0)
     with pytest.raises(TypeError):
         brute_force_polar(sc, [(0.0, 1.0)], 1e-8)
-
-
-def test_brute_force_honours_phase_at_origin():
-    omega = 20.0
-    sc = scenes.disk_scene(omega)
-    sc.phase_at_origin = cmath.exp(0.7j)
-    got = brute_force_polar(sc, AngularRegion.full(2), 1e-10)
-    exact = cmath.exp(0.7j) * 2 * math.pi * (cmath.exp(1j * omega) * (1 - 1j * omega) - 1) / omega**2
-    assert abs(got - exact) <= 1e-9

@@ -791,12 +791,13 @@ def test_normalize_scene_identity():
     f = lambda x: np.exp(-(x[0] ** 2))
     sc = normalize_scene(np.zeros(2), f, g, 10.0)
     assert abs(complex(sc.oscillator(0.0, 0.3))) < 1e-14
-    assert sc.phase_at_origin == cmath.exp(0.0j)
-    # g~(r, th) = r (cos th + 2 sin th) along real rays
+    # g~(r, th) = r (cos th + 2 sin th) along real rays, and g(x0) = 0 leaves
+    # the amplitude f(r cos th, r sin th) as it is
     th = 0.4
     r = 0.37
     expect = r * (math.cos(th) + 2 * math.sin(th))
     assert abs(complex(sc.oscillator(r, th)) - expect) < 1e-12
+    assert abs(complex(sc.amplitude(r, th)) - math.exp(-((r * math.cos(th)) ** 2))) < 1e-15
 
 
 @pytest.mark.parametrize("omega", [10.0, 100.0])
@@ -816,10 +817,23 @@ def test_normalize_scene_distance_phase():
     g = lambda x: np.sqrt((x[0] - 0.5) ** 2 + (x[1] + 0.2) ** 2) + 1.0
     f = lambda x: 1.0 + 0.0 * x[0]
     sc = normalize_scene(x0, f, g, 7.0)
+    # the constant exp(i w g(x0)) rides in the amplitude
     for th in (0.0, 1.1, 4.5):
         for r in (0.1, 0.8):
             assert abs(complex(sc.oscillator(r, th)) - r) < 1e-10
-    assert abs(sc.phase_at_origin - cmath.exp(7.0j)) < 1e-14
+            assert abs(complex(sc.amplitude(r, th)) - cmath.exp(7.0j)) < 1e-14
+
+
+@pytest.mark.parametrize("omega", [10.0, 50.0])
+def test_normalize_scene_constant_phase_reaches_the_value(omega):
+    # g = x + 2y + 0.7 over the quarter plane: the integral is
+    # exp(0.7 i w) (i / w) (i / (2 w)); a dropped exp(0.7 i w) is off by O(1)
+    sc = normalize_scene(np.zeros(2), lambda x: 1.0 + 0.0 * x[0],
+                         lambda x: x[0] + 2.0 * x[1] + 0.7, omega)
+    region = AngularRegion.box(2, (0.0, 0.5 * math.pi))
+    got = integrate_unbounded(sc, region, OuterPlan.for_region(region, cc=20), 8)
+    exact = cmath.exp(0.7j * omega) * (-1.0 / (2.0 * omega**2))
+    assert abs(got - exact) <= 1e-10
 
 
 def test_normalize_scene_interior_point_full_circle():
@@ -870,8 +884,9 @@ def test_region_and_plan_validation():
         AngularRegion(3, ((0.0, 1.0),))
     with pytest.raises(ValueError):
         AngularRegion.box(2, (0.0, 1.0), (0.0, 1.0))
-    with pytest.raises(ValueError, match="counts"):
-        OuterPlan((1,))
+    for bad in (1, 2.5, math.nan):
+        with pytest.raises(ValueError, match="counts"):
+            OuterPlan((bad,))
 
 
 def test_plan_does_not_depend_on_box_order():

@@ -43,6 +43,8 @@ def test_si_ci_domains():
         cos_int(-3.0)
     with pytest.raises(ValueError):
         sin_int(2e8)
+    with pytest.raises(ValueError):  # used to return nan
+        sin_int(math.nan)
 
 
 def test_euler_gamma_value():

@@ -12,7 +12,7 @@ from nsdq.oracle import adaptive_quad_1d
 from nsdq.paths import PathError, newton_descent
 from nsdq.rules import gauss_exp_power
 from nsdq.specfun import cos_int, sin_int
-from nsdq.univariate import Endpoint1D, endpoint_contribution, nsd_interval
+from nsdq.univariate import endpoint_contribution, nsd_interval
 
 
 def _quad_oracle(f, g, a, b, omega, tol=1e-13):
@@ -27,7 +27,7 @@ def test_linear_endpoint_at_origin():
     one = lambda z: 1.0
     ident = lambda z: z
     for omega in (3.0, 40.0):
-        got = endpoint_contribution(one, ident, [Endpoint1D(0.0)], omega, 1, dg=lambda z: 1.0)[0]
+        got = endpoint_contribution(one, ident, [0.0], omega, 1, dg=lambda z: 1.0)[0]
         assert abs(got - 1j / omega) <= 1e-14 * abs(1j / omega)
 
 
@@ -35,7 +35,7 @@ def test_linear_endpoint_with_phase():
     one = lambda z: 1.0
     ident = lambda z: z
     omega = 25.0
-    got = endpoint_contribution(one, ident, [Endpoint1D(1.0)], omega, 1, dg=lambda z: 1.0)[0]
+    got = endpoint_contribution(one, ident, [1.0], omega, 1, dg=lambda z: 1.0)[0]
     expect = 1j * cmath.exp(1j * omega) / omega
     assert abs(got - expect) <= 1e-14 * abs(expect)
 
@@ -44,8 +44,7 @@ def test_quadratic_endpoint_fresnel():
     # int_0^inf exp(i w x^2) dx = (1/2) sqrt(pi/w) exp(i pi/4)
     omega = 20.0
     got = endpoint_contribution(
-        lambda z: 1.0, lambda z: z * z, [Endpoint1D(0.0, alpha_local=2)], omega, 8,
-        dg=lambda z: 2.0 * z,
+        lambda z: 1.0, lambda z: z * z, [0.0], omega, 8, dg=lambda z: 2.0 * z, alpha=2,
     )[0]
     expect = 0.5 * math.sqrt(math.pi / omega) * cmath.exp(1j * math.pi / 4)
     assert abs(got - expect) <= 1e-6
@@ -102,16 +101,19 @@ def test_interval_endpoint_orders_must_be_integers():
 
 
 def test_endpoint_contribution_rejects_no_endpoints():
-    # used to raise numpy's "need at least one array to stack"
-    with pytest.raises(ValueError, match=r"endpoint_contribution needs at least one endpoint, got endpoints=\[\]"):
-        endpoint_contribution(lambda z: 1.0, lambda z: z, [], 10.0, 4, dg=lambda z: 1.0)
+    # an empty x used to raise numpy's "need at least one array to stack";
+    # a 2-D x is refused by the same check
+    for x, shown in (([], r"\[\]"), ([[0.0, 1.0]], r"\[\[0\.0, 1\.0\]\]")):
+        with pytest.raises(ValueError, match="endpoint_contribution needs at least one endpoint "
+                                             rf"in a 1-D x, got x={shown}"):
+            endpoint_contribution(lambda z: 1.0, lambda z: z, x, 10.0, 4, dg=lambda z: 1.0)
 
 
 @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
 def test_endpoint_location_must_be_finite(x):
     # a non-finite x ramped 16 quarters and then blamed the series seed
     with pytest.raises(ValueError, match=f"x must be finite, got x={x!r}"):
-        Endpoint1D(x)
+        endpoint_contribution(lambda z: 1.0, lambda z: z, [0.0, x], 10.0, 4, dg=lambda z: 1.0)
 
 
 @pytest.mark.parametrize("omega", [20.0, 50.0, 200.0])
@@ -141,8 +143,7 @@ def test_endpoint_first_row_ramp(monkeypatch):
         return np.ones_like(z)
 
     monkeypatch.setattr(univariate, "newton_descent", counted)
-    endpoint_contribution(f, lambda z: z + c * z * z, [Endpoint1D(0.0)], 1.0, m,
-                          dg=lambda z: 1.0 + 2.0 * c * z)
+    endpoint_contribution(f, lambda z: z + c * z * z, [0.0], 1.0, m, dg=lambda z: 1.0 + 2.0 * c * z)
     assert len(calls) == 1 + 3 + 8 * 3 + (m - 1)
     p = gauss_exp_power(m, 1, 0).nodes
     exact = (-1.0 + np.sqrt(1.0 + 4.0 * c * 1j * p)) / (2.0 * c)
@@ -154,9 +155,8 @@ def test_endpoint_without_trusted_seed_is_named():
     # no quartering of p brings the root near its seed, and the error names
     # that endpoint only
     dg = lambda z: np.where(z == 1.0, -1.0, 1.0) + 0j
-    ends = [Endpoint1D(0.0), Endpoint1D(1.0, side=-1)]
     with pytest.raises(PathError, match=r"p/4\^16 .* failing endpoints \(x=1\.0, alpha=1, side=-1\)$"):
-        endpoint_contribution(lambda z: 1.0, lambda z: z, ends, 10.0, 4, dg=dg)
+        endpoint_contribution(lambda z: 1.0, lambda z: z, [0.0, 1.0], 10.0, 4, dg=dg, side=[+1, -1])
 
 
 def _closed_form_inverse_linear(omega):
@@ -237,16 +237,18 @@ def test_endpoint_derivative_is_i_over_dg_on_the_roots(monkeypatch):
 
 
 def test_endpoint_validation():
-    for bad in (0, 2.5, 2.0):
-        with pytest.raises(ValueError, match="alpha_local"):
-            Endpoint1D(0.0, alpha_local=bad)
-    with pytest.raises(ValueError, match="side"):
-        Endpoint1D(0.0, side=0)
+    f, g = lambda z: 1.0, lambda z: z
+    for bad in (0, 2.5, 2.0, [1, 0]):
+        with pytest.raises(ValueError, match="alpha must hold integers >= 1"):
+            endpoint_contribution(f, g, [0.0, 1.0], 10.0, 2, alpha=bad)
+    for bad in (0, [1, 0.5]):
+        with pytest.raises(ValueError, match="side"):
+            endpoint_contribution(f, g, [0.0, 1.0], 10.0, 2, side=bad)
     with pytest.raises(ValueError, match="omega"):
-        endpoint_contribution(lambda z: 1.0, lambda z: z, [Endpoint1D(0.0)], -1.0, 2)
+        endpoint_contribution(f, g, [0.0], -1.0, 2)
     for bad in (math.inf, math.nan):
         with pytest.raises(ValueError, match="omega"):
-            endpoint_contribution(lambda z: 1.0, lambda z: z, [Endpoint1D(0.0)], bad, 2)
+            endpoint_contribution(f, g, [0.0], bad, 2)
 
 
 # the finite-difference derivative carries ~1e-11 relative round-off, which
@@ -258,11 +260,12 @@ def test_endpoint_sequence_matches_single_endpoints(dg, tol):
     # continuation; each value must match the endpoint traced on its own
     f = lambda z: 1.0 / (1.0 + z)
     g = lambda z: z * z
-    ends = [Endpoint1D(0.0, alpha_local=2), Endpoint1D(1.0, side=-1), Endpoint1D(0.5)]
-    batch = endpoint_contribution(f, g, ends, 40.0, 6, dg=dg)
+    ends = [(0.0, 2, +1), (1.0, 1, -1), (0.5, 1, +1)]
+    x, alpha, side = zip(*ends)
+    batch = endpoint_contribution(f, g, x, 40.0, 6, dg=dg, alpha=alpha, side=side)
     assert batch.shape == (3,)
-    for e, got in zip(ends, batch):
-        single = endpoint_contribution(f, g, [e], 40.0, 6, dg=dg)[0]
+    for (xe, ae, se), got in zip(ends, batch):
+        single = endpoint_contribution(f, g, [xe], 40.0, 6, dg=dg, alpha=ae, side=se)[0]
         assert abs(got - single) <= tol * abs(single)
 
 
@@ -277,6 +280,5 @@ def test_interval_arrays_sum_in_order():
 
 def test_vanishing_phase_coefficient_names_endpoint():
     # g = z^2 declared linear at 0: the seed coefficient g'(0) vanishes
-    ends = [Endpoint1D(0.5), Endpoint1D(0.0)]
     with pytest.raises(PathError, match=r"omega=5\.0: .* \(x=0\.0, alpha=1, side=\+1\);"):
-        endpoint_contribution(lambda z: 1.0, lambda z: z * z, ends, 5.0, 4, dg=lambda z: 2.0 * z)
+        endpoint_contribution(lambda z: 1.0, lambda z: z * z, [0.5, 0.0], 5.0, 4, dg=lambda z: 2.0 * z)
