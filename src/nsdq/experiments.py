@@ -137,8 +137,8 @@ def run_ellipsoid(omega_grid, m: int = 8, outer_cc: int = 50, outer_trap: int = 
     The sizes are integers, checked before any row runs: 1 <= m <= 16 and
     outer counts >= 2; otherwise ValueError.
     """
-    m, outer_cc = _count("run_ellipsoid", "m", m, hi=16), _count("run_ellipsoid", "outer_cc", outer_cc)
-    outer_trap = _count("run_ellipsoid", "outer_trap", outer_trap)
+    m, outer_cc = _count("run_ellipsoid", "m", m, hi=16), _count("run_ellipsoid", "outer_cc", outer_cc, 2)
+    outer_trap = _count("run_ellipsoid", "outer_trap", outer_trap, 2)
     oms = _omega_array(omega_grid)
     region = scenes.default_region("ellipsoid")
     plan = OuterPlan.for_region(region, cc=outer_cc, trap=outer_trap)
@@ -188,7 +188,7 @@ def run_duct(omega_grid, n_gl: int = 8, n_gh: int | None = None, a: float = 1.0,
     n_gl = _count("run_duct", "n_gl", n_gl, hi=_MAX_POINTS)
     n_gh = _count("run_duct", "n_gh", 2 * n_gl if n_gh is None else n_gh, hi=_MAX_POINTS,
                   reason=" (n_gh defaults to 2 * n_gl)")
-    outer_cc = _count("run_duct", "outer_cc", outer_cc)
+    outer_cc = _count("run_duct", "outer_cc", outer_cc, 2)
     plan = OuterPlan.for_region(scenes.default_region("duct"), cc=outer_cc)
     oms = _omega_array(omega_grid)
 
@@ -308,7 +308,7 @@ def run_example1(omega_grid, m: int = 4, outer_cc: int = 10):
     """
     m = _count("run_example1", "m", m, hi=_MAX_POINTS // 2,
                reason=" (the direct row takes a 2m-point Hermite rule)")
-    outer_cc = _count("run_example1", "outer_cc", outer_cc)
+    outer_cc = _count("run_example1", "outer_cc", outer_cc, 2)
     oms = _omega_array(omega_grid)
     region = scenes.default_region("quarter-plane")
     plan = OuterPlan.for_region(region, cc=outer_cc)

@@ -53,7 +53,7 @@ import numpy as np
 from .paths import (PathError, RadialScene, _taylor_coefficient, complex_derivative, corner_h11,
                     corner_h12, corner_h21, corner_h22)
 from .paths import newton_descent  # not called here; perfbench/layertrace.py patches this name
-from .rules import _count, clenshaw_curtis, gauss_exp_power, trapezoid_periodic
+from .rules import _count, _in_p, _node_sum, clenshaw_curtis, gauss_exp_power, trapezoid_periodic
 from .univariate import _trace, nsd_interval
 
 __all__ = [
@@ -245,27 +245,19 @@ def _boundary_samples(scene: RadialScene, angles, p_values):
     return _traced_samples(scene, angles, gR, p_values, seed, R, 1, "boundary grid")
 
 
-def _descent_sum(scene: RadialScene, angles, m: int, alpha, d, samples):
+def _descent_sum(scene: RadialScene, angles, rule, samples):
     """The Gaussian descent sum along every path of a direction grid.
 
-    ``sum_j w_j x_j^(alpha-1-d) f(rho(p_j)) d(rho^n)/dp (p_j)`` at
-    ``p_j = x_j^alpha / w``, with the rule for ``x^d exp(-x^alpha)`` and the
-    path samples from ``samples`` (``_origin_samples`` or
-    ``_boundary_samples``).  Summed node by node in node order: a BLAS
-    contraction would reorder the additions and change the last bits.
+    ``sum_j w_j f(rho(p_j)) d(rho^n)/dp (p_j)`` over the radial rule
+    ``(p, w)`` that ``rules._in_p`` reads from a Gaussian rule, with the path
+    samples from ``samples`` (``_origin_samples`` or ``_boundary_samples``).
     """
-    rule = gauss_exp_power(m, alpha, d)
-    rho, drho = samples(scene, angles, rule.nodes**alpha / scene.omega)
-    n, power = scene.n, alpha - 1 - d
-    f = scene.amplitude(rho, *angles)
-    jac = n * rho ** (n - 1) * drho
-    total = 0.0
-    for j, (xj, wj) in enumerate(zip(rule.nodes, rule.weights)):
-        total = total + wj * xj ** power * f[j] * jac[j]
-    # free the products before the path samples: in the other order the
-    # allocator gives the pages back, and an ellipsoid op faults 280 times, not 202
-    del f, jac
-    return total
+    p, w = rule
+    rho, drho = samples(scene, angles, p)
+    # the amplitude and Jacobian products go straight into the sum, so they
+    # are freed before the path samples: in the other order the allocator
+    # gives the pages back, and an ellipsoid op faults 280 times, not 202
+    return _node_sum(w, scene.amplitude(rho, *angles), scene.n * rho ** (scene.n - 1) * drho)
 
 
 def _central_grid(scene: RadialScene, angles, m: int):
@@ -280,9 +272,9 @@ def _central_grid(scene: RadialScene, angles, m: int):
     Jacobian inside the product, which is evaluated at strictly positive
     nodes.
     """
-    alpha = scene.alpha
-    total = _descent_sum(scene, angles, m, alpha, _weight_degree(scene), _origin_samples)
-    return total * (alpha / (scene.n * scene.omega))
+    alpha, d = scene.alpha, _weight_degree(scene)
+    rule = _in_p(gauss_exp_power(m, alpha, d), alpha, scene.omega, d)
+    return _descent_sum(scene, angles, rule, _origin_samples) * (alpha / (scene.n * scene.omega))
 
 
 def _boundary_grid(scene: RadialScene, angles, m: int, G):
@@ -294,7 +286,8 @@ def _boundary_grid(scene: RadialScene, angles, m: int, G):
     ``angles``, as the caller already evaluated it.  The star-shaped
     pre-quadrature value is ``_central_grid - _boundary_grid``.
     """
-    total = _descent_sum(scene, angles, m, 1, 0, _boundary_samples)
+    rule = _in_p(gauss_exp_power(m, 1, 0), 1, scene.omega)
+    total = _descent_sum(scene, angles, rule, _boundary_samples)
     return np.exp(1j * scene.omega * G) * total / (scene.n * scene.omega)
 
 
@@ -342,9 +335,10 @@ def _boundary_phase(scene):
 
 def _boundary_amplitude(scene, m):
     # amplitude of the boundary term as an analytic function of the
-    # (possibly complex) angle; the oscillatory factor exp(i w G) is
-    # supplied by the univariate descent machinery.
-    return lambda th: _descent_sum(scene, (th,), m, 1, 0, _boundary_samples) / (scene.n * scene.omega)
+    # (possibly complex) angle, its rule read once; the oscillatory factor
+    # exp(i w G) is supplied by the univariate descent machinery
+    rule = _in_p(gauss_exp_power(m, 1, 0), 1, scene.omega)
+    return lambda th: _descent_sum(scene, (th,), rule, _boundary_samples) / (scene.n * scene.omega)
 
 
 def _stationary_points(dG, lo, hi):
@@ -462,8 +456,8 @@ def integrate_star_shaped(scene: RadialScene, region: AngularRegion, plan: Outer
 
 
 def _check_rectangle(name, a, b, omega):
-    if not (a > 0 and b > 0):
-        raise ValueError(f"rectangle sides must be positive, got a={a}, b={b}")
+    if not (0 < a < math.inf and 0 < b < math.inf):
+        raise ValueError(f"{name} needs finite rectangle sides 0 < a, b < inf, got a={a}, b={b}")
     if not (omega > 0 and math.isfinite(omega)):
         raise ValueError(f"{name} needs a finite omega > 0, got omega={omega}")
 
@@ -496,10 +490,9 @@ def rectangle_corner_contributions(f_polar, a: float, b: float, omega: float,
     """
     _check_rectangle("rectangle_corner_contributions", a, b, omega)
     eta = math.hypot(a, b)
-    gl = gauss_exp_power(m_lag, 1, 0)
-    gh = gauss_exp_power(m_herm, 2, 0)
-    P = gl.nodes[:, None] / omega  # p = s/omega, rows
-    wl = gl.weights
+    pl, wl = _in_p(gauss_exp_power(m_lag, 1, 0), 1, omega)
+    ph, wh = _in_p(gauss_exp_power(m_herm, 2, 0), 2, omega)
+    P = pl[:, None]  # p = s/omega, rows
 
     def corner_sum(corner, start, Q, path, wq):
         # wl K wq with K = f(start + i q + i p, theta(q)) / D(q) over the (p, q) grid
@@ -509,15 +502,14 @@ def rectangle_corner_contributions(f_polar, a: float, b: float, omega: float,
         return wl @ K @ wq
 
     # corners at theta = 0 and pi/2: q = t^2/omega
-    Qh = (gh.nodes**2 / omega)[None, :]
-    wh = gh.weights * gh.nodes
+    Qh = ph[None, :]
     I11 = -(2.0 * a * cmath.exp(1j * omega * a) / omega**2) * corner_sum(
         "(1,1)", a, Qh, corner_h11(Qh, a), wh)
     I22 = (2.0 * b * cmath.exp(1j * omega * b) / omega**2) * corner_sum(
         "(2,2)", b, Qh, corner_h22(Qh, b), wh)
 
     # corners at theta = beta: q = t/omega
-    Ql = (gl.nodes / omega)[None, :]
+    Ql = pl[None, :]
     I12 = -(a * cmath.exp(1j * omega * eta) / omega**2) * corner_sum(
         "(1,2)", eta, Ql, corner_h12(Ql, a, b), wl)
     I21 = (b * cmath.exp(1j * omega * eta) / omega**2) * corner_sum(
@@ -539,11 +531,9 @@ def _direct_corner(f, x0, y0, omega, m_lag, m_herm, outer_resonance_fix):
     def rule(singular):
         # (nodes, weights) in the path variable: Laguerre, or half-range
         # Hermite after the q -> q^2 substitution at a square-root singularity
-        if singular:
-            gh = gauss_exp_power(m_herm, 2, 0)
-            return gh.nodes**2 / omega, 2.0 * gh.weights * gh.nodes / omega
-        gl = gauss_exp_power(m_lag, 1, 0)
-        return gl.nodes / omega, gl.weights / omega
+        alpha, m = (2, m_herm) if singular else (1, m_lag)
+        p, w = _in_p(gauss_exp_power(m, alpha, 0), alpha, omega)
+        return p, alpha * w / omega
 
     P, wp = rule(x0 == 0.0 and y0 > 0.0 and outer_resonance_fix)
     Q, wq = rule(y0 == 0.0)
@@ -584,20 +574,19 @@ def rectangle_direct_terms(f, a, b, omega, m, m_herm=None, outer_resonance_fix=F
             for x0, y0 in ((0.0, 0.0), (a, 0.0), (0.0, b), (a, b))}
 
 
-def normalize_scene(x0, f, g, omega: float, *, n: int | None = None, alpha: int = 1,
+def normalize_scene(x0, f, g, omega: float, *, alpha: int = 1,
                     singularity_order: float = 0.0, boundary_radius=None,
                     grad_g=None, name: str = "") -> RadialScene:
     """Shift the special point of Cartesian callables to the origin.
 
-    Builds a scene with ``g~(z, angles) = g(x0 + z Theta) - g(x0)`` and the
-    amplitude ``exp(i w g(x0)) f(x0 + z Theta)``, which carries the constant
-    phase.  ``f`` and ``g`` must accept complex coordinate vectors and be
-    analytic along the rays actually traced; that region is the caller's
-    responsibility.
+    Builds a scene of dimension n = len(x0) with ``g~(z, angles) =
+    g(x0 + z Theta) - g(x0)`` and the amplitude ``exp(i w g(x0)) f(x0 + z
+    Theta)``, which carries the constant phase.  ``f`` and ``g`` must
+    accept complex coordinate vectors and be analytic along the rays
+    actually traced; that region is the caller's responsibility.
     """
     x0 = np.asarray(x0, dtype=float)
-    if n is None:
-        n = len(x0)
+    n = len(x0)
     g0 = float(np.real(g(x0)))
     phase = cmath.exp(1j * omega * g0)
 

@@ -233,6 +233,21 @@ def gauss_exp_power(m: int, alpha: int, degree: int = 0) -> QuadRule:
     return _memoized(("exp_power", m, alpha, degree), build)
 
 
+def _in_p(rule: QuadRule, alpha: int, omega: float, degree: int = 0):
+    # a built rule for x^degree exp(-x^alpha) read in the descent variable p = x^alpha / omega:
+    # the nodes p_j and the weights w_j x_j^(alpha-1-degree), as every descent sum takes them
+    return rule.nodes**alpha / omega, rule.weights * rule.nodes ** (alpha - 1 - degree)
+
+
+def _node_sum(w, f, dz):
+    # sum_j w_j f_j dz_j over the leading (node) axis, added in node order:
+    # a BLAS contraction would reorder the additions and change the last bits
+    total = 0.0
+    for wj, fj, dzj in zip(w, f, dz):
+        total = total + wj * fj * dzj
+    return total
+
+
 def clenshaw_curtis(n: int, a: float, b: float) -> QuadRule:
     """n-point Clenshaw-Curtis rule on ``[a, b]``, exact on degree ``n - 1``; n is an integer."""
     n = _count("clenshaw_curtis", "n", n, 2)

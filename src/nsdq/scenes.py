@@ -64,14 +64,14 @@ def quarter_plane_scene(omega: float) -> RadialScene:
     return _unit_radial_scene(omega, None, "quarter-plane")
 
 
-def disk_scene(omega: float, radius: float = 1.0) -> RadialScene:
-    """Unit amplitude, phase r, on a disk of the given radius."""
-    R = float(radius)
-    return _unit_radial_scene(omega, lambda th: R + 0.0 * np.asarray(th, float), "disk")
+def disk_scene(omega: float) -> RadialScene:
+    """Unit amplitude, phase r, on the unit disk."""
+    return _unit_radial_scene(omega, lambda th: 1.0 + 0.0 * np.asarray(th, float), "disk")
 
 
-def quarter_disk_scene(omega: float, radius: float = 1.0) -> RadialScene:
-    scene = disk_scene(omega, radius)
+def quarter_disk_scene(omega: float) -> RadialScene:
+    """The unit disk's scene under the name of its first-quadrant region."""
+    scene = disk_scene(omega)
     scene.name = "quarter-disk"
     return scene
 

@@ -33,7 +33,7 @@ import math
 import numpy as np
 
 from .paths import PathError, _taylor_coefficient, complex_derivative, newton_descent
-from .rules import gauss_exp_power
+from .rules import _in_p, _node_sum, gauss_exp_power
 
 __all__ = ["endpoint_contribution", "nsd_interval"]
 
@@ -127,8 +127,8 @@ def endpoint_contribution(f, g, x, omega: float, m: int, *, dg=None, alpha=1, si
     only near the seed; otherwise the first row is ramped up from a smaller
     p).  The continuation evaluates ``dg`` on each row's roots, for the next
     row's tangent and for the path derivative h' = i / dg; ``f`` is then
-    evaluated once on the (m, E) array of path points, and each endpoint's
-    node sum is taken in node order.
+    evaluated once on the (m, E) array of path points, and the sum runs in
+    node order over one column of the rule in p per endpoint (``rules._in_p``).
 
     Parameters
     ----------
@@ -168,10 +168,8 @@ def endpoint_contribution(f, g, x, omega: float, m: int, *, dg=None, alpha=1, si
             f"{_endpoint_list(x, alpha, side, flat)}; alpha is wrong or the path is degenerate"
         )
 
-    rules = [gauss_exp_power(m, a, 0) for a in alpha.tolist()]
-    nodes = np.stack([r.nodes for r in rules], axis=1)            # (m, E)
-    weights = np.stack([r.weights for r in rules], axis=1) * nodes ** (alpha - 1)
-    p = nodes**alpha / omega
+    columns = [_in_p(gauss_exp_power(m, a, 0), a, omega) for a in alpha.tolist()]
+    p, weights = (np.stack(c, axis=1) for c in zip(*columns))
     gx = np.broadcast_to(np.asarray(g(x), dtype=complex), x.shape)
     branches = list(zip(alpha.tolist(), leads.tolist(), side.tolist()))
     seed = lambda q: x + np.array([_branch_seed(qe, a, lead, s)
@@ -186,10 +184,7 @@ def endpoint_contribution(f, g, x, omega: float, m: int, *, dg=None, alpha=1, si
             failed = slice(None) if err.failed is None else err.failed
             raise PathError(f"{err} at omega={omega}; failing endpoints "
                             f"{_endpoint_list(x, alpha, side, failed)}", err.failed) from err
-    terms = weights * np.broadcast_to(f(z), z.shape) * dz
-    total = 0.0
-    for term in terms:
-        total = total + term
+    total = _node_sum(weights, np.broadcast_to(f(z), z.shape), dz)
     return np.exp(1j * omega * gx) * (alpha / omega) * total
 
 

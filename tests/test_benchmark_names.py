@@ -52,3 +52,31 @@ def test_tracer_counts_every_newton_call():
     layers = ("rules.calls", "polar.calls", "polar.directions")
     assert tuple(ellipse[k] for k in layers) == (11, 2, 104)
     assert tuple(sphere[k] for k in layers) == (3, 2, 200)
+
+
+def test_tracer_counts_the_rules_of_every_descent_sum():
+    # every rule is built through a wrapped name, so the rule counts of the
+    # --trace 1 records see each descent sum.  Duct: the outer CC, the
+    # central Q_r's rule and the corner Laguerre and Hermite rules.  Disk:
+    # the trapezoid and the central and boundary grids' rules.  Example1:
+    # the outer CC and the Q_r rule of its polar row, and two rules for each
+    # of the four corner terms of its direct row
+    from nsdq import experiments, polar, scenes
+
+    tracer = _tracer()
+    tracer.install()
+    try:
+        experiments.run_duct([1000.0], n_gl=8)
+        duct = tracer.take()["counts"]
+        region = scenes.default_region("disk")
+        polar.integrate_star_shaped(scenes.disk_scene(100.0), region,
+                                    polar.OuterPlan.for_region(region, trap=16), 4)
+        disk = tracer.take()["counts"]
+        experiments.run_example1([10.0], m=4, outer_cc=10)
+        example1 = tracer.take()["counts"]
+    finally:
+        tracer.restore()
+    layers = ("rules.calls", "polar.calls", "polar.directions")
+    assert tuple(duct[k] for k in layers) == (4, 1, 30)
+    assert tuple(disk[k] for k in layers) == (3, 2, 32)
+    assert tuple(example1[k] for k in layers) == (10, 1, 10)

@@ -242,12 +242,14 @@ def test_numpy_integer_sizes_are_stored_as_ints(run, kwargs):
     (run_duct, {"n_gl": 65}, "n_gl=65"),
     (run_duct, {"n_gl": 40}, r"defaults to 2 \* n_gl\), got n_gh=80"),
     (run_duct, {"n_gh": 65}, "n_gh=65"),
-    (run_duct, {"outer_cc": 1}, "2 <= counts, got counts=1"),
+    (run_duct, {"outer_cc": 1}, "run_duct needs 2 <= outer_cc, got outer_cc=1"),
+    (run_ellipsoid, {"outer_trap": 1}, "run_ellipsoid needs 2 <= outer_trap, got outer_trap=1"),
     (run_example1, {"m": 33}, "m=33"),
     (run_example1, {"outer_cc": 10.0}, "outer_cc=10.0"),
+    (run_example1, {"outer_cc": 1}, "run_example1 needs 2 <= outer_cc, got outer_cc=1"),
 ], ids=["ellipsoid-m-float", "ellipsoid-trap-float", "duct-gl-float", "duct-gl-zero",
         "duct-gl-above-64", "duct-gh-default-above-64", "duct-gh-above-64", "duct-cc-1",
-        "example1-hermite-above-64", "example1-cc-float"])
+        "ellipsoid-trap-1", "example1-hermite-above-64", "example1-cc-float", "example1-cc-1"])
 def test_sizes_checked_before_any_row(run, kwargs, named, monkeypatch):
     # duct n_gl = 40 used to compute the polar term first and then fail on
     # a Hermite rule "m=80" that nobody had asked for

@@ -656,16 +656,18 @@ def test_offset_special_point_stationary_phase_raises():
 
 
 def test_interior_stationary_point_scan_is_one_call():
-    # the disk's paths are closed forms, so every d_oscillator call is the
-    # scan's: one call on 32 interior radii of each of the 16 rays
-    sc = scenes.disk_scene(30.0, radius=1.5)
+    # the ellipse's paths are closed forms and its dG/dtheta is its own, so
+    # every d_oscillator call is the scan's: one call on 32 interior radii
+    # of each of the 16 rays, each strictly inside its ray's R(theta)
+    sc = scenes.ellipse_scene(30.0)
     radii = []
     dg = sc.d_oscillator
     sc.d_oscillator = lambda z, th: radii.append(z) or dg(z, th)
-    region = scenes.default_region("disk")
+    region = scenes.default_region("ellipse")
     integrate_star_shaped(sc, region, OuterPlan.for_region(region, trap=16), 4)
     assert [np.shape(z) for z in radii] == [(32, 16)]
-    assert 0.0 < np.min(radii[0]) and np.max(radii[0]) < 1.5
+    R = sc.boundary_radius(2.0 * np.pi * np.arange(16) / 16)
+    assert np.all(0.0 < radii[0]) and np.all(radii[0] < R)
 
 
 def _offset_ellipse_scene(omega):
@@ -764,6 +766,19 @@ def test_direct_rejects_bad_rectangle():
         rectangle_direct_terms(lambda x, y: 1.0, -1.0, 2.0, 10.0, 4)
     with pytest.raises(ValueError):
         rectangle_corner_contributions(duct_f_polar, 1.0, 0.0, 10.0, 4, 8)
+
+
+@pytest.mark.parametrize("a, b", [(0.0, 2.0), (-1.0, 2.0), (math.nan, 2.0), (math.inf, 2.0),
+                                  (1.0, math.inf)],
+                         ids=["a-zero", "a-negative", "a-nan", "a-inf", "b-inf"])
+def test_rectangle_sides_must_be_finite_and_positive(a, b):
+    # an infinite side used to pass the check, warn from numpy and end in
+    # "non-finite integrand (inverse sec/csc branch failure)"
+    sides = re.escape(f" needs finite rectangle sides 0 < a, b < inf, got a={a}, b={b}")
+    with pytest.raises(ValueError, match="rectangle_corner_contributions" + sides):
+        rectangle_corner_contributions(duct_f_polar, a, b, 10.0, 8, 16)
+    with pytest.raises(ValueError, match="rectangle_direct_terms" + sides):
+        rectangle_direct_terms(lambda x, y: x, a, b, 10.0, 8)
 
 
 def test_integrator_linearity():
