@@ -34,6 +34,7 @@ from .oracle import acoustics_reference
 from .polar import (
     OuterPlan,
     _central_grid,
+    _check_rectangle,
     _outer_grid,
     _outer_sums,
     integrate_unbounded,
@@ -179,9 +180,10 @@ def run_duct(omega_grid, n_gl: int = 8, n_gh: int | None = None, a: float = 1.0,
     ``direct_modified`` (direct corners with the resonance substitution,
     central term replaced by the polar rule).
 
-    The sizes are integers, checked before any row runs: the Laguerre
-    ``n_gl`` and the Hermite ``n_gh`` (default ``2 * n_gl``) lie in
-    [1, 64], and ``outer_cc >= 2``; otherwise ValueError.
+    Every input is checked before any row runs: the sizes are integers,
+    the Laguerre ``n_gl`` and the Hermite ``n_gh`` (default ``2 * n_gl``)
+    in [1, 64] and ``outer_cc >= 2``, and the sides are finite,
+    0 < a, b < inf; otherwise ValueError.
     """
     if mode not in ("corner", "direct", "direct_modified"):
         raise ValueError(f"unknown duct mode {mode!r}")
@@ -191,6 +193,7 @@ def run_duct(omega_grid, n_gl: int = 8, n_gh: int | None = None, a: float = 1.0,
     outer_cc = _count("run_duct", "outer_cc", outer_cc, 2)
     plan = OuterPlan.for_region(scenes.default_region("duct"), cc=outer_cc)
     oms = _omega_array(omega_grid)
+    _check_rectangle("run_duct", a, b, oms[0])  # the sides; every omega is already checked
 
     def f_point(x, y):
         return y * np.cos(x) / np.sqrt(x * x + y * y)

@@ -67,7 +67,8 @@ class RadialScene:
     elementwise under numpy broadcasting: the angles are scalars or arrays
     of one common shape, and ``z`` may carry leading node axes in front of
     that shape (the radial pre-quadrature passes every radial node of a
-    direction grid as one ``(m,) + angle shape`` array).  Each element of
+    direction grid as one ``(m,) + angle shape`` array).  Angle arrays are
+    the shared, read-only arrays of the outer grid.  Each element of
     the result may depend only on the matching elements of ``z`` and the
     angles.  Closed-form paths follow the same rule with ``p`` in place of
     ``z``.  Every callable is a pure function of its argument values: a

@@ -157,24 +157,28 @@ class OuterPlan:
         return cls(tuple(trap if region.axis_periodic(axis) else cc for axis in range(region.n - 1)))
 
 
+_grids: dict = {}  # outer grids by axis rules (by identity) and offsets; rules live for the process
+
+
 def _outer_grid(region: AngularRegion, plan: OuterPlan):
     """Tensor nodes/weights over the angular box, surface factor included.
 
     The first angle is the outermost tensor index.  Returns a tuple of
     angle arrays (meshgrid, 'ij' indexing) and the combined weight array.
+    The rules are asked for on every call, but the grid is built once per
+    set of rules and shared, so its arrays are read-only.
     """
-    nodes, weights = [], []
-    for axis, (lo, hi) in enumerate(region.intervals):
-        if region.axis_periodic(axis):
-            rule = trapezoid_periodic(plan.counts[axis], hi - lo)
-            nodes.append(rule.nodes + lo)
-        else:
-            rule = clenshaw_curtis(plan.counts[axis], lo, hi)
-            nodes.append(rule.nodes)
-        weights.append(rule.weights)
-    mesh = np.meshgrid(*nodes, indexing="ij")
-    _, factor = spherical_map(1.0, mesh)
-    return mesh, functools.reduce(np.multiply.outer, weights) * factor
+    axes = tuple((trapezoid_periodic(plan.counts[axis], hi - lo), lo) if region.axis_periodic(axis)
+                 else (clenshaw_curtis(plan.counts[axis], lo, hi), None)
+                 for axis, (lo, hi) in enumerate(region.intervals))
+    if axes not in _grids:
+        mesh = np.meshgrid(*(r.nodes if lo is None else r.nodes + lo for r, lo in axes), indexing="ij")
+        _, factor = spherical_map(1.0, mesh)
+        w = functools.reduce(np.multiply.outer, (r.weights for r, _ in axes)) * factor
+        for a in (*mesh, w):
+            a.setflags(write=False)
+        _grids.setdefault(axes, (tuple(mesh), w))
+    return _grids[axes]
 
 
 def _check_dimensions(scene: RadialScene, region: AngularRegion, plan: OuterPlan):
@@ -254,10 +258,10 @@ def _descent_sum(scene: RadialScene, angles, rule, samples):
     """
     p, w = rule
     rho, drho = samples(scene, angles, p)
-    # the amplitude and Jacobian products go straight into the sum, so they
-    # are freed before the path samples: in the other order the allocator
-    # gives the pages back, and an ellipsoid op faults 280 times, not 202
-    return _node_sum(w, scene.amplitude(rho, *angles), scene.n * rho ** (scene.n - 1) * drho)
+    # the Jacobian one node row at a time; [j, ...] keeps a row of a 1-D
+    # grid an array, so each row has the bits of the whole-array product
+    jacobian = (scene.n * rho[j, ...] ** (scene.n - 1) * drho[j, ...] for j in range(len(p)))
+    return _node_sum(w, scene.amplitude(rho, *angles), jacobian)
 
 
 def _central_grid(scene: RadialScene, angles, m: int):

@@ -49,12 +49,13 @@ _SUPPORTED_ALPHA = (1, 2, 3, 4)
 _MAX_DEGREE = 8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadRule:
     """Frozen nodes and weights of a quadrature rule.
 
     The nodes increase strictly; both arrays are read-only, because one rule
-    object is shared by every caller that asks for the same rule.
+    object is shared by every caller that asks for the same rule.  A rule
+    compares and hashes by identity, so it can key what is built from it.
     """
 
     nodes: np.ndarray = field(repr=False)

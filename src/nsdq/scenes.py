@@ -137,8 +137,12 @@ def ellipsoid_scene(omega: float) -> RadialScene:
     """
 
     def amplitude(z, phi1, phi2):
+        # 1/(zs zs (1 + zs)) in that order, in place on arrays: zs is a new array
         zs = z * _ellipsoid_slope(phi1, phi2)
-        return 1.0 / (zs * zs * (1.0 + zs))
+        den = zs * zs
+        zs += 1.0
+        den *= zs
+        return np.divide(1.0, den, out=den) if isinstance(den, np.ndarray) else 1.0 / den
 
     def origin_path(p, phi1, phi2):
         s = _ellipsoid_slope(phi1, phi2)

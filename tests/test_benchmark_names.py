@@ -80,3 +80,26 @@ def test_tracer_counts_the_rules_of_every_descent_sum():
     assert tuple(duct[k] for k in layers) == (4, 1, 30)
     assert tuple(disk[k] for k in layers) == (3, 2, 32)
     assert tuple(example1[k] for k in layers) == (10, 1, 10)
+
+
+def test_tracer_counts_do_not_depend_on_the_grid_cache():
+    # perfbench compares the layer counts of a cold traced sweep with those
+    # of the warm ones (run.sweep_counts, without the rule cache's hits and
+    # cold builds).  The outer grid cache must leave every wrapped call in
+    # place: an op on a cold cache and the same op on a warm one count alike
+    from nsdq import experiments, polar
+
+    tracer = _tracer()
+    tracer.install()
+    try:
+        polar._grids.clear()
+        ops = []
+        for _ in range(2):
+            experiments.run_ellipsoid([300.0], m=8, outer_cc=50, outer_trap=50)
+            counts = tracer.take()["counts"]
+            del counts["rules.hits"], counts["rules.cold_builds"]
+            ops.append(counts)
+    finally:
+        tracer.restore()
+    assert ops[0] == ops[1]
+    assert ops[0]["rules.calls"] == 3

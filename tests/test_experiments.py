@@ -234,6 +234,10 @@ def test_numpy_integer_sizes_are_stored_as_ints(run, kwargs):
     assert len(json.loads(rows_to_json(rows))) == len(rows)
 
 
+DUCT_MODES = ("corner", "direct", "direct_modified")
+BAD_SIDES = ((math.inf, 2.0), (math.nan, 2.0), (0.0, 2.0), (-1.0, 2.0), (1.0, math.inf))
+
+
 @pytest.mark.parametrize("run, kwargs, named", [
     (run_ellipsoid, {"m": 4.0}, "m=4.0"),
     (run_ellipsoid, {"outer_trap": 10.5}, "outer_trap=10.5"),
@@ -247,12 +251,18 @@ def test_numpy_integer_sizes_are_stored_as_ints(run, kwargs):
     (run_example1, {"m": 33}, "m=33"),
     (run_example1, {"outer_cc": 10.0}, "outer_cc=10.0"),
     (run_example1, {"outer_cc": 1}, "run_example1 needs 2 <= outer_cc, got outer_cc=1"),
-], ids=["ellipsoid-m-float", "ellipsoid-trap-float", "duct-gl-float", "duct-gl-zero",
-        "duct-gl-above-64", "duct-gh-default-above-64", "duct-gh-above-64", "duct-cc-1",
-        "ellipsoid-trap-1", "example1-hermite-above-64", "example1-cc-float", "example1-cc-1"])
+] + [(run_duct, {"a": a, "b": b, "mode": mode}, f"^run_duct needs finite rectangle sides 0 < a, b < inf, "
+                                               f"got a={a}, b={b}$")
+     for mode in DUCT_MODES for a, b in BAD_SIDES],
+    ids=["ellipsoid-m-float", "ellipsoid-trap-float", "duct-gl-float", "duct-gl-zero",
+         "duct-gl-above-64", "duct-gh-default-above-64", "duct-gh-above-64", "duct-cc-1",
+         "ellipsoid-trap-1", "example1-hermite-above-64", "example1-cc-float", "example1-cc-1"]
+    + [f"duct-{mode}-a{a}-b{b}" for mode in DUCT_MODES for a, b in BAD_SIDES])
 def test_sizes_checked_before_any_row(run, kwargs, named, monkeypatch):
     # duct n_gl = 40 used to compute the polar term first and then fail on
-    # a Hermite rule "m=80" that nobody had asked for
+    # a Hermite rule "m=80" that nobody had asked for; an infinite duct side
+    # computed the first row's polar term, and the error named the corner
+    # decomposition, not run_duct
     from nsdq import scenes
 
     built = []

@@ -18,7 +18,10 @@ from nsdq.polar import (
     _boundary_amplitude,
     _boundary_grid,
     _boundary_phase,
+    _boundary_samples,
     _central_grid,
+    _descent_sum,
+    _origin_samples,
     _outer_grid,
     _stationary_points,
     _weight_degree,
@@ -29,7 +32,7 @@ from nsdq.polar import (
     rectangle_direct_terms,
     spherical_map,
 )
-from nsdq.rules import clenshaw_curtis, trapezoid_periodic
+from nsdq.rules import _in_p, _node_sum, clenshaw_curtis, gauss_exp_power, trapezoid_periodic
 
 
 def disk_closed_form(omega, radius=1.0):
@@ -931,3 +934,121 @@ def test_normalize_scene_quarter_plane_closed_form(with_grad):
     q = complex(_central_grid(sc, (0.7,), 6))
     grid = _central_grid(sc, (np.array([0.7, 1.1]),), 6)
     assert abs(q - grid[0]) <= 1e-14 * abs(q)
+
+
+# --- the shared outer grid and the streamed descent sum -------------------------
+
+
+def _direct_grid(name):
+    # each plan's grid built here from its rules: 'ij' mesh of the nodes
+    # (the trapezoid's shifted by the interval's start), weights times the
+    # surface factor sin(phi1) in three dimensions
+    if name == "ellipsoid":
+        cc, trap = clenshaw_curtis(50, 0.0, math.pi), trapezoid_periodic(50, 2 * math.pi)
+        mesh = np.meshgrid(cc.nodes, trap.nodes + 0.0, indexing="ij")
+        return mesh, np.multiply.outer(cc.weights, trap.weights) * np.sin(mesh[0])
+    if name == "duct":
+        cc = clenshaw_curtis(30, 0.0, 0.5 * math.pi)
+        return [cc.nodes], cc.weights
+    trap = trapezoid_periodic(100 if name == "sphere" else 40, 2 * math.pi)
+    return [trap.nodes + 0.0], trap.weights
+
+
+GRID_PLANS = {
+    "ellipsoid": (AngularRegion.full(3), {"cc": 50, "trap": 50}),
+    "sphere": (AngularRegion.full(2), {"trap": 100}),
+    "ellipse": (AngularRegion.full(2), {"trap": 40}),
+    "duct": (scenes.default_region("duct"), {"cc": 30}),
+}
+
+
+@pytest.mark.parametrize("name", list(GRID_PLANS))
+def test_outer_grid_is_built_once_and_read_only(name):
+    region, counts = GRID_PLANS[name]
+    mesh, w = _outer_grid(region, OuterPlan.for_region(region, **counts))
+    again_mesh, again_w = _outer_grid(region, OuterPlan.for_region(region, **counts))
+    assert again_w is w and len(again_mesh) == len(mesh)
+    assert all(a is b for a, b in zip(again_mesh, mesh))
+    for array in (*mesh, w):
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = 0.0
+    want_mesh, want_w = _direct_grid(name)
+    for got, want in zip((*mesh, w), (*want_mesh, want_w)):
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+
+
+def _whole_array_descent_sum(scene, angles, rule, samples):
+    # the descent sum with the Jacobian d(rho^n)/dp built as one array
+    p, w = rule
+    rho, drho = samples(scene, angles, p)
+    return _node_sum(w, scene.amplitude(rho, *angles), scene.n * rho ** (scene.n - 1) * drho)
+
+
+def _central_case(scene, angles, m):
+    d = _weight_degree(scene)
+    return scene, angles, _in_p(gauss_exp_power(m, scene.alpha, d), scene.alpha, scene.omega, d), \
+        _origin_samples
+
+
+def _descent_cases():
+    full3, full2 = AngularRegion.full(3), AngularRegion.full(2)
+    ellipsoid_mesh, _ = _outer_grid(full3, OuterPlan.for_region(full3, cc=50, trap=50))
+    yield "ellipsoid-Qr", _central_case(scenes.ellipsoid_scene(300.0), ellipsoid_mesh, 8)
+    sphere_mesh, _ = _outer_grid(full2, OuterPlan.for_region(full2, trap=100))
+    for m in (5, 8):
+        yield f"sphere-traced-m{m}", _central_case(scenes.sphere_scatter_scene(100.0, math.pi / 5),
+                                                   sphere_mesh, m)
+    ellipse = scenes.ellipse_scene(100.0)
+    ellipse_mesh, _ = _outer_grid(full2, OuterPlan.for_region(full2, trap=40))
+    boundary_rule = _in_p(gauss_exp_power(8, 1, 0), 1, ellipse.omega)
+    yield "ellipse-boundary-grid", (ellipse, ellipse_mesh, boundary_rule, _boundary_samples)
+    # a scalar angle, so that the node rows of the samples are 0-d, on a
+    # traced path whose points and derivatives are fully complex
+    for th in (0.7, 2.3, 5.5):
+        yield f"scalar-angle-{th}", _central_case(scenes.sphere_scatter_scene(100.0, math.pi / 5),
+                                                  (th,), 8)
+
+
+DESCENT_CASES = list(_descent_cases())
+
+
+def _same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+
+
+@pytest.mark.parametrize("case", [c for _, c in DESCENT_CASES], ids=[n for n, _ in DESCENT_CASES])
+def test_streamed_jacobian_matches_the_whole_array_sum(case):
+    assert _same_bits(_descent_sum(*case), _whole_array_descent_sum(*case))
+
+
+@pytest.mark.parametrize("build", [scenes.ellipse_scene, _ellipse_traced], ids=["ellipse", "ellipse-traced"])
+def test_streamed_boundary_amplitude_at_complex_angles(build):
+    # the closure univariate descent evaluates, at complex angles off the
+    # real axis: a (node, endpoint) array as nsd_interval passes it, and a scalar
+    sc = build(100.0)
+    amp = _boundary_amplitude(sc, 8)
+    rule = _in_p(gauss_exp_power(8, 1, 0), 1, sc.omega)
+    q = np.linspace(0.0, 0.05, 6)[:, None]
+    for th in (np.array([0.3, 1.2, 2.0]) + 1j * q, np.complex128(0.8 + 0.02j)):
+        want = _whole_array_descent_sum(sc, (th,), rule, _boundary_samples) / (sc.n * sc.omega)
+        assert _same_bits(amp(th), want)
+
+
+def _ellipsoid_amplitude_formula(z, phi1, phi2):
+    zs = z * scenes._ellipsoid_slope(phi1, phi2)
+    return 1.0 / (zs * zs * (1.0 + zs))
+
+
+def test_ellipsoid_amplitude_is_the_formula_and_leaves_z_alone():
+    sc = scenes.ellipsoid_scene(300.0)
+    region = AngularRegion.full(3)
+    mesh, _ = _outer_grid(region, OuterPlan.for_region(region, cc=50, trap=50))
+    p = gauss_exp_power(8, 1, 0).nodes / sc.omega
+    rho, _ = _origin_samples(sc, mesh, p)
+    writable = rho.copy()
+    for z, angles in ((rho, mesh), (writable, mesh), (writable[3], mesh), (np.abs(writable[0]), mesh),
+                      (0.4 + 0.3j, (0.7, 1.9)), (np.complex128(2.5j), (0.7, 1.9)), (0.6, (0.7, 1.9))):
+        before = np.copy(z)
+        assert _same_bits(sc.amplitude(z, *angles), _ellipsoid_amplitude_formula(z, *angles))
+        assert _same_bits(z, before)

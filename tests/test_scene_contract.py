@@ -100,6 +100,36 @@ def test_callables_are_elementwise_over_node_axis(name, scene, region):
             assert _same_bits(np.broadcast_to(stacked, rho.shape)[j], fn(rho[j], *angles))
 
 
+def _read_only(angles):
+    # copies that refuse writes, whatever the outer grid hands out
+    frozen = tuple(np.array(a) for a in angles)
+    for a in frozen:
+        a.setflags(write=False)
+    return frozen
+
+
+@pytest.mark.parametrize("name,scene,region", CASES, ids=[c[0] for c in CASES])
+def test_callables_run_on_read_only_angles(name, scene, region):
+    # the outer grid is shared between integrals, so its angle arrays are
+    # read-only: every callable must take them as they are and leave them
+    angles = _read_only(_grid(region))
+    before = [a.tobytes() for a in angles]
+    ps = gauss_exp_power(M, 1, 0).nodes / OMEGA
+    rho, _ = _origin_samples(scene, angles, ps)
+    for fn in (scene.amplitude, scene.oscillator, scene.d_oscillator):
+        fn(rho, *angles)
+    scene.alpha_coeff(*angles)
+    if scene.boundary_radius is not None:
+        _boundary_samples(scene, angles, ps)
+        scene.boundary_radius(*angles)
+    if scene.d_boundary_phase is not None:
+        scene.d_boundary_phase(*angles)
+    for path in (scene.origin_path, scene.boundary_path):
+        if path is not None:
+            path(ps.reshape((-1,) + (1,) * angles[0].ndim), *angles)
+    assert [a.tobytes() for a in angles] == before
+
+
 # The sphere scene shares its kernel terms between its callables through a
 # one-slot cache on the argument values.  Each call must still return what a
 # freshly built scene returns, bit for bit, whatever came before it.
