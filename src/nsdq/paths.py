@@ -11,8 +11,8 @@ The descent path from the origin solves ``g(rho_0(p)) = i p``; the path from
 a boundary point ``R`` solves ``g(rho_R(p)) = g(R) + i p``.  Along either,
 ``exp(i w g)`` decays like ``exp(-w p)``.  A scene either supplies these
 paths in closed form or leaves them to :func:`newton_descent`, which the
-one continuation in ``p`` (``univariate._trace``) runs row by row over
-whole direction grids and over the endpoints of the boundary term.  The
+one tracer (``univariate._trace``) runs on every node row of whole
+direction grids, and of the endpoints of the boundary term, at once.  The
 leading Taylor coefficient that seeds a path of order ``alpha >= 2`` comes
 from ``_taylor_coefficient``, the package's one difference stencil, which
 ``complex_derivative`` also uses.  ``complex_derivative`` is the dG/dtheta
@@ -149,36 +149,52 @@ def complex_derivative(f, z):
 
 
 def newton_descent(g, dg, target, z0, *, context: str = ""):
-    """Solve ``g(z) = target`` by Newton from ``z0``.
+    """Solve ``g(z) = target`` by Newton from ``z0``, reporting each element.
 
     Works elementwise on numpy arrays; a scalar start returns a 0-d value,
-    element 0 of the same solve from a one-element array.  Raises PathError,
-    with the mask of the failing elements in ``failed``, when the derivative
-    collapses or is NaN (degenerate path), or when an element has not
-    converged after 50 iterations; a non-finite residual never converges.
+    element 0 of the same solve from a one-element array.  Every element is
+    stepped until all residuals are below 1e-14 max(1, |target|), and then
+    once more: a chord step with the last g', which costs no evaluation, or
+    a Newton step when the start already passed.  So a root is good to full
+    precision, not just to the residual test.
+
+    Returns ``(z, error)``.  ``error`` is None when every element converged;
+    otherwise it is the PathError the caller raises, with the mask of the
+    failing elements in ``failed``: those whose derivative collapses or is
+    NaN (degenerate path) or that have not converged after 50 iterations.
+    A non-finite residual never converges, so its element is given up at
+    once.  Failing elements never stop the others, and numpy's floating
+    point warnings are silenced: every non-finite value ends as a failure.
     """
     z = np.asarray(z0, dtype=complex)
     tgt = np.asarray(target, dtype=complex)
     scale = np.maximum(1.0, np.abs(tgt))
-    for _ in range(_NEWTON_MAXIT):
-        res = np.asarray(g(z), dtype=complex) - tgt
-        if np.all(np.abs(res) <= 1e-14 * scale):
-            break
-        dgz = np.asarray(dg(z), dtype=complex)
-        # negated comparisons: NaN fails every comparison and must count as a failure
-        small = ~(np.abs(dgz) >= _DERIV_FLOOR)
-        if np.any(small):
-            raise PathError(f"degenerate path: |dg/dz| < {_DERIV_FLOOR} or NaN {context}",
-                            np.broadcast_to(small, z.shape))
-        z = z - res / dgz
+    dead = degenerate = False  # elements given up, and those of them with a bad g'
+    dgz = None
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for it in range(_NEWTON_MAXIT + 1):
+            res = np.asarray(g(z), dtype=complex) - tgt
+            dead = dead | ~np.isfinite(res)
+            # after the last iteration an element passes at 1e-12
+            done = np.abs(res) <= (1e-14 if it < _NEWTON_MAXIT else 1e-12) * scale
+            last = it == _NEWTON_MAXIT or np.all(done | dead)
+            if not last or dgz is None:
+                dgz = np.asarray(dg(z), dtype=complex)
+                # negated comparisons: NaN fails every comparison and must count as a failure
+                degenerate = degenerate | (~dead & ~(np.abs(dgz) >= _DERIV_FLOOR))
+                dead = dead | degenerate
+            z = z - res / dgz
+            if last:
+                break
+    failed = np.broadcast_to(dead | ~done, np.shape(z))
+    if not np.any(failed):
+        return z, None
+    if np.any(degenerate):
+        message = f"degenerate path: |dg/dz| < {_DERIV_FLOOR} or NaN {context}"
     else:
-        res = np.abs(np.asarray(g(z), dtype=complex) - tgt)
-        bad = ~(res <= 1e-12 * scale)
-        if np.any(bad):
-            raise PathError(f"Newton did not converge after {_NEWTON_MAXIT} iterations "
-                            f"(worst residual {np.max(res):.3e}) {context}",
-                            np.broadcast_to(bad, z.shape))
-    return z
+        message = (f"Newton did not converge after {_NEWTON_MAXIT} iterations "
+                   f"(worst residual {np.max(np.abs(res)):.3e}) {context}")
+    return z, PathError(message, failed)
 
 
 # --- the rectangle's corner angle paths -------------------------------------

@@ -22,7 +22,7 @@ Main entry points
     ``complex_derivative`` of G when the scene has none, and that one
     callable serves throughout: the descent splits the angle at the
     stationary points of G, which a sign-change scan of dG/dtheta finds,
-    and traces the paths of every interval endpoint in one continuation
+    and traces the paths of every interval endpoint together
     (``nsd_interval`` on arrays of edges) with it.  A phase that is
     stationary inside the domain raises PathError.
 ``rectangle_corner_contributions``
@@ -36,9 +36,10 @@ Main entry points
     w-independent), which is the failure the polar rule repairs.
 
 Paths without a closed form are traced over the whole direction grid by
-``univariate._trace``, the one Newton continuation in ``p``; it also traces
-the boundary term's endpoint paths, starts each row from the tangent step
-of the last and returns drho/dp = i / g' with the roots.
+``univariate._trace``, the one tracer, which also traces the boundary
+term's endpoint paths: one Newton solve of every node row from the series
+seed, a branch check, and a row-by-row continuation for the paths that
+fail it.  It returns drho/dp = i / g' with the roots.
 """
 
 from __future__ import annotations
@@ -207,30 +208,33 @@ def _closed_form_samples(path, p_values, angles):
 
 
 def _traced_samples(scene: RadialScene, angles, base, p_values, seed, start, alpha, context):
-    # the paths of all directions at once, one continuation row per p
-    # (``univariate._trace``), with the derivative the continuation took
-    g = lambda z: scene.oscillator(z, *angles)
-    dg = lambda z: scene.d_oscillator(z, *angles)
+    # the paths of all directions at once (``univariate._trace``), with the
+    # derivative the tracer took; ``paths`` picks directions of the grid
     grid = np.broadcast_shapes(*(np.shape(a) for a in angles))
-    grid_seed = lambda q: np.broadcast_to(seed(q), grid)
-    return _trace(g, dg, base, p_values, grid_seed, start, alpha, context)
+    at = lambda paths: (angles if paths is ...
+                        else tuple(np.broadcast_to(a, grid)[paths] for a in angles))
+    g = lambda z, paths: scene.oscillator(z, *at(paths))
+    dg = lambda z, paths: scene.d_oscillator(z, *at(paths))
+    return _trace(g, dg, base, p_values, seed, start, alpha, context)
 
 
 def _origin_samples(scene: RadialScene, angles, p_values):
     """(rho, drho) over ascending descent parameters, node axis leading.
 
     Both arrays have shape ``(m,) + angle shape``.  A closed-form path is
-    evaluated once on the whole node x direction array; a traced path is
-    continued node by node in p, each row predicted by the tangent of the
-    previous one, and its derivative is the one the continuation took.
+    evaluated once on the whole node x direction array; traced paths are
+    solved for every node at once from the series seed, and a path that
+    fails the tracer's branch check is continued node by node in p.  The
+    derivative is the one the tracer took.
     """
     if scene.origin_path is not None:
         return _closed_form_samples(scene.origin_path, p_values, angles)
-    coeff = np.asarray(scene.alpha_coeff(*angles), dtype=float)
+    grid = np.broadcast_shapes(*(np.shape(a) for a in angles))
+    coeff = np.broadcast_to(np.asarray(scene.alpha_coeff(*angles), dtype=float), grid)
     if np.any(np.abs(coeff) < 1e-14):
         raise PathError("degenerate direction: vanishing leading coefficient on the grid")
     # leading term of the series rho ~ (i p / coeff)^(1/alpha)
-    seed = lambda p: np.power(1j * p / coeff, 1.0 / scene.alpha)
+    seed = lambda p, paths: np.power(1j * p / coeff[paths], 1.0 / scene.alpha)
     return _traced_samples(scene, angles, 0.0, p_values, seed, 0.0, scene.alpha, "origin grid")
 
 
@@ -240,12 +244,14 @@ def _boundary_samples(scene: RadialScene, angles, p_values):
         return _closed_form_samples(scene.boundary_path, p_values, angles)
     # keep a complex dtype when tracing at complex angles (deformed outer
     # integration); real otherwise
+    grid = np.broadcast_shapes(*(np.shape(a) for a in angles))
     R = np.asarray(scene.boundary_radius(*angles))
     if not np.iscomplexobj(R):
         R = R.astype(float)
     gR = np.asarray(scene.oscillator(R, *angles), dtype=complex)
-    dgR = np.asarray(scene.d_oscillator(R, *angles), dtype=complex)
-    seed = lambda p: R + 1j * p / dgR
+    dgR = np.broadcast_to(np.asarray(scene.d_oscillator(R, *angles), dtype=complex), grid)
+    R = np.broadcast_to(R, grid)
+    seed = lambda p, paths: R[paths] + 1j * p / dgR[paths]
     return _traced_samples(scene, angles, gR, p_values, seed, R, 1, "boundary grid")
 
 
@@ -377,9 +383,9 @@ def _oscillatory_boundary_term(scene, region, m, mesh, G_mesh):
     # The boundary term int exp(i w G(th)) amp(th) dth with G = g(R(th), th)
     # handled by univariate steepest descent in the angle, split at the
     # resonance-induced stationary points of G.  Every interval goes into
-    # one nsd_interval call, so all endpoint paths are traced in one
-    # continuation.  dG/dtheta is the scene's, or else complex_derivative
-    # of G; the realness check, the scan and the paths all read that one.
+    # one nsd_interval call, so all endpoint paths are traced together.
+    # dG/dtheta is the scene's, or else complex_derivative of G; the
+    # realness check, the scan and the paths all read that one.
     # G and dG/dtheta must be real on real angles; each is checked once, on
     # the outer grid ``mesh`` (G_mesh holds G there), and a complex dtype
     # whose imaginary part is round-off passes

@@ -123,6 +123,14 @@ def duct_scene(omega: float, a: float = 1.0, b: float = 2.0) -> RadialScene:
                                singularity_order=1.0)
 
 
+def _value_key(*args):
+    # the exact values of the arguments: dtype, shape and bytes of a copy.
+    # Unlike ==, it tells 1+0j from 1-0j (their sphere amplitudes differ in
+    # the sign of a zero) and a float from a complex array, and an array
+    # the caller mutates in place no longer matches
+    return tuple((a.dtype.str, a.shape, a.tobytes()) for a in map(np.asarray, args))
+
+
 def _ellipsoid_slope(phi1, phi2):
     return np.sqrt(np.cos(phi1) ** 2 + 0.5 * (5.0 + np.cos(2.0 * phi2)) * np.sin(phi1) ** 2)
 
@@ -133,29 +141,43 @@ def ellipsoid_scene(omega: float) -> RadialScene:
     In spherical coordinates the phase is ``r s(phi1, phi2)`` with
     ``s = sqrt(cos^2 phi1 + (5 + cos 2 phi2)/2 sin^2 phi1)`` and the
     amplitude ``1/((r s)^2 (1 + r s))`` carries a second-order kernel
-    singularity.  The descent path is the closed form ``i p / s``.
+    singularity.  The descent path is the closed form ``i p / s``.  The
+    callables share s of the last distinct angle pair, cached read-only on
+    a copy of the argument values (as the sphere scene caches its kernel
+    terms), so an integral over one grid computes it once.
     """
+    last = [None]  # (key, s) of the last distinct (phi1, phi2)
+
+    def slope(phi1, phi2):
+        key = _value_key(phi1, phi2)
+        entry = last[0]
+        if entry is None or entry[0] != key:
+            s = _ellipsoid_slope(phi1, phi2)
+            if isinstance(s, np.ndarray):
+                s.setflags(write=False)
+            last[0] = entry = key, s
+        return entry[1]
 
     def amplitude(z, phi1, phi2):
         # 1/(zs zs (1 + zs)) in that order, in place on arrays: zs is a new array
-        zs = z * _ellipsoid_slope(phi1, phi2)
+        zs = z * slope(phi1, phi2)
         den = zs * zs
         zs += 1.0
         den *= zs
         return np.divide(1.0, den, out=den) if isinstance(den, np.ndarray) else 1.0 / den
 
     def origin_path(p, phi1, phi2):
-        s = _ellipsoid_slope(phi1, phi2)
+        s = slope(phi1, phi2)
         return 1j * p / s, 1j / s
 
     return RadialScene(
         n=3,
         omega=omega,
         amplitude=amplitude,
-        oscillator=lambda z, phi1, phi2: z * _ellipsoid_slope(phi1, phi2),
-        d_oscillator=lambda z, phi1, phi2: _ellipsoid_slope(phi1, phi2) + 0.0 * z,
+        oscillator=lambda z, phi1, phi2: z * slope(phi1, phi2),
+        d_oscillator=lambda z, phi1, phi2: slope(phi1, phi2) + 0.0 * z,
         alpha=1,
-        alpha_coeff=_ellipsoid_slope,
+        alpha_coeff=slope,
         singularity_order=2.0,
         origin_path=origin_path,
         name="ellipsoid",
@@ -176,14 +198,6 @@ def _csinc(w):
     return out
 
 
-def _value_key(*args):
-    # the exact values of the arguments: dtype, shape and bytes of a copy.
-    # Unlike ==, it tells 1+0j from 1-0j (their sphere amplitudes differ in
-    # the sign of a zero) and a float from a complex array, and an array
-    # the caller mutates in place no longer matches
-    return tuple((a.dtype.str, a.shape, a.tobytes()) for a in map(np.asarray, args))
-
-
 def sphere_scatter_scene(k: float, psi: float) -> RadialScene:
     r"""Kernel of the phase-extracted sphere-scattering integral equation.
 
@@ -198,9 +212,10 @@ def sphere_scatter_scene(k: float, psi: float) -> RadialScene:
     The leading coefficient ``1 - sin(psi) cos(theta)`` is at least
     ``1 - sin(psi) > 0`` for every psi in [0, pi/2).  Near pi/2 it is small
     around theta = 0, so the series seed of the first path point lies far
-    from its root and Newton from it can land on another root; the tracer
-    then starts lower in p and continues up (``test_first_point_ramp``
-    checks the branch at psi = 1.3 and 1.5 against a fine continuation).
+    from its root and Newton from it can land on another root; the tracer's
+    branch check sees that, and the continuation starts lower in p and
+    continues up (``test_first_point_ramp`` checks the branch at psi = 1.3
+    and 1.5 against a fine continuation).
     psi = pi/2 puts the observation point on the shadow boundary and the
     scene degenerates.
 

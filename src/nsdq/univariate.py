@@ -14,15 +14,17 @@ weight ``exp(-q^alpha)``, giving an error of order ``w^-((2m-1)/alpha)``.
 
 An endpoint is a location, an order ``alpha`` and the side its interval
 lies on; ``endpoint_contribution`` takes them as three arrays.  The
-paths of any number of endpoints are traced together: one Newton
-continuation in ``p`` over the (m, E) array of descent parameters, with
-``newton_descent`` solving one node row for all E endpoints at a time.
-That continuation, ``_trace``, is the only one in the package: the polar
-rules trace their radial paths with it too.  It is a predictor-corrector:
-each row starts from the tangent step dz/dp = i / g'(z) of the previous
-row's roots, taken in the node variable ``x = (w p)^(1/alpha)`` in which
-the path is analytic, and it returns that derivative on the roots with
-them, so the callers never evaluate g' again.
+paths of any number of endpoints are traced together by ``_trace``, the
+package's one tracer: the polar rules trace their radial paths with it
+too.  It solves every node row of every path in one ``newton_descent``
+call from the series seeds, and a path keeps those roots while they pass
+a branch check: the first near its seed, each later one near the
+trapezoid step of dz/dp = i / g'(z) from the row before, in the node
+variable ``x = (w p)^(1/alpha)`` in which the path is analytic.  A path
+that fails it is continued row by row from its last kept row, each row
+starting from the tangent step of the row before.  The tracer returns
+the derivative on the roots with them, so the callers never evaluate g'
+again.
 """
 
 from __future__ import annotations
@@ -73,45 +75,110 @@ def _endpoint_list(x, alpha, side, mask):
                      for xe, ae, se in zip(x[mask], alpha[mask], side[mask]))
 
 
+def _on_branch(z, dz, p, seed, start, alpha):
+    # which roots z (node rows first) continue the branch of the series
+    # seed: row 0 lies within 0.5 |seed - start| of its seed, and each later
+    # row within 0.25 |dz| of the trapezoid step of dz/dx from the row
+    # before, in the node variable x = p^(1/alpha) (dz/dx = dz/dp alpha p / x)
+    x = p ** (1.0 / alpha)
+    dzdx = dz * (alpha * p / x)
+    step = np.diff(z, axis=0)
+    trapezoid = 0.5 * np.diff(x, axis=0) * (dzdx[:-1] + dzdx[1:])
+    near = np.abs(z[0] - seed) <= 0.5 * np.abs(seed - start)
+    return np.concatenate([near[None], np.abs(step - trapezoid) <= 0.25 * np.abs(step)])
+
+
 def _trace(g, dg, base, p, seed, start, alpha, context):
-    # Newton continuation of g(z) = base + i p over the rows of ascending p,
-    # the one tracer of every descent path: a row is a scalar (one p for a
-    # whole direction grid) or an array (one p per path), and each row is one
-    # newton_descent call.  Returns the roots and dz/dp = i / g'(z) on them.
-    # The first row starts from seed(p[0]).  Far from its root a seed can
-    # converge to another branch, so that root is trusted only within
-    # 0.5 |seed - start| of the seed in every path.  Otherwise q = p[0] is
-    # divided by 4 until every root lies within 0.1 |seed(q) - start| of its
-    # seed, and those roots are continued geometrically up to p[0], 4 steps
-    # per octave.  Only Newton's own failures (``failed`` set) start the
-    # ramp; any other PathError, such as a scene refusing a complex argument,
-    # propagates.  Every later row, ramp or node, starts from the tangent
-    # step in the node variable (p^(1/alpha)), where the path is analytic.
+    # Newton roots of g(z) = base + i p over the rows of ascending p, the one
+    # tracer of every descent path: a row of p is a scalar (one p for every
+    # path) or an array of the path shape.  g(z, paths), dg(z, paths) and
+    # seed(q, paths) take ``paths``, Ellipsis for every path or a boolean
+    # mask over the path shape that picks some of them, flattened; base,
+    # start and alpha broadcast against the path shape.  Returns the roots
+    # and dz/dp = i / g'(z) on them, node rows first.
+    # Every row is solved in one newton_descent call from its series seed.
+    # A path keeps its roots up to the first row that did not converge or
+    # fails the branch check (``_on_branch``); the paths with such a row are
+    # continued row by row (``_continue``) from the last row all of them
+    # kept, or from the series seed, ramp included, when that is none.
+    # Only Newton's own failures are failures here; any other PathError,
+    # such as a scene refusing a complex argument, propagates.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        seeds = np.stack([seed(q, ...) for q in p])
+        shape = seeds.shape[1:]
+        p = np.reshape(p, np.shape(p) + (1,) * (seeds.ndim - np.ndim(p)))
+        p = np.broadcast_to(p, seeds.shape)
+        dg_all = lambda z: dg(z, ...)
+        z, err = newton_descent(lambda z: g(z, ...), dg_all, base + 1j * p, seeds, context=context)
+        dz = _derivative(dg_all, z)
+        on = _on_branch(z, dz, p, seeds[0], start, alpha)
+        if err is not None:
+            on &= ~err.failed
+        kept = np.logical_and.accumulate(on, axis=0).sum(axis=0)  # leading rows kept, per path
+        bad = kept < len(p)
+        if not np.any(bad):
+            return z, dz
+        rows = int(np.min(kept[bad]))  # the rows every failing path kept
+        lo = max(rows - 1, 0)
+        z, dz = np.array(z), np.array(dz)
+        first = (z[lo, bad], dz[lo, bad]) if rows else None
+        at = lambda a: np.broadcast_to(a, shape)[bad]
+        try:
+            z[lo:, bad], dz[lo:, bad] = _continue(
+                lambda z: g(z, bad), lambda z: dg(z, bad), at(base), p[lo:, bad],
+                lambda q: seed(q, bad), at(start), at(alpha), context, first)
+        except PathError as err:
+            if err.failed is not None:
+                failed = np.zeros(shape, dtype=bool)
+                failed[bad] = err.failed
+                err.failed = failed
+            raise
+    return z, dz
+
+
+def _derivative(dg, z):
+    # dz/dp = i / g'(z) on the roots z
+    return np.broadcast_to(1j / np.asarray(dg(z), dtype=complex), np.shape(z))
+
+
+def _continue(g, dg, base, p, seed, start, alpha, context, first=None):
+    # Newton continuation of g(z) = base + i p over the rows of p, one
+    # newton_descent call per row, for 1-D arrays of paths; ``first`` holds
+    # trusted roots at p[0] and their derivative, or is None.  Then the first
+    # row starts from seed(p[0]).  Far from its root a seed can converge to
+    # another branch, so that root is trusted only within 0.5 |seed - start|
+    # of the seed in every path.  Otherwise q = p[0] is divided by 4 until
+    # every root lies within 0.1 |seed(q) - start| of its seed, and those
+    # roots are continued geometrically up to p[0], 4 steps per octave.
+    # Every later row, ramp or node, starts from the tangent step in the
+    # node variable (p^(1/alpha)), where the path is analytic.
     def solve(q, tol):
         # (roots, None), or (None, mask of the paths without a trusted root)
         s = seed(q)
-        try:
-            z = newton_descent(g, dg, base + 1j * q, s, context=context)
-        except PathError as err:
-            if err.failed is None:
-                raise
+        z, err = newton_descent(g, dg, base + 1j * q, s, context=context)
+        if err is not None:
             return None, err.failed
         far = ~(np.abs(z - s) <= tol * np.abs(s - start))
         return (None, far) if np.any(far) else (z, None)
 
-    (z, failed), k = solve(p[0], 0.5), 0
-    while z is None:
-        k += 1
-        if k > _MAX_RAMP_QUARTERS:
-            raise PathError(f"no first path point near the series seed down to "
-                            f"p/4^{_MAX_RAMP_QUARTERS} {context}", failed)
-        z, failed = solve(p[0] / 4.0**k, 0.1)
-    derivative = lambda z: np.broadcast_to(1j / np.asarray(dg(z), dtype=complex), np.shape(z))
-    zs, dzs, prev = [z], [derivative(z)], p[0] / 4.0**k
+    k = 0
+    if first is None:
+        z, failed = solve(p[0], 0.5)
+        while z is None:
+            k += 1
+            if k > _MAX_RAMP_QUARTERS:
+                raise PathError(f"no first path point near the series seed down to "
+                                f"p/4^{_MAX_RAMP_QUARTERS} {context}", failed)
+            z, failed = solve(p[0] / 4.0**k, 0.1)
+        first = z, _derivative(dg, z)
+    zs, dzs, prev = [first[0]], [first[1]], p[0] / 4.0**k
     for q in [*(np.geomspace(prev, p[0], 8 * k + 1)[1:] if k else ()), *p[1:]]:
         step = alpha * prev * ((q / prev) ** (1.0 / alpha) - 1.0)
-        zs.append(newton_descent(g, dg, base + 1j * q, zs[-1] + step * dzs[-1], context=context))
-        dzs.append(derivative(zs[-1]))
+        z, err = newton_descent(g, dg, base + 1j * q, zs[-1] + step * dzs[-1], context=context)
+        if err is not None:
+            raise err
+        zs.append(z)
+        dzs.append(_derivative(dg, z))
         prev = q
     return np.stack(zs[-len(p):]), np.stack(dzs[-len(p):])
 
@@ -119,14 +186,13 @@ def _trace(g, dg, base, p, seed, start, alpha, context):
 def endpoint_contribution(f, g, x, omega: float, m: int, *, dg=None, alpha=1, side=1):
     """Descent-path contributions G(x) of a sequence of endpoints.
 
-    Every endpoint's path is traced in one Newton continuation in ``p``:
-    row j of the (m, E) array of descent parameters is one
-    ``newton_descent`` call over all E endpoints, seeded by the tangent step
-    from the previous row in each endpoint's node variable (p^(1/alpha))
-    (the first row from each endpoint's branch seed, whose root is trusted
-    only near the seed; otherwise the first row is ramped up from a smaller
-    p).  The continuation evaluates ``dg`` on each row's roots, for the next
-    row's tangent and for the path derivative h' = i / dg; ``f`` is then
+    Every endpoint's path is traced by the one tracer: all m rows of the
+    (m, E) array of descent parameters are one ``newton_descent`` call from
+    each endpoint's branch seed, and an endpoint whose roots fail the
+    branch check is continued row by row in its node variable (p^(1/alpha)),
+    its first row ramped up from a smaller p when even that root is far
+    from its seed.  The tracer evaluates ``dg`` on the roots for the path
+    derivative h' = i / dg; ``f`` is then
     evaluated once on the (m, E) array of path points, and the sum runs in
     node order over one column of the rule in p per endpoint (``rules._in_p``).
 
@@ -171,19 +237,16 @@ def endpoint_contribution(f, g, x, omega: float, m: int, *, dg=None, alpha=1, si
     columns = [_in_p(gauss_exp_power(m, a, 0), a, omega) for a in alpha.tolist()]
     p, weights = (np.stack(c, axis=1) for c in zip(*columns))
     gx = np.broadcast_to(np.asarray(g(x), dtype=complex), x.shape)
-    branches = list(zip(alpha.tolist(), leads.tolist(), side.tolist()))
-    seed = lambda q: x + np.array([_branch_seed(qe, a, lead, s)
-                                   for qe, (a, lead, s) in zip(q, branches)])
-    # below the asymptotic regime Newton's iterates can reach angles where g
-    # overflows; newton_descent turns the non-finite values into PathError,
-    # so numpy's warnings are silenced here
-    with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            z, dz = _trace(g, dge, gx, p, seed, x, alpha, "along the endpoint paths")
-        except PathError as err:
-            failed = slice(None) if err.failed is None else err.failed
-            raise PathError(f"{err} at omega={omega}; failing endpoints "
-                            f"{_endpoint_list(x, alpha, side, failed)}", err.failed) from err
+    seed = lambda q, paths: x[paths] + np.array([
+        _branch_seed(*branch) for branch in zip(np.asarray(q).tolist(), alpha[paths].tolist(),
+                                                leads[paths].tolist(), side[paths].tolist())])
+    try:
+        z, dz = _trace(lambda z, paths: g(z), lambda z, paths: dge(z), gx, p, seed, x, alpha,
+                       "along the endpoint paths")
+    except PathError as err:
+        failed = slice(None) if err.failed is None else err.failed
+        raise PathError(f"{err} at omega={omega}; failing endpoints "
+                        f"{_endpoint_list(x, alpha, side, failed)}", err.failed) from err
     total = _node_sum(weights, np.broadcast_to(f(z), z.shape), dz)
     return np.exp(1j * omega * gx) * (alpha / omega) * total
 

@@ -28,7 +28,8 @@ def test_tracer_installs_and_restores():
 
 def test_tracer_counts_every_newton_call():
     # every traced path, radial or endpoint, must reach the wrapped
-    # newton_descent: one call per node row of the continuation.  The rule
+    # newton_descent: one call solves every node row of a grid's paths, and
+    # here no path falls back to the row-by-row continuation.  The rule
     # builds and the polar grids are counted too: the sphere's w0 and its
     # companion build one trapezoid, two Gauss rules and two Q_r grids on
     # the same 100 directions through the wrapped names, whichever
@@ -46,9 +47,9 @@ def test_tracer_counts_every_newton_call():
         sphere = tracer.take()["counts"]
     finally:
         tracer.restore()
-    assert (ellipse["paths.newton_calls"], ellipse["paths.newton_points"]) == (8, 64)
+    assert (ellipse["paths.newton_calls"], ellipse["paths.newton_points"]) == (1, 64)
     assert ellipse["univariate.calls"] == 1
-    assert (sphere["paths.newton_calls"], sphere["paths.newton_points"]) == (13, 1300)
+    assert (sphere["paths.newton_calls"], sphere["paths.newton_points"]) == (2, 1300)
     layers = ("rules.calls", "polar.calls", "polar.directions")
     assert tuple(ellipse[k] for k in layers) == (11, 2, 104)
     assert tuple(sphere[k] for k in layers) == (3, 2, 200)

@@ -9,6 +9,7 @@ evaluates.
 
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -26,6 +27,14 @@ from nsdq.paths import (
 )
 from nsdq.polar import _boundary_samples, _origin_samples, _weight_degree
 from nsdq.rules import gauss_exp_power, trapezoid_periodic
+
+
+def _newton_root(*args):
+    # the roots of newton_descent, which reports a failure instead of raising it
+    z, err = newton_descent(*args)
+    if err is not None:
+        raise err
+    return z
 
 
 def _sample_ps():
@@ -141,12 +150,12 @@ def _fine_continuation(sc, angles, ps):
     g = lambda z: sc.oscillator(z, *angles)
     dg = lambda z: sc.d_oscillator(z, *angles)
     prev = ps[0] / 2.0**16
-    z = newton_descent(g, dg, 1j * prev, np.power(1j * prev / coeff, 1.0 / sc.alpha))
+    z = _newton_root(g, dg, 1j * prev, np.power(1j * prev / coeff, 1.0 / sc.alpha))
     out = []
     for p in ps:
         steps = max(1, math.ceil(16 * math.log2(p / prev)))
         for q in np.geomspace(prev, p, steps + 1)[1:]:
-            z = newton_descent(g, dg, 1j * q, z)
+            z = _newton_root(g, dg, 1j * q, z)
         out.append(z)
         prev = p
     return np.stack(out)
@@ -161,9 +170,10 @@ _RAMP_QUARTERS = {1.5: 8, 1.3: 6}
                          ids=["one-direction", "grid"])
 def test_first_point_ramp(psi, ps, angles, monkeypatch):
     # Newton from the series seed at the first p lands on another root here
-    # (or diverges); the tracer divides p by 4 until the seed is trusted, then
-    # ramps up geometrically, 8 steps per quartering.  The roots must be the
-    # branch of a fine continuation, not just any root of g = i p.
+    # (or diverges), so the path fails the branch check of the one solve of
+    # all rows; its continuation divides p by 4 until the seed is trusted,
+    # then ramps up geometrically, 8 steps per quartering.  The roots must be
+    # the branch of a fine continuation, not just any root of g = i p.
     sc = scenes.sphere_scatter_scene(50.0, psi)
     calls = []
 
@@ -174,7 +184,7 @@ def test_first_point_ramp(psi, ps, angles, monkeypatch):
     monkeypatch.setattr(univariate, "newton_descent", counted)
     rho, _ = _origin_samples(sc, angles, np.array(ps))
     k = _RAMP_QUARTERS[psi]
-    assert len(calls) == 1 + k + 8 * k + (len(ps) - 1)
+    assert len(calls) == 1 + (1 + k + 8 * k + (len(ps) - 1))
     p = _column(np.array(ps), angles)
     assert np.all(np.abs(sc.oscillator(rho, *angles) - 1j * p) <= 1e-12 * (1 + p))
     monkeypatch.undo()
@@ -196,10 +206,70 @@ def test_sphere_near_shadow_boundary_traces_the_continued_branch(psi, k):
     assert np.max(np.abs(rho - _fine_continuation(sc, angles, ps))) <= 1e-10
 
 
+def _sphere_traces(k, psi, grids, monkeypatch, forced):
+    # roots, derivatives and (w0, approx) of one sphere row, and the number
+    # of newton_descent calls; ``forced`` fails every path's branch check,
+    # so every path goes through the row-by-row continuation
+    from nsdq import experiments
+
+    calls = []
+    newton = univariate.newton_descent
+    monkeypatch.setattr(univariate, "newton_descent",
+                        lambda *args, **kwargs: calls.append(1) or newton(*args, **kwargs))
+    if forced:
+        monkeypatch.setattr(univariate, "_on_branch",
+                            lambda z, *args: np.zeros(z.shape, dtype=bool))
+    sc = scenes.sphere_scatter_scene(k, psi)
+    samples = []
+    for m, n in grids:
+        ps = gauss_exp_power(m, sc.alpha, _weight_degree(sc)).nodes ** sc.alpha / sc.omega
+        samples.append(_origin_samples(sc, (trapezoid_periodic(n, 2 * math.pi).nodes,), ps))
+    row, = experiments.run_sphere_scatter([k], [psi], m=5, n_trap=100)
+    monkeypatch.undo()
+    w0 = complex(row.params["w0_re"], row.params["w0_im"])
+    return samples, (w0, complex(row.approx)), len(calls)
+
+
+def _agreement(k, psi, grids, monkeypatch):
+    # worst root gap (absolute: the sphere's g carries an absolute round-off
+    # of a few eps, which bounds how well any root is determined), worst
+    # relative gap of w0 and the value, and the batched solve's Newton calls
+    batched, values, calls = _sphere_traces(k, psi, grids, monkeypatch, False)
+    forced, expected, _ = _sphere_traces(k, psi, grids, monkeypatch, True)
+    roots = max(float(np.max(np.abs(b[0] - f[0]))) for b, f in zip(batched, forced))
+    rel = max(abs(v - e) / abs(e) for v, e in zip(values, expected))
+    return roots, rel, calls
+
+
+@pytest.mark.parametrize("psi", [0.0, 0.314, 0.628, 1.047])
+def test_batched_sphere_paths_match_the_continuation(psi, monkeypatch):
+    # the README sphere grid: every node row of all 100 directions is one
+    # newton_descent call (m = 5 for w0, m = 8 for its companion, and here
+    # m = 5 and 8 through _origin_samples once more), nothing falls back,
+    # and roots and values agree with the row-by-row continuation to full
+    # precision
+    for k in (50.0, 100.0, 150.0, 200.0):
+        roots, rel, calls = _agreement(k, psi, [(5, 100), (8, 100)], monkeypatch)
+        assert calls == 4
+        assert roots <= 1e-15 and rel <= 1e-15, (k, roots, rel)
+
+
+@pytest.mark.parametrize("psi", [1.3, 1.45, 1.5, 1.55])
+def test_fallback_sphere_paths_match_the_continuation(psi, monkeypatch):
+    # near the shadow boundary some paths fail the branch check and are
+    # continued on their own (with the first-row ramp); they agree with
+    # the continuation of every path as well
+    fell_back = False
+    for k in (50.0, 200.0):
+        roots, rel, calls = _agreement(k, psi, [(8, 200)], monkeypatch)
+        fell_back |= calls > 3
+        assert roots <= 2e-14 and rel <= 3e-15, (k, roots, rel)
+    assert fell_back
+
+
 def test_traced_derivative_is_i_over_dg_on_the_roots():
-    # the derivative the continuation returns is the one it predicted the
-    # next row with, i / g'(z) on each row's roots: bit for bit what a
-    # separate evaluation on the stacked roots gives
+    # the derivative the tracer returns is i / g'(z) on the final roots:
+    # bit for bit what a separate evaluation on the stacked roots gives
     sc = scenes.sphere_scatter_scene(100.0, math.pi / 5)
     rule = gauss_exp_power(8, sc.alpha, _weight_degree(sc))
     angles = (trapezoid_periodic(200, 2 * math.pi).nodes,)
@@ -279,12 +349,12 @@ def test_duct_corner_paths_against_newton():
         z = None
         for q in qs:
             h, _ = path(q)
-            z = h if z is None else newton_descent(g, dg, base + 1j * q, z)
-            zn = newton_descent(g, dg, base + 1j * q, z)
+            z = h if z is None else _newton_root(g, dg, base + 1j * q, z)
+            zn = _newton_root(g, dg, base + 1j * q, z)
             assert abs(zn - h) <= 1e-12, (key, q)
             # a scalar start is solved as a 0-d array: element 0 of the same
             # solve from a one-element array
-            assert np.ndim(zn) == 0 and zn == newton_descent(g, dg, base + 1j * q, [z])[0]
+            assert np.ndim(zn) == 0 and zn == _newton_root(g, dg, base + 1j * q, [z])[0]
             z = zn
 
 
@@ -296,25 +366,55 @@ def test_degenerate_direction_rejected():
 
 
 def test_newton_failure_reports_context():
-    # z^3 - 2z + 2 from z = 0 is the classic Newton 2-cycle: no convergence
-    with pytest.raises(PathError, match="did not converge"):
-        newton_descent(
-            lambda z: z**3 - 2 * z + 2, lambda z: 3 * z**2 - 2, 0.0, 0.0 + 0.0j,
-            context="cycle test",
-        )
-    with pytest.raises(PathError, match="degenerate"):
-        newton_descent(lambda z: 0.0 * z + 1.0, lambda z: 0.0 * z, 0.0, 1.0 + 0.0j)
+    # z^3 - 2z + 2 from z = 0 is the classic Newton 2-cycle: no convergence.
+    # The failure is returned, with the message a caller raises
+    z, err = newton_descent(lambda z: z**3 - 2 * z + 2, lambda z: 3 * z**2 - 2, 0.0, 0.0 + 0.0j,
+                            context="cycle test")
+    assert isinstance(err, PathError) and err.failed.tolist() is True
+    assert re.fullmatch(r"Newton did not converge after 50 iterations \(worst residual \S+\) "
+                        r"cycle test", str(err))
+    _, err = newton_descent(lambda z: 0.0 * z + 1.0, lambda z: 0.0 * z, 0.0, 1.0 + 0.0j)
+    assert str(err) == "degenerate path: |dg/dz| < 1e-14 or NaN "
 
 
 def test_newton_rejects_non_finite_values():
     # NaN fails every comparison, so it must not pass as converged or as a
     # usable derivative
-    with pytest.raises(PathError, match="did not converge") as err:
-        newton_descent(lambda z: z + np.nan, lambda z: np.ones_like(z), [1j, 2j], [0, 0])
-    assert err.value.failed.tolist() == [True, True]
-    with pytest.raises(PathError, match="degenerate") as err:
-        newton_descent(lambda z: z, lambda z: np.array([1.0, np.nan]), [1j, 2j], [0, 0])
-    assert err.value.failed.tolist() == [False, True]
+    _, err = newton_descent(lambda z: z + np.nan, lambda z: np.ones_like(z), [1j, 2j], [0, 0])
+    assert "did not converge" in str(err) and err.failed.tolist() == [True, True]
+    z, err = newton_descent(lambda z: z, lambda z: np.array([1.0, np.nan]), [1j, 2j], [0, 0])
+    assert "degenerate" in str(err) and err.failed.tolist() == [False, True]
+    assert z[0] == 1j
+
+
+def test_newton_reports_each_element_and_solves_the_others():
+    # one batch: a 2-cycle, a collapsed g', an overflowing g and two good
+    # elements.  Nothing is raised and no numpy warning escapes (warnings
+    # fail the suite); the failing elements are reported, and the others
+    # are roots to full precision
+    def g(z):
+        return np.where(z.real > 50.0, np.sinh(z) * 1e300, z**3 - 2 * z + 2)
+
+    def dg(z):
+        return np.where(np.arange(z.size) == 2, 0.0, 3 * z**2 - 2)
+
+    target = np.array([0.0, 0.0, 0.0, 1.0, 0.0])
+    z0 = np.array([0.0, -1.7, -1.8, 200.0, -1.76])
+    z, err = newton_descent(g, dg, target, z0, context="mixed")
+    assert err.failed.tolist() == [True, False, True, True, False]
+    assert str(err) == "degenerate path: |dg/dz| < 1e-14 or NaN mixed"
+    root = -1.7692923542386314  # the real root of z^3 - 2z + 2
+    assert np.all(np.abs(z[[1, 4]] - root) <= 2e-16 * abs(root))
+
+
+def test_newton_refines_past_the_residual_test():
+    # exp(z) = t from 1.2e-7 off the root: one Newton step passes the
+    # residual test with the root still 7e-15 off, and the chord step after
+    # it brings every root within two units of the last place of log(t)
+    t = np.geomspace(1e-3, 1e3, 25) * np.exp(0.3j)
+    z, err = newton_descent(np.exp, np.exp, t, np.log(t) + 1.2e-7)
+    assert err is None
+    assert np.max(np.abs(z - np.log(t)) / np.maximum(1.0, np.abs(np.log(t)))) <= 4.5e-16
 
 
 def test_scene_rejects_non_integrable_singularity():

@@ -35,42 +35,51 @@ PINNED = {
     ],
     # re-recorded when the continuation seeded each row by the tangent step
     # of the previous one: Newton stops at other last bits (values moved by
-    # <= 6.6e-17 relative)
+    # <= 6.6e-17 relative), and again when Newton took one more (chord) step
+    # past its residual test and every node row was solved at once from the
+    # series seed (moves <= 2.1e-15 relative)
     "sphere": [
-        "(-1.992213106363966+100.07886436103453j)",
+        "(-1.992213106363973+100.0788643610345j)",
         "(-1.9995008790727002+400.01998155074773j)",
-        "(-7.559971012453947+53.23359076662341j)",
-        "(-10.236904965369375+201.88259029249966j)",
+        "(-7.559971012453954+53.23359076662341j)",
+        "(-10.236904965369463+201.88259029249926j)",
     ],
     # re-recorded when self_err became |w0 - w0c|/|w0| + d^2 (companion
     # rule on the same 100 directions plus the nested 50-node trapezoid) in
     # place of |w0(5, 100) - w0(8, 200)|/|w0|: the estimate moved in the 6th
-    # digit or less, w0 itself did not move
+    # digit or less, w0 itself did not move.  Re-recorded with the "sphere"
+    # values: moves <= 1.3e-5 relative, and 3e-4 in the second row's 1.7e-16,
+    # which is round-off
     "sphere-self-err": [
-        "1.7091050624077643e-11",
-        "1.7396033358408065e-16",
-        "0.0006162845763104088",
-        "2.196388593272954e-06",
+        "1.709083160901929e-11",
+        "1.7401180367749477e-16",
+        "0.0006162845763102223",
+        "2.196388595013916e-06",
     ],
     # w0 of all 16 rows of the README sphere command, psi-major, k-minor;
-    # recorded before self_err took the companion rule and nested subset
+    # recorded before self_err took the companion rule and nested subset.
+    # Re-recorded when Newton took one more (chord) step past its residual
+    # test: roots to full precision moved w0 by <= 2.0e-14 relative (at
+    # psi = 1.047, k = 150, where g' is small near the paths; <= 4.6e-15 in
+    # every other row), and solving every node row at once from the series
+    # seed then moved it by <= 3.8e-16
     "sphere-readme-w0": [
-        "(0.00019882866369479055+0.009988161809312654j)",
-        "(4.992546590914394e-05+0.0049985051990073075j)",
-        "(2.220744862818824e-05+0.0033328895772309335j)",
-        "(1.2495319856585587e-05+0.0024998126636584096j)",
-        "(0.00025307203074455146+0.010493572475517934j)",
-        "(6.382106118461468e-05+0.0052544171433932165j)",
-        "(2.8412811658684994e-05+0.0035039123741635076j)",
-        "(1.5991747737960084e-05+0.0026281898188201007j)",
-        "(0.0005196566282752148+0.012270248127638866j)",
-        "(0.0001347294622309109+0.006166907437465749j)",
-        "(6.035916929817778e-05+0.004115640099601777j)",
-        "(3.40515798260544e-05+0.0030879099192024223j)",
-        "(0.0026150307106213456+0.018413757732939073j)",
-        "(0.000863240760777426+0.009661067314095526j)",
-        "(0.0004241836996168904+0.006541829946650625j)",
-        "(0.0002505276705451181+0.004940670567978595j)",
+        "(0.00019882866369479136+0.009988161809312657j)",
+        "(4.992546590914401e-05+0.0049985051990073075j)",
+        "(2.2207448628188248e-05+0.0033328895772309335j)",
+        "(1.2495319856585589e-05+0.0024998126636584096j)",
+        "(0.0002530720307445515+0.010493572475517934j)",
+        "(6.382106118461476e-05+0.0052544171433932165j)",
+        "(2.84128116586851e-05+0.0035039123741635076j)",
+        "(1.5991747737960115e-05+0.0026281898188201007j)",
+        "(0.0005196566282752151+0.012270248127638867j)",
+        "(0.00013472946223091093+0.006166907437465749j)",
+        "(6.035916929818024e-05+0.004115640099601782j)",
+        "(3.4051579826054564e-05+0.003087909919202423j)",
+        "(0.002615030710621348+0.018413757732939073j)",
+        "(0.0008632407607774031+0.009661067314095564j)",
+        "(0.00042418369961693146+0.0065418299466507455j)",
+        "(0.00025052767054512123+0.0049406705679786046j)",
     ],
     "example1": [
         "(-1.570796326794897+0j)",
@@ -87,10 +96,13 @@ PINNED = {
     # endpoint floor), and again when the stationary-point scan read the
     # analytic dG/dtheta: the split points moved from the roots of the
     # difference stencil to the doubles nearest pi/2, pi and 3 pi/2, about
-    # 2e-14 away (moves of 5.7e-16 and 2.9e-13 relative)
+    # 2e-14 away (moves of 5.7e-16 and 2.9e-13 relative), and again when
+    # Newton took one more (chord) step past its residual test and every
+    # node row of the endpoint paths was solved at once (moves of 2.4e-15
+    # and 1.4e-12 relative: the alpha = 2 endpoint floor, ROADMAP item 3)
     "ellipse-nsd": [
-        "(0.15526932469813354+0.18715596514526373j)",
-        "(-0.0014557961931342736+0.0031422472760324442j)",
+        "(0.1552693246981341+0.1871559651452639j)",
+        "(-0.0014557961931364286+0.003142247276036634j)",
     ],
     "disk-plain": [
         "(-0.45737081717701505+0.4930223358092314j)",

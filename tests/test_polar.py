@@ -584,14 +584,14 @@ def test_plain_boundary_rule_reads_the_boundary_phase_once():
 
 def test_ellipse_boundary_traces_all_endpoints_together(monkeypatch):
     # four intervals between the stationary points of R, eight endpoints:
-    # one Newton call per radial node row, each solving all eight paths
+    # one Newton call solves all m radial node rows of the eight paths
     from nsdq import univariate
 
     newton = _count_calls(monkeypatch, "newton_descent", univariate)
     region = scenes.default_region("ellipse")
     m = 8
     integrate_star_shaped(scenes.ellipse_scene(100.0), region, OuterPlan.for_region(region, trap=40), m)
-    assert [np.size(args[3]) for args in newton] == [8] * m
+    assert [np.shape(args[3]) for args in newton] == [(m, 8)]
 
 
 @pytest.mark.parametrize("name", ["ellipse", "disk"], ids=["ellipse-nsd", "disk-plain"])
@@ -1052,3 +1052,31 @@ def test_ellipsoid_amplitude_is_the_formula_and_leaves_z_alone():
         before = np.copy(z)
         assert _same_bits(sc.amplitude(z, *angles), _ellipsoid_amplitude_formula(z, *angles))
         assert _same_bits(z, before)
+
+
+def test_ellipsoid_slope_is_computed_once_per_op(monkeypatch):
+    # origin_path and the amplitude share s(phi1, phi2) of the last angle
+    # pair: one ellipsoid row computes it once on its 50 x 50 grid, and
+    # the value is the parent's bit for bit (tests/test_pinned.py)
+    from nsdq import experiments
+
+    calls = []
+    slope = scenes._ellipsoid_slope
+    monkeypatch.setattr(scenes, "_ellipsoid_slope", lambda *a: calls.append(a) or slope(*a))
+    experiments.run_ellipsoid([300.0], m=8, outer_cc=50, outer_trap=50)
+    assert len(calls) == 1 and np.shape(calls[0][0]) == (50, 50)
+
+
+def test_ellipsoid_slope_cache_follows_the_argument_values():
+    # a cached slope is read-only and is served only for equal angle values:
+    # other angles, or the same array changed in place, compute it afresh
+    sc = scenes.ellipsoid_scene(100.0)
+    phi1, phi2 = np.linspace(0.1, 3.0, 7), np.linspace(0.0, 6.0, 7)
+    first = sc.alpha_coeff(phi1, phi2)
+    assert not first.flags.writeable
+    assert sc.alpha_coeff(phi1, phi2) is first
+    assert _same_bits(sc.alpha_coeff(phi2, phi1), scenes._ellipsoid_slope(phi2, phi1))
+    phi1[2] = 0.5
+    assert _same_bits(sc.origin_path(1.0, phi1, phi2)[1], 1j / scenes._ellipsoid_slope(phi1, phi2))
+    z = 0.3 + 0.1j
+    assert _same_bits(sc.amplitude(z, 0.7, 1.9), _ellipsoid_amplitude_formula(z, 0.7, 1.9))

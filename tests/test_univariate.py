@@ -129,8 +129,9 @@ def test_interval_cubic_phase(omega):
 
 def test_endpoint_first_row_ramp(monkeypatch):
     # g = z + c z^2 at x = 0, w = 1: the first node's root lies 0.73 |seed|
-    # from the seed i p, beyond the 0.5 trust radius, so the tracer ramps up
-    # from p/4^3 (1 + 3 + 8 * 3 calls) before the other m - 1 rows
+    # from the seed i p, beyond the 0.5 trust radius, so the path fails the
+    # branch check of the one solve of all rows, and the continuation ramps
+    # up from p/4^3 (1 + 3 + 8 * 3 calls) before the other m - 1 rows
     c, m = 30.0, 8
     calls, paths = [], []
 
@@ -144,7 +145,7 @@ def test_endpoint_first_row_ramp(monkeypatch):
 
     monkeypatch.setattr(univariate, "newton_descent", counted)
     endpoint_contribution(f, lambda z: z + c * z * z, [0.0], 1.0, m, dg=lambda z: 1.0 + 2.0 * c * z)
-    assert len(calls) == 1 + 3 + 8 * 3 + (m - 1)
+    assert len(calls) == 1 + (1 + 3 + 8 * 3 + (m - 1))
     p = gauss_exp_power(m, 1, 0).nodes
     exact = (-1.0 + np.sqrt(1.0 + 4.0 * c * 1j * p)) / (2.0 * c)
     assert np.max(np.abs(paths[0][:, 0] - exact) / np.abs(exact)) <= 1e-13
@@ -157,6 +158,55 @@ def test_endpoint_without_trusted_seed_is_named():
     dg = lambda z: np.where(z == 1.0, -1.0, 1.0) + 0j
     with pytest.raises(PathError, match=r"p/4\^16 .* failing endpoints \(x=1\.0, alpha=1, side=-1\)$"):
         endpoint_contribution(lambda z: 1.0, lambda z: z, [0.0, 1.0], 10.0, 4, dg=dg, side=[+1, -1])
+
+
+def test_continuation_errors_keep_their_messages():
+    # a path the one solve of all rows cannot place goes through the
+    # continuation, whose PathError names the context, omega and the
+    # failing endpoints, with their mask in ``failed``
+    from nsdq import polar, scenes
+
+    region = scenes.default_region("ellipse")
+    with pytest.raises(PathError) as err:
+        polar.integrate_star_shaped(scenes.ellipse_scene(1.0), region,
+                                    polar.OuterPlan.for_region(region, trap=40), 8)
+    ends = ", ".join(f"(x={x!r}, alpha=2, side={s})" for x in (math.pi / 2, 3 * math.pi / 2)
+                     for s in ("-1", "+1"))
+    assert str(err.value) == ("degenerate path: |dg/dz| < 1e-14 or NaN along the endpoint paths "
+                              f"at omega=1.0; failing endpoints {ends}")
+    assert err.value.failed.tolist() == [False, True, True, False] * 2
+    dg = lambda z: np.where(z == 1.0, -1.0, 1.0) + 0j
+    with pytest.raises(PathError) as err:
+        endpoint_contribution(lambda z: 1.0, lambda z: z, [0.0, 1.0], 10.0, 4, dg=dg, side=[+1, -1])
+    assert str(err.value) == ("no first path point near the series seed down to p/4^16 along the "
+                              "endpoint paths at omega=10.0; failing endpoints "
+                              "(x=1.0, alpha=1, side=-1)")
+    assert err.value.failed.tolist() == [False, True]
+
+
+def test_failing_paths_resume_from_their_last_kept_row(monkeypatch):
+    # the ellipse at w = 10: from the series seeds the last two node rows of
+    # every endpoint path do not converge, so the continuation takes over
+    # from the last row all of them kept (one call of all rows, then one per
+    # row left) and agrees with continuing every path from its first row
+    from nsdq import polar, scenes
+
+    region = scenes.default_region("ellipse")
+    run = lambda: polar.integrate_star_shaped(scenes.ellipse_scene(10.0), region,
+                                              polar.OuterPlan.for_region(region, trap=40), 8)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(np.shape(args[3]))
+        return newton_descent(*args, **kwargs)
+
+    monkeypatch.setattr(univariate, "newton_descent", counted)
+    value = run()
+    assert calls == [(8, 8), (8,), (8,)]
+    monkeypatch.setattr(univariate, "_on_branch", lambda z, *args: np.zeros(z.shape, dtype=bool))
+    full = run()
+    assert len(calls) == 3 + 1 + 1 + 7
+    assert abs(value - full) <= 1e-14 * abs(full)
 
 
 def _closed_form_inverse_linear(omega):
@@ -215,8 +265,8 @@ def test_phase_shift_covariance():
 def test_endpoint_derivative_is_i_over_dg_on_the_roots(monkeypatch):
     # the ellipse's boundary term on a box around its stationary point at
     # pi/2: alpha = 1 endpoints at the box ends, alpha = 2 on either side of
-    # pi/2.  The path derivative the continuation returns must equal
-    # i / dG on the stacked roots bit for bit.
+    # pi/2.  The path derivative the tracer returns must equal i / dG on
+    # the stacked roots bit for bit.
     from nsdq import polar, scenes
 
     seen, trace = [], univariate._trace
@@ -232,7 +282,7 @@ def test_endpoint_derivative_is_i_over_dg_on_the_roots(monkeypatch):
     polar.integrate_star_shaped(sc, region, polar.OuterPlan.for_region(region, cc=20), 8)
     (dg, alpha, z, dz), = seen
     assert list(alpha) == [1, 2, 2, 1]
-    expected = 1j / np.broadcast_to(np.asarray(dg(z), dtype=complex), z.shape)
+    expected = 1j / np.broadcast_to(np.asarray(dg(z, ...), dtype=complex), z.shape)
     assert np.ascontiguousarray(dz).tobytes() == np.ascontiguousarray(expected).tobytes()
 
 
