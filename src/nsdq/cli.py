@@ -8,7 +8,9 @@ Usage::
 Omega grids are either comma-separated lists ("10,100,1000") or
 logarithmic ranges "min:max:count".  An option the chosen experiment does
 not read is a usage error.  Exit codes: 0 on success, 1 on usage errors,
-2 when a reference oracle fails to converge.
+2 when a reference oracle fails to converge, 3 when a descent path cannot
+be traced (``PathError``, such as a sphere row near the shadow boundary);
+each error is one line on stderr.
 """
 
 from __future__ import annotations
@@ -20,9 +22,11 @@ import numpy as np
 
 from . import experiments
 from .oracle import OracleNotConverged
+from .paths import PathError
 
 _USAGE_EXIT = 1
 _ORACLE_EXIT = 2
+_PATH_EXIT = 3
 
 
 class _Parser(argparse.ArgumentParser):
@@ -109,6 +113,9 @@ def _run(args) -> int:
     except OracleNotConverged as exc:
         sys.stderr.write(f"nsdq: oracle did not converge: {exc}\n")
         return _ORACLE_EXIT
+    except PathError as exc:
+        sys.stderr.write(f"nsdq: descent path failed: {exc}\n")
+        return _PATH_EXIT
     except ValueError as exc:
         sys.stderr.write(f"nsdq: error: {exc}\n")
         return _USAGE_EXIT

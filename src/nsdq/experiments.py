@@ -31,6 +31,7 @@ import numpy as np
 
 from . import scenes
 from .oracle import acoustics_reference
+from .paths import PathError
 from .polar import (
     OuterPlan,
     _central_grid,
@@ -234,9 +235,10 @@ def run_sphere_scatter(k_grid, psi_grid=(0.0, math.pi / 10, math.pi / 5, math.pi
         self_err = |w0 - w0c|/|w0| + d^2,   d = |w0 - w0h|/|w0|,
 
     where w0c takes the companion radial rule (m + 3 points) on the same N
-    directions, and w0h sums the Q_r values of w0 on every other direction
-    with doubled weights (the nested N/2 trapezoid, no new scene
-    evaluation).  The trapezoid converges geometrically on the smooth
+    directions, its paths traced in one Newton solve with those of w0 (see
+    ``polar._outer_sums``), and w0h sums the Q_r values of w0 on every
+    other direction with doubled weights (the nested N/2 trapezoid, no new
+    scene evaluation).  The trapezoid converges geometrically on the smooth
     periodic angular integrand, so d^2 stands for the error of the N-node
     rule, and the companion gap for that of the radial rule.  The reference
     column stays empty: the analytic comparison requires a Mie-series
@@ -244,7 +246,8 @@ def run_sphere_scatter(k_grid, psi_grid=(0.0, math.pi / 10, math.pi / 5, math.pi
 
     Every input is checked before any row runs: each psi lies in
     [0, pi/2), m is an integer with m + 3 <= 64 and n_trap an even integer
-    >= 4; otherwise ValueError.
+    >= 4; otherwise ValueError.  A row whose descent paths cannot be traced
+    (psi close to pi/2) raises PathError naming its k and psi.
     """
     ks = _omega_array(k_grid)
     psis = [float(psi) for psi in psi_grid]
@@ -267,7 +270,10 @@ def run_sphere_scatter(k_grid, psi_grid=(0.0, math.pi / 10, math.pi / 5, math.pi
     for psi in psis:
         for k in ks:
             k = float(k)
-            w0, w0c, w0h = _outer_sums(scenes.sphere_scatter_scene(k, psi), region, plan, m, m + 3)
+            try:
+                w0, w0c, w0h = _outer_sums(scenes.sphere_scatter_scene(k, psi), region, plan, m, m + 3)
+            except PathError as err:
+                raise PathError(f"sphere row k={k!r}, psi={psi!r}: {err}", err.failed) from err
             d = abs(w0 - w0h) / abs(w0)
             rows.append(ExperimentRow(
                 k, -1.0 / w0, None,

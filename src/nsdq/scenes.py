@@ -184,18 +184,31 @@ def ellipsoid_scene(omega: float) -> RadialScene:
     )
 
 
-def _csinc(w):
-    # sin(w)/w, safe at w = 0, complex-capable; the series only where |w| is small
+def _sin_cos(w):
+    # sin w and cos w of a complex array from one set of real sin, cos, sinh
+    # and cosh calls: sin(x + iy) = sin x cosh y + i cos x sinh y and
+    # cos(x + iy) = cos x cosh y - i sin x sinh y
     w = np.asarray(w, dtype=complex)
-    small = np.abs(w) < 1e-4
-    if not small.any():
-        return np.sin(w) / w
-    out = np.empty_like(w)
-    big = ~small
-    out[big] = np.sin(w[big]) / w[big]
-    ws = w[small]
-    out[small] = 1.0 - ws * ws / 6.0 + ws**4 / 120.0
-    return out
+    x, y = w.real, w.imag
+    sx, cx, sh, ch = np.sin(x), np.cos(x), np.sinh(y), np.cosh(y)
+    sin, cos = np.empty_like(w), np.empty_like(w)
+    sin.real, sin.imag = sx * ch, cx * sh
+    cos.real, cos.imag = cx * ch, -(sx * sh)
+    return sin, cos
+
+
+def _sphere_offset(z, c, s):
+    # the surface point less the singular one, r = (1 - cos u cos v,
+    # -cos u sin v, -sin u), its z-derivative t and cos u, from the sines
+    # and cosines of the half-angle offsets a = z A and b = z B (u = b - a,
+    # v = a + b); 1 - cos u cos v = sin^2 a + sin^2 b has no cancellation
+    A, B = 0.5 * (c + s), 0.5 * (s - c)
+    (sa, ca), (sb, cb) = _sin_cos(z * A), _sin_cos(z * B)
+    cu, su = ca * cb + sa * sb, sb * ca - cb * sa
+    cv, sv = ca * cb - sa * sb, sa * cb + ca * sb
+    r = sa * sa + sb * sb, -cu * sv, -su
+    t = 2.0 * (A * sa * ca + B * sb * cb), -(c * su * sv + s * cu * cv), c * cu
+    return r, t, cu
 
 
 def sphere_scatter_scene(k: float, psi: float) -> RadialScene:
@@ -219,15 +232,24 @@ def sphere_scatter_scene(k: float, psi: float) -> RadialScene:
     psi = pi/2 puts the observation point on the shadow boundary and the
     scene degenerates.
 
-    The amplitude, the oscillator and its derivative share the kernel
-    terms of one ``(z, theta)``: cos(theta), sin(theta), both ``_csinc``
-    terms, the square-root distance and the sines and cosines of the local
-    offsets u, v.  The last distinct argument pair and its terms sit in a
-    one-slot cache, keyed on a copy of the argument values, so a Newton
-    step's g and g' and the path derivative i/g' on a converged root cost
-    one kernel evaluation.  The amplitude needs only cos u and the distance
-    and computes nothing more when it misses.  The terms of d2 = 0 are left
-    out.
+    The kernel is written on the half-angle offsets a = z(c + s)/2 and
+    b = z(s - c)/2, with c = cos(theta) and s = sin(theta), so that the
+    local parameter-plane offsets are u = b - a and v = a + b.  The sines
+    and cosines of a and b (from real sin, cos, sinh and cosh calls) give
+    every term.  The surface point less the singular one is
+    r = (1 - cos u cos v, -cos u sin v, -sin u), with
+    1 - cos u cos v = sin^2 a + sin^2 b, which has no cancellation; the
+    distance is |r| = sqrt(2 (sin^2 a + sin^2 b)) on the branch of
+    z sqrt(C), C(0) = 1.  g = |r| - d.r takes the form
+    |r x d|^2 / (|r| + d.r) where d.r leans along |r|, and
+    g' = ((r x d).(t x d) - g d.t)/|r| with t = dr/dz, so neither cancels
+    where 1 - sin(psi) cos(theta) is small: both keep a round-off of a few
+    eps relative, at every |z| and psi.  The amplitude, the oscillator and
+    its derivative share these terms of one ``(z, theta)``: the last
+    distinct argument pair and its terms sit in a one-slot cache, keyed on
+    a copy of the argument values, so a Newton step's g and g' and the
+    path derivative i/g' on a converged root cost one kernel evaluation.
+    The terms of d2 = 0 are left out.
     """
     if not 0 <= psi < math.pi / 2:
         raise ValueError(
@@ -236,42 +258,34 @@ def sphere_scatter_scene(k: float, psi: float) -> RadialScene:
     d1, d3 = -math.cos(psi), math.sin(psi)
     last = [None]  # (key, terms) of the last distinct (z, theta)
 
-    def _terms(z, th, newton):
-        # local parameter-plane offsets phi1 = pi/2 + u, phi2 = pi + v, then
-        # sqrt(2 - 2 cos u cos v) continued analytically through the origin:
-        # 2 - 2 cos u cos v = 2 sin^2(z(c+s)/2) + 2 sin^2(z(s-c)/2) = z^2 C(z)
-        # with C(0) = 1; take z sqrt(C) on the principal branch of C.  The
-        # terms only g and g' read are added when one of them first asks.
-        # An entry of the slot is replaced, never changed, so a thread that
-        # reads it sees a key and the terms of that key
+    def _terms(z, th):
+        # every miss computes every term.  An entry of the slot is replaced,
+        # never changed, so a thread that reads it sees a key and the terms
+        # of that key
         key = _value_key(z, th)
         entry = last[0]
         if entry is None or entry[0] != key:
-            c, s = np.cos(th), np.sin(th)
-            A, B = 0.5 * (c + s), 0.5 * (s - c)
-            C = 2.0 * (A**2 * _csinc(z * A) ** 2 + B**2 * _csinc(z * B) ** 2)
-            u = -z * c
-            entry = key, {"c": c, "s": s, "u": u, "dist": z * np.sqrt(C), "cu": np.cos(u)}
+            last[0] = entry = None  # drop the old terms first: one set is held at a time
+            (r1, r2, r3), (t1, t2, t3), cu = _sphere_offset(z, np.cos(th), np.sin(th))
+            # |r| = z sqrt(|r|^2 / z^2) on the principal branch: Re(|r| conj z) >= 0
+            dist = np.sqrt(2.0 * r1)
+            dist *= np.copysign(1.0, dist.real * z.real + dist.imag * z.imag)
+            dr, Y = d1 * r1 + d3 * r3, d1 * r3 - d3 * r1  # d.r and (r x d)_2
+            along = dr.real * dist.real + dr.imag * dist.imag > 0
+            g = np.where(along, (r2 * r2 + Y * Y) / np.where(along, dist + dr, 1.0), dist - dr)
+            dg = ((-d3 * Y - d1 * g) * t1 + r2 * t2 + (d1 * Y - d3 * g) * t3) / dist
+            entry = key, {"g": g, "dg": dg, "cu": cu, "dist": dist}
             last[0] = entry
-        t = entry[1]
-        if newton and "sv" not in t:
-            v = z * t["s"]
-            t = {**t, "su": np.sin(t["u"]), "sv": np.sin(v), "cv": np.cos(v)}
-            last[0] = key, t
-        return t
+        return entry[1]
 
     def oscillator(z, th):
-        t = _terms(z, th, True)
-        return t["dist"] + d1 * (t["cu"] * t["cv"] - 1.0) + d3 * t["su"]
+        return _terms(z, th)["g"]
 
     def d_oscillator(z, th):
-        t = _terms(z, th, True)
-        c, s, su, cu, sv, cv = (t[name] for name in ("c", "s", "su", "cu", "sv", "cv"))
-        dE = -2.0 * c * su * cv + 2.0 * s * cu * sv
-        return dE / (2.0 * t["dist"]) + d1 * (c * su * cv - s * cu * sv) - d3 * c * cu
+        return _terms(z, th)["dg"]
 
     def amplitude(z, th):
-        t = _terms(z, th, False)
+        t = _terms(z, th)
         return t["cu"] / (4.0 * math.pi * t["dist"])
 
     return RadialScene(

@@ -31,9 +31,9 @@ def test_tracer_counts_every_newton_call():
     # newton_descent: one call solves every node row of a grid's paths, and
     # here no path falls back to the row-by-row continuation.  The rule
     # builds and the polar grids are counted too: the sphere's w0 and its
-    # companion build one trapezoid, two Gauss rules and two Q_r grids on
-    # the same 100 directions through the wrapped names, whichever
-    # composition sums them
+    # companion build one trapezoid and two Gauss rules through the wrapped
+    # names, and their Q_r on the same 100 directions are one grid call,
+    # one trace of both rules' nodes (13 rows of 100 paths) in one solve
     from nsdq import experiments, polar, scenes
 
     tracer = _tracer()
@@ -49,10 +49,10 @@ def test_tracer_counts_every_newton_call():
         tracer.restore()
     assert (ellipse["paths.newton_calls"], ellipse["paths.newton_points"]) == (1, 64)
     assert ellipse["univariate.calls"] == 1
-    assert (sphere["paths.newton_calls"], sphere["paths.newton_points"]) == (2, 1300)
+    assert (sphere["paths.newton_calls"], sphere["paths.newton_points"]) == (1, 1300)
     layers = ("rules.calls", "polar.calls", "polar.directions")
     assert tuple(ellipse[k] for k in layers) == (11, 2, 104)
-    assert tuple(sphere[k] for k in layers) == (3, 2, 200)
+    assert tuple(sphere[k] for k in layers) == (3, 1, 200)
 
 
 def test_tracer_counts_the_rules_of_every_descent_sum():

@@ -22,6 +22,7 @@ from nsdq.experiments import (
     run_sphere_scatter,
     sphere_table,
 )
+from nsdq.paths import PathError
 from nsdq.polar import OuterPlan, integrate_unbounded
 
 
@@ -219,6 +220,21 @@ def test_cli_sphere_odd_outer_trap_exits_one():
     assert "n_trap=101" in res.stderr
 
 
+def test_cli_path_failure_exits_three():
+    # a sphere row on the shadow boundary's edge cannot trace its paths: one
+    # line on stderr naming the row, exit code 3, no traceback and no table
+    res = _run_cli("run", "--experiment", "sphere", "--omega", "50", "--psi", "1.5707")
+    assert res.returncode == 3
+    assert res.stdout == ""
+    line, = res.stderr.splitlines()
+    assert line.startswith("nsdq: descent path failed: sphere row k=50.0, psi=1.5707: ")
+
+
+def test_sphere_path_error_names_the_row():
+    with pytest.raises(PathError, match=r"^sphere row k=50\.0, psi=1\.5707: no first path point"):
+        run_sphere_scatter([50.0], [1.5707])
+
+
 @pytest.mark.parametrize("run, kwargs", [
     (run_ellipsoid, {"m": np.int64(3), "outer_cc": np.int64(10), "outer_trap": np.int32(10)}),
     (run_duct, {"n_gl": np.int64(4), "n_gh": np.int32(6), "outer_cc": np.int64(10)}),
@@ -313,15 +329,18 @@ def test_sphere_row_oscillator_calls(monkeypatch):
 
 def test_sphere_row_kernel_evaluations(monkeypatch):
     # cost guard: g, g' and f share one kernel evaluation per distinct
-    # (z, theta), so a Newton step's g and g' and the path derivative on
-    # its root cost two _csinc calls, not four; 200 before the sharing
+    # (z, theta), and w0 and its companion share one trace, so a row's
+    # kernel misses are the Newton steps of one solve plus the path
+    # derivative on its roots.  Each miss takes the sines and cosines of
+    # both half-angle offsets: two _sin_cos calls.  A row measured 7
+    # misses (13 with one trace per rule, 100 before the sharing)
     from nsdq import scenes
 
     calls = []
-    csinc = scenes._csinc
-    monkeypatch.setattr(scenes, "_csinc", lambda w: calls.append(1) or csinc(w))
+    sin_cos = scenes._sin_cos
+    monkeypatch.setattr(scenes, "_sin_cos", lambda w: calls.append(1) or sin_cos(w))
     run_sphere_scatter([100.0], [0.6283])
-    assert 0 < len(calls) <= 102
+    assert len(calls) % 2 == 0 and 0 < len(calls) // 2 <= 8
 
 
 def test_sphere_table_layout():

@@ -231,9 +231,9 @@ def _sphere_traces(k, psi, grids, monkeypatch, forced):
 
 
 def _agreement(k, psi, grids, monkeypatch):
-    # worst root gap (absolute: the sphere's g carries an absolute round-off
-    # of a few eps, which bounds how well any root is determined), worst
-    # relative gap of w0 and the value, and the batched solve's Newton calls
+    # worst root gap (absolute: the sphere's g carries a round-off of a few
+    # eps, which bounds how well any root is determined), worst relative
+    # gap of w0 and the value, and the batched solve's Newton calls
     batched, values, calls = _sphere_traces(k, psi, grids, monkeypatch, False)
     forced, expected, _ = _sphere_traces(k, psi, grids, monkeypatch, True)
     roots = max(float(np.max(np.abs(b[0] - f[0]))) for b, f in zip(batched, forced))
@@ -244,13 +244,13 @@ def _agreement(k, psi, grids, monkeypatch):
 @pytest.mark.parametrize("psi", [0.0, 0.314, 0.628, 1.047])
 def test_batched_sphere_paths_match_the_continuation(psi, monkeypatch):
     # the README sphere grid: every node row of all 100 directions is one
-    # newton_descent call (m = 5 for w0, m = 8 for its companion, and here
+    # newton_descent call (the row's m = 5 and m = 8 together, and here
     # m = 5 and 8 through _origin_samples once more), nothing falls back,
     # and roots and values agree with the row-by-row continuation to full
     # precision
     for k in (50.0, 100.0, 150.0, 200.0):
         roots, rel, calls = _agreement(k, psi, [(5, 100), (8, 100)], monkeypatch)
-        assert calls == 4
+        assert calls == 3
         assert roots <= 1e-15 and rel <= 1e-15, (k, roots, rel)
 
 
@@ -258,11 +258,12 @@ def test_batched_sphere_paths_match_the_continuation(psi, monkeypatch):
 def test_fallback_sphere_paths_match_the_continuation(psi, monkeypatch):
     # near the shadow boundary some paths fail the branch check and are
     # continued on their own (with the first-row ramp); they agree with
-    # the continuation of every path as well
+    # the continuation of every path as well.  Without a fallback the grid
+    # and the row make one newton_descent call each
     fell_back = False
     for k in (50.0, 200.0):
         roots, rel, calls = _agreement(k, psi, [(8, 200)], monkeypatch)
-        fell_back |= calls > 3
+        fell_back |= calls > 2
         assert roots <= 2e-14 and rel <= 3e-15, (k, roots, rel)
     assert fell_back
 

@@ -37,49 +37,57 @@ PINNED = {
     # of the previous one: Newton stops at other last bits (values moved by
     # <= 6.6e-17 relative), and again when Newton took one more (chord) step
     # past its residual test and every node row was solved at once from the
-    # series seed (moves <= 2.1e-15 relative)
+    # series seed (moves <= 2.1e-15 relative), and again when the kernel
+    # was written on the half-angle offsets, g and g' without cancellation,
+    # and w0 and its companion were traced in one solve (moves <= 1.2e-16
+    # relative)
     "sphere": [
-        "(-1.992213106363973+100.0788643610345j)",
-        "(-1.9995008790727002+400.01998155074773j)",
-        "(-7.559971012453954+53.23359076662341j)",
-        "(-10.236904965369463+201.88259029249926j)",
+        "(-1.9922131063639734+100.0788643610345j)",
+        "(-1.9995008790727007+400.01998155074773j)",
+        "(-7.559971012453948+53.23359076662341j)",
+        "(-10.236904965369451+201.88259029249926j)",
     ],
     # re-recorded when self_err became |w0 - w0c|/|w0| + d^2 (companion
     # rule on the same 100 directions plus the nested 50-node trapezoid) in
     # place of |w0(5, 100) - w0(8, 200)|/|w0|: the estimate moved in the 6th
     # digit or less, w0 itself did not move.  Re-recorded with the "sphere"
     # values: moves <= 1.3e-5 relative, and 3e-4 in the second row's 1.7e-16,
-    # which is round-off
+    # which is round-off.  Re-recorded with the "sphere" values once more:
+    # moves 5.7e-6, 3.4e-13 and 5.3e-11 relative, and 3.1e-4 in the second
+    # row's round-off
     "sphere-self-err": [
-        "1.709083160901929e-11",
-        "1.7401180367749477e-16",
-        "0.0006162845763102223",
-        "2.196388595013916e-06",
+        "1.709092976760255e-11",
+        "1.7406589685279363e-16",
+        "0.0006162845763104342",
+        "2.1963885951307633e-06",
     ],
     # w0 of all 16 rows of the README sphere command, psi-major, k-minor;
     # recorded before self_err took the companion rule and nested subset.
-    # Re-recorded when Newton took one more (chord) step past its residual
+    # Re-recorded by the test_paths.py::test_sphere_roots_to_full_precision
     # test: roots to full precision moved w0 by <= 2.0e-14 relative (at
     # psi = 1.047, k = 150, where g' is small near the paths; <= 4.6e-15 in
     # every other row), and solving every node row at once from the series
-    # seed then moved it by <= 3.8e-16
+    # seed then moved it by <= 3.8e-16.  Re-recorded when the kernel was
+    # written on the half-angle offsets, g and g' without cancellation, and
+    # w0 and its companion were traced in one solve: moves <= 2.8e-16
+    # relative
     "sphere-readme-w0": [
-        "(0.00019882866369479136+0.009988161809312657j)",
+        "(0.0001988286636947914+0.009988161809312657j)",
         "(4.992546590914401e-05+0.0049985051990073075j)",
-        "(2.2207448628188248e-05+0.0033328895772309335j)",
-        "(1.2495319856585589e-05+0.0024998126636584096j)",
-        "(0.0002530720307445515+0.010493572475517934j)",
-        "(6.382106118461476e-05+0.0052544171433932165j)",
-        "(2.84128116586851e-05+0.0035039123741635076j)",
+        "(2.220744862818824e-05+0.0033328895772309335j)",
+        "(1.249531985658559e-05+0.0024998126636584096j)",
+        "(0.00025307203074455146+0.010493572475517934j)",
+        "(6.382106118461475e-05+0.0052544171433932165j)",
+        "(2.84128116586851e-05+0.003503912374163507j)",
         "(1.5991747737960115e-05+0.0026281898188201007j)",
-        "(0.0005196566282752151+0.012270248127638867j)",
-        "(0.00013472946223091093+0.006166907437465749j)",
-        "(6.035916929818024e-05+0.004115640099601782j)",
-        "(3.4051579826054564e-05+0.003087909919202423j)",
-        "(0.002615030710621348+0.018413757732939073j)",
-        "(0.0008632407607774031+0.009661067314095564j)",
-        "(0.00042418369961693146+0.0065418299466507455j)",
-        "(0.00025052767054512123+0.0049406705679786046j)",
+        "(0.0005196566282752149+0.012270248127638866j)",
+        "(0.00013472946223091093+0.00616690743746575j)",
+        "(6.035916929818025e-05+0.004115640099601782j)",
+        "(3.405157982605456e-05+0.0030879099192024227j)",
+        "(0.002615030710621346+0.018413757732939073j)",
+        "(0.000863240760777403+0.009661067314095563j)",
+        "(0.00042418369961693146+0.006541829946650746j)",
+        "(0.0002505276705451209+0.0049406705679786046j)",
     ],
     "example1": [
         "(-1.570796326794897+0j)",

@@ -1022,6 +1022,38 @@ def test_streamed_jacobian_matches_the_whole_array_sum(case):
     assert _same_bits(_descent_sum(*case), _whole_array_descent_sum(*case))
 
 
+@pytest.mark.parametrize("psi", [0.0, 0.314, 0.628, 1.047, 1.3, 1.5])
+def test_one_trace_of_both_sphere_rules_matches_two_traces(psi, monkeypatch):
+    # w0 and its companion w0c from one _central_grid call, whose paths are
+    # one trace on the union of both rules' nodes, against a single-size
+    # call per rule, on the README sphere grid (one Newton solve per call)
+    # and at psi = 1.3 and 1.5, where some paths fall back to the row-by-row
+    # continuation
+    from nsdq import univariate
+
+    calls = []
+    newton = univariate.newton_descent
+    monkeypatch.setattr(univariate, "newton_descent",
+                        lambda *args, **kwargs: calls.append(1) or newton(*args, **kwargs))
+    region = scenes.default_region("sphere-scatter")
+    mesh, w = _outer_grid(region, OuterPlan.for_region(region, trap=100))
+    shared_calls = []
+    for k in (50.0, 100.0, 150.0, 200.0):
+        sc = scenes.sphere_scatter_scene(k, psi)
+        calls.clear()
+        both = _central_grid(sc, mesh, np.array([5, 8]))
+        shared_calls.append(len(calls))
+        assert both.shape == (100, 2)
+        for j, m in enumerate((5, 8)):
+            want = complex(np.sum(w * _central_grid(sc, mesh, m)))
+            rel = abs(complex(np.sum(w * both[..., j])) - want) / abs(want)
+            assert rel <= 1e-15, (k, m, rel)
+    if psi <= 1.047:
+        assert shared_calls == [1, 1, 1, 1]
+    else:
+        assert max(shared_calls) > 1
+
+
 @pytest.mark.parametrize("build", [scenes.ellipse_scene, _ellipse_traced], ids=["ellipse", "ellipse-traced"])
 def test_streamed_boundary_amplitude_at_complex_angles(build):
     # the closure univariate descent evaluates, at complex angles off the
