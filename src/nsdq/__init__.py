@@ -4,8 +4,8 @@ Evaluates multivariate oscillatory integrals whose phase behaves like
 ``|x - x0|^alpha`` at a special point, by switching to n-spherical
 coordinates around that point and deforming the radial integral onto paths
 of steepest descent.  Ships the quadrature building blocks, the descent
-paths, the polar integrators, independent brute-force references, and the
-convergence experiments exposed through the ``nsdq`` command line tool.
+paths, the polar integrators, independent references, and the convergence
+experiments exposed through the ``nsdq`` command line tool.
 """
 
 from .rules import (
@@ -28,6 +28,6 @@ from .polar import (
     rectangle_corner_contributions,
     spherical_map,
 )
-from .oracle import AdaptiveResult, OracleNotConverged, acoustics_reference, adaptive_quad_1d, brute_force_polar
+from .oracle import AdaptiveResult, OracleNotConverged, acoustics_reference, adaptive_quad_1d
 
 __version__ = "0.1.0"

@@ -3,9 +3,8 @@ r"""Independent reference machinery.
 Everything here deliberately avoids the steepest-descent code paths so it
 can serve as the second route of every cross-check: a self-contained
 adaptive Gauss-Kronrod integrator (embedded 7/15-point pair with
-worst-interval bisection), the reduced one-dimensional reference for the
-rectangular-duct problem, and nested brute-force integration of planar
-polar integrands at moderate frequencies.
+worst-interval bisection) and the reduced one-dimensional reference for
+the rectangular-duct problem.
 
 The integrator takes one interval or a sequence of panels, and bisects
 each panel worst interval first.  Each integrand call looks ahead: it
@@ -26,14 +25,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .polar import AngularRegion
-
 __all__ = [
     "AdaptiveResult",
     "OracleNotConverged",
     "adaptive_quad_1d",
     "acoustics_reference",
-    "brute_force_polar",
 ]
 
 _MAX_SUBDIVISIONS = 10**6
@@ -239,49 +235,3 @@ def acoustics_reference(omega: float, a: float = 1.0, b: float = 2.0, tol: float
             f"acoustics reference stalled on panel {i} [{edges[i]}, {edges[i + 1]}] at omega={omega}"
         )
     return 1j / omega * res.value
-
-
-def brute_force_polar(scene, region, tol: float = 1e-8) -> complex:
-    """Nested adaptive integration of a bounded polar integrand in two dimensions.
-
-    Integrates ``f(r, th) exp(i w g(r, th)) r`` over the star-shaped domain
-    of the scene and the angular interval of ``region``.  Independent of
-    all steepest-descent machinery; practical up to roughly ``w = 200``.
-    Other dimensions raise ``NotImplementedError``: 3-D accuracy is checked
-    against the closed form ``specfun.ellipsoid_reference``.
-
-    Unbounded scenes are rejected: adaptive quadrature cannot certify the
-    oscillatory tail, so unbounded references must come from closed forms.
-    """
-    if scene.boundary_radius is None:
-        raise ValueError("brute_force_polar requires a bounded (star-shaped) scene")
-    if not isinstance(region, AngularRegion):
-        raise TypeError(f"expected AngularRegion, got {type(region).__name__}")
-    if scene.n != region.n:
-        raise ValueError(f"scene and region disagree: scene.n = {scene.n}, region.n = {region.n}")
-    if scene.n != 2:
-        raise NotImplementedError(f"brute force only covers n = 2; got n = {scene.n}")
-    omega = scene.omega
-
-    def radial(th):
-        R = float(scene.boundary_radius(th))
-
-        def f_r(r):
-            rr = np.asarray(r, dtype=float)
-            amp = scene.amplitude(rr, th)
-            osc = np.exp(1j * omega * np.asarray(scene.oscillator(rr, th), dtype=complex))
-            return amp * osc * rr
-
-        res = adaptive_quad_1d(f_r, 0.0, R, tol * 0.1)
-        if not res.converged:
-            raise OracleNotConverged(f"radial integral stalled at angle={th}")
-        return res.value
-
-    def f_theta(th):
-        return np.array([radial(t) for t in np.atleast_1d(th)])
-
-    (lo, hi), = region.intervals
-    res = adaptive_quad_1d(f_theta, lo, hi, tol)
-    if not res.converged:
-        raise OracleNotConverged("angular integral did not converge")
-    return res.value

@@ -380,8 +380,13 @@ def _boundary_amplitude(scene, m):
 
 def _stationary_points(dG, lo, hi):
     # interior zeros of dG/dtheta, read by its real part, located by sign
-    # changes on 600 samples plus bisection.  A bracket is halved until its
-    # midpoint rounds to one of its ends
+    # changes on 600 samples.  Illinois steps (regula falsi that halves the
+    # value of an end kept twice), at least two ulps inside the bracket,
+    # shrink each bracket to four ulps; a step is a halving instead when two
+    # steps did not halve the bracket.  Then the bracket is halved until its
+    # midpoint rounds to one of its ends.  Every step keeps b where dG is
+    # zero or of the other sign than at a, so where the computed dG changes
+    # sign once in the bracket the point is plain bisection's, bit for bit
     ths = np.linspace(lo, hi, 600)
     d = dG(ths).real
     zero = (d[:-1] == 0.0) & (lo < ths[:-1]) & (ths[:-1] < hi)
@@ -390,8 +395,25 @@ def _stationary_points(dG, lo, hi):
         if zero[i]:
             points.append(ths[i])
             continue
-        a, b = ths[i], ths[i + 1]
-        fa, mid = d[i], 0.5 * (a + b)
+        a, b, fa = float(ths[i]), float(ths[i + 1]), float(d[i])
+        wa, wb, moved, goal, tries = fa, float(d[i + 1]), None, 0.5 * (b - a), 0
+        while b - a > (tol := 4 * math.ulp(max(abs(a), abs(b)))):
+            mid = 0.5 * (a + b)
+            if tries < 2 and wa != wb:
+                secant = b - wb * (b - a) / (wb - wa)
+                if math.isfinite(secant):
+                    mid = min(max(secant, a + 0.5 * tol), b - 0.5 * tol)
+            fm = float(dG(mid).real)
+            if fa * fm <= 0:
+                wa *= 0.5 if moved == "b" else 1.0
+                b, wb, moved = mid, fm, "b"
+            else:
+                wb *= 0.5 if moved == "a" else 1.0
+                a, fa, wa, moved = mid, fm, fm, "a"
+            tries += 1
+            if b - a <= goal:
+                goal, tries = 0.5 * (b - a), 0
+        mid = 0.5 * (a + b)
         while a < mid < b:
             fm = float(dG(mid).real)
             if fa * fm <= 0:

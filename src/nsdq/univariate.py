@@ -17,8 +17,9 @@ lies on; ``endpoint_contribution`` takes them as three arrays.  The
 paths of any number of endpoints are traced together by ``_trace``, the
 package's one tracer: the polar rules trace their radial paths with it
 too.  It solves every node row of every path in one ``newton_descent``
-call from the series seeds, and a path keeps those roots while they pass
-a branch check: the first near its seed, each later one near the
+call from the series seeds, a call that stops once its count of open
+elements stalls, and a path keeps those roots while they pass a branch
+check: the first near its seed, each later one near the
 trapezoid step of dz/dp = i / g'(z) from the row before, in the node
 variable ``x = (w p)^(1/alpha)`` in which the path is analytic.  A path
 that fails it is continued row by row from its last kept row, each row
@@ -59,15 +60,15 @@ def _phase_coefficients(g, dg, x, alpha):
     return lead
 
 
-def _branch_seed(p, alpha, lead_coeff, side):
-    # Roots of z^alpha = i p alpha! / g^(alpha) = i p / lead_coeff; pick the
-    # one pointing into the interval (Re > 0 for side=+1, Re < 0 for -1),
-    # with the principal root as tie-break.
-    c = 1j * p / lead_coeff
-    base = c ** (1.0 / alpha)
-    roots = [base * cmath.exp(2j * cmath.pi * k / alpha) for k in range(alpha)]
-    key = (lambda z: z.real) if side > 0 else (lambda z: -z.real)
-    return max(roots, key=key)
+def _branch_rotation(alpha, lead_coeff, side):
+    # The roots of z^alpha = i p alpha! / g^(alpha) = i p / lead_coeff are the
+    # principal one times exp(2 pi i k / alpha); return the rotation of the
+    # root pointing into the interval (Re > 0 for side=+1, Re < 0 for -1),
+    # with the principal root as tie-break.  A p > 0 scales every root
+    # alike, so p = 1 picks the branch of every row.
+    base = (1j / lead_coeff) ** (1.0 / alpha)
+    return max((cmath.exp(2j * cmath.pi * k / alpha) for k in range(alpha)),
+               key=lambda rot: side * (base * rot).real)
 
 
 def _endpoint_list(x, alpha, side, mask):
@@ -96,9 +97,11 @@ def _trace(g, dg, base, p, seed, start, alpha, context):
     # mask over the path shape that picks some of them, flattened; base,
     # start and alpha broadcast against the path shape.  Returns the roots
     # and dz/dp = i / g'(z) on them, node rows first.
-    # Every row is solved in one newton_descent call from its series seed.
-    # A path keeps its roots up to the first row that did not converge or
-    # fails the branch check (``_on_branch``); the paths with such a row are
+    # Every row is solved in one newton_descent call from its series seed,
+    # which ends once its count of open elements has not fallen for two
+    # iterations: the paths left open are continued anyway.  A path keeps
+    # its roots up to the first row that did not converge or fails the
+    # branch check (``_on_branch``); the paths with such a row are
     # continued row by row (``_continue``) from the last row all of them
     # kept, or from the series seed, ramp included, when that is none.
     # Only Newton's own failures are failures here; any other PathError,
@@ -109,7 +112,8 @@ def _trace(g, dg, base, p, seed, start, alpha, context):
         p = np.reshape(p, np.shape(p) + (1,) * (seeds.ndim - np.ndim(p)))
         p = np.broadcast_to(p, seeds.shape)
         dg_all = lambda z: dg(z, ...)
-        z, err = newton_descent(lambda z: g(z, ...), dg_all, base + 1j * p, seeds, context=context)
+        z, err = newton_descent(lambda z: g(z, ...), dg_all, base + 1j * p, seeds, context=context,
+                                stop_on_stall=True)
         dz = _derivative(dg_all, z)
         on = _on_branch(z, dz, p, seeds[0], start, alpha)
         if err is not None:
@@ -188,7 +192,9 @@ def endpoint_contribution(f, g, x, omega: float, m: int, *, dg=None, alpha=1, si
 
     Every endpoint's path is traced by the one tracer: all m rows of the
     (m, E) array of descent parameters are one ``newton_descent`` call from
-    each endpoint's branch seed, and an endpoint whose roots fail the
+    each endpoint's branch seed (the branch is picked once per endpoint,
+    and a row's seed is one root times its rotation; the rule in p is
+    built once per distinct order), and an endpoint whose roots fail the
     branch check is continued row by row in its node variable (p^(1/alpha)),
     its first row ramped up from a smaller p when even that root is far
     from its seed.  The tracer evaluates ``dg`` on the roots for the path
@@ -234,12 +240,15 @@ def endpoint_contribution(f, g, x, omega: float, m: int, *, dg=None, alpha=1, si
             f"{_endpoint_list(x, alpha, side, flat)}; alpha is wrong or the path is degenerate"
         )
 
-    columns = [_in_p(gauss_exp_power(m, a, 0), a, omega) for a in alpha.tolist()]
-    p, weights = (np.stack(c, axis=1) for c in zip(*columns))
+    rules = {a: _in_p(gauss_exp_power(m, a, 0), a, omega) for a in np.unique(alpha).tolist()}
+    p, weights = (np.stack(c, axis=1) for c in zip(*(rules[a] for a in alpha.tolist())))
     gx = np.broadcast_to(np.asarray(g(x), dtype=complex), x.shape)
+    rotation = np.array([_branch_rotation(*end) for end in zip(alpha.tolist(), leads.tolist(),
+                                                                side.tolist())])
     seed = lambda q, paths: x[paths] + np.array([
-        _branch_seed(*branch) for branch in zip(np.asarray(q).tolist(), alpha[paths].tolist(),
-                                                leads[paths].tolist(), side[paths].tolist())])
+        (1j * qe / lead) ** (1.0 / a) * rot
+        for qe, a, lead, rot in zip(np.asarray(q).tolist(), alpha[paths].tolist(),
+                                    leads[paths].tolist(), rotation[paths].tolist())])
     try:
         z, dz = _trace(lambda z, paths: g(z), lambda z, paths: dge(z), gx, p, seed, x, alpha,
                        "along the endpoint paths")

@@ -28,7 +28,8 @@ from nsdq.experiments import (
     run_sphere_scatter,
     sphere_table,
 )
-from nsdq.oracle import acoustics_reference, brute_force_polar
+from brute_force import brute_force_polar
+from nsdq.oracle import acoustics_reference
 from nsdq.paths import corner_h11, corner_h12, corner_h21, corner_h22, newton_descent
 from nsdq.polar import (
     OuterPlan,

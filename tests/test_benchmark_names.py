@@ -30,7 +30,9 @@ def test_tracer_counts_every_newton_call():
     # every traced path, radial or endpoint, must reach the wrapped
     # newton_descent: one call solves every node row of a grid's paths, and
     # here no path falls back to the row-by-row continuation.  The rule
-    # builds and the polar grids are counted too: the sphere's w0 and its
+    # builds and the polar grids are counted too: the ellipse asks for the
+    # trapezoid, the central and boundary rules and one endpoint rule per
+    # distinct order (all its 8 endpoints have order 2); the sphere's w0 and its
     # companion build one trapezoid and two Gauss rules through the wrapped
     # names, and their Q_r on the same 100 directions are one grid call,
     # one trace of both rules' nodes (13 rows of 100 paths) in one solve
@@ -51,7 +53,7 @@ def test_tracer_counts_every_newton_call():
     assert ellipse["univariate.calls"] == 1
     assert (sphere["paths.newton_calls"], sphere["paths.newton_points"]) == (1, 1300)
     layers = ("rules.calls", "polar.calls", "polar.directions")
-    assert tuple(ellipse[k] for k in layers) == (11, 2, 104)
+    assert tuple(ellipse[k] for k in layers) == (4, 2, 104)
     assert tuple(sphere[k] for k in layers) == (3, 1, 200)
 
 

@@ -5,13 +5,9 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from brute_force import brute_force_polar
 from nsdq import oracle, scenes
-from nsdq.oracle import (
-    OracleNotConverged,
-    acoustics_reference,
-    adaptive_quad_1d,
-    brute_force_polar,
-)
+from nsdq.oracle import OracleNotConverged, acoustics_reference, adaptive_quad_1d
 from nsdq.polar import AngularRegion
 
 mp.mp.dps = 30

@@ -10,7 +10,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nsdq import scenes
-from nsdq.oracle import adaptive_quad_1d, brute_force_polar
+from brute_force import brute_force_polar
+from nsdq.oracle import adaptive_quad_1d
 from nsdq.paths import PathError, RadialScene, complex_derivative
 from nsdq.polar import (
     AngularRegion,
@@ -228,7 +229,7 @@ def test_ellipse_boundary_phase_derivative_matches_finite_difference():
 
 def _stationary_points_80(dG, lo, hi):
     # reference: the scan with 80 halvings per bracket; also returns each
-    # point's last bracket
+    # point's sample bracket
     ths = np.linspace(lo, hi, 600)
     d = dG(ths).real
     points, brackets = [], []
@@ -247,23 +248,30 @@ def _stationary_points_80(dG, lo, hi):
                 else:
                     a, fa = mid, fm
             points.append(0.5 * (a + b))
-            brackets.append((a, b))
+            brackets.append((ths[i], ths[i + 1]))
     scale = max(abs(float(d[0])), abs(float(d[-1])), 1e-30)
     end_a = abs(float(d[0])) < 1e-7 * max(1.0, scale)
     end_b = abs(float(d[-1])) < 1e-7 * max(1.0, scale)
     return points, brackets, end_a, end_b
 
 
+def _sign_change(dG, x):
+    # dG/dtheta, as computed, vanishes at x or changes sign between x and a
+    # neighbouring double
+    fx = float(dG(x).real)
+    return fx == 0.0 or any(fx * float(dG(np.nextafter(x, to)).real) <= 0 for to in (-np.inf, np.inf))
+
+
 @given(coeffs=st.lists(st.floats(-2.0, 2.0), min_size=6, max_size=6),
        ends=st.tuples(st.floats(0.0, 2 * math.pi), st.floats(0.0, 2 * math.pi)))
 @settings(max_examples=80, deadline=None)
 def test_stationary_scan_matches_80_halvings(coeffs, ends):
-    # the scan's bisection stops once the midpoint rounds to an end of its
-    # bracket; from there 80 fixed halvings move neither the bracket nor the
-    # midpoint, so every point they settle is bit-identical.  A bracket 80
-    # halvings leave unsettled (a root within ~1e-11 of 0) is only narrowed.
     # dG/dtheta is the fallback of a scene without d_boundary_phase,
-    # complex_derivative of G
+    # complex_derivative of G, whose computed sign is noisy near a root, so
+    # the secant steps may settle on another sign change than bisection
+    # does.  The scan finds the points and end flags that 80 halvings find,
+    # and each point lies in its sample bracket and is a sign change (or a
+    # zero) of the computed dG/dtheta at the resolution of doubles
     lo, hi = sorted(ends)
     assume(hi - lo > 1e-3)
     pairs = list(zip(coeffs[::2], coeffs[1::2]))
@@ -273,16 +281,62 @@ def test_stationary_scan_matches_80_halvings(coeffs, ends):
     want, brackets, want_a, want_b = _stationary_points_80(dG, lo, hi)
     assert (end_a, end_b) == (want_a, want_b)
     assert len(got) == len(want)
-    for x, y, (a, b) in zip(got, want, brackets):
-        if a < y < b:
-            assert a <= x <= b
-        else:
-            assert x == y
+    for x, (a, b) in zip(got, brackets):
+        assert a <= x <= b
+        assert _sign_change(dG, x)
+
+
+def _bisection_scan(dG, lo, hi):
+    # the scan before its secant steps: sign changes on 600 samples, each
+    # bracket halved until its midpoint rounds to one of its ends
+    ths = np.linspace(lo, hi, 600)
+    d = dG(ths).real
+    points = []
+    for i in range(599):
+        if d[i] == 0.0 and lo < ths[i] < hi:
+            points.append(ths[i])
+        elif d[i] * d[i + 1] < 0:
+            a, b = ths[i], ths[i + 1]
+            fa, mid = d[i], 0.5 * (a + b)
+            while a < mid < b:
+                fm = float(dG(mid).real)
+                if fa * fm <= 0:
+                    b = mid
+                else:
+                    a, fa = mid, fm
+                mid = 0.5 * (a + b)
+            points.append(mid)
+    return points
+
+
+def _trigonometric_dG(th):
+    # the exact derivative of G = 1.5 sin 3 theta + 0.4 cos theta - 0.3 sin 2 theta
+    return 4.5 * np.cos(3.0 * th) - 0.4 * np.sin(th) - 0.6 * np.cos(2.0 * th)
+
+
+@pytest.mark.parametrize("boundary", ["ellipse", "asymmetric", "trigonometric"])
+@pytest.mark.parametrize("lo, hi", [(0.0, 2 * math.pi), (0.3, 2.9), (1.0, 6.0)])
+def test_stationary_scan_matches_the_bisection_with_analytic_derivatives(boundary, lo, hi):
+    # with an analytic dG/dtheta the computed sign changes once in each
+    # bracket, and the secant steps keep the bisection's points bit for bit
+    # in a fraction of its dG calls
+    dG = {"ellipse": scenes.ellipse_scene(100.0).d_boundary_phase,
+          "asymmetric": _asymmetric_scene(100.0, True).d_boundary_phase,
+          "trigonometric": _trigonometric_dG}[boundary]
+    calls = []
+    counted = lambda th: calls.append(th) or dG(th)
+    got = _stationary_points(counted, lo, hi)[0]
+    scan_calls = len(calls)
+    want = _bisection_scan(counted, lo, hi)
+    assert got and [float(x) for x in got] == [float(x) for x in want]
+    # scalar dG calls: at most 10 per point, and a quarter of the bisection's
+    assert scan_calls - 1 <= 10 * len(got)
+    assert 4 * (scan_calls - 1) <= len(calls) - scan_calls - 1
 
 
 def test_stationary_scan_reads_the_scene_derivative():
     # the ellipse's dG/dtheta: one call on the 600 samples, then one scalar
-    # call per halving of each of 3 brackets
+    # call per secant step or halving of each of 3 brackets (15 in all)
     sc = scenes.ellipse_scene(100.0)
     dR = sc.d_boundary_phase
     dg_shapes = []
@@ -293,7 +347,7 @@ def test_stationary_scan_reads_the_scene_derivative():
 
     points, end_a, end_b = _stationary_points(counted_dG, 0.0, 2 * math.pi)
     assert dg_shapes[0] == (600,)
-    assert set(dg_shapes[1:]) == {()} and len(dg_shapes) - 1 <= 3 * 64
+    assert set(dg_shapes[1:]) == {()} and len(dg_shapes) - 1 <= 3 * 8
     assert [float(x) for x in points] == [math.pi / 2, math.pi, 3 * math.pi / 2]
     assert end_a is True and end_b is True
     # the integrator hands the scan the scene's derivative
