@@ -148,7 +148,7 @@ def complex_derivative(f, z):
     return (4 * _taylor_coefficient(f, z, 1, s) - _taylor_coefficient(f, z, 1, 2 * s)) / 3
 
 
-def newton_descent(g, dg, target, z0, *, context: str = "", stop_on_stall: bool = False):
+def newton_descent(g, dg, target, z0, *, context: str = ""):
     """Solve ``g(z) = target`` by Newton from ``z0``, reporting each element.
 
     Works elementwise on numpy arrays; a scalar start returns a 0-d value,
@@ -156,17 +156,12 @@ def newton_descent(g, dg, target, z0, *, context: str = "", stop_on_stall: bool 
     stepped until all residuals are below 1e-14 max(1, |target|), and then
     once more: a chord step with the last g', which costs no evaluation, or
     a Newton step when the start already passed.  So a root is good to full
-    precision, not just to the residual test.  With ``stop_on_stall`` the
-    solve also ends, with the same last step, once some element has passed
-    and the count of elements still open has not fallen for two
-    iterations; it is for a caller that continues the failing elements by
-    other means.
+    precision, not just to the residual test.
 
     Returns ``(z, error)``.  ``error`` is None when every element converged;
     otherwise it is the PathError the caller raises, with the mask of the
     failing elements in ``failed``: those whose derivative collapses or is
-    NaN (degenerate path) or that have not converged when the solve ends,
-    after 50 iterations or at a stall.
+    NaN (degenerate path) or that have not converged after 50 iterations.
     A non-finite residual never converges, so its element is given up at
     once.  Failing elements never stop the others, and numpy's floating
     point warnings are silenced: every non-finite value ends as a failure.
@@ -176,7 +171,6 @@ def newton_descent(g, dg, target, z0, *, context: str = "", stop_on_stall: bool 
     scale = np.maximum(1.0, np.abs(tgt))
     dead = degenerate = False  # elements given up, and those of them with a bad g'
     dgz = None
-    fewest, flat = z.size, 0  # fewest open elements so far, and iterations since that fell
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for it in range(_NEWTON_MAXIT + 1):
             res = np.asarray(g(z), dtype=complex) - tgt
@@ -184,11 +178,6 @@ def newton_descent(g, dg, target, z0, *, context: str = "", stop_on_stall: bool 
             # after the last iteration an element passes at 1e-12
             done = np.abs(res) <= (1e-14 if it < _NEWTON_MAXIT else 1e-12) * scale
             last = it == _NEWTON_MAXIT or np.all(done | dead)
-            if stop_on_stall:
-                still = np.count_nonzero(~(done | dead))
-                flat = 0 if still < fewest else flat + 1
-                fewest = min(fewest, still)
-                last = last or (flat == 2 and fewest < z.size)
             if not last or dgz is None:
                 dgz = np.asarray(dg(z), dtype=complex)
                 # negated comparisons: NaN fails every comparison and must count as a failure
@@ -203,7 +192,7 @@ def newton_descent(g, dg, target, z0, *, context: str = "", stop_on_stall: bool 
     if np.any(degenerate):
         message = f"degenerate path: |dg/dz| < {_DERIV_FLOOR} or NaN {context}"
     else:
-        message = (f"Newton did not converge after {it} iterations "
+        message = (f"Newton did not converge after {_NEWTON_MAXIT} iterations "
                    f"(worst residual {np.max(np.abs(res)):.3e}) {context}")
     return z, PathError(message, failed)
 

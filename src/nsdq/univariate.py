@@ -17,9 +17,8 @@ lies on; ``endpoint_contribution`` takes them as three arrays.  The
 paths of any number of endpoints are traced together by ``_trace``, the
 package's one tracer: the polar rules trace their radial paths with it
 too.  It solves every node row of every path in one ``newton_descent``
-call from the series seeds, a call that stops once its count of open
-elements stalls, and a path keeps those roots while they pass a branch
-check: the first near its seed, each later one near the
+call from the series seeds, and a path keeps those roots while they pass
+a branch check: the first near its seed, each later one near the
 trapezoid step of dz/dp = i / g'(z) from the row before, in the node
 variable ``x = (w p)^(1/alpha)`` in which the path is analytic.  A path
 that fails it is continued row by row from its last kept row, each row
@@ -97,11 +96,9 @@ def _trace(g, dg, base, p, seed, start, alpha, context):
     # mask over the path shape that picks some of them, flattened; base,
     # start and alpha broadcast against the path shape.  Returns the roots
     # and dz/dp = i / g'(z) on them, node rows first.
-    # Every row is solved in one newton_descent call from its series seed,
-    # which ends once its count of open elements has not fallen for two
-    # iterations: the paths left open are continued anyway.  A path keeps
-    # its roots up to the first row that did not converge or fails the
-    # branch check (``_on_branch``); the paths with such a row are
+    # Every row is solved in one newton_descent call from its series seed.
+    # A path keeps its roots up to the first row that did not converge or
+    # fails the branch check (``_on_branch``); the paths with such a row are
     # continued row by row (``_continue``) from the last row all of them
     # kept, or from the series seed, ramp included, when that is none.
     # Only Newton's own failures are failures here; any other PathError,
@@ -112,8 +109,7 @@ def _trace(g, dg, base, p, seed, start, alpha, context):
         p = np.reshape(p, np.shape(p) + (1,) * (seeds.ndim - np.ndim(p)))
         p = np.broadcast_to(p, seeds.shape)
         dg_all = lambda z: dg(z, ...)
-        z, err = newton_descent(lambda z: g(z, ...), dg_all, base + 1j * p, seeds, context=context,
-                                stop_on_stall=True)
+        z, err = newton_descent(lambda z: g(z, ...), dg_all, base + 1j * p, seeds, context=context)
         dz = _derivative(dg_all, z)
         on = _on_branch(z, dz, p, seeds[0], start, alpha)
         if err is not None:

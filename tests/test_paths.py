@@ -418,33 +418,6 @@ def test_newton_refines_past_the_residual_test():
     assert np.max(np.abs(z - np.log(t)) / np.maximum(1.0, np.abs(np.log(t)))) <= 4.5e-16
 
 
-def test_newton_stops_at_a_stall_only_when_asked():
-    # the 2-cycle of z^3 - 2z + 2 from 0 beside three starts that converge.
-    # By default the batch runs all 50 iterations; with stop_on_stall it
-    # ends two iterations after its last element passed and reports the
-    # cycle alone, with the same roots.  A batch in which no element has
-    # passed yet never stalls
-    calls = []
-
-    def g(z):
-        calls.append(z)
-        return z**3 - 2 * z + 2
-
-    dg = lambda z: 3 * z**2 - 2
-    z0 = np.array([0.0, -1.7, -1.8, -1.76])
-    z, err = newton_descent(g, dg, 0.0, z0)
-    assert len(calls) == 51
-    calls.clear()
-    stalled, stall_err = newton_descent(g, dg, 0.0, z0, stop_on_stall=True)
-    assert len(calls) == 7
-    assert err.failed.tolist() == stall_err.failed.tolist() == [True, False, False, False]
-    assert str(stall_err) == "Newton did not converge after 6 iterations (worst residual 2.000e+00) "
-    assert stalled[1:].tolist() == z[1:].tolist()
-    calls.clear()
-    newton_descent(g, dg, 0.0, np.array([0.0, 0.0]), stop_on_stall=True)
-    assert len(calls) == 51
-
-
 def test_scene_rejects_non_integrable_singularity():
     with pytest.raises(ValueError, match="singularity order"):
         RadialScene(

@@ -107,12 +107,9 @@ PINNED = {
     # 2e-14 away (moves of 5.7e-16 and 2.9e-13 relative), and again when
     # Newton took one more (chord) step past its residual test and every
     # node row of the endpoint paths was solved at once (moves of 2.4e-15
-    # and 1.4e-12 relative: the alpha = 2 endpoint floor, ROADMAP item 3),
-    # and again when the batch Newton of the endpoint paths stopped at a
-    # stall: the omega = 10 value moved by 1 ulp of its imaginary part
-    # (1.1e-16 relative), omega = 100 did not move
+    # and 1.4e-12 relative: the alpha = 2 endpoint floor, ROADMAP item 3)
     "ellipse-nsd": [
-        "(0.1552693246981341+0.18715596514526392j)",
+        "(0.1552693246981341+0.1871559651452639j)",
         "(-0.0014557961931364286+0.003142247276036634j)",
     ],
     "disk-plain": [

@@ -186,10 +186,9 @@ def test_continuation_errors_keep_their_messages():
 
 def test_failing_paths_resume_from_their_last_kept_row(monkeypatch):
     # the ellipse at w = 10: from the series seeds the last two node rows of
-    # every endpoint path, and row 5 of four of them, are still open when
-    # the batch stalls, so the continuation takes over from the last row all
-    # of them kept (one call of all rows, then one per row left, from row 4)
-    # and agrees with continuing every path from its first row
+    # every endpoint path do not converge, so the continuation takes over
+    # from the last row all of them kept (one call of all rows, then one per
+    # row left) and agrees with continuing every path from its first row
     from nsdq import polar, scenes
 
     region = scenes.default_region("ellipse")
@@ -203,65 +202,11 @@ def test_failing_paths_resume_from_their_last_kept_row(monkeypatch):
 
     monkeypatch.setattr(univariate, "newton_descent", counted)
     value = run()
-    assert calls == [(8, 8), (8,), (8,), (8,)]
+    assert calls == [(8, 8), (8,), (8,)]
     monkeypatch.setattr(univariate, "_on_branch", lambda z, *args: np.zeros(z.shape, dtype=bool))
     full = run()
-    assert len(calls) == 4 + 1 + 1 + 7
+    assert len(calls) == 3 + 1 + 1 + 7
     assert abs(value - full) <= 1e-14 * abs(full)
-
-
-def test_endpoint_batch_stops_when_its_open_count_stalls(monkeypatch):
-    # the ellipse at the planar benchmark's w ~ 17.87 (seed 1): the same 8
-    # elements of the endpoint batch stay open from iteration 7 until they
-    # turn non-finite, 15 g calls in all.  The batch now stops two
-    # iterations after its last fall, the continuation takes those paths,
-    # and the value is the one the full batch gave, bit for bit
-    from nsdq import polar, scenes
-
-    g_calls = []
-
-    def counted(g, dg, target, z0, **kwargs):
-        g_calls.append(0)
-
-        def g_counted(z):
-            g_calls[-1] += 1
-            return g(z)
-
-        return newton_descent(g_counted, dg, target, z0, **kwargs)
-
-    monkeypatch.setattr(univariate, "newton_descent", counted)
-    region = scenes.default_region("ellipse")
-    value = polar.integrate_star_shaped(scenes.ellipse_scene(17.87022044015797), region,
-                                        polar.OuterPlan.for_region(region, trap=40), 8)
-    assert g_calls[0] < 15
-    assert repr(value) == "(-0.019677391201701144-0.03216806104116773j)"
-
-
-def test_sphere_batch_never_stalls(monkeypatch):
-    # the README sphere grid: every row's one Newton solve, which asks for
-    # the stall stop, makes the g calls it makes without it
-    from nsdq import experiments
-
-    solves = []
-
-    def twice(g, dg, target, z0, stop_on_stall=False, **kwargs):
-        counts = []
-        for stall in (False, stop_on_stall):
-            counts.append(0)
-
-            def g_counted(z):
-                counts[-1] += 1
-                return g(z)
-
-            result = newton_descent(g_counted, dg, target, z0, stop_on_stall=stall, **kwargs)
-        solves.append((stop_on_stall, *counts))
-        return result
-
-    monkeypatch.setattr(univariate, "newton_descent", twice)
-    experiments.run_sphere_scatter([50.0, 100.0, 150.0, 200.0], [0.0, 0.314, 0.628, 1.047],
-                                   m=5, n_trap=100)
-    assert [stall for stall, _, _ in solves] == [True] * 16
-    assert all(plain == stalled for _, plain, stalled in solves)
 
 
 def _branch_seed(p, alpha, lead_coeff, side):
