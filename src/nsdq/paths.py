@@ -95,7 +95,11 @@ class RadialScene:
         G(theta) = g(R(theta), theta), analytic in a complex theta; n = 2
         only.  The boundary term's stationary-point scan and its univariate
         descent (Newton steps, path derivatives) use it; without it both
-        use the one fallback ``complex_derivative`` of G.
+        use the one fallback ``complex_derivative`` of G, whose computed
+        sign is noisy near a root: the scan then pins each stationary point
+        only to about 3e-10 in theta, and the boundary value can move by up
+        to about 5e-9 relative.  A scene whose G has stationary points
+        should supply dG/dtheta.
         G and dG/dtheta must be real on real angles: ``integrate_star_shaped``
         checks both once on its outer grid before the descent in the angle.
     origin_path / boundary_path : optional closed forms

@@ -255,24 +255,29 @@ def _boundary_samples(scene: RadialScene, angles, p_values):
     return _traced_samples(scene, angles, gR, p_values, seed, R, 1, "boundary grid")
 
 
-def _path_sum(scene: RadialScene, w, rho, drho, f):
-    # sum_j w_j f_j d(rho^n)/dp_j over the node rows of path samples, the
-    # Jacobian one node row at a time; [j, ...] keeps a row of a 1-D grid an
-    # array, so each row has the bits of the whole-array product
-    jacobian = (scene.n * rho[j, ...] ** (scene.n - 1) * drho[j, ...] for j in range(len(w)))
-    return _node_sum(w, f, jacobian)
+def _descent_sums(scene: RadialScene, angles, rules, samples) -> list:
+    """The Gaussian descent sums of several radial rules along every path of a direction grid.
 
-
-def _descent_sum(scene: RadialScene, angles, rule, samples):
-    """The Gaussian descent sum along every path of a direction grid.
-
-    ``sum_j w_j f(rho(p_j)) d(rho^n)/dp (p_j)`` over the radial rule
-    ``(p, w)`` that ``rules._in_p`` reads from a Gaussian rule, with the path
-    samples from ``samples`` (``_origin_samples`` or ``_boundary_samples``).
+    ``sum_j w_j f(rho(p_j)) d(rho^n)/dp (p_j)`` for each radial rule
+    ``(p, w)`` that ``rules._in_p`` reads from a Gaussian rule, in a list in
+    the order of ``rules``.  The paths are sampled once by ``samples``
+    (``_origin_samples`` or ``_boundary_samples``), on the ascending union
+    of the rules' nodes (one Newton solve for traced paths), and the
+    amplitude is evaluated once; each rule is summed over its own node rows,
+    read in place.
     """
-    p, w = rule
+    p = np.concatenate([nodes for nodes, _ in rules])
+    p.sort()
     rho, drho = samples(scene, angles, p)
-    return _path_sum(scene, w, rho, drho, scene.amplitude(rho, *angles))
+    f = scene.amplitude(rho, *angles)
+    sums = []
+    for nodes, w in rules:
+        # the Jacobian one node row at a time; [j, ...] keeps a row of a 1-D
+        # grid an array, so each row has the bits of the whole-array product
+        rows = p.searchsorted(nodes).tolist()
+        jacobian = (scene.n * rho[j, ...] ** (scene.n - 1) * drho[j, ...] for j in rows)
+        sums.append(_node_sum(w, (f[j] for j in rows), jacobian))
+    return sums
 
 
 def _central_grid(scene: RadialScene, angles, m):
@@ -288,26 +293,16 @@ def _central_grid(scene: RadialScene, angles, m):
     nodes.
 
     ``m`` is one rule size, or a 1-D integer array of sizes: then the paths
-    are traced once, on all the rules' nodes in p in ascending order (one
-    Newton solve for traced paths), and the Q_r of each size are stacked on
-    a trailing axis, in the order given, so that an array over the sizes
-    broadcasts against the result.  One size keeps the plain sum on its own
-    nodes: on a large grid (the ellipsoid's 50 x 50 directions) the row
-    copies and the stack of the shared path cost about a third of an
-    integral.
+    are traced once, on all the rules' nodes (``_descent_sums``), and the
+    Q_r of each size are stacked on a trailing axis, in the order given, so
+    that an array over the sizes broadcasts against the result.
     """
     alpha, d = scene.alpha, _weight_degree(scene)
-    scale = alpha / (scene.n * scene.omega)
-    if not isinstance(m, np.ndarray):
-        return _descent_sum(scene, angles, _in_p(gauss_exp_power(m, alpha, d), alpha, scene.omega, d),
-                            _origin_samples) * scale
-    rules = [_in_p(gauss_exp_power(int(size), alpha, d), alpha, scene.omega, d) for size in m]
-    p = np.sort(np.concatenate([nodes for nodes, _ in rules]))
-    rho, drho = _origin_samples(scene, angles, p)
-    f = scene.amplitude(rho, *angles)
-    rows = [np.searchsorted(p, nodes) for nodes, _ in rules]
-    return np.stack([_path_sum(scene, w, rho[at], drho[at], f[at]) for at, (_, w) in zip(rows, rules)],
-                    axis=-1) * scale
+    sizes = [int(size) for size in m] if isinstance(m, np.ndarray) else [m]
+    rules = [_in_p(gauss_exp_power(size, alpha, d), alpha, scene.omega, d) for size in sizes]
+    sums = _descent_sums(scene, angles, rules, _origin_samples)
+    q = np.stack(sums, axis=-1) if isinstance(m, np.ndarray) else sums[0]
+    return q * (alpha / (scene.n * scene.omega))
 
 
 def _boundary_grid(scene: RadialScene, angles, m: int, G):
@@ -320,7 +315,7 @@ def _boundary_grid(scene: RadialScene, angles, m: int, G):
     pre-quadrature value is ``_central_grid - _boundary_grid``.
     """
     rule = _in_p(gauss_exp_power(m, 1, 0), 1, scene.omega)
-    total = _descent_sum(scene, angles, rule, _boundary_samples)
+    total, = _descent_sums(scene, angles, [rule], _boundary_samples)
     return np.exp(1j * scene.omega * G) * total / (scene.n * scene.omega)
 
 
@@ -333,9 +328,10 @@ def _outer_sums(scene: RadialScene, region: AngularRegion, plan: OuterPlan, m: i
     outer grid, and the value's own Q_r on every other node of the last
     axis with doubled weights.  The value's and the companion's Q_r come
     from one ``_central_grid`` call, so their paths are one trace (one
-    Newton solve for traced paths) on the union of both rules' nodes.  The
-    last axis must be a periodic trapezoid with an even count, so the third
-    sum is the nested N/2 trapezoid; it costs no scene evaluation.
+    Newton solve for traced paths) on the union of both rules' nodes, in
+    the one ``_descent_sums`` that a single size also takes.  The last
+    axis must be a periodic trapezoid with an even count, so the third sum
+    is the nested N/2 trapezoid; it costs no scene evaluation.
     """
     _check_dimensions(scene, region, plan)
     mesh, w = _outer_grid(region, plan)
@@ -374,19 +370,21 @@ def _boundary_amplitude(scene, m):
     # amplitude of the boundary term as an analytic function of the
     # (possibly complex) angle, its rule read once; the oscillatory factor
     # exp(i w G) is supplied by the univariate descent machinery
-    rule = _in_p(gauss_exp_power(m, 1, 0), 1, scene.omega)
-    return lambda th: _descent_sum(scene, (th,), rule, _boundary_samples) / (scene.n * scene.omega)
+    rules = [_in_p(gauss_exp_power(m, 1, 0), 1, scene.omega)]
+    return lambda th: _descent_sums(scene, (th,), rules, _boundary_samples)[0] / (scene.n * scene.omega)
 
 
 def _stationary_points(dG, lo, hi):
     # interior zeros of dG/dtheta, read by its real part, located by sign
-    # changes on 600 samples.  Illinois steps (regula falsi that halves the
-    # value of an end kept twice), at least two ulps inside the bracket,
-    # shrink each bracket to four ulps; a step is a halving instead when two
-    # steps did not halve the bracket.  Then the bracket is halved until its
-    # midpoint rounds to one of its ends.  Every step keeps b where dG is
-    # zero or of the other sign than at a, so where the computed dG changes
-    # sign once in the bracket the point is plain bisection's, bit for bit
+    # changes on 600 samples.  Each bracket shrinks until its midpoint
+    # rounds to an end: by Illinois steps (regula falsi that halves the
+    # value of an end kept twice), at least two ulps inside, while it is
+    # wider than four ulps, unless two steps did not halve it; by halvings
+    # otherwise.  A halving that takes an end into a lower binade halves the
+    # ulp and the width together, so once a bracket is four ulps wide no
+    # Illinois step follows.  Every step keeps b where dG is zero or of the
+    # other sign than at a, so where the computed dG changes sign once in
+    # the bracket the point is plain bisection's, bit for bit
     ths = np.linspace(lo, hi, 600)
     d = dG(ths).real
     zero = (d[:-1] == 0.0) & (lo < ths[:-1]) & (ths[:-1] < hi)
@@ -397,9 +395,8 @@ def _stationary_points(dG, lo, hi):
             continue
         a, b, fa = float(ths[i]), float(ths[i + 1]), float(d[i])
         wa, wb, moved, goal, tries = fa, float(d[i + 1]), None, 0.5 * (b - a), 0
-        while b - a > (tol := 4 * math.ulp(max(abs(a), abs(b)))):
-            mid = 0.5 * (a + b)
-            if tries < 2 and wa != wb:
+        while a < (mid := 0.5 * (a + b)) < b:
+            if b - a > (tol := 4 * math.ulp(max(abs(a), abs(b)))) and tries < 2 and wa != wb:
                 secant = b - wb * (b - a) / (wb - wa)
                 if math.isfinite(secant):
                     mid = min(max(secant, a + 0.5 * tol), b - 0.5 * tol)
@@ -413,14 +410,6 @@ def _stationary_points(dG, lo, hi):
             tries += 1
             if b - a <= goal:
                 goal, tries = 0.5 * (b - a), 0
-        mid = 0.5 * (a + b)
-        while a < mid < b:
-            fm = float(dG(mid).real)
-            if fa * fm <= 0:
-                b = mid
-            else:
-                a, fa = mid, fm
-            mid = 0.5 * (a + b)
         points.append(mid)
     scale = max(abs(float(d[0])), abs(float(d[-1])), 1e-30)
     end_a = abs(float(d[0])) < 1e-7 * max(1.0, scale)

@@ -21,7 +21,7 @@ from nsdq.polar import (
     _boundary_phase,
     _boundary_samples,
     _central_grid,
-    _descent_sum,
+    _descent_sums,
     _origin_samples,
     _outer_grid,
     _stationary_points,
@@ -314,15 +314,26 @@ def _trigonometric_dG(th):
     return 4.5 * np.cos(3.0 * th) - 0.4 * np.sin(th) - 0.6 * np.cos(2.0 * th)
 
 
-@pytest.mark.parametrize("boundary", ["ellipse", "asymmetric", "trigonometric"])
+_BELOW_TWO = 2.0 - 2.0**-51  # two doubles below 2
+
+
+@pytest.mark.parametrize("boundary", ["ellipse", "asymmetric", "trigonometric", "root-at-2", "sine-at-4",
+                                      "half-periods", "sine-below-2"])
 @pytest.mark.parametrize("lo, hi", [(0.0, 2 * math.pi), (0.3, 2.9), (1.0, 6.0)])
 def test_stationary_scan_matches_the_bisection_with_analytic_derivatives(boundary, lo, hi):
     # with an analytic dG/dtheta the computed sign changes once in each
     # bracket, and the secant steps keep the bisection's points bit for bit
-    # in a fraction of its dG calls
+    # in a fraction of its dG calls.  The last four have roots at and just
+    # below powers of two (half-periods at every multiple of 0.5), where a
+    # bracket end can cross into a lower binade and halve the four-ulp
+    # threshold mid-bracket (sine-below-2 does so on [0.3, 2.9])
     dG = {"ellipse": scenes.ellipse_scene(100.0).d_boundary_phase,
           "asymmetric": _asymmetric_scene(100.0, True).d_boundary_phase,
-          "trigonometric": _trigonometric_dG}[boundary]
+          "trigonometric": _trigonometric_dG,
+          "root-at-2": lambda th: th - 2.0,
+          "sine-at-4": lambda th: np.sin(th - 4.0),
+          "half-periods": lambda th: np.sin(2.0 * math.pi * (th - 0.5)),
+          "sine-below-2": lambda th: np.sin(_BELOW_TWO - th)}[boundary]
     calls = []
     counted = lambda th: calls.append(th) or dG(th)
     got = _stationary_points(counted, lo, hi)[0]
@@ -1031,17 +1042,22 @@ def test_outer_grid_is_built_once_and_read_only(name):
         assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
 
 
-def _whole_array_descent_sum(scene, angles, rule, samples):
-    # the descent sum with the Jacobian d(rho^n)/dp built as one array
-    p, w = rule
+def _whole_array_descent_sums(scene, angles, rules, samples):
+    # the descent sums of several rules from one shared sample on the sorted
+    # union of their nodes, each over copies of its own rows, with the
+    # Jacobian d(rho^n)/dp built as one array
+    p = np.sort(np.concatenate([nodes for nodes, _ in rules]))
     rho, drho = samples(scene, angles, p)
-    return _node_sum(w, scene.amplitude(rho, *angles), scene.n * rho ** (scene.n - 1) * drho)
+    f = scene.amplitude(rho, *angles)
+    rows = [np.searchsorted(p, nodes) for nodes, _ in rules]
+    return [_node_sum(w, f[at], scene.n * rho[at] ** (scene.n - 1) * drho[at])
+            for at, (_, w) in zip(rows, rules)]
 
 
-def _central_case(scene, angles, m):
+def _central_case(scene, angles, *sizes):
     d = _weight_degree(scene)
-    return scene, angles, _in_p(gauss_exp_power(m, scene.alpha, d), scene.alpha, scene.omega, d), \
-        _origin_samples
+    return scene, angles, [_in_p(gauss_exp_power(m, scene.alpha, d), scene.alpha, scene.omega, d)
+                           for m in sizes], _origin_samples
 
 
 def _descent_cases():
@@ -1055,12 +1071,16 @@ def _descent_cases():
     ellipse = scenes.ellipse_scene(100.0)
     ellipse_mesh, _ = _outer_grid(full2, OuterPlan.for_region(full2, trap=40))
     boundary_rule = _in_p(gauss_exp_power(8, 1, 0), 1, ellipse.omega)
-    yield "ellipse-boundary-grid", (ellipse, ellipse_mesh, boundary_rule, _boundary_samples)
+    yield "ellipse-boundary-grid", (ellipse, ellipse_mesh, [boundary_rule], _boundary_samples)
     # a scalar angle, so that the node rows of the samples are 0-d, on a
     # traced path whose points and derivatives are fully complex
     for th in (0.7, 2.3, 5.5):
         yield f"scalar-angle-{th}", _central_case(scenes.sphere_scatter_scene(100.0, math.pi / 5),
                                                   (th,), 8)
+    # two rules on one traced sample, each summed over its own rows in place
+    for name, angles in (("readme-grid", sphere_mesh), ("scalar-angle", (0.7,))):
+        yield f"sphere-two-rules-{name}", _central_case(scenes.sphere_scatter_scene(100.0, math.pi / 5),
+                                                        angles, 5, 8)
 
 
 DESCENT_CASES = list(_descent_cases())
@@ -1073,7 +1093,21 @@ def _same_bits(got, want):
 
 @pytest.mark.parametrize("case", [c for _, c in DESCENT_CASES], ids=[n for n, _ in DESCENT_CASES])
 def test_streamed_jacobian_matches_the_whole_array_sum(case):
-    assert _same_bits(_descent_sum(*case), _whole_array_descent_sum(*case))
+    got, want = _descent_sums(*case), _whole_array_descent_sums(*case)
+    assert len(got) == len(want) == len(case[2])
+    assert all(_same_bits(g, w) for g, w in zip(got, want))
+
+
+def test_central_grid_columns_match_single_size_calls_on_closed_form_paths():
+    # the ellipsoid's closed-form paths: each Q_r column of a two-size call
+    # is the single-size call's grid, bit for bit
+    sc = scenes.ellipsoid_scene(300.0)
+    region = AngularRegion.full(3)
+    mesh, _ = _outer_grid(region, OuterPlan.for_region(region, cc=50, trap=50))
+    both = _central_grid(sc, mesh, np.array([8, 11]))
+    assert both.shape == np.shape(mesh[0]) + (2,)
+    for j, m in enumerate((8, 11)):
+        assert _same_bits(both[..., j], _central_grid(sc, mesh, m))
 
 
 @pytest.mark.parametrize("psi", [0.0, 0.314, 0.628, 1.047, 1.3, 1.5])
@@ -1117,7 +1151,7 @@ def test_streamed_boundary_amplitude_at_complex_angles(build):
     rule = _in_p(gauss_exp_power(8, 1, 0), 1, sc.omega)
     q = np.linspace(0.0, 0.05, 6)[:, None]
     for th in (np.array([0.3, 1.2, 2.0]) + 1j * q, np.complex128(0.8 + 0.02j)):
-        want = _whole_array_descent_sum(sc, (th,), rule, _boundary_samples) / (sc.n * sc.omega)
+        want = _whole_array_descent_sums(sc, (th,), [rule], _boundary_samples)[0] / (sc.n * sc.omega)
         assert _same_bits(amp(th), want)
 
 
