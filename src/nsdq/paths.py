@@ -74,8 +74,8 @@ class RadialScene:
     ``z``.  Every callable is a pure function of its argument values: a
     result may not depend on earlier calls, on which array object holds
     the values, or on whether the caller mutated an array after an earlier
-    call.  A scene may share work between its callables only within that
-    rule, as the sphere scene does (``scenes.sphere_scatter_scene``).
+    call.  A scene may share work, between its callables or with scenes of
+    other omega, only within that rule, as the sphere and ellipsoid do.
 
     Attributes
     ----------

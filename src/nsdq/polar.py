@@ -72,6 +72,7 @@ _TWO_PI = 2.0 * math.pi
 # the interior radii, as fractions of R, of integrate_star_shaped's scan for
 # stationary points of the phase along each ray
 _SCAN_T = np.arange(1, 33) / 33
+_last_scan = [None]  # (dG, lo, hi, points, end_a, end_b) of _stationary_points' last scan
 
 
 def spherical_map(r, angles):
@@ -384,7 +385,11 @@ def _stationary_points(dG, lo, hi):
     # ulp and the width together, so once a bracket is four ulps wide no
     # Illinois step follows.  Every step keeps b where dG is zero or of the
     # other sign than at a, so where the computed dG changes sign once in
-    # the bracket the point is plain bisection's, bit for bit
+    # the bracket the point is plain bisection's, bit for bit.  The same dG
+    # callable (held, so its id is not reused) on the same interval gets a
+    # copy of the last scan's points; the fallback dG is new per integral
+    if (last := _last_scan[0]) and last[0] is dG and last[1:3] == (lo, hi):
+        return list(last[3]), *last[4:]
     ths = np.linspace(lo, hi, 600)
     d = dG(ths).real
     zero = (d[:-1] == 0.0) & (lo < ths[:-1]) & (ths[:-1] < hi)
@@ -411,9 +416,9 @@ def _stationary_points(dG, lo, hi):
             if b - a <= goal:
                 goal, tries = 0.5 * (b - a), 0
         points.append(mid)
-    scale = max(abs(float(d[0])), abs(float(d[-1])), 1e-30)
-    end_a = abs(float(d[0])) < 1e-7 * max(1.0, scale)
-    end_b = abs(float(d[-1])) < 1e-7 * max(1.0, scale)
+    bound = 1e-7 * max(1.0, abs(float(d[0])), abs(float(d[-1])))
+    end_a, end_b = abs(float(d[0])) < bound, abs(float(d[-1])) < bound
+    _last_scan[0] = dG, lo, hi, tuple(points), end_a, end_b
     return points, end_a, end_b
 
 

@@ -76,6 +76,15 @@ def quarter_disk_scene(omega: float) -> RadialScene:
     return scene
 
 
+def _ellipse_radius(th):
+    return 1.0 / np.sqrt(1.0 + np.sin(th) ** 2)
+
+
+def _ellipse_d_radius(th):
+    s = np.sin(th)
+    return -s * np.cos(th) * (1.0 + s**2) ** -1.5
+
+
 def ellipse_scene(omega: float) -> RadialScene:
     """Unit amplitude, phase r, on the star-shaped ellipse x^2 + 2 y^2 <= 1.
 
@@ -83,17 +92,9 @@ def ellipse_scene(omega: float) -> RadialScene:
     the angle, so the oscillatory boundary term can be deformed in theta.
     With g = z the boundary phase is R itself, and its derivative
     R'(theta) = -sin theta cos theta (1 + sin^2 theta)^(-3/2) is given in
-    closed form.
+    closed form, by one function for every omega (``polar`` keeps its scan).
     """
-
-    def R(th):
-        return 1.0 / np.sqrt(1.0 + np.sin(th) ** 2)
-
-    def dR(th):
-        s = np.sin(th)
-        return -s * np.cos(th) * (1.0 + s**2) ** -1.5
-
-    return _unit_radial_scene(omega, R, "ellipse", dR)
+    return _unit_radial_scene(omega, _ellipse_radius, "ellipse", _ellipse_d_radius)
 
 
 def duct_scene(omega: float, a: float = 1.0, b: float = 2.0) -> RadialScene:
@@ -135,49 +136,54 @@ def _ellipsoid_slope(phi1, phi2):
     return np.sqrt(np.cos(phi1) ** 2 + 0.5 * (5.0 + np.cos(2.0 * phi2)) * np.sin(phi1) ** 2)
 
 
+_last_slope = [None]  # (key, s, 1/s) of the last distinct (phi1, phi2); replaced, never changed
+
+
+def _slope(phi1, phi2):
+    key = _value_key(phi1, phi2)
+    entry = _last_slope[0]
+    if entry is None or entry[0] != key:
+        s = _ellipsoid_slope(phi1, phi2)
+        if isinstance(s, np.ndarray):
+            s.setflags(write=False)
+        _last_slope[0] = entry = key, s, 1.0 / s
+    return entry
+
+
 def ellipsoid_scene(omega: float) -> RadialScene:
     r"""Full-space integrand with phase ``sqrt(x^2 + 2y^2 + 3z^2)``.
 
     In spherical coordinates the phase is ``r s(phi1, phi2)`` with
     ``s = sqrt(cos^2 phi1 + (5 + cos 2 phi2)/2 sin^2 phi1)`` and the
     amplitude ``1/((r s)^2 (1 + r s))`` carries a second-order kernel
-    singularity.  The descent path is the closed form ``i p / s``.  The
-    callables share s of the last distinct angle pair, cached read-only on
-    a copy of the argument values (as the sphere scene caches its kernel
-    terms), so an integral over one grid computes it once.
+    singularity.  The descent path is the closed form ``i p / s``, formed
+    as ``i (p (1/s))``: numpy's ``1j * p / s`` bit for bit on an array p,
+    less its complex division (CPython divides a Python-scalar p at scalar
+    angles, which can differ by an ulp).  The scenes of every omega share
+    s and 1/s of the last distinct angle pair, cached read-only on a copy
+    of the argument values (as the sphere scene caches its kernel terms).
     """
-    last = [None]  # (key, s) of the last distinct (phi1, phi2)
-
-    def slope(phi1, phi2):
-        key = _value_key(phi1, phi2)
-        entry = last[0]
-        if entry is None or entry[0] != key:
-            s = _ellipsoid_slope(phi1, phi2)
-            if isinstance(s, np.ndarray):
-                s.setflags(write=False)
-            last[0] = entry = key, s
-        return entry[1]
 
     def amplitude(z, phi1, phi2):
         # 1/(zs zs (1 + zs)) in that order, in place on arrays: zs is a new array
-        zs = z * slope(phi1, phi2)
+        zs = z * _slope(phi1, phi2)[1]
         den = zs * zs
         zs += 1.0
         den *= zs
         return np.divide(1.0, den, out=den) if isinstance(den, np.ndarray) else 1.0 / den
 
     def origin_path(p, phi1, phi2):
-        s = slope(phi1, phi2)
-        return 1j * p / s, 1j / s
+        inv = _slope(phi1, phi2)[2]
+        return 1j * (p * inv), 1j * inv
 
     return RadialScene(
         n=3,
         omega=omega,
         amplitude=amplitude,
-        oscillator=lambda z, phi1, phi2: z * slope(phi1, phi2),
-        d_oscillator=lambda z, phi1, phi2: slope(phi1, phi2) + 0.0 * z,
+        oscillator=lambda z, phi1, phi2: z * _slope(phi1, phi2)[1],
+        d_oscillator=lambda z, phi1, phi2: _slope(phi1, phi2)[1] + 0.0 * z,
         alpha=1,
-        alpha_coeff=slope,
+        alpha_coeff=lambda phi1, phi2: _slope(phi1, phi2)[1],
         singularity_order=2.0,
         origin_path=origin_path,
         name="ellipsoid",
@@ -301,18 +307,22 @@ def sphere_scatter_scene(k: float, psi: float) -> RadialScene:
     )
 
 
+_QUARTER, _PLANE, _SPACE = (AngularRegion.box(2, (0.0, 0.5 * math.pi)), AngularRegion.full(2),
+                            AngularRegion.full(3))
+
+
 def _table() -> dict:
     # name -> (builder, region), built on each call so that a builder
     # replaced after import (perfbench/layertrace.py wraps them) is the one
-    # returned
+    # returned; the regions are built once, at import
     return {
-        "quarter-plane": (quarter_plane_scene, AngularRegion.box(2, (0.0, 0.5 * math.pi))),
-        "disk": (disk_scene, AngularRegion.full(2)),
-        "quarter-disk": (quarter_disk_scene, AngularRegion.box(2, (0.0, 0.5 * math.pi))),
-        "ellipse": (ellipse_scene, AngularRegion.full(2)),
-        "duct": (duct_scene, AngularRegion.box(2, (0.0, 0.5 * math.pi))),
-        "ellipsoid": (ellipsoid_scene, AngularRegion.full(3)),
-        "sphere-scatter": (lambda omega: sphere_scatter_scene(omega, math.pi / 5), AngularRegion.full(2)),
+        "quarter-plane": (quarter_plane_scene, _QUARTER),
+        "disk": (disk_scene, _PLANE),
+        "quarter-disk": (quarter_disk_scene, _QUARTER),
+        "ellipse": (ellipse_scene, _PLANE),
+        "duct": (duct_scene, _QUARTER),
+        "ellipsoid": (ellipsoid_scene, _SPACE),
+        "sphere-scatter": (lambda omega: sphere_scatter_scene(omega, math.pi / 5), _PLANE),
     }
 
 

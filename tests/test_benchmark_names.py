@@ -88,21 +88,30 @@ def test_tracer_counts_the_rules_of_every_descent_sum():
 def test_tracer_counts_do_not_depend_on_the_grid_cache():
     # perfbench compares the layer counts of a cold traced sweep with those
     # of the warm ones (run.sweep_counts, without the rule cache's hits and
-    # cold builds).  The outer grid cache must leave every wrapped call in
-    # place: an op on a cold cache and the same op on a warm one count alike
-    from nsdq import experiments, polar
+    # cold builds).  The outer grid cache, the ellipsoid's shared slope and
+    # the kept stationary-point scan must leave every wrapped call in place:
+    # an op on cold caches and the same op on warm ones count alike
+    from nsdq import experiments, polar, scenes
 
+    region = scenes.default_region("ellipse")
+    plan = polar.OuterPlan.for_region(region, trap=40)
+    ops = {"ellipsoid": lambda: experiments.run_ellipsoid([300.0], m=8, outer_cc=50, outer_trap=50),
+           "ellipse": lambda: polar.integrate_star_shaped(scenes.ellipse_scene(100.0), region, plan, 8)}
     tracer = _tracer()
     tracer.install()
     try:
-        polar._grids.clear()
-        ops = []
-        for _ in range(2):
-            experiments.run_ellipsoid([300.0], m=8, outer_cc=50, outer_trap=50)
-            counts = tracer.take()["counts"]
-            del counts["rules.hits"], counts["rules.cold_builds"]
-            ops.append(counts)
+        counts = {}
+        for name, op in ops.items():
+            polar._grids.clear()
+            scenes._last_slope[0] = polar._last_scan[0] = None
+            for _ in range(2):
+                op()
+                taken = tracer.take()["counts"]
+                del taken["rules.hits"], taken["rules.cold_builds"]
+                counts.setdefault(name, []).append(taken)
     finally:
         tracer.restore()
-    assert ops[0] == ops[1]
-    assert ops[0]["rules.calls"] == 3
+    for cold, warm in counts.values():
+        assert cold == warm
+    assert counts["ellipsoid"][0]["rules.calls"] == 3
+    assert counts["ellipse"][0]["rules.calls"] == 4

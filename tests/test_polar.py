@@ -361,9 +361,10 @@ def test_stationary_scan_reads_the_scene_derivative():
     assert set(dg_shapes[1:]) == {()} and len(dg_shapes) - 1 <= 3 * 8
     assert [float(x) for x in points] == [math.pi / 2, math.pi, 3 * math.pi / 2]
     assert end_a is True and end_b is True
-    # the integrator hands the scan the scene's derivative
+    # the integrator hands the scan the scene's derivative (a new callable:
+    # the scan of counted_dG on this interval is kept and would be reused)
     dg_shapes.clear()
-    sc.d_boundary_phase = counted_dG
+    sc.d_boundary_phase = lambda th: counted_dG(th)
     region = scenes.default_region("ellipse")
     integrate_star_shaped(sc, region, OuterPlan.for_region(region, trap=40), 8)
     assert (600,) in dg_shapes
@@ -1174,29 +1175,106 @@ def test_ellipsoid_amplitude_is_the_formula_and_leaves_z_alone():
         assert _same_bits(z, before)
 
 
-def test_ellipsoid_slope_is_computed_once_per_op(monkeypatch):
-    # origin_path and the amplitude share s(phi1, phi2) of the last angle
-    # pair: one ellipsoid row computes it once on its 50 x 50 grid, and
-    # the value is the parent's bit for bit (tests/test_pinned.py)
+def test_ellipsoid_slope_is_computed_once_per_sweep(monkeypatch):
+    # the ellipsoid scenes of every omega share s(phi1, phi2) of the last
+    # angle pair: after a 20 x 20 row has taken the slot, a sweep of three
+    # omegas on the 50 x 50 grid computes s once, and the values are the
+    # parent's bit for bit (tests/test_pinned.py)
     from nsdq import experiments
 
+    experiments.run_ellipsoid([300.0], m=8, outer_cc=20, outer_trap=20)
     calls = []
     slope = scenes._ellipsoid_slope
     monkeypatch.setattr(scenes, "_ellipsoid_slope", lambda *a: calls.append(a) or slope(*a))
-    experiments.run_ellipsoid([300.0], m=8, outer_cc=50, outer_trap=50)
+    experiments.run_ellipsoid([100.0, 300.0, 1000.0], m=8, outer_cc=50, outer_trap=50)
     assert len(calls) == 1 and np.shape(calls[0][0]) == (50, 50)
 
 
 def test_ellipsoid_slope_cache_follows_the_argument_values():
     # a cached slope is read-only and is served only for equal angle values:
-    # other angles, or the same array changed in place, compute it afresh
-    sc = scenes.ellipsoid_scene(100.0)
+    # other angles, or the same array changed in place, compute it afresh;
+    # the scene of another omega reads the same slot
+    sc, other = scenes.ellipsoid_scene(100.0), scenes.ellipsoid_scene(250.0)
     phi1, phi2 = np.linspace(0.1, 3.0, 7), np.linspace(0.0, 6.0, 7)
     first = sc.alpha_coeff(phi1, phi2)
     assert not first.flags.writeable
     assert sc.alpha_coeff(phi1, phi2) is first
+    assert other.alpha_coeff(phi1, phi2) is first
+    assert _same_bits(other.alpha_coeff(phi2, phi1), scenes._ellipsoid_slope(phi2, phi1))
     assert _same_bits(sc.alpha_coeff(phi2, phi1), scenes._ellipsoid_slope(phi2, phi1))
     phi1[2] = 0.5
     assert _same_bits(sc.origin_path(1.0, phi1, phi2)[1], 1j / scenes._ellipsoid_slope(phi1, phi2))
+    phi2[4] = 1.0
+    assert _same_bits(other.origin_path(1.0, phi1, phi2)[1], 1j / scenes._ellipsoid_slope(phi1, phi2))
     z = 0.3 + 0.1j
     assert _same_bits(sc.amplitude(z, 0.7, 1.9), _ellipsoid_amplitude_formula(z, 0.7, 1.9))
+
+
+@pytest.mark.parametrize("grid", ["mesh", "scalar"])
+def test_ellipsoid_path_is_the_complex_division_bit_for_bit(grid):
+    # the path i (p (1/s)) and its derivative i (1/s) against numpy's
+    # 1j * p / s and 1j / s, on the p the integrators pass: (m, 1, 1) against
+    # the 50 x 50 outer grid, and (m,) at one direction; one rule and the
+    # union of two
+    sc = scenes.ellipsoid_scene(300.0)
+    region = AngularRegion.full(3)
+    mesh, _ = _outer_grid(region, OuterPlan.for_region(region, cc=50, trap=50))
+    angles = mesh if grid == "mesh" else (0.7, 1.9)
+    s = scenes._ellipsoid_slope(*angles)
+    eight = gauss_exp_power(8, 1, 0).nodes / sc.omega
+    both = np.sort(np.concatenate([eight, gauss_exp_power(11, 1, 0).nodes / sc.omega]))
+    for p in (eight, both):
+        p = p.reshape((-1,) + (1,) * np.ndim(s))
+        rho, drho = sc.origin_path(p, *angles)
+        assert _same_bits(rho, 1j * p / s) and _same_bits(drho, 1j / s)
+
+
+def test_ellipse_scenes_of_two_omegas_share_one_scan(monkeypatch):
+    # R' is one function for the ellipse of every omega, so the second
+    # integral reuses the first one's scan: one call on the 600 samples, the
+    # same points, each integral its own copy of them
+    import nsdq.polar as polar
+
+    dR, shapes = scenes._ellipse_d_radius, []
+    monkeypatch.setattr(scenes, "_ellipse_d_radius", lambda th: shapes.append(np.shape(th)) or dR(th))
+    scan, found = polar._stationary_points, []
+    monkeypatch.setattr(polar, "_stationary_points", lambda *args: found.append(scan(*args)) or found[-1])
+    region = scenes.default_region("ellipse")
+    plan = OuterPlan.for_region(region, trap=40)
+    values = [integrate_star_shaped(scenes.ellipse_scene(omega), region, plan, 8) for omega in (100.0, 300.0)]
+    assert shapes.count((600,)) == 1
+    assert found[0] == found[1] and found[0][0] is not found[1][0]
+    assert [float(x) for x in found[1][0]] == [math.pi / 2, math.pi, 3 * math.pi / 2]
+    monkeypatch.undo()
+    # against a scan made for each: in the other order the omega = 300
+    # integral scans afresh
+    assert values[::-1] == [integrate_star_shaped(scenes.ellipse_scene(omega), region, plan, 8)
+                            for omega in (300.0, 100.0)]
+
+
+def test_stationary_scan_is_kept_only_for_the_same_derivative_and_interval():
+    shapes = []
+    dG = lambda th: shapes.append(np.shape(th)) or np.sin(2.0 * th - 0.3)
+    first = _stationary_points(dG, 0.0, 2 * math.pi)
+    scalar_calls = len(shapes) - 1
+    again = _stationary_points(dG, 0.0, 2 * math.pi)
+    assert again == first and again[0] is not first[0] and len(shapes) == scalar_calls + 1
+    again[0].append(5.0)  # a copy: changing it leaves the kept points alone
+    assert _stationary_points(dG, 0.0, 2 * math.pi) == first
+    assert len(shapes) == scalar_calls + 1
+    # another interval, then a new callable of the same function, each rescan
+    assert _stationary_points(dG, 0.0, 3.0)[0] == first[0][:2]
+    assert _stationary_points(lambda th: dG(th), 0.0, 3.0)[0] == first[0][:2]
+    assert _stationary_points(dG, 0.0, 2 * math.pi) == first
+    assert shapes.count((600,)) == 4
+
+
+def test_fallback_derivative_is_scanned_for_every_integral(monkeypatch):
+    # a scene without d_boundary_phase gets a new complex_derivative of G per
+    # integral, so the kept scan of one never serves the next
+    sc = _asymmetric_scene(100.0, False)
+    value, first = _recorded_boundary_calls(monkeypatch, sc)
+    monkeypatch.undo()  # else the first recording wraps the second
+    again, second = _recorded_boundary_calls(monkeypatch, sc)
+    assert first["scan"] is not second["scan"]
+    assert again == value and first["points"] == second["points"]
