@@ -41,8 +41,11 @@ def _parse_grid(spec: str):
         parts = spec.split(":")
         if len(parts) != 3:
             raise ValueError(f"grid range must be min:max:count, got {spec!r}")
-        lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
-        if not (0 < lo < hi and count >= 1):
+        try:
+            lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
+        except ValueError:  # an end that is not a number or a count that is not an integer
+            lo = hi = count = 0
+        if not (0 < lo < hi < np.inf and count >= 1):
             raise ValueError(f"bad grid range {spec!r}")
         return np.geomspace(lo, hi, count)
     return np.array(_parse_list(spec), dtype=float)

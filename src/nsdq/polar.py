@@ -377,17 +377,11 @@ def _boundary_amplitude(scene, m):
 
 def _stationary_points(dG, lo, hi):
     # interior zeros of dG/dtheta, read by its real part, located by sign
-    # changes on 600 samples.  Each bracket shrinks until its midpoint
-    # rounds to an end: by Illinois steps (regula falsi that halves the
-    # value of an end kept twice), at least two ulps inside, while it is
-    # wider than four ulps, unless two steps did not halve it; by halvings
-    # otherwise.  A halving that takes an end into a lower binade halves the
-    # ulp and the width together, so once a bracket is four ulps wide no
-    # Illinois step follows.  Every step keeps b where dG is zero or of the
-    # other sign than at a, so where the computed dG changes sign once in
-    # the bracket the point is plain bisection's, bit for bit.  The same dG
+    # changes on 600 samples (a sample where dG is zero is a point), each
+    # bracket halved until its midpoint rounds to an end.  The same dG
     # callable (held, so its id is not reused) on the same interval gets a
-    # copy of the last scan's points; the fallback dG is new per integral
+    # copy of the last scan's points, so a geometry is scanned once; the
+    # fallback dG is new per integral
     if (last := _last_scan[0]) and last[0] is dG and last[1:3] == (lo, hi):
         return list(last[3]), *last[4:]
     ths = np.linspace(lo, hi, 600)
@@ -399,22 +393,11 @@ def _stationary_points(dG, lo, hi):
             points.append(ths[i])
             continue
         a, b, fa = float(ths[i]), float(ths[i + 1]), float(d[i])
-        wa, wb, moved, goal, tries = fa, float(d[i + 1]), None, 0.5 * (b - a), 0
         while a < (mid := 0.5 * (a + b)) < b:
-            if b - a > (tol := 4 * math.ulp(max(abs(a), abs(b)))) and tries < 2 and wa != wb:
-                secant = b - wb * (b - a) / (wb - wa)
-                if math.isfinite(secant):
-                    mid = min(max(secant, a + 0.5 * tol), b - 0.5 * tol)
-            fm = float(dG(mid).real)
-            if fa * fm <= 0:
-                wa *= 0.5 if moved == "b" else 1.0
-                b, wb, moved = mid, fm, "b"
+            if fa * (fm := float(dG(mid).real)) <= 0:
+                b = mid
             else:
-                wb *= 0.5 if moved == "a" else 1.0
-                a, fa, wa, moved = mid, fm, fm, "a"
-            tries += 1
-            if b - a <= goal:
-                goal, tries = 0.5 * (b - a), 0
+                a, fa = mid, fm
         points.append(mid)
     bound = 1e-7 * max(1.0, abs(float(d[0])), abs(float(d[-1])))
     end_a, end_b = abs(float(d[0])) < bound, abs(float(d[-1])) < bound

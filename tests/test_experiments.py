@@ -483,6 +483,15 @@ def test_cli_usage_errors_exit_one():
                     "--dump-inner-grid", "/tmp/x.csv").returncode == 1
 
 
+@pytest.mark.parametrize("spec", ["1:inf:3", "1:nan:3", "1:2:1.5", "a:2:3"])
+def test_cli_bad_grid_range_is_one_line(spec):
+    # a non-finite end or a count that is not an integer is rejected before
+    # numpy sees it: exit 1 and one stderr line that names the range
+    res = _run_cli("run", "--experiment", "example1", "--omega", spec)
+    assert res.returncode == 1
+    assert res.stderr == f"nsdq: error: bad grid range {spec!r}\n"
+
+
 @pytest.mark.parametrize("flag", ["--radial-points", "--outer-cc", "--outer-trap"])
 def test_cli_zero_sizes_exit_one(flag):
     # a size given as 0 reaches run_ellipsoid, which rejects it
