@@ -31,7 +31,6 @@ _PATH_EXIT = 3
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        self.print_usage(sys.stderr)
         sys.stderr.write(f"{self.prog}: error: {message}\n")
         sys.exit(_USAGE_EXIT)
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import scenes
-from .oracle import acoustics_reference
+from .oracle import _MAX_OMEGA, acoustics_reference
 from .paths import PathError
 from .polar import (
     OuterPlan,
@@ -183,8 +183,9 @@ def run_duct(omega_grid, n_gl: int = 8, n_gh: int | None = None, a: float = 1.0,
 
     Every input is checked before any row runs: the sizes are integers,
     the Laguerre ``n_gl`` and the Hermite ``n_gh`` (default ``2 * n_gl``)
-    in [1, 64] and ``outer_cc >= 2``, and the sides are finite,
-    0 < a, b < inf; otherwise ValueError.
+    in [1, 64] and ``outer_cc >= 2``, the sides are finite, 0 < a, b < inf,
+    and every omega is at most 1e6, the reference's bound
+    (``acoustics_reference``); otherwise ValueError.
     """
     if mode not in ("corner", "direct", "direct_modified"):
         raise ValueError(f"unknown duct mode {mode!r}")
@@ -195,6 +196,8 @@ def run_duct(omega_grid, n_gl: int = 8, n_gh: int | None = None, a: float = 1.0,
     plan = OuterPlan.for_region(scenes.default_region("duct"), cc=outer_cc)
     oms = _omega_array(omega_grid)
     _check_rectangle("run_duct", a, b, oms[0])  # the sides; every omega is already checked
+    if oms[-1] > _MAX_OMEGA:
+        raise ValueError(f"run_duct: the reference covers omega <= {_MAX_OMEGA:g}, got omega={oms[-1]:g}")
 
     def f_point(x, y):
         return y * np.cos(x) / np.sqrt(x * x + y * y)

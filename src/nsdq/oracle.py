@@ -34,6 +34,7 @@ __all__ = [
 
 _MAX_SUBDIVISIONS = 10**6
 _BUDGET = 128  # intervals whose children one look-ahead call evaluates
+_MAX_OMEGA = 1e6  # acoustics_reference's largest omega: 10^4 panels, 150,000 points in one call
 
 # Gauss 7 / Kronrod 15 pair on [-1, 1].  Kronrod nodes are symmetric; the
 # odd-indexed ones are the embedded Gauss nodes.
@@ -214,14 +215,18 @@ def acoustics_reference(omega: float, a: float = 1.0, b: float = 2.0, tol: float
 
     which is evaluated adaptively.  For ``w > 2000`` the range is split into
     ``ceil(w/100)`` panels first to keep each subdivision queue shallow.
-    All panels go into one ``adaptive_quad_1d`` call, which evaluates the
-    children of up to 128 intervals per integrand call.  ``omega``, ``a`` and
-    ``b`` must be finite and > 0, and each panel must reach ``tol``; a stalled
-    panel raises ``OracleNotConverged`` naming omega and the panel.
+    All panels go into one ``adaptive_quad_1d`` call, whose first integrand
+    call evaluates every panel, and later ones the children of up to 128
+    intervals.  ``omega``, ``a`` and ``b`` must be finite and > 0, and
+    ``omega <= 1e6`` (10^4 panels), or ValueError is raised before any panel
+    is built.  A panel that stalls before ``tol`` raises ``OracleNotConverged``
+    naming omega and the panel.
     """
     for name, arg in (("omega", omega), ("a", a), ("b", b)):
         if not (arg > 0 and math.isfinite(arg)):
             raise ValueError(f"acoustics_reference needs a finite {name} > 0, got {name}={arg}")
+    if omega > _MAX_OMEGA:
+        raise ValueError(f"acoustics_reference covers omega <= {_MAX_OMEGA:g}, got omega={omega:g}")
 
     def integrand(x):
         return (np.exp(1j * omega * x) - np.exp(1j * omega * np.sqrt(x * x + b * b))) * np.cos(x)

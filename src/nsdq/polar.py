@@ -87,17 +87,15 @@ def spherical_map(r, angles):
     """
     angles = tuple(np.asarray(a) for a in angles)
     n = len(angles) + 1
-    sin_running = 1.0
+    sin_running = factor = 1.0
     coords = []
-    for phi in angles:
-        coords.append(r * np.cos(phi) * sin_running)
-        sin_running = sin_running * np.sin(phi)
-    coords.append(r * sin_running)
-    factor = 1.0
     for l, phi in enumerate(angles, start=1):
-        expo = n - 1 - l
-        if expo:
-            factor = factor * np.sin(phi) ** expo
+        sin_phi = np.sin(phi)
+        coords.append(r * np.cos(phi) * sin_running)
+        sin_running = sin_running * sin_phi
+        if n - 1 - l:
+            factor = factor * sin_phi ** (n - 1 - l)
+    coords.append(r * sin_running)
     x = np.stack(np.broadcast_arrays(*coords)) if any(np.ndim(c) for c in coords) else np.array(coords)
     return x, factor
 
@@ -332,25 +330,31 @@ def _outer_sums(scene: RadialScene, region: AngularRegion, plan: OuterPlan, m: i
     Newton solve for traced paths) on the union of both rules' nodes, in
     the one ``_descent_sums`` that a single size also takes.  The last
     axis must be a periodic trapezoid with an even count, so the third sum
-    is the nested N/2 trapezoid; it costs no scene evaluation.
+    is the nested N/2 trapezoid; it costs no scene evaluation.  A non-finite
+    sum (at a huge omega) raises ValueError naming the scene and omega.
     """
     _check_dimensions(scene, region, plan)
     mesh, w = _outer_grid(region, plan)
-    if m_companion is None:
-        terms = [(w, _central_grid(scene, mesh, m))]
-    else:
-        both = _central_grid(scene, mesh, np.array([m, m_companion]))
-        q, qc = both[..., 0], both[..., 1]
-        half = (..., slice(None, None, 2))
-        terms = [(w, q), (w, qc), (2.0 * w[half], q[half])]
-    return [complex(np.sum(w * q)) for w, q in terms]
+    with np.errstate(all="ignore"):
+        if m_companion is None:
+            terms = [(w, _central_grid(scene, mesh, m))]
+        else:
+            both = _central_grid(scene, mesh, np.array([m, m_companion]))
+            q, qc = both[..., 0], both[..., 1]
+            half = (..., slice(None, None, 2))
+            terms = [(w, q), (w, qc), (2.0 * w[half], q[half])]
+        sums = [complex(np.sum(w * q)) for w, q in terms]
+    if not all(cmath.isfinite(total) for total in sums):
+        raise ValueError(f"scene {scene.name!r}: the outer sum is not finite at omega={scene.omega}")
+    return sums
 
 
 def integrate_unbounded(scene: RadialScene, region: AngularRegion, plan: OuterPlan, m: int) -> complex:
     """Outer tensor rule applied to the central contribution over a cone.
 
     Error: the outer rule's own error on the smooth integrand Q_r plus the
-    radial pre-quadrature error O(w^-((2m-1)/alpha)).
+    radial pre-quadrature error O(w^-((2m-1)/alpha)).  A non-finite value
+    (the scene overflows at a huge omega) raises ValueError.
     """
     value, = _outer_sums(scene, region, plan, m)
     return value
@@ -528,58 +532,40 @@ def rectangle_corner_contributions(f_polar, a: float, b: float, omega: float,
     eta = math.hypot(a, b)
     pl, wl = _in_p(gauss_exp_power(m_lag, 1, 0), 1, omega)
     ph, wh = _in_p(gauss_exp_power(m_herm, 2, 0), 2, omega)
-    P = pl[:, None]  # p = s/omega, rows
-
-    def corner_sum(corner, start, Q, path, wq):
-        # wl K wq with K = f(start + i q + i p, theta(q)) / D(q) over the (p, q) grid
-        theta, D = path
+    P, Qh, Ql = pl[:, None], ph[None, :], pl[None, :]  # p = s/omega in rows; q = t^2/omega, t/omega
+    # corner, signed scale, start, q-nodes, angle path (theta, D), q-weights; Hermite at theta = 0, pi/2,
+    # Laguerre at beta.  Adds I11, -I12, I21, -I22, each wl K wq, K = f(start + iq + ip, theta(q))/D(q)
+    corners = (("(1,1)", -2.0 * a, a, Qh, corner_h11(Qh, a), wh),
+               ("(1,2)", a, eta, Ql, corner_h12(Ql, a, b), wl),
+               ("(2,1)", b, eta, Ql, corner_h21(Ql, a, b), wl),
+               ("(2,2)", -2.0 * b, b, Qh, corner_h22(Qh, b), wh))
+    total = 0j
+    for corner, scale, start, Q, (theta, D), wq in corners:
         K = f_polar(start + 1j * Q + 1j * P, theta) / D
         _assert_finite(K, corner)
-        return wl @ K @ wq
-
-    # corners at theta = 0 and pi/2: q = t^2/omega
-    Qh = ph[None, :]
-    I11 = -(2.0 * a * cmath.exp(1j * omega * a) / omega**2) * corner_sum(
-        "(1,1)", a, Qh, corner_h11(Qh, a), wh)
-    I22 = (2.0 * b * cmath.exp(1j * omega * b) / omega**2) * corner_sum(
-        "(2,2)", b, Qh, corner_h22(Qh, b), wh)
-
-    # corners at theta = beta: q = t/omega
-    Ql = pl[None, :]
-    I12 = -(a * cmath.exp(1j * omega * eta) / omega**2) * corner_sum(
-        "(1,2)", eta, Ql, corner_h12(Ql, a, b), wl)
-    I21 = (b * cmath.exp(1j * omega * eta) / omega**2) * corner_sum(
-        "(2,1)", eta, Ql, corner_h21(Ql, a, b), wl)
-
-    return complex(I11 - I12 + I21 - I22)
+        total += (scale * cmath.exp(1j * omega * start) / omega**2) * (wl @ K @ wq)
+    return complex(total)
 
 
-def _direct_corner(f, x0, y0, omega, m_lag, m_herm, outer_resonance_fix):
+def _direct_corner(f, x0, y0, omega, lag, herm, outer_resonance_fix):
     # One corner term F(x0, y0) of the nested Cartesian descent
     # decomposition for the phase sqrt(x^2 + y^2).  The inner path v starts
     # on the stationary line y = 0 whenever y0 = 0; that sqrt singularity
-    # gets the q -> q^2 substitution with a half-range Hermite rule.  The
+    # gets the q -> q^2 substitution with the half-range Hermite rule.  The
     # corner (0, b) hides the mirror-image singularity in the *outer* path;
     # the plain recipe leaves it untreated (and therefore stalls), the
-    # resonance fix applies the same substitution there.
+    # resonance fix applies the same substitution there.  numpy's warnings
+    # are muted: _assert_finite reports a non-finite K (at a huge omega)
     G = math.hypot(x0, y0)
-
-    def rule(singular):
-        # (nodes, weights) in the path variable: Laguerre, or half-range
-        # Hermite after the q -> q^2 substitution at a square-root singularity
-        alpha, m = (2, m_herm) if singular else (1, m_lag)
-        p, w = _in_p(gauss_exp_power(m, alpha, 0), alpha, omega)
-        return p, alpha * w / omega
-
-    P, wp = rule(x0 == 0.0 and y0 > 0.0 and outer_resonance_fix)
-    Q, wq = rule(y0 == 0.0)
+    P, wp = herm if x0 == 0.0 and y0 > 0.0 and outer_resonance_fix else lag
+    Q, wq = herm if y0 == 0.0 else lag
     P, Q = P[:, None], Q[None, :]
-
-    u = np.sqrt(x0**2 - P**2 + 2j * P * G)
-    du = 1j * (G + 1j * P) / u
-    v = np.sqrt(y0**2 - Q**2 + 2j * Q * (G + 1j * P))
-    dv = 1j * (G + 1j * P + 1j * Q) / v
-    K = f(u, v) * du * dv
+    with np.errstate(all="ignore"):
+        u = np.sqrt(x0**2 - P**2 + 2j * P * G)
+        du = 1j * (G + 1j * P) / u
+        v = np.sqrt(y0**2 - Q**2 + 2j * Q * (G + 1j * P))
+        dv = 1j * (G + 1j * P + 1j * Q) / v
+        K = f(u, v) * du * dv
     _assert_finite(K, f"({x0},{y0})")
     return cmath.exp(1j * omega * G) * (wp @ K @ wq)
 
@@ -606,7 +592,12 @@ def rectangle_direct_terms(f, a, b, omega, m, m_herm=None, outer_resonance_fix=F
     _check_rectangle("rectangle_direct_terms", a, b, omega)
     if m_herm is None:
         m_herm = 2 * m
-    return {(x0, y0): _direct_corner(f, x0, y0, omega, m, m_herm, outer_resonance_fix)
+    # (nodes, weights) in the path variable of the Laguerre rule and of the
+    # half-range Hermite rule (after q -> q^2), read once for all corners
+    pl, wl = _in_p(gauss_exp_power(m, 1, 0), 1, omega)
+    ph, wh = _in_p(gauss_exp_power(m_herm, 2, 0), 2, omega)
+    lag, herm = (pl, wl / omega), (ph, 2 * wh / omega)
+    return {(x0, y0): _direct_corner(f, x0, y0, omega, lag, herm, outer_resonance_fix)
             for x0, y0 in ((0.0, 0.0), (a, 0.0), (0.0, b), (a, b))}
 
 

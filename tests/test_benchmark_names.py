@@ -62,8 +62,8 @@ def test_tracer_counts_the_rules_of_every_descent_sum():
     # --trace 1 records see each descent sum.  Duct: the outer CC, the
     # central Q_r's rule and the corner Laguerre and Hermite rules.  Disk:
     # the trapezoid and the central and boundary grids' rules.  Example1:
-    # the outer CC and the Q_r rule of its polar row, and two rules for each
-    # of the four corner terms of its direct row
+    # the outer CC and the Q_r rule of its polar row, and the Laguerre and
+    # Hermite rules that the four corner terms of its direct row share
     from nsdq import experiments, polar, scenes
 
     tracer = _tracer()
@@ -82,7 +82,7 @@ def test_tracer_counts_the_rules_of_every_descent_sum():
     layers = ("rules.calls", "polar.calls", "polar.directions")
     assert tuple(duct[k] for k in layers) == (4, 1, 30)
     assert tuple(disk[k] for k in layers) == (3, 2, 32)
-    assert tuple(example1[k] for k in layers) == (10, 1, 10)
+    assert tuple(example1[k] for k in layers) == (4, 1, 10)
 
 
 def test_tracer_counts_do_not_depend_on_the_grid_cache():

@@ -475,12 +475,31 @@ def test_cli_sphere_table_on_stderr():
 
 
 def test_cli_usage_errors_exit_one():
-    assert _run_cli("run", "--experiment", "nope").returncode == 1
-    assert _run_cli("run", "--experiment", "duct", "--omega", "5:1:0").returncode == 1
-    assert _run_cli("run", "--experiment", "sphere", "--omega", "50",
-                    "--psi", str(math.pi / 2)).returncode == 1
-    assert _run_cli("run", "--experiment", "duct", "--omega", "10",
-                    "--dump-inner-grid", "/tmp/x.csv").returncode == 1
+    # each error is one stderr line: an argparse error prints no usage block
+    for args in (["--experiment", "nope"],
+                 ["--experiment", "duct", "--omega", "5:1:0"],
+                 ["--experiment", "sphere", "--omega", "50", "--psi", str(math.pi / 2)],
+                 ["--experiment", "duct", "--omega", "10", "--dump-inner-grid", "/tmp/x.csv"]):
+        res = _run_cli("run", *args)
+        assert res.returncode == 1
+        assert res.stderr.count("\n") == 1 and "error: " in res.stderr, args
+
+
+@pytest.mark.parametrize("experiment, omega, says", [
+    ("example1", "1e308", "corner (0.0,0.0): non-finite integrand"),
+    ("ellipsoid", "1e154", "scene 'ellipsoid': the outer sum is not finite at omega=1e+154"),
+    ("duct", "1e153", "omega <= 1e+06, got omega=1e+153"),
+    ("duct", "1e160", "omega <= 1e+06, got omega=1e+160"),
+])
+def test_cli_huge_omega_is_one_error_line(experiment, omega, says):
+    # no numpy warning, traceback or nan row: exit 1, nothing on stdout and
+    # one stderr line.  The duct is rejected before its reference builds
+    # ceil(omega/100) panels, or omega**2 overflows
+    res = _run_cli("run", "--experiment", experiment, "--omega", omega)
+    assert res.returncode == 1
+    assert res.stdout == ""
+    assert res.stderr.startswith("nsdq: error: ") and res.stderr.count("\n") == 1
+    assert says in res.stderr
 
 
 @pytest.mark.parametrize("spec", ["1:inf:3", "1:nan:3", "1:2:1.5", "a:2:3"])

@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 
 import mpmath as mp
 import numpy as np
@@ -304,6 +305,14 @@ def test_adaptive_rejects_non_finite_input(a, b, tol):
 def test_acoustics_rejects_bad_sides(kwargs, message):
     with pytest.raises(ValueError, match=message):
         acoustics_reference(100.0, **kwargs)
+
+
+@pytest.mark.parametrize("omega", [1e153, 1.0001e6])
+def test_acoustics_rejects_omega_above_its_bound(omega):
+    # ceil(omega/100) panels, all evaluated by the first integrand call: the
+    # bound is checked before any panel is built
+    with pytest.raises(ValueError, match=re.escape(f"omega <= 1e+06, got omega={omega:g}")):
+        acoustics_reference(omega)
 
 
 def test_acoustics_linear_phase_part():
