@@ -195,9 +195,9 @@ def run_duct(omega_grid, n_gl: int = 8, n_gh: int | None = None, a: float = 1.0,
     outer_cc = _count("run_duct", "outer_cc", outer_cc, 2)
     plan = OuterPlan.for_region(scenes.default_region("duct"), cc=outer_cc)
     oms = _omega_array(omega_grid)
-    _check_rectangle("run_duct", a, b, oms[0])  # the sides; every omega is already checked
     if oms[-1] > _MAX_OMEGA:
         raise ValueError(f"run_duct: the reference covers omega <= {_MAX_OMEGA:g}, got omega={oms[-1]:g}")
+    _check_rectangle("run_duct", a, b, oms[0])  # the sides; every omega is already checked
 
     def f_point(x, y):
         return y * np.cos(x) / np.sqrt(x * x + y * y)

@@ -14,10 +14,7 @@ paths in closed form or leaves them to :func:`newton_descent`, which the
 one tracer (``univariate._trace``) runs on every node row of whole
 direction grids, and of the endpoints of the boundary term, at once.  The
 leading Taylor coefficient that seeds a path of order ``alpha >= 2`` comes
-from ``_taylor_coefficient``, the package's one difference stencil, which
-``complex_derivative`` also uses.  ``complex_derivative`` is the dG/dtheta
-of a boundary phase whose scene has no ``d_boundary_phase``, for the
-stationary-point scan and the descent paths alike.
+from ``_taylor_coefficient``, the package's one difference stencil.
 
 The module also holds the closed-form angle paths of the rectangle's corner
 decomposition, ``corner_h11`` ... ``corner_h22``.
@@ -35,7 +32,6 @@ __all__ = [
     "RadialScene",
     "PathError",
     "newton_descent",
-    "complex_derivative",
     "corner_h11",
     "corner_h12",
     "corner_h21",
@@ -91,15 +87,11 @@ class RadialScene:
         (d^alpha g / dr^alpha)(0+) / alpha!, as a callable of the angles.
     singularity_order : nu with amplitude = O(r^-nu) at the origin; nu < n.
     boundary_radius : R(*angles) for star-shaped domains, None if unbounded.
-    d_boundary_phase : optional dG/dtheta(theta) of the boundary phase
+    d_boundary_phase : dG/dtheta(theta) of the boundary phase
         G(theta) = g(R(theta), theta), analytic in a complex theta; n = 2
-        only.  The boundary term's stationary-point scan and its univariate
-        descent (Newton steps, path derivatives) use it; without it both
-        use the one fallback ``complex_derivative`` of G, whose computed
-        sign is noisy near a root: the scan then pins each stationary point
-        only to about 3e-10 in theta, and the boundary value can move by up
-        to about 5e-9 relative.  A scene whose G has stationary points
-        should supply dG/dtheta.
+        only.  Required where G varies: the boundary term's stationary-point
+        scan and its univariate descent (Newton steps, path derivatives)
+        read it, and ``integrate_star_shaped`` raises ValueError without it.
         G and dG/dtheta must be real on real angles: ``integrate_star_shaped``
         checks both once on its outer grid before the descent in the angle.
     origin_path / boundary_path : optional closed forms
@@ -142,14 +134,6 @@ def _taylor_coefficient(f, x, alpha: int, s):
     for k in range(alpha + 1):
         total = total + (-1) ** k * math.comb(alpha, k) * f(x + (alpha / 2 - k) * s)
     return total / s**alpha / math.factorial(alpha)
-
-
-def complex_derivative(f, z):
-    """Fourth-order df/dz for analytic ``f`` (central differences at z +- h and
-    z +- 2h, h = 1e-5 max(1, |z|), extrapolated); fallback when a scene has no
-    closed-form derivative.  ``z`` may be a scalar or an array."""
-    s = 2e-5 * np.maximum(1.0, np.abs(z))
-    return (4 * _taylor_coefficient(f, z, 1, s) - _taylor_coefficient(f, z, 1, 2 * s)) / 3
 
 
 def newton_descent(g, dg, target, z0, *, context: str = ""):

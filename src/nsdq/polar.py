@@ -18,13 +18,12 @@ Main entry points
     constant, by univariate descent in the angle when G varies.  Both take
     one Gauss-Laguerre sum along the boundary paths.  G is read once, on
     the outer grid; the descent first checks there that G and dG/dtheta are
-    real.  dG/dtheta is the scene's ``d_boundary_phase``, or
-    ``complex_derivative`` of G when the scene has none, and that one
-    callable serves throughout: the descent splits the angle at the
-    stationary points of G, which a sign-change scan of dG/dtheta finds,
-    and traces the paths of every interval endpoint together
-    (``nsd_interval`` on arrays of edges) with it.  A phase that is
-    stationary inside the domain raises PathError.
+    real.  dG/dtheta is the scene's ``d_boundary_phase``, required where G
+    varies, and that one callable serves throughout: the descent splits the
+    angle at the stationary points of G, which a sign-change scan of
+    dG/dtheta finds, and traces the paths of every interval endpoint
+    together (``nsd_interval`` on arrays of edges) with it.  A phase that
+    is stationary inside the domain raises PathError.
 ``rectangle_corner_contributions``
     The closed-form corner decomposition of the boundary term for an
     axis-aligned rectangle with phase sqrt(x^2 + y^2), including the
@@ -51,8 +50,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .paths import (PathError, RadialScene, _taylor_coefficient, complex_derivative, corner_h11,
-                    corner_h12, corner_h21, corner_h22)
+from .paths import (PathError, RadialScene, _taylor_coefficient, corner_h11, corner_h12,
+                    corner_h21, corner_h22)
 from .paths import newton_descent  # not called here; perfbench/layertrace.py patches this name
 from .rules import _count, _in_p, _node_sum, clenshaw_curtis, gauss_exp_power, trapezoid_periodic
 from .univariate import _trace, nsd_interval
@@ -384,8 +383,7 @@ def _stationary_points(dG, lo, hi):
     # changes on 600 samples (a sample where dG is zero is a point), each
     # bracket halved until its midpoint rounds to an end.  The same dG
     # callable (held, so its id is not reused) on the same interval gets a
-    # copy of the last scan's points, so a geometry is scanned once; the
-    # fallback dG is new per integral
+    # copy of the last scan's points, so a geometry is scanned once
     if (last := _last_scan[0]) and last[0] is dG and last[1:3] == (lo, hi):
         return list(last[3]), *last[4:]
     ths = np.linspace(lo, hi, 600)
@@ -414,15 +412,17 @@ def _oscillatory_boundary_term(scene, region, m, mesh, G_mesh):
     # handled by univariate steepest descent in the angle, split at the
     # resonance-induced stationary points of G.  Every interval goes into
     # one nsd_interval call, so all endpoint paths are traced together.
-    # dG/dtheta is the scene's, or else complex_derivative of G; the
-    # realness check, the scan and the paths all read that one.
+    # dG/dtheta is the scene's; the realness check, the scan and the paths
+    # all read that one.
     # G and dG/dtheta must be real on real angles; each is checked once, on
     # the outer grid ``mesh`` (G_mesh holds G there), and a complex dtype
     # whose imaginary part is round-off passes
     if scene.n != 2:
         raise NotImplementedError("oscillatory boundary treatment implemented for n = 2 only")
-    G = _boundary_phase(scene)
-    dG = scene.d_boundary_phase or (lambda th: complex_derivative(G, th))
+    dG = scene.d_boundary_phase
+    if dG is None:
+        raise ValueError(f"scene {scene.name!r}: the boundary phase G varies, and the scene has no "
+                         "dG/dtheta (d_boundary_phase) for the descent in the angle")
     for values in (G_mesh, dG(*mesh)):
         if np.any(np.abs(np.imag(values)) > 1e-12 * np.maximum(1.0, np.abs(values))):
             raise ValueError(f"scene {scene.name!r}: the boundary phase is not real on real angles")
@@ -432,8 +432,8 @@ def _oscillatory_boundary_term(scene, region, m, mesh, G_mesh):
     k = len(edges) - 1
     alpha_a = [2 if (i > 0 or end_lo) else 1 for i in range(k)]
     alpha_b = [2 if (i < k - 1 or end_hi) else 1 for i in range(k)]
-    return nsd_interval(_boundary_amplitude(scene, m), G, edges[:-1], edges[1:], scene.omega, m,
-                        dg=dG, alpha_a=alpha_a, alpha_b=alpha_b)
+    return nsd_interval(_boundary_amplitude(scene, m), _boundary_phase(scene), edges[:-1], edges[1:],
+                        scene.omega, m, dg=dG, alpha_a=alpha_a, alpha_b=alpha_b)
 
 
 def _check_no_radial_stationary_point(scene, mesh, R):
@@ -467,7 +467,8 @@ def integrate_star_shaped(scene: RadialScene, region: AngularRegion, plan: Outer
     carries the factor ``exp(i w G(Theta))``, G = g(R(Theta), Theta): with a
     boundary phase G that is constant on the outer grid it is smooth as
     well and the plain outer rule applies; otherwise it oscillates and is
-    treated by univariate descent in the angle (n = 2 only).
+    treated by univariate descent in the angle (n = 2 only), which reads
+    the scene's ``d_boundary_phase`` and raises ValueError without it.
 
     A stationary point of the phase inside the domain contributes to
     neither part, so the rule first samples Re dg/dr at 32 interior radii
@@ -498,13 +499,19 @@ def integrate_star_shaped(scene: RadialScene, region: AngularRegion, plan: Outer
 def _check_rectangle(name, a, b, omega):
     if not (0 < a < math.inf and 0 < b < math.inf):
         raise ValueError(f"{name} needs finite rectangle sides 0 < a, b < inf, got a={a}, b={b}")
-    if not (omega > 0 and math.isfinite(omega)):
-        raise ValueError(f"{name} needs a finite omega > 0, got omega={omega}")
+    # the terms are O(omega^-2); the corner sum's omega**2 raises OverflowError above about 1.34e154
+    try:
+        ok = omega > 0 and math.isfinite(float(omega) ** 2)
+    except OverflowError:
+        ok = False
+    if not ok:
+        raise ValueError(f"{name} needs a finite omega > 0 whose square is finite, got omega={omega}")
 
 
-def _assert_finite(K, corner):
+def _assert_finite(K, corner, omega):
     if not np.all(np.isfinite(K)):
-        raise ValueError(f"corner {corner}: non-finite integrand (inverse sec/csc branch failure)")
+        raise ValueError(f"corner {corner}: non-finite integrand at omega={omega} "
+                         "(it overflowed, or the amplitude is not finite)")
 
 
 def rectangle_corner_contributions(f_polar, a: float, b: float, omega: float,
@@ -542,7 +549,7 @@ def rectangle_corner_contributions(f_polar, a: float, b: float, omega: float,
     total = 0j
     for corner, scale, start, Q, (theta, D), wq in corners:
         K = f_polar(start + 1j * Q + 1j * P, theta) / D
-        _assert_finite(K, corner)
+        _assert_finite(K, corner, omega)
         total += (scale * cmath.exp(1j * omega * start) / omega**2) * (wl @ K @ wq)
     return complex(total)
 
@@ -566,7 +573,7 @@ def _direct_corner(f, x0, y0, omega, lag, herm, outer_resonance_fix):
         v = np.sqrt(y0**2 - Q**2 + 2j * Q * (G + 1j * P))
         dv = 1j * (G + 1j * P + 1j * Q) / v
         K = f(u, v) * du * dv
-    _assert_finite(K, f"({x0},{y0})")
+    _assert_finite(K, f"({x0},{y0})", omega)
     return cmath.exp(1j * omega * G) * (wp @ K @ wq)
 
 
@@ -601,16 +608,19 @@ def rectangle_direct_terms(f, a, b, omega, m, m_herm=None, outer_resonance_fix=F
             for x0, y0 in ((0.0, 0.0), (a, 0.0), (0.0, b), (a, b))}
 
 
-def normalize_scene(x0, f, g, omega: float, *, alpha: int = 1,
+def normalize_scene(x0, f, g, omega: float, *, grad_g, alpha: int = 1,
                     singularity_order: float = 0.0, boundary_radius=None,
-                    grad_g=None, name: str = "") -> RadialScene:
+                    name: str = "") -> RadialScene:
     """Shift the special point of Cartesian callables to the origin.
 
     Builds a scene of dimension n = len(x0) with ``g~(z, angles) =
     g(x0 + z Theta) - g(x0)`` and the amplitude ``exp(i w g(x0)) f(x0 + z
-    Theta)``, which carries the constant phase.  ``f`` and ``g`` must
-    accept complex coordinate vectors and be analytic along the rays
-    actually traced; that region is the caller's responsibility.
+    Theta)``, which carries the constant phase.  ``f``, ``g`` and the
+    required gradient ``grad_g`` (its n components indexed first, like the
+    coordinates) must accept complex coordinate vectors and be analytic
+    along the rays actually traced; that region is the caller's
+    responsibility.  dg~/dz is Theta . grad_g.  A bounded scene whose
+    boundary phase varies needs its ``d_boundary_phase`` set by the caller.
     """
     x0 = np.asarray(x0, dtype=float)
     n = len(x0)
@@ -629,14 +639,10 @@ def normalize_scene(x0, f, g, omega: float, *, alpha: int = 1,
     def f_tilde(z, *angles):
         return phase * f(point(z, *angles))
 
-    if grad_g is not None:
-        def dg_tilde(z, *angles):
-            theta, _ = spherical_map(1.0, angles)
-            grad = grad_g(point(z, *angles))
-            return sum(theta[i] * grad[i] for i in range(n))
-    else:
-        def dg_tilde(z, *angles):
-            return complex_derivative(lambda zz: g_tilde(zz, *angles), z)
+    def dg_tilde(z, *angles):
+        theta, _ = spherical_map(1.0, angles)
+        grad = grad_g(point(z, *angles))
+        return sum(theta[i] * grad[i] for i in range(n))
 
     def coeff(*angles):
         return np.real(_taylor_coefficient(lambda z: g_tilde(z, *angles), 0.0, alpha, 2e-4))

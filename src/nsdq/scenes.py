@@ -104,8 +104,9 @@ def duct_scene(omega: float, a: float = 1.0, b: float = 2.0) -> RadialScene:
     the ray through angle theta the kernel's 1/r cancels against the zero of
     y, leaving ``sin(theta) cos(z cos(theta))``.  It is the disk's phase-r
     scene, closed-form paths included, with this amplitude.  The boundary
-    radius is defined on real angles only: the oscillatory boundary term
-    goes through the corner decomposition of ``experiments.run_duct``.
+    radius and its derivative (the boundary phase's dG/dtheta) are defined
+    on real angles only: the oscillatory boundary term goes through the
+    corner decomposition of ``experiments.run_duct``.
     """
     beta = math.atan2(b, a)
 
@@ -119,7 +120,12 @@ def duct_scene(omega: float, a: float = 1.0, b: float = 2.0) -> RadialScene:
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             return np.where(th <= beta, a / np.cos(th), b / np.sin(th))
 
-    return dataclasses.replace(_unit_radial_scene(omega, boundary_radius, "duct"),
+    def d_boundary_radius(th):
+        # R' = R tan(theta) below beta and -R cot(theta) above it
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return boundary_radius(th) * np.where(th <= beta, np.tan(th), -1.0 / np.tan(th))
+
+    return dataclasses.replace(_unit_radial_scene(omega, boundary_radius, "duct", d_boundary_radius),
                                amplitude=lambda z, th: np.sin(th) * np.cos(z * np.cos(th)),
                                singularity_order=1.0)
 

@@ -34,7 +34,7 @@ import math
 
 import numpy as np
 
-from .paths import PathError, _taylor_coefficient, complex_derivative, newton_descent
+from .paths import PathError, _taylor_coefficient, newton_descent
 from .rules import _in_p, _node_sum, gauss_exp_power
 
 __all__ = ["endpoint_contribution", "nsd_interval"]
@@ -183,7 +183,7 @@ def _continue(g, dg, base, p, seed, start, alpha, context, first=None):
     return np.stack(zs[-len(p):]), np.stack(dzs[-len(p):])
 
 
-def endpoint_contribution(f, g, x, omega: float, m: int, *, dg=None, alpha=1, side=1):
+def endpoint_contribution(f, g, x, omega: float, m: int, *, dg, alpha=1, side=1):
     """Descent-path contributions G(x) of a sequence of endpoints.
 
     Every endpoint's path is traced by the one tracer: all m rows of the
@@ -206,8 +206,8 @@ def endpoint_contribution(f, g, x, omega: float, m: int, *, dg=None, alpha=1, si
         result is a complex array, one value per endpoint.
     omega : frequency (finite, > 0).
     m : number of Gaussian points for the radial rule.
-    dg : optional analytic derivative of g; a finite-difference fallback is
-        used when omitted.
+    dg : the analytic derivative of g, required: it seeds the order-1
+        paths and gives every path derivative.
     alpha, side : the endpoint orders (1 + the number of vanishing
         derivatives of the phase at x, integers >= 1) and sides (+1 where
         the interval lies to the right of x, -1 to the left; the branch of
@@ -227,8 +227,7 @@ def endpoint_contribution(f, g, x, omega: float, m: int, *, dg=None, alpha=1, si
         raise ValueError(f"side must hold +1 or -1, got {side.tolist()}")
     if not (omega > 0 and math.isfinite(omega)):
         raise ValueError(f"omega must be finite and positive, got {omega}")
-    dge = dg if dg is not None else (lambda z: complex_derivative(g, z))
-    leads = _phase_coefficients(g, dge, x, alpha)
+    leads = _phase_coefficients(g, dg, x, alpha)
     flat = np.abs(leads) < 1e-14
     if np.any(flat):
         raise PathError(
@@ -246,7 +245,7 @@ def endpoint_contribution(f, g, x, omega: float, m: int, *, dg=None, alpha=1, si
         for qe, a, lead, rot in zip(np.asarray(q).tolist(), alpha[paths].tolist(),
                                     leads[paths].tolist(), rotation[paths].tolist())])
     try:
-        z, dz = _trace(lambda z, paths: g(z), lambda z, paths: dge(z), gx, p, seed, x, alpha,
+        z, dz = _trace(lambda z, paths: g(z), lambda z, paths: dg(z), gx, p, seed, x, alpha,
                        "along the endpoint paths")
     except PathError as err:
         failed = slice(None) if err.failed is None else err.failed
@@ -256,13 +255,14 @@ def endpoint_contribution(f, g, x, omega: float, m: int, *, dg=None, alpha=1, si
     return np.exp(1j * omega * gx) * (alpha / omega) * total
 
 
-def nsd_interval(f, g, a, b, omega: float, m: int, *, dg=None, alpha_a=1, alpha_b=1) -> complex:
+def nsd_interval(f, g, a, b, omega: float, m: int, *, dg, alpha_a=1, alpha_b=1) -> complex:
     """Steepest-descent value of ``int_a^b f exp(i w g) dx``.
 
     The phase must be monotone on ``[a, b]`` with nonvanishing derivative in
-    the interior; endpoints with vanishing derivatives are declared through
-    the integer orders ``alpha_a`` and ``alpha_b`` (1 + the number of
-    vanishing derivatives).  Returns G(a) - G(b); the error is of order
+    the interior, and ``dg`` is its analytic derivative; endpoints with
+    vanishing derivatives are declared through the integer orders
+    ``alpha_a`` and ``alpha_b`` (1 + the number of vanishing derivatives).
+    Returns G(a) - G(b); the error is of order
     ``w^-((2m-1)/alpha_max)`` plus exponentially small terms.  The branch
     of an ``alpha >= 2`` endpoint is chosen to point into the interval, so
     ``a < b`` is required.

@@ -3,12 +3,23 @@ reference for bounded scenes at moderate frequencies.
 
 It uses only ``nsdq.oracle.adaptive_quad_1d`` and the scene's callables,
 never the steepest-descent machinery, so it is an independent second route.
+``stencil_derivative`` is the tests' fourth-order difference, a reference
+(or deliberately noisy) derivative where no analytic one is at hand.
 """
 
 import numpy as np
 
 from nsdq.oracle import OracleNotConverged, adaptive_quad_1d
+from nsdq.paths import _taylor_coefficient
 from nsdq.polar import AngularRegion
+
+
+def stencil_derivative(f, z):
+    """Fourth-order df/dz for analytic ``f``: central differences at z +- h
+    and z +- 2h, h = 1e-5 max(1, |z|), extrapolated.  ``z`` may be a scalar
+    or an array."""
+    s = 2e-5 * np.maximum(1.0, np.abs(z))
+    return (4 * _taylor_coefficient(f, z, 1, s) - _taylor_coefficient(f, z, 1, 2 * s)) / 3
 
 
 def brute_force_polar(scene, region, tol: float = 1e-8) -> complex:

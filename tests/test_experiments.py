@@ -486,7 +486,8 @@ def test_cli_usage_errors_exit_one():
 
 
 @pytest.mark.parametrize("experiment, omega, says", [
-    ("example1", "1e308", "corner (0.0,0.0): non-finite integrand"),
+    ("example1", "1e308", "rectangle_direct_terms needs a finite omega > 0 whose square is finite, "
+                          "got omega=1e+308"),
     ("ellipsoid", "1e154", "scene 'ellipsoid': the outer sum is not finite at omega=1e+154"),
     ("duct", "1e153", "omega <= 1e+06, got omega=1e+153"),
     ("duct", "1e160", "omega <= 1e+06, got omega=1e+160"),

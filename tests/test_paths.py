@@ -18,7 +18,6 @@ from nsdq import polar, scenes, univariate
 from nsdq.paths import (
     PathError,
     RadialScene,
-    complex_derivative,
     corner_h11,
     corner_h12,
     corner_h21,
@@ -44,21 +43,6 @@ def _sample_ps():
 def _column(ps, angles):
     # descent parameters shaped to broadcast against the traced (m,) + grid arrays
     return np.reshape(ps, (-1,) + (1,) * np.ndim(angles[0]))
-
-
-@pytest.mark.parametrize("f, df", [(np.exp, np.exp), (np.sin, np.cos)], ids=["exp", "sin"])
-def test_complex_derivative_scalar_and_array(f, df):
-    # one code path for 0-d and array points: each 0-d result matches the
-    # analytic derivative and its element of the array call
-    z = np.array([0.3 + 0.2j, -1.7 + 0.5j, 2.5 - 1.1j, 12.0 + 3.0j])
-    grid = complex_derivative(f, z)
-    assert grid.shape == z.shape
-    np.testing.assert_allclose(grid, df(z), rtol=1e-10, atol=0)
-    for zk, gk in zip(z, grid):
-        single = complex_derivative(f, complex(zk))
-        assert np.ndim(single) == 0
-        assert abs(single - df(zk)) <= 1e-10 * abs(df(zk))
-        assert abs(single - gk) <= 1e-14 * abs(gk)
 
 
 def test_linear_phase_origin_path():
@@ -286,7 +270,7 @@ def test_negative_leading_coefficient_traced():
     # -1 / (2 w^2) of int exp(-i w (x + 2y)).
     omega = 20.0
     sc = polar.normalize_scene(np.zeros(2), lambda x: 1.0 + 0.0 * x[0],
-                               lambda x: -(x[0] + 2.0 * x[1]), omega)
+                               lambda x: -(x[0] + 2.0 * x[1]), omega, grad_g=lambda x: (-1.0, -2.0))
     region = polar.AngularRegion.box(2, (0.0, 0.5 * math.pi))
     value = polar.integrate_unbounded(sc, region, polar.OuterPlan.for_region(region, cc=20), 8)
     exact = -1.0 / (2.0 * omega**2)

@@ -16,9 +16,9 @@ The grids are small versions of the README commands:
 
 import math
 
+from brute_force import stencil_derivative
 from nsdq import experiments, polar, scenes
 from nsdq.oracle import acoustics_reference
-from nsdq.paths import complex_derivative
 
 PINNED = {
     "ellipsoid": [
@@ -128,11 +128,11 @@ PINNED = {
         "(5.2515172701544344e-08-1.7745466168969507e-06j)",
     ],
     # the ellipse's stationary points of G on [0, 2 pi] and its two end
-    # flags, scanned with the dG/dtheta of a scene without d_boundary_phase.
-    # Re-recorded when that fallback became complex_derivative of G, the
-    # derivative its descent paths already took, in place of the scan's own
-    # second-order difference: the points moved from 2e-14 to 1.2e-12,
-    # 2.9e-12 and 1.9e-12 off pi/2, pi and 3 pi/2
+    # flags, scanned with the fourth-order difference of G that a scene
+    # without d_boundary_phase once took as dG/dtheta.  Re-recorded when the
+    # scan took that difference in place of its own second-order one: the
+    # points moved from 2e-14 to 1.2e-12, 2.9e-12 and 1.9e-12 off pi/2, pi
+    # and 3 pi/2
     "ellipse-stationary-points": [
         "1.5707963267937126",
         "3.141592653586856",
@@ -194,7 +194,7 @@ def test_pinned_duct_oracle():
 
 def test_pinned_stationary_points():
     G = polar._boundary_phase(scenes.ellipse_scene(100.0))
-    dG = lambda th: complex_derivative(G, th)
+    dG = lambda th: stencil_derivative(G, th)
     points, end_lo, end_hi = polar._stationary_points(dG, 0.0, 2.0 * math.pi)
     assert [repr(float(x)) for x in points] + [repr(end_lo), repr(end_hi)] == \
         PINNED["ellipse-stationary-points"]

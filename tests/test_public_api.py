@@ -35,7 +35,7 @@ def _varying_boundary_in_3d():
     # phase |x|^2 (alpha = 2) around the origin, inside R = 1 + 0.2 cos(phi1):
     # G = R^2 varies, and the descent in the angle is n = 2 only
     sc = polar.normalize_scene(np.zeros(3), lambda x: 1.0 + 0.0 * x[0], lambda x: np.sum(x * x, axis=0),
-                               10.0, alpha=2,
+                               10.0, grad_g=lambda x: 2.0 * x, alpha=2,
                                boundary_radius=lambda p1, p2: 1.0 + 0.2 * np.cos(p1) + 0.0 * p2)
     region = polar.AngularRegion.full(3)
     polar.integrate_star_shaped(sc, region, polar.OuterPlan.for_region(region, cc=4, trap=8), 2)

@@ -34,9 +34,10 @@ def _cases():
     region = scenes.default_region("sphere-scatter")
     for label, psi in (("sphere-psi0", 0.0), ("sphere-psi-pi3", math.pi / 3)):
         yield label, scenes.sphere_scatter_scene(OMEGA, psi), region
-    # Newton-traced origin and boundary paths with a finite-difference dg
+    # Newton-traced origin and boundary paths with normalize_scene's dg, Theta . grad g
+    grad_g = lambda x: np.stack(np.broadcast_arrays(np.ones_like(x[0]), 2.0 * np.ones_like(x[1])))
     normalized = normalize_scene(np.zeros(2), lambda x: np.exp(-x[0]), lambda x: x[0] + 2.0 * x[1],
-                                 OMEGA, boundary_radius=lambda th: 1.0 + 0.0 * np.asarray(th))
+                                 OMEGA, grad_g=grad_g, boundary_radius=lambda th: 1.0 + 0.0 * np.asarray(th))
     yield "normalized", normalized, AngularRegion.box(2, (0.0, 0.5 * math.pi))
     # Newton-traced paths of a scene whose oscillator and alpha_coeff ignore the angle
     traced = scenes.duct_scene(OMEGA)

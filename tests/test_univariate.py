@@ -328,36 +328,38 @@ def test_endpoint_derivative_is_i_over_dg_on_the_roots(monkeypatch):
 
 
 def test_endpoint_validation():
-    f, g = lambda z: 1.0, lambda z: z
+    f, g, dg = lambda z: 1.0, lambda z: z, lambda z: 1.0
     for bad in (0, 2.5, 2.0, [1, 0]):
         with pytest.raises(ValueError, match="alpha must hold integers >= 1"):
-            endpoint_contribution(f, g, [0.0, 1.0], 10.0, 2, alpha=bad)
+            endpoint_contribution(f, g, [0.0, 1.0], 10.0, 2, dg=dg, alpha=bad)
     for bad in (0, [1, 0.5]):
         with pytest.raises(ValueError, match="side"):
-            endpoint_contribution(f, g, [0.0, 1.0], 10.0, 2, side=bad)
+            endpoint_contribution(f, g, [0.0, 1.0], 10.0, 2, dg=dg, side=bad)
     with pytest.raises(ValueError, match="omega"):
-        endpoint_contribution(f, g, [0.0], -1.0, 2)
+        endpoint_contribution(f, g, [0.0], -1.0, 2, dg=dg)
     for bad in (math.inf, math.nan):
         with pytest.raises(ValueError, match="omega"):
-            endpoint_contribution(f, g, [0.0], bad, 2)
+            endpoint_contribution(f, g, [0.0], bad, 2, dg=dg)
+    # the derivative is required: no difference stencil stands in for it
+    with pytest.raises(TypeError, match="dg"):
+        endpoint_contribution(f, g, [0.0], 10.0, 2)
+    with pytest.raises(TypeError, match="dg"):
+        nsd_interval(f, g, 0.0, 1.0, 10.0, 2)
 
 
-# the finite-difference derivative carries ~1e-11 relative round-off, which
-# the extra Newton steps of the joint solve expose
-@pytest.mark.parametrize("dg, tol", [(lambda z: 2.0 * z, 1e-13), (None, 1e-11)],
-                         ids=["analytic", "finite-difference"])
-def test_endpoint_sequence_matches_single_endpoints(dg, tol):
+def test_endpoint_sequence_matches_single_endpoints():
     # a sequence of endpoints, mixed orders and sides, is traced in one
     # continuation; each value must match the endpoint traced on its own
     f = lambda z: 1.0 / (1.0 + z)
     g = lambda z: z * z
+    dg = lambda z: 2.0 * z
     ends = [(0.0, 2, +1), (1.0, 1, -1), (0.5, 1, +1)]
     x, alpha, side = zip(*ends)
     batch = endpoint_contribution(f, g, x, 40.0, 6, dg=dg, alpha=alpha, side=side)
     assert batch.shape == (3,)
     for (xe, ae, se), got in zip(ends, batch):
         single = endpoint_contribution(f, g, [xe], 40.0, 6, dg=dg, alpha=ae, side=se)[0]
-        assert abs(got - single) <= tol * abs(single)
+        assert abs(got - single) <= 1e-13 * abs(single)
 
 
 def test_interval_arrays_sum_in_order():
