@@ -278,10 +278,10 @@ def _sign_change(dG, x):
 @settings(max_examples=80, deadline=None)
 def test_stationary_scan_matches_80_halvings(coeffs, ends):
     # dG/dtheta is a fourth-order difference of G, whose computed sign is
-    # noisy near a root.  The scan finds the points and end flags that 80 halvings find, and
-    # each point lies in its sample bracket and is a sign change (or a
-    # zero) of the computed dG/dtheta at the resolution of doubles; the
-    # points are the plain bisection's, bit for bit
+    # noisy near a root.  The scan finds the points and end flags that 80
+    # halvings find, and each point lies in its sample bracket and is a sign
+    # change (or a zero) of the computed dG/dtheta at the resolution of
+    # doubles; the points are the plain bisection's, bit for bit
     lo, hi = sorted(ends)
     assume(hi - lo > 1e-3)
     pairs = list(zip(coeffs[::2], coeffs[1::2]))
@@ -388,9 +388,10 @@ def test_stationary_scan_with_exact_derivative_brackets_each_root(coeffs, ends):
     got, _, _ = _stationary_points(dG, lo, hi)
     for x in got:
         assert min(dG(x) * dG(np.nextafter(x, -np.inf)), dG(x) * dG(np.nextafter(x, np.inf))) <= 0
-    # the scan of a fourth-order difference of G finds as many points unless a root lies so close to a sample that the
-    # derivative's error flips the sign there: truncation s^4/480 max|G^(5)|
-    # plus round-off, with spacing s = 2e-5 max(1, |theta|)
+    # the scan of a fourth-order difference of G finds as many points
+    # unless a root lies so close to a sample that the derivative's error
+    # flips the sign there: truncation s^4/480 max|G^(5)| plus round-off,
+    # with spacing s = 2e-5 max(1, |theta|)
     size = sum(abs(a) + abs(b) for _, (a, b) in pairs)
     assume(size > 1e-100)
     s = 2e-5 * 2 * math.pi
@@ -445,9 +446,9 @@ def _recorded_boundary_calls(monkeypatch, scene):
 def test_scan_and_paths_share_the_scene_derivative(monkeypatch):
     # the scan and the descent paths read the one dG/dtheta of the scene
     sc = _asymmetric_scene(100.0)
-    _, exact = _recorded_boundary_calls(monkeypatch, sc)
-    assert exact["scan"] is exact["nsd"] is sc.d_boundary_phase
-    assert len(exact["points"]) == 4
+    _, calls = _recorded_boundary_calls(monkeypatch, sc)
+    assert calls["scan"] is calls["nsd"] is sc.d_boundary_phase
+    assert len(calls["points"]) == 4
 
 
 def test_asymmetric_boundary_against_trapezoid_reference():
@@ -735,9 +736,9 @@ def test_interior_stationary_point_scan_is_one_call():
 
 def _offset_ellipse_scene(omega):
     # non-unit amplitude, traced paths and a varying radius around x0 != 0
-    return normalize_scene(np.array([0.1, -0.2]), lambda x: np.exp(-x[0]) * (1.0 + x[1] ** 2),
-                           lambda x: np.sqrt(x[0] ** 2 + 2.0 * x[1] ** 2), omega,
-                           grad_g=lambda x: np.stack([x[0], 2.0 * x[1]]) / np.sqrt(x[0] ** 2 + 2.0 * x[1] ** 2),
+    g = lambda x: np.sqrt(x[0] ** 2 + 2.0 * x[1] ** 2)
+    return normalize_scene(np.array([0.1, -0.2]), lambda x: np.exp(-x[0]) * (1.0 + x[1] ** 2), g, omega,
+                           grad_g=lambda x: np.stack([x[0], 2.0 * x[1]]) / g(x),
                            boundary_radius=lambda th: 0.5 / np.sqrt(1.0 + 0.3 * np.sin(th) ** 2))
 
 
@@ -1301,5 +1302,3 @@ def test_stationary_scan_is_kept_only_for_the_same_derivative_and_interval():
     assert _stationary_points(lambda th: dG(th), 0.0, 3.0)[0] == first[0][:2]
     assert _stationary_points(dG, 0.0, 2 * math.pi) == first
     assert shapes.count((600,)) == 4
-
-
