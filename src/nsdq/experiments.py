@@ -241,9 +241,13 @@ def run_sphere_scatter(k_grid, psi_grid=(0.0, math.pi / 10, math.pi / 5, math.pi
     directions, its paths traced in one Newton solve with those of w0 (see
     ``polar._outer_sums``), and w0h sums the Q_r values of w0 on every
     other direction with doubled weights (the nested N/2 trapezoid, no new
-    scene evaluation).  The trapezoid converges geometrically on the smooth
-    periodic angular integrand, so d^2 stands for the error of the N-node
-    rule, and the companion gap for that of the radial rule.  The reference
+    scene evaluation).  Only theta_0 ... theta_(N/2) are traced: the
+    scene's kernel is even in theta (``scenes.sphere_scatter_scene``), so
+    Q_r(theta_(N-k)) = Q_r(-theta_k) is read as Q_r(theta_k), which halves
+    the kernel evaluations and moves w0 by a few eps at most.  The
+    trapezoid converges geometrically on the smooth periodic angular
+    integrand, so d^2 stands for the error of the N-node rule, and the
+    companion gap for that of the radial rule.  The reference
     column stays empty: the analytic comparison requires a Mie-series
     evaluation, which this package does not ship.
 
@@ -274,7 +278,8 @@ def run_sphere_scatter(k_grid, psi_grid=(0.0, math.pi / 10, math.pi / 5, math.pi
         for k in ks:
             k = float(k)
             try:
-                w0, w0c, w0h = _outer_sums(scenes.sphere_scatter_scene(k, psi), region, plan, m, m + 3)
+                w0, w0c, w0h = _outer_sums(scenes.sphere_scatter_scene(k, psi), region, plan, m, m + 3,
+                                            mirror=True)
             except PathError as err:
                 raise PathError(f"sphere row k={k!r}, psi={psi!r}: {err}", err.failed) from err
             d = abs(w0 - w0h) / abs(w0)
@@ -314,14 +319,22 @@ def run_example1(omega_grid, m: int = 4, outer_cc: int = 10):
 
     Emits one polar-rule row and one direct-descent row (the origin term of
     the Cartesian decomposition, whose relative error is frequency
-    independent) per omega.  The sizes are integers, checked before any
-    row runs: the direct row takes a 2m-point Hermite rule, so
-    1 <= m <= 32, and ``outer_cc >= 2``; otherwise ValueError.
+    independent) per omega.  Every input is checked before any row runs:
+    the sizes are integers, the direct row takes a 2m-point Hermite rule,
+    so 1 <= m <= 32, and ``outer_cc >= 2``; each omega passes the direct
+    row's own check, and 2 w^2 neither overflows nor underflows, so the
+    reference is a finite nonzero number; otherwise ValueError.
     """
     m = _count("run_example1", "m", m, hi=_MAX_POINTS // 2,
                reason=" (the direct row takes a 2m-point Hermite rule)")
     outer_cc = _count("run_example1", "outer_cc", outer_cc, 2)
     oms = _omega_array(omega_grid)
+    for om in map(float, oms):
+        _check_rectangle("rectangle_direct_terms", 1.0, 1.0, om)  # the direct row's check
+        den = 2.0 * om * om
+        if not (0.0 < den < math.inf and math.pi / den < math.inf):
+            raise ValueError(f"run_example1: 2 omega^2 in the reference -pi/(2 omega^2) overflows or "
+                             f"underflows at omega={om:g}")
     region = scenes.default_region("quarter-plane")
     plan = OuterPlan.for_region(region, cc=outer_cc)
     one = lambda x, y: 1.0 + 0.0 * x

@@ -7,11 +7,13 @@ worst-interval bisection) and the reduced one-dimensional reference for
 the rectangular-duct problem.
 
 The integrator takes one interval or a sequence of panels, and bisects
-each panel worst interval first.  Each integrand call looks ahead: it
-evaluates, on one flat 1-D array, the children of the worst intervals of
-every unfinished panel, 128 in all, that have none yet.  Each panel then
-replays its bisections while its worst interval has its children, so it
-is bit-identical to bisecting it alone; only the number of calls falls.
+each panel worst interval first.  Panels run in groups of at most 128, each
+group to completion before the next, so the intervals of one group are
+held at a time.  Each integrand call looks ahead: it evaluates, on one flat
+1-D array, the children of the worst intervals of every unfinished panel
+of the group, 128 in all, that have none yet.  Each panel then replays its
+bisections while its worst interval has its children, so it is
+bit-identical to bisecting it alone; only the number of calls falls.
 
 Integrand callables must be numpy-vectorized (1-D array in, array out);
 every integrand in this package is.
@@ -33,8 +35,8 @@ __all__ = [
 ]
 
 _MAX_SUBDIVISIONS = 10**6
-_BUDGET = 128  # intervals whose children one look-ahead call evaluates
-_MAX_OMEGA = 1e6  # acoustics_reference's largest omega: 10^4 panels, 150,000 points in one call
+_BUDGET = 128  # panels of one group, and intervals whose children one look-ahead call evaluates
+_MAX_OMEGA = 1e6  # acoustics_reference's largest omega: 10^4 panels
 
 # Gauss 7 / Kronrod 15 pair on [-1, 1].  Kronrod nodes are symmetric; the
 # odd-indexed ones are the embedded Gauss nodes.
@@ -122,32 +124,9 @@ def _gk15(f, lo, hi):
     return k15.tolist(), np.hypot(d.real, d.imag).tolist()
 
 
-def adaptive_quad_1d(f, a, b, tol: float = 1e-12) -> AdaptiveResult:
-    """Adaptive complex-valued integration of ``f`` over ``[a, b]``.
-
-    Bisects the interval with the largest error estimate of an embedded
-    7/15-point Gauss-Kronrod pair until the summed estimate drops below
-    ``tol`` or the subdivision cap (1e6) is reached.  ``f`` must accept a
-    1-D numpy array.
-
-    ``a`` and ``b`` may also be equal-length sequences of panels.  Each
-    panel is bisected on its own, to its own ``tol``, exactly as a single
-    interval would be, and the panel values are summed in panel order.
-    Each call of ``f`` takes the ``max(1, _BUDGET // panels)`` worst
-    intervals of each unfinished panel (``_BUDGET`` = 128) and evaluates the
-    children of those that have none; the result does not depend on this
-    batching.  Endpoints must be finite with a < b, and ``tol`` finite and
-    at least 1e-14.
-    """
-    if not (tol >= 1e-14 and math.isfinite(tol)):
-        raise ValueError(f"adaptive_quad_1d needs a finite tol >= 1e-14, got {tol}")
-    lo, hi = (np.ravel(x).astype(float) for x in np.broadcast_arrays(a, b))
-    if not lo.size:
-        raise ValueError("adaptive_quad_1d needs at least one panel")
-    bad = np.flatnonzero(~((lo < hi) & np.isfinite(lo) & np.isfinite(hi)))
-    if bad.size:
-        i = bad[0]
-        raise ValueError(f"adaptive_quad_1d needs finite a < b, got [{lo[i]}, {hi[i]}]")
+def _bisect_panels(f, lo, hi, tol):
+    # every panel of lo, hi (at most _BUDGET) to completion: its value,
+    # summed over its intervals in order, its error estimate and its count
     vals, errs = _gk15(f, lo, hi)
     # Heap entry: (-err, count, lo, hi, value, children or None); count is
     # unique in a panel, so entries compare on (-err, count) alone.
@@ -158,7 +137,7 @@ def adaptive_quad_1d(f, a, b, tol: float = 1e-12) -> AdaptiveResult:
     while active:
         width = max(1, _BUDGET // len(active))
         tops, edges = [], []
-        for i in active[:_BUDGET]:
+        for i in active:
             heap = heaps[i]
             top = [heapq.heappop(heap)]
             while len(top) < width and heap:
@@ -171,7 +150,7 @@ def adaptive_quad_1d(f, a, b, tol: float = 1e-12) -> AdaptiveResult:
         child_lo, child_hi = np.array(edges).reshape(-1, 2).T
         vals, errs = _gk15(f, child_lo, child_hi)
         fresh = zip(vals[0::2], errs[0::2], vals[1::2], errs[1::2])
-        still = active[_BUDGET:]
+        still = []
         for i, top in zip(active, tops):
             heap, n = heaps[i], 0
             for t in top:
@@ -197,6 +176,42 @@ def adaptive_quad_1d(f, a, b, tol: float = 1e-12) -> AdaptiveResult:
         active = still
     values = [complex(np.sum(np.array([item[4] for item in sorted(heap, key=lambda t: t[2])])))
               for heap in heaps]
+    return values, total_err, count
+
+
+def adaptive_quad_1d(f, a, b, tol: float = 1e-12) -> AdaptiveResult:
+    """Adaptive complex-valued integration of ``f`` over ``[a, b]``.
+
+    Bisects the interval with the largest error estimate of an embedded
+    7/15-point Gauss-Kronrod pair until the summed estimate drops below
+    ``tol`` or the subdivision cap (1e6) is reached.  ``f`` must accept a
+    1-D numpy array.
+
+    ``a`` and ``b`` may also be equal-length sequences of panels.  Each
+    panel is bisected on its own, to its own ``tol``, exactly as a single
+    interval would be, and the panel values are summed in panel order.
+    The panels run in groups of at most ``_BUDGET`` (128), each group to
+    completion before the next, so memory does not grow with the number of
+    panels.  Each call of ``f`` takes the ``max(1, _BUDGET // panels)``
+    worst intervals of each unfinished panel of the group and evaluates the
+    children of those that have none; the result does not depend on this
+    batching.  Endpoints must be finite with a < b, and ``tol`` finite and
+    at least 1e-14.
+    """
+    if not (tol >= 1e-14 and math.isfinite(tol)):
+        raise ValueError(f"adaptive_quad_1d needs a finite tol >= 1e-14, got {tol}")
+    lo, hi = (np.ravel(x).astype(float) for x in np.broadcast_arrays(a, b))
+    if not lo.size:
+        raise ValueError("adaptive_quad_1d needs at least one panel")
+    bad = np.flatnonzero(~((lo < hi) & np.isfinite(lo) & np.isfinite(hi)))
+    if bad.size:
+        i = bad[0]
+        raise ValueError(f"adaptive_quad_1d needs finite a < b, got [{lo[i]}, {hi[i]}]")
+    values, total_err, count = [], [], []
+    for start in range(0, lo.size, _BUDGET):
+        group = _bisect_panels(f, lo[start:start + _BUDGET], hi[start:start + _BUDGET], tol)
+        for out, part in zip((values, total_err, count), group):
+            out += part
     value = values[0]
     for v in values[1:]:
         value += v
@@ -215,12 +230,12 @@ def acoustics_reference(omega: float, a: float = 1.0, b: float = 2.0, tol: float
 
     which is evaluated adaptively.  For ``w > 2000`` the range is split into
     ``ceil(w/100)`` panels first to keep each subdivision queue shallow.
-    All panels go into one ``adaptive_quad_1d`` call, whose first integrand
-    call evaluates every panel, and later ones the children of up to 128
-    intervals.  ``omega``, ``a`` and ``b`` must be finite and > 0, and
-    ``omega <= 1e6`` (10^4 panels), or ValueError is raised before any panel
-    is built.  A panel that stalls before ``tol`` raises ``OracleNotConverged``
-    naming omega and the panel.
+    All panels go into one ``adaptive_quad_1d`` call, which bisects them
+    128 at a time; no integrand call evaluates more than 128 panels or the
+    children of more than 128 intervals.  ``omega``, ``a`` and ``b`` must
+    be finite and > 0, and ``omega <= 1e6`` (10^4 panels), or ValueError is
+    raised before any panel is built.  A panel that stalls before ``tol``
+    raises ``OracleNotConverged`` naming omega and the panel.
     """
     for name, arg in (("omega", omega), ("a", a), ("b", b)):
         if not (arg > 0 and math.isfinite(arg)):

@@ -318,7 +318,7 @@ def _boundary_grid(scene: RadialScene, angles, m: int, G):
 
 
 def _outer_sums(scene: RadialScene, region: AngularRegion, plan: OuterPlan, m: int,
-                m_companion: int | None = None) -> list:
+                m_companion: int | None = None, mirror: bool = False) -> list:
     """The outer sum ``sum(w * Q_r)`` of ``integrate_unbounded``, in a list.
 
     With ``m_companion`` the list also holds the two sums an error estimate
@@ -331,15 +331,31 @@ def _outer_sums(scene: RadialScene, region: AngularRegion, plan: OuterPlan, m: i
     axis must be a periodic trapezoid with an even count, so the third sum
     is the nested N/2 trapezoid; it costs no scene evaluation.  A non-finite
     sum (at a huge omega) raises ValueError naming the scene and omega.
+
+    ``mirror`` is for a scene whose Q_r is even in theta (the caller vouches
+    for that): on the N-node trapezoid over [0, 2 pi), theta_(N-k) is
+    -theta_k modulo 2 pi, so only theta_0 ... theta_(N/2) are traced and
+    Q_r(theta_(N-k)) is read as Q_r(theta_k).  The sums then run over the
+    full grid as without it.  It needs n = 2, a full-period axis from
+    theta = 0 and an even N, or raises ValueError.
     """
     _check_dimensions(scene, region, plan)
     mesh, w = _outer_grid(region, plan)
+    traced = mesh
+    if mirror:
+        if not (region.n == 2 and region.axis_periodic(0) and region.intervals[0][0] == 0.0
+                and plan.counts[0] % 2 == 0):
+            raise ValueError(f"the mirrored trace needs n = 2 and a trapezoid over [0, 2 pi) with an even "
+                             f"count, got n = {region.n}, {region.intervals} and {plan.counts}")
+        traced = (mesh[0][:plan.counts[0] // 2 + 1],)
     with np.errstate(all="ignore"):
+        q = _central_grid(scene, traced, m if m_companion is None else np.array([m, m_companion]))
+        if mirror:
+            q = np.concatenate([q, q[-2:0:-1]])  # q[N - k] = q[k], k = 1 ... N/2 - 1
         if m_companion is None:
-            terms = [(w, _central_grid(scene, mesh, m))]
+            terms = [(w, q)]
         else:
-            both = _central_grid(scene, mesh, np.array([m, m_companion]))
-            q, qc = both[..., 0], both[..., 1]
+            q, qc = q[..., 0], q[..., 1]
             half = (..., slice(None, None, 2))
             terms = [(w, q), (w, qc), (2.0 * w[half], q[half])]
         sums = [complex(np.sum(w * q)) for w, q in terms]

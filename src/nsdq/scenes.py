@@ -262,6 +262,12 @@ def sphere_scatter_scene(k: float, psi: float) -> RadialScene:
     a copy of the argument values, so a Newton step's g and g' and the
     path derivative i/g' on a converged root cost one kernel evaluation.
     The terms of d2 = 0 are left out.
+
+    With d2 = 0 the kernel is even in theta: theta -> -theta swaps c + s
+    and c - s, so it maps (a, b) to (-b, -a), which leaves u, r1, r3, t1
+    and t3 alone and flips v, r2 and t2.  g, g' and the amplitude read r2
+    and t2 only as r2^2 and r2 t2, so they are even, and
+    ``run_sphere_scatter`` traces half the directions of its trapezoid.
     """
     if not 0 <= psi < math.pi / 2:
         raise ValueError(

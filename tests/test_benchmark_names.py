@@ -35,7 +35,9 @@ def test_tracer_counts_every_newton_call():
     # distinct order (all its 8 endpoints have order 2); the sphere's w0 and its
     # companion build one trapezoid and two Gauss rules through the wrapped
     # names, and their Q_r on the same 100 directions are one grid call,
-    # one trace of both rules' nodes (13 rows of 100 paths) in one solve
+    # one trace of both rules' nodes in one solve: 13 rows of 51 paths, as
+    # the kernel is even in theta and theta_51 ... theta_99 mirror theta_49
+    # ... theta_1
     from nsdq import experiments, polar, scenes
 
     tracer = _tracer()
@@ -51,10 +53,10 @@ def test_tracer_counts_every_newton_call():
         tracer.restore()
     assert (ellipse["paths.newton_calls"], ellipse["paths.newton_points"]) == (1, 64)
     assert ellipse["univariate.calls"] == 1
-    assert (sphere["paths.newton_calls"], sphere["paths.newton_points"]) == (1, 1300)
+    assert (sphere["paths.newton_calls"], sphere["paths.newton_points"]) == (1, 663)
     layers = ("rules.calls", "polar.calls", "polar.directions")
     assert tuple(ellipse[k] for k in layers) == (4, 2, 104)
-    assert tuple(sphere[k] for k in layers) == (3, 1, 200)
+    assert tuple(sphere[k] for k in layers) == (3, 1, 102)
 
 
 def test_tracer_counts_the_rules_of_every_descent_sum():

@@ -488,6 +488,10 @@ def test_cli_usage_errors_exit_one():
 @pytest.mark.parametrize("experiment, omega, says", [
     ("example1", "1e308", "rectangle_direct_terms needs a finite omega > 0 whose square is finite, "
                           "got omega=1e+308"),
+    ("example1", "1,1.3e154", "2 omega^2 in the reference -pi/(2 omega^2) overflows or underflows "
+                              "at omega=1.3e+154"),
+    ("example1", "1e-170,1", "2 omega^2 in the reference -pi/(2 omega^2) overflows or underflows "
+                             "at omega=1e-170"),
     ("ellipsoid", "1e154", "scene 'ellipsoid': the outer sum is not finite at omega=1e+154"),
     ("duct", "1e153", "omega <= 1e+06, got omega=1e+153"),
     ("duct", "1e160", "omega <= 1e+06, got omega=1e+160"),
@@ -495,7 +499,9 @@ def test_cli_usage_errors_exit_one():
 def test_cli_huge_omega_is_one_error_line(experiment, omega, says):
     # no numpy warning, traceback or nan row: exit 1, nothing on stdout and
     # one stderr line.  The duct is rejected before its reference builds
-    # ceil(omega/100) panels, or omega**2 overflows
+    # ceil(omega/100) panels, or omega**2 overflows.  example1 checks every
+    # omega before its first row, so no row carries a reference
+    # -pi/(2 omega^2) of -0 (above about 9.48e153) or a division by zero
     res = _run_cli("run", "--experiment", experiment, "--omega", omega)
     assert res.returncode == 1
     assert res.stdout == ""

@@ -207,8 +207,8 @@ def test_adaptive_panels_finishing_in_different_rounds_keep_bits():
 
 
 def test_adaptive_more_panels_than_the_budget_match_separate_calls():
-    # more panels than one look-ahead call serves: the ones left over wait a
-    # round, and every panel still bisects exactly as it would alone
+    # more panels than one look-ahead call serves: they run in groups of
+    # _BUDGET, and every panel still bisects exactly as it would alone
     f = lambda x: np.exp(1j * 3000 * x) * np.cos(x)
     edges = np.linspace(0.0, 3.0, 2 * oracle._BUDGET + 7)
     sizes = []
@@ -220,8 +220,24 @@ def test_adaptive_more_panels_than_the_budget_match_separate_calls():
     assert repr(res.value) == repr(total)
     assert res.subdivisions == sum(r.subdivisions for r in alone)
     assert res.est_error == math.fsum(r.est_error for r in alone)
-    assert sizes[0] == 15 * len(edges[1:])
+    assert sizes[0] == 15 * oracle._BUDGET
     assert max(sizes[1:]) == 15 * 2 * oracle._BUDGET
+
+
+def test_adaptive_panel_groups_keep_bits(monkeypatch):
+    # groups of 3 panels, each run to completion before the next: the same
+    # value, estimate and count as one group of all 10, and no integrand
+    # call holds more than 3 panels or the children of 3 intervals
+    f = lambda x: np.exp(1j * 300 * x) * np.cos(x)
+    edges = np.linspace(0.0, 2.0, 11)
+    whole = adaptive_quad_1d(f, edges[:-1], edges[1:], 1e-13)
+    monkeypatch.setattr(oracle, "_BUDGET", 3)
+    sizes = []
+    grouped = adaptive_quad_1d(lambda x: sizes.append(x.size) or f(x), edges[:-1], edges[1:], 1e-13)
+    assert _record(grouped) == _record(whole)
+    assert max(sizes) == 15 * 2 * 3
+    # every other call evaluates pairs of children, 30 points each
+    assert [n for n in sizes if n % 30] == [15 * 3, 15 * 3, 15 * 3, 15]  # each group's panels
 
 
 def _counted_acoustics(monkeypatch, omega):

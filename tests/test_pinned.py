@@ -40,12 +40,14 @@ PINNED = {
     # series seed (moves <= 2.1e-15 relative), and again when the kernel
     # was written on the half-angle offsets, g and g' without cancellation,
     # and w0 and its companion were traced in one solve (moves <= 1.2e-16
-    # relative)
+    # relative), and again when only theta_0 ... theta_50 were traced and
+    # Q_r(theta_(100-k)) read as Q_r(theta_k), the kernel being even in
+    # theta (moves <= 2.6e-16 relative)
     "sphere": [
         "(-1.9922131063639734+100.0788643610345j)",
-        "(-1.9995008790727007+400.01998155074773j)",
-        "(-7.559971012453948+53.23359076662341j)",
-        "(-10.236904965369451+201.88259029249926j)",
+        "(-1.999500879072701+400.0199815507478j)",
+        "(-7.559971012453948+53.233590766623394j)",
+        "(-10.236904965369453+201.88259029249926j)",
     ],
     # re-recorded when self_err became |w0 - w0c|/|w0| + d^2 (companion
     # rule on the same 100 directions plus the nested 50-node trapezoid) in
@@ -54,12 +56,14 @@ PINNED = {
     # values: moves <= 1.3e-5 relative, and 3e-4 in the second row's 1.7e-16,
     # which is round-off.  Re-recorded with the "sphere" values once more:
     # moves 5.7e-6, 3.4e-13 and 5.3e-11 relative, and 3.1e-4 in the second
-    # row's round-off
+    # row's round-off.  Re-recorded with the "sphere" values for the
+    # mirrored trace: moves 5.7e-6 (9.8e-17 absolute), 1.8e-16 and 3.1e-12
+    # relative, and the second row's round-off went 1.7e-16 -> 3.5e-16
     "sphere-self-err": [
-        "1.709092976760255e-11",
-        "1.7406589685279363e-16",
-        "0.0006162845763104342",
-        "2.1963885951307633e-06",
+        "1.709102792738626e-11",
+        "3.4720518331489253e-16",
+        "0.0006162845763104341",
+        "2.196388595123948e-06",
     ],
     # w0 of all 16 rows of the README sphere command, psi-major, k-minor;
     # recorded before self_err took the companion rule and nested subset.
@@ -70,24 +74,25 @@ PINNED = {
     # seed then moved it by <= 3.8e-16.  Re-recorded when the kernel was
     # written on the half-angle offsets, g and g' without cancellation, and
     # w0 and its companion were traced in one solve: moves <= 2.8e-16
-    # relative
+    # relative.  Re-recorded when only half the directions were traced (the
+    # kernel is even in theta): moves <= 2.5e-16 relative
     "sphere-readme-w0": [
         "(0.0001988286636947914+0.009988161809312657j)",
         "(4.992546590914401e-05+0.0049985051990073075j)",
-        "(2.220744862818824e-05+0.0033328895772309335j)",
-        "(1.249531985658559e-05+0.0024998126636584096j)",
+        "(2.2207448628188245e-05+0.0033328895772309335j)",
+        "(1.2495319856585589e-05+0.002499812663658409j)",
         "(0.00025307203074455146+0.010493572475517934j)",
-        "(6.382106118461475e-05+0.0052544171433932165j)",
-        "(2.84128116586851e-05+0.003503912374163507j)",
+        "(6.382106118461476e-05+0.005254417143393217j)",
+        "(2.84128116586851e-05+0.003503912374163508j)",
         "(1.5991747737960115e-05+0.0026281898188201007j)",
-        "(0.0005196566282752149+0.012270248127638866j)",
-        "(0.00013472946223091093+0.00616690743746575j)",
-        "(6.035916929818025e-05+0.004115640099601782j)",
-        "(3.405157982605456e-05+0.0030879099192024227j)",
-        "(0.002615030710621346+0.018413757732939073j)",
-        "(0.000863240760777403+0.009661067314095563j)",
-        "(0.00042418369961693146+0.006541829946650746j)",
-        "(0.0002505276705451209+0.0049406705679786046j)",
+        "(0.000519656628275215+0.012270248127638866j)",
+        "(0.00013472946223091095+0.00616690743746575j)",
+        "(6.035916929818026e-05+0.004115640099601782j)",
+        "(3.4051579826054564e-05+0.003087909919202423j)",
+        "(0.002615030710621347+0.018413757732939077j)",
+        "(0.0008632407607774034+0.009661067314095564j)",
+        "(0.0004241836996169317+0.006541829946650747j)",
+        "(0.00025052767054512096+0.0049406705679786046j)",
     ],
     "example1": [
         "(-1.570796326794897+0j)",

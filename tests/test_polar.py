@@ -24,6 +24,7 @@ from nsdq.polar import (
     _descent_sums,
     _origin_samples,
     _outer_grid,
+    _outer_sums,
     _stationary_points,
     _weight_degree,
     integrate_star_shaped,
@@ -1158,6 +1159,34 @@ def test_one_trace_of_both_sphere_rules_matches_two_traces(psi, monkeypatch):
         assert shared_calls == [1, 1, 1, 1]
     else:
         assert max(shared_calls) > 1
+
+
+@pytest.mark.parametrize("psi", [0.0, 0.314, 0.628, 1.047, 1.3, 1.5])
+def test_mirrored_sphere_sums_match_the_full_trace(psi):
+    # the sphere's Q_r is even in theta: tracing theta_0 ... theta_50 and
+    # reading Q_r(theta_(100-k)) as Q_r(theta_k) gives w0, w0c and w0h, and
+    # a single rule's sum, within 1e-15 of the full trace, on the README
+    # grid and at psi = 1.3 and 1.5, where some paths take the continuation
+    region = scenes.default_region("sphere-scatter")
+    plan = OuterPlan.for_region(region, trap=100)
+    for k in (50.0, 100.0, 150.0, 200.0):
+        sc = scenes.sphere_scatter_scene(k, psi)
+        sums = lambda **mirror: (_outer_sums(sc, region, plan, 5, 8, **mirror)
+                                 + _outer_sums(sc, region, plan, 5, **mirror))
+        for got, want in zip(sums(mirror=True), sums()):
+            assert abs(got - want) / abs(want) <= 1e-15, (k, got, want)
+
+
+@pytest.mark.parametrize("region, counts", [
+    (AngularRegion.full(3), (10, 10)),
+    (AngularRegion.box(2, (0.0, math.pi)), (10,)),
+    (AngularRegion.box(2, (-1e-13, 2.0 * math.pi - 1e-13)), (10,)),
+    (AngularRegion.full(2), (11,)),
+], ids=["n=3", "not-periodic", "not-from-zero", "odd-N"])
+def test_mirrored_sums_need_an_even_trapezoid_from_zero(region, counts):
+    sc = scenes.ellipsoid_scene(100.0) if region.n == 3 else scenes.sphere_scatter_scene(100.0, 0.3)
+    with pytest.raises(ValueError, match="the mirrored trace needs n = 2"):
+        _outer_sums(sc, region, OuterPlan(counts), 5, mirror=True)
 
 
 @pytest.mark.parametrize("build", [scenes.ellipse_scene, _ellipse_traced], ids=["ellipse", "ellipse-traced"])
