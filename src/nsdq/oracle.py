@@ -6,14 +6,10 @@ adaptive Gauss-Kronrod integrator (embedded 7/15-point pair with
 worst-interval bisection) and the reduced one-dimensional reference for
 the rectangular-duct problem.
 
-The integrator takes one interval or a sequence of panels, and bisects
-each panel worst interval first.  Panels run in groups of at most 128, each
-group to completion before the next, so the intervals of one group are
-held at a time.  Each integrand call looks ahead: it evaluates, on one flat
-1-D array, the children of the worst intervals of every unfinished panel
-of the group, 128 in all, that have none yet.  Each panel then replays its
-bisections while its worst interval has its children, so it is
-bit-identical to bisecting it alone; only the number of calls falls.
+The integrator takes one interval or a sequence of panels, in groups of
+at most 128 panels, each group bisected in rounds of array operations: a
+panel splits the worst intervals that worst-first bisection, one at a
+time, would split before its total reached the tolerance.
 
 Integrand callables must be numpy-vectorized (1-D array in, array out);
 every integrand in this package is.
@@ -21,7 +17,6 @@ every integrand in this package is.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 
@@ -35,7 +30,7 @@ __all__ = [
 ]
 
 _MAX_SUBDIVISIONS = 10**6
-_BUDGET = 128  # panels of one group, and intervals whose children one look-ahead call evaluates
+_BUDGET = 128  # panels of one group; a call of f gets the children of at most this many intervals
 _MAX_OMEGA = 1e6  # acoustics_reference's largest omega: 10^4 panels
 
 # Gauss 7 / Kronrod 15 pair on [-1, 1].  Kronrod nodes are symmetric; the
@@ -113,70 +108,75 @@ def _gk15(f, lo, hi):
     # one call of f on the flat array of all their nodes.
     half = 0.5 * (hi - lo)
     mid = 0.5 * (lo + hi)
-    fx = np.asarray(f((mid[:, None] + half[:, None] * _XK).ravel()), dtype=complex).reshape(-1, 15)
-    k15 = half * np.sum(_WK * fx, axis=1)
-    g7 = half * np.sum(_WG * fx[:, 1::2], axis=1)
+    x = (mid[:, None] + half[:, None] * _XK).ravel()
+    fx = np.asarray(f(x), dtype=complex)
+    if fx.shape != x.shape:
+        raise ValueError(f"adaptive_quad_1d: f returned shape {fx.shape} for input shape {x.shape}")
+    fx = fx.reshape(-1, 15)
+    k15 = half * (_WK * fx).sum(axis=1)
+    g7 = half * (_WG * fx[:, 1::2]).sum(axis=1)
     # |K15 - G7| tracks the error of the *Gauss* value and therefore
     # overestimates the returned Kronrod value's error; kept raw so the
     # estimate stays a usable upper bound.  hypot, not np.abs: numpy's
     # complex-array abs differs from the scalar one in the last bit.
     d = k15 - g7
-    return k15.tolist(), np.hypot(d.real, d.imag).tolist()
+    return k15, np.hypot(d.real, d.imag)
 
 
 def _bisect_panels(f, lo, hi, tol):
-    # every panel of lo, hi (at most _BUDGET) to completion: its value,
-    # summed over its intervals in order, its error estimate and its count
-    vals, errs = _gk15(f, lo, hi)
-    # Heap entry: (-err, count, lo, hi, value, children or None); count is
-    # unique in a panel, so entries compare on (-err, count) alone.
-    heaps = [[(-e, 0, l, h, v, None)] for l, h, v, e in zip(lo.tolist(), hi.tolist(), vals, errs)]
-    total_err = errs
-    count = [1] * len(heaps)
-    active = [i for i, e in enumerate(total_err) if e > tol and count[i] < _MAX_SUBDIVISIONS]
-    while active:
-        width = max(1, _BUDGET // len(active))
-        tops, edges = [], []
-        for i in active:
-            heap = heaps[i]
-            top = [heapq.heappop(heap)]
-            while len(top) < width and heap:
-                top.append(heapq.heappop(heap))
-            tops.append(top)
-            for _, _, l, h, _, kids in top:
-                if kids is None:
-                    mid = 0.5 * (l + h)
-                    edges += (l, mid, mid, h)
-        child_lo, child_hi = np.array(edges).reshape(-1, 2).T
-        vals, errs = _gk15(f, child_lo, child_hi)
-        fresh = zip(vals[0::2], errs[0::2], vals[1::2], errs[1::2])
-        still = []
-        for i, top in zip(active, tops):
-            heap, n = heaps[i], 0
-            for t in top:
-                if n and heap[0] < t:  # a child of this round comes first: wait for its children
-                    still.append(i)
-                    break
-                neg_err, _, l, h, _, kids = t
-                v1, e1, v2, e2 = kids or next(fresh)
-                total_err[i] += neg_err  # remove this interval's estimate
-                mid = 0.5 * (l + h)
-                heapq.heappush(heap, (-e1, count[i], l, mid, v1, None))
-                heapq.heappush(heap, (-e2, count[i] + 1, mid, h, v2, None))
-                total_err[i] += e1 + e2
-                count[i] += 2
-                n += 1
-                if (h - l < 1e-15 * max(1.0, abs(l) + abs(h))  # at machine resolution
-                        or not total_err[i] > tol or count[i] >= _MAX_SUBDIVISIONS):
-                    break
-            else:
-                still.append(i)
-            for neg_err, k, l, h, v, kids in top[n:]:
-                heapq.heappush(heap, (neg_err, k, l, h, v, kids or next(fresh)))
-        active = still
-    values = [complex(np.sum(np.array([item[4] for item in sorted(heap, key=lambda t: t[2])])))
-              for heap in heaps]
-    return values, total_err, count
+    # every panel of lo, hi (at most _BUDGET) to completion.  A row of iv is
+    # an interval (estimate, lo, hi, Re and Im of its value, panel).
+    val, err = _gk15(f, lo, hi)
+    iv = np.column_stack((err, lo, hi, val.view(float).reshape(-1, 2), np.arange(lo.size)))
+    n = np.ones(lo.size, dtype=int)
+    half_cap = (_MAX_SUBDIVISIONS + 2) // 2  # n intervals are 2n - 1 subdivisions
+    live = n < half_cap  # neither at the cap nor at machine resolution
+    res = 2e-15 * max(1.0, np.abs(lo).max(), np.abs(hi).max())  # no wider interval is at machine resolution
+    deep = math.log2((hi - lo).min() / res)  # a round halves widths at most once: rounds before any is
+    values, ests, counts = [None] * lo.size, [0.0] * lo.size, [0] * lo.size
+    while True:
+        # by panel, worst first; the sort is stable, so ties keep their age
+        iv = iv.take(np.lexsort((-iv[:, 0], iv[:, 5])), axis=0)
+        ends = n.cumsum()
+        starts = ends - n
+        total = np.add.reduceat(iv[:, 0], starts)
+        # reduceat's sum is within N * 2**-53 of fsum's: closer to tol, fsum decides
+        go = (total > tol * (1 + 4e-16 * len(iv))) & live
+        if np.count_nonzero(go) < go.size:
+            for r in (~go).nonzero()[0]:
+                ints = iv[starts[r]:ends[r]]
+                i = int(ints[0, 5])
+                values[i] = complex(ints[:, 3:5].take(ints[:, 1].argsort(), axis=0).view(complex).sum())
+                ests[i], counts[i] = math.fsum(ints[:, 0].tolist()), 2 * int(n[r]) - 1
+                go[r] = ests[i] > tol and live[r]
+            if not go.any():
+                return values, ests, counts
+            iv, n, live, total = iv.compress(go.repeat(n), axis=0), n[go], live[go], total[go]
+            ends = n.cumsum()
+            starts = ends - n
+        # Split each interval whose estimate, with those after it, exceeds tol:
+        # one-at-a-time bisection would split it before the total reached tol.
+        # Each panel is scaled by its total, so the running sum's rounding is relative to it.
+        inv = 1.0 / total
+        run = (iv[:, 0] * inv.repeat(n)).cumsum()
+        cut = np.maximum(run.searchsorted(run[ends - 1] - tol * inv), starts) + 1
+        if 2 * len(iv) >= half_cap:  # else no panel can reach the cap
+            live &= cut < starts + half_cap - n
+            cut = np.minimum(cut, starts + half_cap - n)
+        split = np.arange(len(iv)) < cut.repeat(n)
+        kids = iv.compress(split, axis=0).repeat(2, axis=0)
+        l, h = kids[0::2, 1], kids[1::2, 2]
+        kids[0::2, 2] = kids[1::2, 1] = 0.5 * (l + h)
+        for s in range(0, len(kids), 2 * _BUDGET):
+            part = kids[s:s + 2 * _BUDGET]
+            v, part[:, 0] = _gk15(f, part[:, 1], part[:, 2])
+            part[:, 3:5] = v.view(float).reshape(-1, 2)
+        deep -= 1
+        if deep < 0:  # a panel that split an interval at machine resolution stops
+            tiny = h - l < 1e-15 * np.maximum(1.0, np.abs(l) + np.abs(h))
+            live[np.searchsorted(starts, split.nonzero()[0][tiny], side="right") - 1] = False
+        iv = np.concatenate((iv.compress(~split, axis=0), kids))
+        n += cut - starts
 
 
 def adaptive_quad_1d(f, a, b, tol: float = 1e-12) -> AdaptiveResult:
@@ -184,19 +184,17 @@ def adaptive_quad_1d(f, a, b, tol: float = 1e-12) -> AdaptiveResult:
 
     Bisects the interval with the largest error estimate of an embedded
     7/15-point Gauss-Kronrod pair until the summed estimate drops below
-    ``tol`` or the subdivision cap (1e6) is reached.  ``f`` must accept a
-    1-D numpy array.
+    ``tol`` or the subdivision cap (1e6) is reached.
 
     ``a`` and ``b`` may also be equal-length sequences of panels.  Each
     panel is bisected on its own, to its own ``tol``, exactly as a single
     interval would be, and the panel values are summed in panel order.
-    The panels run in groups of at most ``_BUDGET`` (128), each group to
-    completion before the next, so memory does not grow with the number of
-    panels.  Each call of ``f`` takes the ``max(1, _BUDGET // panels)``
-    worst intervals of each unfinished panel of the group and evaluates the
-    children of those that have none; the result does not depend on this
-    batching.  Endpoints must be finite with a < b, and ``tol`` finite and
-    at least 1e-14.
+    The panels run in groups of at most ``_BUDGET`` (128), each to
+    completion, so memory does not grow with their number; ``f`` gets the
+    children of a round in calls of at most ``2 * _BUDGET`` intervals.
+    ``est_error`` is the ``math.fsum`` of the final estimates, the sum the
+    stop test reads.  Endpoints must be finite with a < b, ``tol`` finite
+    and at least 1e-14, and ``f`` must map a 1-D array to one value per point.
     """
     if not (tol >= 1e-14 and math.isfinite(tol)):
         raise ValueError(f"adaptive_quad_1d needs a finite tol >= 1e-14, got {tol}")
@@ -229,12 +227,11 @@ def acoustics_reference(omega: float, a: float = 1.0, b: float = 2.0, tol: float
         (i/w) int_0^a (exp(i w x) - exp(i w sqrt(x^2 + b^2))) cos(x) dx,
 
     which is evaluated adaptively.  For ``w > 2000`` the range is split into
-    ``ceil(w/100)`` panels first to keep each subdivision queue shallow.
-    All panels go into one ``adaptive_quad_1d`` call, which bisects them
-    128 at a time; no integrand call evaluates more than 128 panels or the
-    children of more than 128 intervals.  ``omega``, ``a`` and ``b`` must
-    be finite and > 0, and ``omega <= 1e6`` (10^4 panels), or ValueError is
-    raised before any panel is built.  A panel that stalls before ``tol``
+    ``ceil(w/100)`` panels first to keep each panel's partition shallow,
+    all in one ``adaptive_quad_1d`` call.  ``omega``, ``a`` and ``b`` must
+    be finite and > 0, and ``omega <= 1e6`` (10^4 panels), or ValueError
+    is raised before any panel is built; a result that is not finite
+    raises ValueError naming omega.  A panel that stalls before ``tol``
     raises ``OracleNotConverged`` naming omega and the panel.
     """
     for name, arg in (("omega", omega), ("a", a), ("b", b)):
@@ -254,4 +251,6 @@ def acoustics_reference(omega: float, a: float = 1.0, b: float = 2.0, tol: float
         raise OracleNotConverged(
             f"acoustics reference stalled on panel {i} [{edges[i]}, {edges[i + 1]}] at omega={omega}"
         )
-    return 1j / omega * res.value
+    if not np.isfinite(value := 1j / omega * res.value):
+        raise ValueError(f"acoustics_reference is not finite at omega={omega}: got {value}")
+    return value
