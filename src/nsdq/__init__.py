@@ -13,7 +13,6 @@ from .rules import (
     clenshaw_curtis,
     exp_power_moment,
     gauss_exp_power,
-    integrate,
     trapezoid_periodic,
 )
 from .specfun import EULER_GAMMA, cos_int, ellipsoid_reference, sin_int

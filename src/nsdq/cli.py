@@ -7,10 +7,10 @@ Usage::
 
 Omega grids are either comma-separated lists ("10,100,1000") or
 logarithmic ranges "min:max:count".  An option the chosen experiment does
-not read is a usage error.  Exit codes: 0 on success, 1 on usage errors,
-2 when a reference oracle fails to converge, 3 when a descent path cannot
-be traced (``PathError``, such as a sphere row near the shadow boundary);
-each error is one line on stderr.
+not read is a usage error.  Exit codes: 0 on success, 1 on usage errors and
+unwritable output files, 2 when a reference oracle fails to converge, 3 when
+a descent path cannot be traced (``PathError``, such as a sphere row near
+the shadow boundary); each error is one line on stderr.
 """
 
 from __future__ import annotations
@@ -95,6 +95,16 @@ def _build_parser() -> _Parser:
     return p
 
 
+def _write(path, text):
+    # one output file; a path that cannot be written is one error line and exit 1
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        sys.stderr.write(f"nsdq: error: cannot write {path}: {exc.strerror or exc}\n")
+        sys.exit(_USAGE_EXIT)
+
+
 def _run(args) -> int:
     run, reads = _EXPERIMENTS[args.experiment]
     unread = [dest for dest in _OPTIONS if getattr(args, dest) is not None and dest not in reads]
@@ -126,18 +136,15 @@ def _run(args) -> int:
     if args.out == "-":
         sys.stdout.write(text)
     else:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        _write(args.out, text)
 
     if args.experiment == "sphere":
         sys.stderr.write(experiments.sphere_table(rows) + "\n")
 
     if args.dump_inner_grid:
         grid = experiments.ellipsoid_inner_grid(float(np.max(omega)), **given)
-        with open(args.dump_inner_grid, "w") as fh:
-            fh.write("phi1,phi2,abs_qr\n")
-            for phi1, phi2, qr in grid:
-                fh.write(f"{phi1:.17g},{phi2:.17g},{qr:.17g}\n")
+        lines = (f"{phi1:.17g},{phi2:.17g},{qr:.17g}\n" for phi1, phi2, qr in grid)
+        _write(args.dump_inner_grid, "phi1,phi2,abs_qr\n" + "".join(lines))
     return 0
 
 

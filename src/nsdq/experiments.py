@@ -130,7 +130,7 @@ def _omega_array(omega_grid):
     oms = np.sort(np.asarray(list(omega_grid), dtype=float))
     if len(oms) == 0 or not np.all(np.isfinite(oms)) or oms[0] <= 0:
         raise ValueError(f"omega grid must be non-empty, finite and positive, got omega={oms}")
-    return oms
+    return oms.tolist()
 
 
 def run_ellipsoid(omega_grid, m: int = 8, outer_cc: int = 50, outer_trap: int = 50):
@@ -146,10 +146,10 @@ def run_ellipsoid(omega_grid, m: int = 8, outer_cc: int = 50, outer_trap: int = 
     plan = OuterPlan.for_region(region, cc=outer_cc, trap=outer_trap)
     rows = []
     for om in oms:
-        sc = scenes.ellipsoid_scene(float(om))
+        sc = scenes.ellipsoid_scene(om)
         approx = integrate_unbounded(sc, region, plan, m)
         rows.append(ExperimentRow(
-            float(om), approx, ellipsoid_reference(float(om)),
+            om, approx, ellipsoid_reference(om),
             params={"m": m, "outer_cc": outer_cc, "outer_trap": outer_trap},
         ))
     return rows
@@ -161,10 +161,8 @@ def ellipsoid_inner_grid(omega: float, m: int = 8, outer_cc: int = 50, outer_tra
     region = scenes.default_region("ellipsoid")
     plan = OuterPlan.for_region(region, cc=outer_cc, trap=outer_trap)
     mesh, _ = _outer_grid(region, plan)
-    q = np.abs(_central_grid(sc, mesh, m))
-    phi1 = np.broadcast_to(mesh[0], q.shape)
-    phi2 = np.broadcast_to(mesh[1], q.shape)
-    return np.column_stack([phi1.ravel(), phi2.ravel(), q.ravel()])
+    q = np.abs(_central_grid(sc, mesh, [m])[0])  # on the full meshgrid, so q.shape is the mesh's
+    return np.column_stack([mesh[0].ravel(), mesh[1].ravel(), q.ravel()])
 
 
 def _duct_polar_central(omega, n_gl, a, b, plan):
@@ -207,7 +205,6 @@ def run_duct(omega_grid, n_gl: int = 8, n_gh: int | None = None, a: float = 1.0,
 
     rows = []
     for om in oms:
-        om = float(om)
         if mode == "corner":
             approx = _duct_polar_central(om, n_gl, a, b, plan) - \
                 rectangle_corner_contributions(f_polar, a, b, om, n_gl, n_gh)
@@ -276,7 +273,6 @@ def run_sphere_scatter(k_grid, psi_grid=(0.0, math.pi / 10, math.pi / 5, math.pi
     rows = []
     for psi in psis:
         for k in ks:
-            k = float(k)
             try:
                 w0, w0c, w0h = _outer_sums(scenes.sphere_scatter_scene(k, psi), region, plan, m, m + 3,
                                             mirror=True)
@@ -329,7 +325,7 @@ def run_example1(omega_grid, m: int = 4, outer_cc: int = 10):
                reason=" (the direct row takes a 2m-point Hermite rule)")
     outer_cc = _count("run_example1", "outer_cc", outer_cc, 2)
     oms = _omega_array(omega_grid)
-    for om in map(float, oms):
+    for om in oms:
         _check_rectangle("rectangle_direct_terms", 1.0, 1.0, om)  # the direct row's check
         den = 2.0 * om * om
         if not (0.0 < den < math.inf and math.pi / den < math.inf):
@@ -340,7 +336,6 @@ def run_example1(omega_grid, m: int = 4, outer_cc: int = 10):
     one = lambda x, y: 1.0 + 0.0 * x
     rows = []
     for om in oms:
-        om = float(om)
         ref = complex(-math.pi / (2.0 * om * om))
         sc = scenes.quarter_plane_scene(om)
         rows.append(ExperimentRow(

@@ -278,8 +278,8 @@ def _descent_sums(scene: RadialScene, angles, rules, samples) -> list:
     return sums
 
 
-def _central_grid(scene: RadialScene, angles, m):
-    """Pre-quadrature value Q_r over a direction grid.
+def _central_grid(scene: RadialScene, angles, sizes) -> list:
+    """Pre-quadrature values Q_r over a direction grid, one grid per radial rule size.
 
     Q_r(Theta) = alpha/(n w) sum_j w_j x_j^(alpha-1-d)
                  f(rho_0(x_j^alpha / w)) d(rho_0^n)/dp (x_j^alpha / w)
@@ -290,17 +290,14 @@ def _central_grid(scene: RadialScene, angles, m):
     Jacobian inside the product, which is evaluated at strictly positive
     nodes.
 
-    ``m`` is one rule size, or a 1-D integer array of sizes: then the paths
-    are traced once, on all the rules' nodes (``_descent_sums``), and the
-    Q_r of each size are stacked on a trailing axis, in the order given, so
-    that an array over the sizes broadcasts against the result.
+    ``sizes`` is a list of rule sizes m, and the result a list of Q_r
+    grids, one per size in that order: the paths are traced once, on all
+    the rules' nodes (``_descent_sums``).  One size is a list of one.
     """
     alpha, d = scene.alpha, _weight_degree(scene)
-    sizes = [int(size) for size in m] if isinstance(m, np.ndarray) else [m]
-    rules = [_in_p(gauss_exp_power(size, alpha, d), alpha, scene.omega, d) for size in sizes]
-    sums = _descent_sums(scene, angles, rules, _origin_samples)
-    q = np.stack(sums, axis=-1) if isinstance(m, np.ndarray) else sums[0]
-    return q * (alpha / (scene.n * scene.omega))
+    rules = [_in_p(gauss_exp_power(m, alpha, d), alpha, scene.omega, d) for m in sizes]
+    scale = alpha / (scene.n * scene.omega)
+    return [q * scale for q in _descent_sums(scene, angles, rules, _origin_samples)]
 
 
 def _boundary_grid(scene: RadialScene, angles, m: int, G):
@@ -317,6 +314,12 @@ def _boundary_grid(scene: RadialScene, angles, m: int, G):
     return np.exp(1j * scene.omega * G) * total / (scene.n * scene.omega)
 
 
+def _finite(scene: RadialScene, total: complex) -> complex:
+    if not cmath.isfinite(total):
+        raise ValueError(f"scene {scene.name!r}: the outer sum is not finite at omega={scene.omega}")
+    return total
+
+
 def _outer_sums(scene: RadialScene, region: AngularRegion, plan: OuterPlan, m: int,
                 m_companion: int | None = None, mirror: bool = False) -> list:
     """The outer sum ``sum(w * Q_r)`` of ``integrate_unbounded``, in a list.
@@ -326,9 +329,8 @@ def _outer_sums(scene: RadialScene, region: AngularRegion, plan: OuterPlan, m: i
     outer grid, and the value's own Q_r on every other node of the last
     axis with doubled weights.  The value's and the companion's Q_r come
     from one ``_central_grid`` call, so their paths are one trace (one
-    Newton solve for traced paths) on the union of both rules' nodes, in
-    the one ``_descent_sums`` that a single size also takes.  The last
-    axis must be a periodic trapezoid with an even count, so the third sum
+    Newton solve for traced paths) on the union of both rules' nodes.  The
+    last axis must be a periodic trapezoid with an even count, so the third sum
     is the nested N/2 trapezoid; it costs no scene evaluation.  A non-finite
     sum (at a huge omega) raises ValueError naming the scene and omega.
 
@@ -349,19 +351,13 @@ def _outer_sums(scene: RadialScene, region: AngularRegion, plan: OuterPlan, m: i
                              f"count, got n = {region.n}, {region.intervals} and {plan.counts}")
         traced = (mesh[0][:plan.counts[0] // 2 + 1],)
     with np.errstate(all="ignore"):
-        q = _central_grid(scene, traced, m if m_companion is None else np.array([m, m_companion]))
+        qs = _central_grid(scene, traced, [m] if m_companion is None else [m, m_companion])
         if mirror:
-            q = np.concatenate([q, q[-2:0:-1]])  # q[N - k] = q[k], k = 1 ... N/2 - 1
-        if m_companion is None:
-            terms = [(w, q)]
-        else:
-            q, qc = q[..., 0], q[..., 1]
-            half = (..., slice(None, None, 2))
-            terms = [(w, q), (w, qc), (2.0 * w[half], q[half])]
-        sums = [complex(np.sum(w * q)) for w, q in terms]
-    if not all(cmath.isfinite(total) for total in sums):
-        raise ValueError(f"scene {scene.name!r}: the outer sum is not finite at omega={scene.omega}")
-    return sums
+            qs = [np.concatenate([q, q[-2:0:-1]]) for q in qs]  # q[N - k] = q[k], k = 1 ... N/2 - 1
+        terms = [(w, q) for q in qs]
+        if m_companion is not None:
+            terms.append((2.0 * w[..., ::2], qs[0][..., ::2]))
+        return [_finite(scene, complex(np.sum(w * q))) for w, q in terms]
 
 
 def integrate_unbounded(scene: RadialScene, region: AngularRegion, plan: OuterPlan, m: int) -> complex:
@@ -490,7 +486,7 @@ def integrate_star_shaped(scene: RadialScene, region: AngularRegion, plan: Outer
     neither part, so the rule first samples Re dg/dr at 32 interior radii
     of every outer ray, in one ``d_oscillator`` call, and raises PathError
     on a sign change or a zero, naming the scene, the ray and the bracket
-    in rho.
+    in rho.  A non-finite value raises ValueError, as in ``integrate_unbounded``.
     """
     if scene.boundary_radius is None:
         raise ValueError("integrate_star_shaped needs a bounded scene")
@@ -500,13 +496,14 @@ def integrate_star_shaped(scene: RadialScene, region: AngularRegion, plan: Outer
     _check_no_radial_stationary_point(scene, mesh, R)
     G = np.asarray(scene.oscillator(R, *mesh), dtype=complex)
     constant = _boundary_is_constant(G)
-    q = _central_grid(scene, mesh, m)
-    if constant:
-        q = q - _boundary_grid(scene, mesh, m, G)
-    total = complex(np.sum(w * q))
+    with np.errstate(all="ignore"):  # _finite reports a non-finite total
+        q, = _central_grid(scene, mesh, [m])
+        if constant:
+            q = q - _boundary_grid(scene, mesh, m, G)
+        total = complex(np.sum(w * q))
     if not constant:
         total -= _oscillatory_boundary_term(scene, region, m, mesh, G)
-    return total
+    return _finite(scene, total)
 
 
 # --- rectangle decompositions ---------------------------------------------
@@ -516,11 +513,7 @@ def _check_rectangle(name, a, b, omega):
     if not (0 < a < math.inf and 0 < b < math.inf):
         raise ValueError(f"{name} needs finite rectangle sides 0 < a, b < inf, got a={a}, b={b}")
     # the terms are O(omega^-2); the corner sum's omega**2 raises OverflowError above about 1.34e154
-    try:
-        ok = omega > 0 and math.isfinite(float(omega) ** 2)
-    except OverflowError:
-        ok = False
-    if not ok:
+    if not (omega > 0 and math.isfinite(float(omega) * float(omega))):
         raise ValueError(f"{name} needs a finite omega > 0 whose square is finite, got omega={omega}")
 
 
@@ -556,17 +549,18 @@ def rectangle_corner_contributions(f_polar, a: float, b: float, omega: float,
     pl, wl = _in_p(gauss_exp_power(m_lag, 1, 0), 1, omega)
     ph, wh = _in_p(gauss_exp_power(m_herm, 2, 0), 2, omega)
     P, Qh, Ql = pl[:, None], ph[None, :], pl[None, :]  # p = s/omega in rows; q = t^2/omega, t/omega
+    total = 0j
     # corner, signed scale, start, q-nodes, angle path (theta, D), q-weights; Hermite at theta = 0, pi/2,
     # Laguerre at beta.  Adds I11, -I12, I21, -I22, each wl K wq, K = f(start + iq + ip, theta(q))/D(q)
-    corners = (("(1,1)", -2.0 * a, a, Qh, corner_h11(Qh, a), wh),
-               ("(1,2)", a, eta, Ql, corner_h12(Ql, a, b), wl),
-               ("(2,1)", b, eta, Ql, corner_h21(Ql, a, b), wl),
-               ("(2,2)", -2.0 * b, b, Qh, corner_h22(Qh, b), wh))
-    total = 0j
-    for corner, scale, start, Q, (theta, D), wq in corners:
-        K = f_polar(start + 1j * Q + 1j * P, theta) / D
-        _assert_finite(K, corner, omega)
-        total += (scale * cmath.exp(1j * omega * start) / omega**2) * (wl @ K @ wq)
+    with np.errstate(all="ignore"):  # _assert_finite reports a non-finite K (at a tiny or huge omega)
+        corners = (("(1,1)", -2.0 * a, a, Qh, corner_h11(Qh, a), wh),
+                   ("(1,2)", a, eta, Ql, corner_h12(Ql, a, b), wl),
+                   ("(2,1)", b, eta, Ql, corner_h21(Ql, a, b), wl),
+                   ("(2,2)", -2.0 * b, b, Qh, corner_h22(Qh, b), wh))
+        for corner, scale, start, Q, (theta, D), wq in corners:
+            K = f_polar(start + 1j * Q + 1j * P, theta) / D
+            _assert_finite(K, corner, omega)
+            total += (scale * cmath.exp(1j * omega * start) / omega**2) * (wl @ K @ wq)
     return complex(total)
 
 

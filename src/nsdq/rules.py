@@ -15,7 +15,8 @@ Three families cover everything the steepest-descent integrators need:
   full period.
 
 A rule is its nodes and weights (``QuadRule``) and nothing else: which
-family built it is the caller's business.  Rules are memoized, one shared
+family built it is the caller's business, and applying it is
+``rule.weights @ f(rule.nodes)``.  Rules are memoized, one shared
 read-only object per builder and arguments, because the convergence
 experiments request the same small rules thousands of times.
 
@@ -41,7 +42,6 @@ __all__ = [
     "gauss_exp_power",
     "clenshaw_curtis",
     "trapezoid_periodic",
-    "integrate",
 ]
 
 _MAX_POINTS = 64
@@ -289,19 +289,3 @@ def trapezoid_periodic(n: int, period: float) -> QuadRule:
         return period * np.arange(n) / n, np.full(n, period / n)
 
     return _memoized(("trap", n, float(period)), build)
-
-
-def integrate(rule: QuadRule, f) -> complex:
-    """Apply a rule to a scalar function: ``sum_j w_j f(x_j)``.
-
-    Summation runs left to right over ascending nodes so repeated calls are
-    bit-identical.  A non-finite integrand value raises with the offending
-    node in the message.
-    """
-    total = 0.0 + 0.0j
-    for x, w in zip(rule.nodes, rule.weights):
-        fx = complex(f(x))
-        if not (math.isfinite(fx.real) and math.isfinite(fx.imag)):
-            raise ValueError(f"integrand returned a non-finite value at node x={x!r}")
-        total += w * fx
-    return total

@@ -144,33 +144,27 @@ def _derivative(dg, z):
 def _continue(g, dg, base, p, seed, start, alpha, context, first=None):
     # Newton continuation of g(z) = base + i p over the rows of p, one
     # newton_descent call per row, for 1-D arrays of paths; ``first`` holds
-    # trusted roots at p[0] and their derivative, or is None.  Then the first
-    # row starts from seed(p[0]).  Far from its root a seed can converge to
-    # another branch, so that root is trusted only within 0.5 |seed - start|
-    # of the seed in every path.  Otherwise q = p[0] is divided by 4 until
-    # every root lies within 0.1 |seed(q) - start| of its seed, and those
-    # roots are continued geometrically up to p[0], 4 steps per octave.
+    # trusted roots at p[0] and their derivative, or is None: the one solve
+    # of all rows failed some path's root at p[0] (Newton, or the 0.5
+    # |seed - start| trust test: a seed far from its root can converge to
+    # another branch), and is not repeated.  Then q = p[0] / 4 is divided by
+    # 4 until every root lies within 0.1 |seed(q) - start| of its seed, and
+    # those roots are continued geometrically up to p[0], 4 steps per octave.
     # Every later row, ramp or node, starts from the tangent step in the
     # node variable (p^(1/alpha)), where the path is analytic.
-    def solve(q, tol):
-        # (roots, None), or (None, mask of the paths without a trusted root)
+    k = 0
+    while first is None:
+        k += 1
+        if k > _MAX_RAMP_QUARTERS:
+            raise PathError(f"no first path point near the series seed down to "
+                            f"p/4^{_MAX_RAMP_QUARTERS} {context}", failed)
+        q = p[0] / 4.0**k
         s = seed(q)
         z, err = newton_descent(g, dg, base + 1j * q, s, context=context)
-        if err is not None:
-            return None, err.failed
-        far = ~(np.abs(z - s) <= tol * np.abs(s - start))
-        return (None, far) if np.any(far) else (z, None)
-
-    k = 0
-    if first is None:
-        z, failed = solve(p[0], 0.5)
-        while z is None:
-            k += 1
-            if k > _MAX_RAMP_QUARTERS:
-                raise PathError(f"no first path point near the series seed down to "
-                                f"p/4^{_MAX_RAMP_QUARTERS} {context}", failed)
-            z, failed = solve(p[0] / 4.0**k, 0.1)
-        first = z, _derivative(dg, z)
+        # the paths without a trusted root: Newton failed, or the root lies far from its seed
+        failed = err.failed if err is not None else ~(np.abs(z - s) <= 0.1 * np.abs(s - start))
+        if not np.any(failed):
+            first = z, _derivative(dg, z)
     zs, dzs, prev = [first[0]], [first[1]], p[0] / 4.0**k
     for q in [*(np.geomspace(prev, p[0], 8 * k + 1)[1:] if k else ()), *p[1:]]:
         step = alpha * prev * ((q / prev) ** (1.0 / alpha) - 1.0)

@@ -1,3 +1,4 @@
+import errno
 import json
 import math
 import os
@@ -507,6 +508,23 @@ def test_cli_huge_omega_is_one_error_line(experiment, omega, says):
     assert res.stdout == ""
     assert res.stderr.startswith("nsdq: error: ") and res.stderr.count("\n") == 1
     assert says in res.stderr
+
+
+@pytest.mark.parametrize("flag, target, reason", [
+    ("--out", "missing/x.csv", errno.ENOENT),
+    ("--out", ".", errno.EISDIR),
+    ("--dump-inner-grid", "missing/g.csv", errno.ENOENT),
+], ids=["out-missing-dir", "out-is-a-directory", "dump-missing-dir"])
+def test_cli_unwritable_output_is_one_error_line(tmp_path, flag, target, reason):
+    # the rows are computed, then the write fails: exit 1 and one stderr
+    # line naming the path and the reason, no traceback.  The dump comes
+    # after the table, which is already on stdout
+    path = str(tmp_path / target)
+    res = _run_cli("run", "--experiment", "ellipsoid", "--omega", "100", "--radial-points", "4",
+                   "--outer-cc", "6", "--outer-trap", "6", flag, path)
+    assert res.returncode == 1
+    assert res.stderr == f"nsdq: error: cannot write {path}: {os.strerror(reason)}\n"
+    assert res.stdout.startswith("omega,") == (flag == "--dump-inner-grid")
 
 
 @pytest.mark.parametrize("spec", ["1:inf:3", "1:nan:3", "1:2:1.5", "a:2:3"])

@@ -155,8 +155,9 @@ _RAMP_QUARTERS = {1.5: 8, 1.3: 6}
 def test_first_point_ramp(psi, ps, angles, monkeypatch):
     # Newton from the series seed at the first p lands on another root here
     # (or diverges), so the path fails the branch check of the one solve of
-    # all rows; its continuation divides p by 4 until the seed is trusted,
-    # then ramps up geometrically, 8 steps per quartering.  The roots must be
+    # all rows; its continuation divides p by 4 until the seed is trusted
+    # (from p/4: the first p is not solved again), then ramps up
+    # geometrically, 8 steps per quartering.  The roots must be
     # the branch of a fine continuation, not just any root of g = i p.
     sc = scenes.sphere_scatter_scene(50.0, psi)
     calls = []
@@ -168,7 +169,7 @@ def test_first_point_ramp(psi, ps, angles, monkeypatch):
     monkeypatch.setattr(univariate, "newton_descent", counted)
     rho, _ = _origin_samples(sc, angles, np.array(ps))
     k = _RAMP_QUARTERS[psi]
-    assert len(calls) == 1 + (1 + k + 8 * k + (len(ps) - 1))
+    assert len(calls) == 1 + (k + 8 * k + (len(ps) - 1))
     p = _column(np.array(ps), angles)
     assert np.all(np.abs(sc.oscillator(rho, *angles) - 1j * p) <= 1e-12 * (1 + p))
     monkeypatch.undo()

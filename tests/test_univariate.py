@@ -131,7 +131,8 @@ def test_endpoint_first_row_ramp(monkeypatch):
     # g = z + c z^2 at x = 0, w = 1: the first node's root lies 0.73 |seed|
     # from the seed i p, beyond the 0.5 trust radius, so the path fails the
     # branch check of the one solve of all rows, and the continuation ramps
-    # up from p/4^3 (1 + 3 + 8 * 3 calls) before the other m - 1 rows
+    # up from p/4^3 (3 + 8 * 3 calls: p/4, p/16 and p/64 are tried, and p
+    # itself is not solved again) before the other m - 1 rows
     c, m = 30.0, 8
     calls, paths = [], []
 
@@ -145,7 +146,7 @@ def test_endpoint_first_row_ramp(monkeypatch):
 
     monkeypatch.setattr(univariate, "newton_descent", counted)
     endpoint_contribution(f, lambda z: z + c * z * z, [0.0], 1.0, m, dg=lambda z: 1.0 + 2.0 * c * z)
-    assert len(calls) == 1 + (1 + 3 + 8 * 3 + (m - 1))
+    assert len(calls) == 1 + (3 + 8 * 3 + (m - 1))
     p = gauss_exp_power(m, 1, 0).nodes
     exact = (-1.0 + np.sqrt(1.0 + 4.0 * c * 1j * p)) / (2.0 * c)
     assert np.max(np.abs(paths[0][:, 0] - exact) / np.abs(exact)) <= 1e-13
@@ -188,7 +189,9 @@ def test_failing_paths_resume_from_their_last_kept_row(monkeypatch):
     # the ellipse at w = 10: from the series seeds the last two node rows of
     # every endpoint path do not converge, so the continuation takes over
     # from the last row all of them kept (one call of all rows, then one per
-    # row left) and agrees with continuing every path from its first row
+    # row left) and agrees with continuing every path from its first row,
+    # which failed the forced branch check and so is ramped from p/4 (one
+    # call at p/4, 8 up to p, then 7 rows)
     from nsdq import polar, scenes
 
     region = scenes.default_region("ellipse")
@@ -205,7 +208,7 @@ def test_failing_paths_resume_from_their_last_kept_row(monkeypatch):
     assert calls == [(8, 8), (8,), (8,)]
     monkeypatch.setattr(univariate, "_on_branch", lambda z, *args: np.zeros(z.shape, dtype=bool))
     full = run()
-    assert len(calls) == 3 + 1 + 1 + 7
+    assert len(calls) == 3 + 1 + (1 + 8) + 7
     assert abs(value - full) <= 1e-14 * abs(full)
 
 
