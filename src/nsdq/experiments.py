@@ -161,7 +161,7 @@ def ellipsoid_inner_grid(omega: float, m: int = 8, outer_cc: int = 50, outer_tra
     region = scenes.default_region("ellipsoid")
     plan = OuterPlan.for_region(region, cc=outer_cc, trap=outer_trap)
     mesh, _ = _outer_grid(region, plan)
-    q = np.abs(_central_grid(sc, mesh, [m])[0])  # on the full meshgrid, so q.shape is the mesh's
+    q = np.abs(_central_grid(sc, mesh, np.array([m]))[..., 0])  # on the full meshgrid, so q.shape is the mesh's
     return np.column_stack([mesh[0].ravel(), mesh[1].ravel(), q.ravel()])
 
 

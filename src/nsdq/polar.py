@@ -46,6 +46,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -278,8 +279,8 @@ def _descent_sums(scene: RadialScene, angles, rules, samples) -> list:
     return sums
 
 
-def _central_grid(scene: RadialScene, angles, sizes) -> list:
-    """Pre-quadrature values Q_r over a direction grid, one grid per radial rule size.
+def _central_grid(scene: RadialScene, angles, sizes: np.ndarray):
+    """Pre-quadrature values Q_r over a direction grid, one per radial rule size.
 
     Q_r(Theta) = alpha/(n w) sum_j w_j x_j^(alpha-1-d)
                  f(rho_0(x_j^alpha / w)) d(rho_0^n)/dp (x_j^alpha / w)
@@ -290,14 +291,17 @@ def _central_grid(scene: RadialScene, angles, sizes) -> list:
     Jacobian inside the product, which is evaluated at strictly positive
     nodes.
 
-    ``sizes`` is a list of rule sizes m, and the result a list of Q_r
-    grids, one per size in that order: the paths are traced once, on all
-    the rules' nodes (``_descent_sums``).  One size is a list of one.
+    ``sizes`` is a 1-D integer array of rule sizes m: the paths are traced
+    once, on all the rules' nodes (``_descent_sums``), and the Q_r of each
+    size are stacked on a trailing axis, in the order given, so that an
+    array over the sizes broadcasts against the result.  One size is an
+    array of one, and its grid is ``[..., 0]``.
     """
     alpha, d = scene.alpha, _weight_degree(scene)
-    rules = [_in_p(gauss_exp_power(m, alpha, d), alpha, scene.omega, d) for m in sizes]
-    scale = alpha / (scene.n * scene.omega)
-    return [q * scale for q in _descent_sums(scene, angles, rules, _origin_samples)]
+    rules = [_in_p(gauss_exp_power(int(m), alpha, d), alpha, scene.omega, d) for m in sizes]
+    q = np.stack(_descent_sums(scene, angles, rules, _origin_samples), axis=-1)
+    q *= alpha / (scene.n * scene.omega)
+    return q
 
 
 def _boundary_grid(scene: RadialScene, angles, m: int, G):
@@ -351,12 +355,12 @@ def _outer_sums(scene: RadialScene, region: AngularRegion, plan: OuterPlan, m: i
                              f"count, got n = {region.n}, {region.intervals} and {plan.counts}")
         traced = (mesh[0][:plan.counts[0] // 2 + 1],)
     with np.errstate(all="ignore"):
-        qs = _central_grid(scene, traced, [m] if m_companion is None else [m, m_companion])
+        q = _central_grid(scene, traced, np.array([m] if m_companion is None else [m, m_companion]))
         if mirror:
-            qs = [np.concatenate([q, q[-2:0:-1]]) for q in qs]  # q[N - k] = q[k], k = 1 ... N/2 - 1
-        terms = [(w, q) for q in qs]
+            q = np.concatenate([q, q[-2:0:-1]])  # q[N - k] = q[k], k = 1 ... N/2 - 1
+        terms = [(w, q[..., j]) for j in range(q.shape[-1])]
         if m_companion is not None:
-            terms.append((2.0 * w[..., ::2], qs[0][..., ::2]))
+            terms.append((2.0 * w[..., ::2], q[..., ::2, 0]))
         return [_finite(scene, complex(np.sum(w * q))) for w, q in terms]
 
 
@@ -497,7 +501,7 @@ def integrate_star_shaped(scene: RadialScene, region: AngularRegion, plan: Outer
     G = np.asarray(scene.oscillator(R, *mesh), dtype=complex)
     constant = _boundary_is_constant(G)
     with np.errstate(all="ignore"):  # _finite reports a non-finite total
-        q, = _central_grid(scene, mesh, [m])
+        q = _central_grid(scene, mesh, np.array([m]))[..., 0]
         if constant:
             q = q - _boundary_grid(scene, mesh, m, G)
         total = complex(np.sum(w * q))
@@ -512,8 +516,8 @@ def integrate_star_shaped(scene: RadialScene, region: AngularRegion, plan: Outer
 def _check_rectangle(name, a, b, omega):
     if not (0 < a < math.inf and 0 < b < math.inf):
         raise ValueError(f"{name} needs finite rectangle sides 0 < a, b < inf, got a={a}, b={b}")
-    # the terms are O(omega^-2); the corner sum's omega**2 raises OverflowError above about 1.34e154
-    if not (omega > 0 and math.isfinite(float(omega) * float(omega))):
+    # the terms are O(omega^-2); the corner sum's omega**2 is finite exactly up to sqrt(max float)
+    if not 0 < omega <= math.sqrt(sys.float_info.max):
         raise ValueError(f"{name} needs a finite omega > 0 whose square is finite, got omega={omega}")
 
 

@@ -2,6 +2,7 @@ import cmath
 import dataclasses
 import math
 import re
+import sys
 import warnings
 
 import numpy as np
@@ -21,6 +22,7 @@ from nsdq.polar import (
     _boundary_phase,
     _boundary_samples,
     _central_grid,
+    _check_rectangle,
     _descent_sums,
     _origin_samples,
     _outer_grid,
@@ -77,7 +79,7 @@ def test_weight_degree_policy():
 @pytest.mark.parametrize("m", [1, 2, 5])
 def test_quarter_plane_central_value(m):
     sc = scenes.quarter_plane_scene(10.0)
-    q = complex(_central_grid(sc, (0.5,), [m])[0])
+    q = complex(_central_grid(sc, (0.5,), np.array([m]))[0])
     assert abs(q - (-0.01)) <= 1e-14
 
 
@@ -105,7 +107,7 @@ def test_ellipsoid_central_matches_descent_oracle():
         return sc.amplitude(rho, *angles) * jac * np.exp(-omega * p)
 
     oracle = adaptive_quad_1d(descent_integrand, 1e-14, 60.0 / omega, 1e-13).value / 3.0
-    got = complex(_central_grid(sc, angles, [10])[0])
+    got = complex(_central_grid(sc, angles, np.array([10]))[0])
     assert abs(got - oracle) <= 1e-10 * abs(oracle)
 
 
@@ -174,7 +176,7 @@ def test_full_sphere_factorization():
     region = scenes.default_region("ellipsoid")
     plan = OuterPlan.for_region(region, cc=20, trap=20)
     total = integrate_unbounded(sc, region, plan, 6)
-    q = complex(_central_grid(sc, (0.7, 1.1), [6])[0])
+    q = complex(_central_grid(sc, (0.7, 1.1), np.array([6]))[0])
     assert abs(total - 4 * math.pi * q) <= 1e-12 * abs(total)
 
 
@@ -855,6 +857,18 @@ def test_rectangle_omega_whose_square_overflows_is_rejected():
         rectangle_corner_contributions(duct_f_polar, 1.0, 2.0, 1.35e154, 8, 16)
     with pytest.raises(ValueError, match="rectangle_direct_terms" + omega):
         rectangle_direct_terms(lambda x, y: x, 1.0, 2.0, 1.35e154, 8)
+    # a Python int too large for a float is the same error, not a bare OverflowError
+    huge = re.escape(" needs a finite omega > 0 whose square is finite, got omega=" + str(10**400))
+    with pytest.raises(ValueError, match="rectangle_corner_contributions" + huge):
+        rectangle_corner_contributions(duct_f_polar, 1.0, 2.0, 10**400, 8, 16)
+    with pytest.raises(ValueError, match="rectangle_direct_terms" + huge):
+        rectangle_direct_terms(lambda x, y: x, 1.0, 2.0, 10**400, 8)
+    # the largest omega whose square is finite is accepted, the next float is not
+    largest = math.sqrt(sys.float_info.max)
+    assert math.isfinite(largest * largest)
+    _check_rectangle("check", 1.0, 2.0, largest)
+    with pytest.raises(ValueError, match="check needs a finite omega"):
+        _check_rectangle("check", 1.0, 2.0, math.nextafter(largest, math.inf))
 
 
 def test_non_finite_rectangle_integrand_names_omega():
@@ -1037,8 +1051,8 @@ def test_normalize_scene_quarter_plane_closed_form(c):
     exact = cmath.exp(1j * omega * c) * 1j / (2.0 * omega * (1.0 - 1j * omega))
     assert abs(value - exact) <= 1e-14 * abs(exact)
     # a single direction agrees with the same direction inside a grid
-    q = complex(_central_grid(sc, (0.7,), [8])[0])
-    grid, = _central_grid(sc, (np.array([0.7, 1.1]),), [8])
+    q = complex(_central_grid(sc, (0.7,), np.array([8]))[0])
+    grid = _central_grid(sc, (np.array([0.7, 1.1]),), np.array([8]))[..., 0]
     assert abs(q - grid[0]) <= 1e-14 * abs(q)
 
 
@@ -1140,16 +1154,15 @@ def test_streamed_jacobian_matches_the_whole_array_sum(case):
 
 
 def test_central_grid_columns_match_single_size_calls_on_closed_form_paths():
-    # the ellipsoid's closed-form paths: each Q_r grid of a two-size call
+    # the ellipsoid's closed-form paths: each column of a two-size call
     # is the single-size call's grid, bit for bit
     sc = scenes.ellipsoid_scene(300.0)
     region = AngularRegion.full(3)
     mesh, _ = _outer_grid(region, OuterPlan.for_region(region, cc=50, trap=50))
-    both = _central_grid(sc, mesh, [8, 11])
-    assert len(both) == 2 and all(q.shape == np.shape(mesh[0]) for q in both)
-    for q, m in zip(both, (8, 11)):
-        want, = _central_grid(sc, mesh, [m])
-        assert _same_bits(q, want)
+    both = _central_grid(sc, mesh, np.array([8, 11]))
+    assert both.shape == np.shape(mesh[0]) + (2,)
+    for j, m in enumerate((8, 11)):
+        assert _same_bits(both[..., j], _central_grid(sc, mesh, np.array([m]))[..., 0])
 
 
 @pytest.mark.parametrize("psi", [0.0, 0.314, 0.628, 1.047, 1.3, 1.5])
@@ -1171,13 +1184,12 @@ def test_one_trace_of_both_sphere_rules_matches_two_traces(psi, monkeypatch):
     for k in (50.0, 100.0, 150.0, 200.0):
         sc = scenes.sphere_scatter_scene(k, psi)
         calls.clear()
-        both = _central_grid(sc, mesh, [5, 8])
+        both = _central_grid(sc, mesh, np.array([5, 8]))
         shared_calls.append(len(calls))
-        assert [q.shape for q in both] == [(100,), (100,)]
-        for q, m in zip(both, (5, 8)):
-            single, = _central_grid(sc, mesh, [m])
-            want = complex(np.sum(w * single))
-            rel = abs(complex(np.sum(w * q)) - want) / abs(want)
+        assert both.shape == (100, 2)
+        for j, m in enumerate((5, 8)):
+            want = complex(np.sum(w * _central_grid(sc, mesh, np.array([m]))[..., 0]))
+            rel = abs(complex(np.sum(w * both[..., j])) - want) / abs(want)
             assert rel <= 1e-15, (k, m, rel)
     if psi <= 1.047:
         assert shared_calls == [1, 1, 1, 1]
