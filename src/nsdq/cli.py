@@ -51,7 +51,11 @@ def _parse_grid(spec: str):
 
 
 def _parse_list(spec: str):
-    return [float(v) for v in spec.split(",") if v.strip()]
+    # as the --psi type, an ArgumentTypeError is printed as it is, naming the flag
+    try:
+        return [float(v) for v in spec.split(",") if v.strip()]
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(exc) from None
 
 
 # experiment -> (its experiments.run_* function, {option it reads: keyword of
@@ -114,7 +118,7 @@ def _run(args) -> int:
         return _USAGE_EXIT
     try:
         omega = _parse_grid(args.omega)
-    except ValueError as exc:
+    except (ValueError, argparse.ArgumentTypeError) as exc:
         sys.stderr.write(f"nsdq: error: {exc}\n")
         return _USAGE_EXIT
 

@@ -37,7 +37,7 @@ from .polar import (
     _central_grid,
     _check_rectangle,
     _outer_grid,
-    _outer_sums,
+    _finite,
     integrate_unbounded,
     rectangle_corner_contributions,
     rectangle_direct_terms,
@@ -165,11 +165,6 @@ def ellipsoid_inner_grid(omega: float, m: int = 8, outer_cc: int = 50, outer_tra
     return np.column_stack([mesh[0].ravel(), mesh[1].ravel(), q.ravel()])
 
 
-def _duct_polar_central(omega, n_gl, a, b, plan):
-    return integrate_unbounded(scenes.duct_scene(omega, a, b), scenes.default_region("duct"),
-                               plan, n_gl)
-
-
 def run_duct(omega_grid, n_gl: int = 8, n_gh: int | None = None, a: float = 1.0, b: float = 2.0,
              mode: str = "corner", outer_cc: int = 30):
     """Rectangular-duct experiment against the reduced 1-D reference.
@@ -191,7 +186,8 @@ def run_duct(omega_grid, n_gl: int = 8, n_gh: int | None = None, a: float = 1.0,
     n_gh = _count("run_duct", "n_gh", 2 * n_gl if n_gh is None else n_gh, hi=_MAX_POINTS,
                   reason=" (n_gh defaults to 2 * n_gl)")
     outer_cc = _count("run_duct", "outer_cc", outer_cc, 2)
-    plan = OuterPlan.for_region(scenes.default_region("duct"), cc=outer_cc)
+    region = scenes.default_region("duct")
+    plan = OuterPlan.for_region(region, cc=outer_cc)
     oms = _omega_array(omega_grid)
     if oms[-1] > _MAX_OMEGA:
         raise ValueError(f"run_duct: the reference covers omega <= {_MAX_OMEGA:g}, got omega={oms[-1]:g}")
@@ -206,14 +202,14 @@ def run_duct(omega_grid, n_gl: int = 8, n_gh: int | None = None, a: float = 1.0,
     rows = []
     for om in oms:
         if mode == "corner":
-            approx = _duct_polar_central(om, n_gl, a, b, plan) - \
+            approx = integrate_unbounded(scenes.duct_scene(om, a, b), region, plan, n_gl) - \
                 rectangle_corner_contributions(f_polar, a, b, om, n_gl, n_gh)
         elif mode == "direct":
             t = rectangle_direct_terms(f_point, a, b, om, n_gl, n_gh)
             approx = t[(0.0, 0.0)] - t[(a, 0.0)] - t[(0.0, b)] + t[(a, b)]
         else:
             t = rectangle_direct_terms(f_point, a, b, om, n_gl, n_gh, outer_resonance_fix=True)
-            approx = _duct_polar_central(om, n_gl, a, b, plan) \
+            approx = integrate_unbounded(scenes.duct_scene(om, a, b), region, plan, n_gl) \
                 - t[(a, 0.0)] - t[(0.0, b)] + t[(a, b)]
         rows.append(ExperimentRow(
             om, complex(approx), acoustics_reference(om, a, b),
@@ -221,6 +217,17 @@ def run_duct(omega_grid, n_gl: int = 8, n_gh: int | None = None, a: float = 1.0,
                     "outer_cc": outer_cc},
         ))
     return rows
+
+
+def _sphere_sums(scene, theta, w, m):
+    # w0, w0c and w0h of run_sphere_scatter on the N-node trapezoid theta over
+    # [0, 2 pi), weights w: both rules' Q_r are one trace of theta_0 ... theta_(N/2)
+    # alone, since the kernel is even in theta and theta_(N-k) = -theta_k mod 2 pi
+    with np.errstate(all="ignore"):  # _finite reports a non-finite sum
+        q = _central_grid(scene, (theta[:len(theta) // 2 + 1],), np.array([m, m + 3]))
+        q = np.concatenate([q, q[-2:0:-1]])  # q[N - k] = q[k], k = 1 ... N/2 - 1
+        terms = ((w, q[:, 0]), (w, q[:, 1]), (2.0 * w[::2], q[::2, 0]))
+        return [_finite(scene, complex(np.sum(weights * values))) for weights, values in terms]
 
 
 def run_sphere_scatter(k_grid, psi_grid=(0.0, math.pi / 10, math.pi / 5, math.pi / 3),
@@ -235,18 +242,18 @@ def run_sphere_scatter(k_grid, psi_grid=(0.0, math.pi / 10, math.pi / 5, math.pi
         self_err = |w0 - w0c|/|w0| + d^2,   d = |w0 - w0h|/|w0|,
 
     where w0c takes the companion radial rule (m + 3 points) on the same N
-    directions, its paths traced in one Newton solve with those of w0 (see
-    ``polar._outer_sums``), and w0h sums the Q_r values of w0 on every
-    other direction with doubled weights (the nested N/2 trapezoid, no new
-    scene evaluation).  Only theta_0 ... theta_(N/2) are traced: the
-    scene's kernel is even in theta (``scenes.sphere_scatter_scene``), so
-    Q_r(theta_(N-k)) = Q_r(-theta_k) is read as Q_r(theta_k), which halves
-    the kernel evaluations and moves w0 by a few eps at most.  The
-    trapezoid converges geometrically on the smooth periodic angular
-    integrand, so d^2 stands for the error of the N-node rule, and the
-    companion gap for that of the radial rule.  The reference
-    column stays empty: the analytic comparison requires a Mie-series
-    evaluation, which this package does not ship.
+    directions, its paths traced in one Newton solve with those of w0, and
+    w0h sums the Q_r values of w0 on every other direction with doubled
+    weights (the nested N/2 trapezoid, no new scene evaluation); the three
+    sums are ``_sphere_sums``, on an outer grid built once per call.  Only
+    theta_0 ... theta_(N/2) are traced: the scene's kernel is even in theta
+    (``scenes.sphere_scatter_scene``), so Q_r(theta_(N-k)) = Q_r(-theta_k)
+    is read as Q_r(theta_k), which halves the kernel evaluations and moves
+    w0 by a few eps at most.  The trapezoid converges geometrically on the
+    smooth periodic angular integrand, so d^2 stands for the error of the
+    N-node rule, and the companion gap for that of the radial rule.  The
+    reference column stays empty: the analytic comparison requires a
+    Mie-series evaluation, which this package does not ship.
 
     Every input is checked before any row runs: each psi lies in
     [0, pi/2), m is an integer with m + 3 <= 64 and n_trap an even integer
@@ -269,13 +276,12 @@ def run_sphere_scatter(k_grid, psi_grid=(0.0, math.pi / 10, math.pi / 5, math.pi
         raise ValueError("run_sphere_scatter needs an even n_trap (the estimate also sums every "
                          f"other direction), got n_trap={n_trap}")
     region = scenes.default_region("sphere-scatter")
-    plan = OuterPlan.for_region(region, trap=n_trap)
+    (theta,), w = _outer_grid(region, OuterPlan.for_region(region, trap=n_trap))
     rows = []
     for psi in psis:
         for k in ks:
             try:
-                w0, w0c, w0h = _outer_sums(scenes.sphere_scatter_scene(k, psi), region, plan, m, m + 3,
-                                            mirror=True)
+                w0, w0c, w0h = _sphere_sums(scenes.sphere_scatter_scene(k, psi), theta, w, m)
             except PathError as err:
                 raise PathError(f"sphere row k={k!r}, psi={psi!r}: {err}", err.failed) from err
             d = abs(w0 - w0h) / abs(w0)

@@ -10,8 +10,9 @@ trapezoid).
 Main entry points
 -----------------
 ``integrate_unbounded``
-    Outer tensor rule over an angular box applied to the pre-quadrature
-    value Q_r, which captures the special point.
+    The one outer sum of the central rule: the outer tensor rule over an
+    angular box applied to the pre-quadrature value Q_r, which captures
+    the special point.
 ``integrate_star_shaped``
     The same for a star-shaped domain, minus its boundary term: by the
     plain outer rule when the boundary phase G = g(R(Theta), Theta) is
@@ -23,7 +24,8 @@ Main entry points
     angle at the stationary points of G, which a sign-change scan of
     dG/dtheta finds, and traces the paths of every interval endpoint
     together (``nsd_interval`` on arrays of edges) with it.  A phase that
-    is stationary inside the domain raises PathError.
+    is stationary inside the domain raises PathError; a total the two parts
+    cancel below 1e-7 of the central sum, ValueError.
 ``rectangle_corner_contributions``
     The closed-form corner decomposition of the boundary term for an
     axis-aligned rectangle with phase sqrt(x^2 + y^2), including the
@@ -324,55 +326,19 @@ def _finite(scene: RadialScene, total: complex) -> complex:
     return total
 
 
-def _outer_sums(scene: RadialScene, region: AngularRegion, plan: OuterPlan, m: int,
-                m_companion: int | None = None, mirror: bool = False) -> list:
-    """The outer sum ``sum(w * Q_r)`` of ``integrate_unbounded``, in a list.
-
-    With ``m_companion`` the list also holds the two sums an error estimate
-    reads, after the value: the companion radial rule's Q_r on the same
-    outer grid, and the value's own Q_r on every other node of the last
-    axis with doubled weights.  The value's and the companion's Q_r come
-    from one ``_central_grid`` call, so their paths are one trace (one
-    Newton solve for traced paths) on the union of both rules' nodes.  The
-    last axis must be a periodic trapezoid with an even count, so the third sum
-    is the nested N/2 trapezoid; it costs no scene evaluation.  A non-finite
-    sum (at a huge omega) raises ValueError naming the scene and omega.
-
-    ``mirror`` is for a scene whose Q_r is even in theta (the caller vouches
-    for that): on the N-node trapezoid over [0, 2 pi), theta_(N-k) is
-    -theta_k modulo 2 pi, so only theta_0 ... theta_(N/2) are traced and
-    Q_r(theta_(N-k)) is read as Q_r(theta_k).  The sums then run over the
-    full grid as without it.  It needs n = 2, a full-period axis from
-    theta = 0 and an even N, or raises ValueError.
-    """
-    _check_dimensions(scene, region, plan)
-    mesh, w = _outer_grid(region, plan)
-    traced = mesh
-    if mirror:
-        if not (region.n == 2 and region.axis_periodic(0) and region.intervals[0][0] == 0.0
-                and plan.counts[0] % 2 == 0):
-            raise ValueError(f"the mirrored trace needs n = 2 and a trapezoid over [0, 2 pi) with an even "
-                             f"count, got n = {region.n}, {region.intervals} and {plan.counts}")
-        traced = (mesh[0][:plan.counts[0] // 2 + 1],)
-    with np.errstate(all="ignore"):
-        q = _central_grid(scene, traced, np.array([m] if m_companion is None else [m, m_companion]))
-        if mirror:
-            q = np.concatenate([q, q[-2:0:-1]])  # q[N - k] = q[k], k = 1 ... N/2 - 1
-        terms = [(w, q[..., j]) for j in range(q.shape[-1])]
-        if m_companion is not None:
-            terms.append((2.0 * w[..., ::2], q[..., ::2, 0]))
-        return [_finite(scene, complex(np.sum(w * q))) for w, q in terms]
-
-
 def integrate_unbounded(scene: RadialScene, region: AngularRegion, plan: OuterPlan, m: int) -> complex:
     """Outer tensor rule applied to the central contribution over a cone.
 
-    Error: the outer rule's own error on the smooth integrand Q_r plus the
-    radial pre-quadrature error O(w^-((2m-1)/alpha)).  A non-finite value
-    (the scene overflows at a huge omega) raises ValueError.
+    The one outer sum of the central rule, ``sum(w * Q_r)``.  Error: the
+    outer rule's own error on the smooth integrand Q_r plus the radial
+    pre-quadrature error O(w^-((2m-1)/alpha)).  A non-finite value (the
+    scene overflows at a huge omega) raises ValueError.
     """
-    value, = _outer_sums(scene, region, plan, m)
-    return value
+    _check_dimensions(scene, region, plan)
+    mesh, w = _outer_grid(region, plan)
+    with np.errstate(all="ignore"):  # _finite reports a non-finite total
+        q = _central_grid(scene, mesh, np.array([m]))[..., 0]
+        return _finite(scene, complex(np.sum(w * q)))
 
 
 def _boundary_is_constant(G):
@@ -490,7 +456,9 @@ def integrate_star_shaped(scene: RadialScene, region: AngularRegion, plan: Outer
     neither part, so the rule first samples Re dg/dr at 32 interior radii
     of every outer ray, in one ``d_oscillator`` call, and raises PathError
     on a sign change or a zero, naming the scene, the ray and the bracket
-    in rho.  A non-finite value raises ValueError, as in ``integrate_unbounded``.
+    in rho.  A non-finite value raises ValueError, as in ``integrate_unbounded``,
+    and so does a total below 1e-7 of the central sum ``sum(w * Q_r)``: the
+    two parts' difference has lost its digits (the disk below omega = 4.5e-4).
     """
     if scene.boundary_radius is None:
         raise ValueError("integrate_star_shaped needs a bounded scene")
@@ -502,12 +470,14 @@ def integrate_star_shaped(scene: RadialScene, region: AngularRegion, plan: Outer
     constant = _boundary_is_constant(G)
     with np.errstate(all="ignore"):  # _finite reports a non-finite total
         q = _central_grid(scene, mesh, np.array([m]))[..., 0]
-        if constant:
-            q = q - _boundary_grid(scene, mesh, m, G)
-        total = complex(np.sum(w * q))
+        central = complex(np.sum(w * q))
+        total = complex(np.sum(w * (q - _boundary_grid(scene, mesh, m, G)))) if constant else central
     if not constant:
         total -= _oscillatory_boundary_term(scene, region, m, mesh, G)
-    return _finite(scene, total)
+    if abs(_finite(scene, total)) < 1e-7 * abs(central):
+        raise ValueError(f"scene {scene.name!r}: the central and boundary parts cancel at omega={scene.omega}, "
+                         f"|total|/|central| = {abs(total) / abs(central):.2g} < 1e-7")
+    return total
 
 
 # --- rectangle decompositions ---------------------------------------------

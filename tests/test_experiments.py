@@ -629,3 +629,15 @@ def test_cli_non_finite_omega_exits_one():
     res = _run_cli("run", "--experiment", "ellipsoid", "--omega", "inf")
     assert res.returncode == 1
     assert "omega" in res.stderr
+
+
+@pytest.mark.parametrize("flag, value, says", [
+    ("--psi", "0,abc", "nsdq run: error: argument --psi: could not convert string to float: 'abc'\n"),
+    ("--omega", "50,abc", "nsdq: error: could not convert string to float: 'abc'\n"),
+], ids=["psi", "omega"])
+def test_cli_bad_number_in_a_list_is_one_line(flag, value, says):
+    # a bad --psi named argparse's type function, _parse_list; it is one
+    # line that names the flag and the bad value, and --omega keeps its line
+    args = {"--omega": "50", "--psi": "0", flag: value}
+    res = _run_cli("run", "--experiment", "sphere", *(a for item in args.items() for a in item))
+    assert (res.returncode, res.stderr, res.stdout) == (1, says, "")

@@ -11,6 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nsdq import scenes
+from nsdq.experiments import _sphere_sums
 from brute_force import brute_force_polar, stencil_derivative
 from nsdq.oracle import adaptive_quad_1d
 from nsdq.paths import PathError, RadialScene
@@ -26,7 +27,6 @@ from nsdq.polar import (
     _descent_sums,
     _origin_samples,
     _outer_grid,
-    _outer_sums,
     _stationary_points,
     _weight_degree,
     integrate_star_shaped,
@@ -902,6 +902,25 @@ def test_star_shaped_non_finite_sum_is_an_error(omega):
             integrate_star_shaped(scenes.disk_scene(omega), region, OuterPlan.for_region(region, trap=40), 8)
 
 
+@pytest.mark.parametrize("m", [4, 8])
+def test_star_shaped_cancelled_difference_is_an_error(m):
+    # the disk's central and boundary parts each grow like w^-2, and their
+    # difference lost its digits: at omega = 1e-8 it read -4 pi (m = 4) and
+    # 20 pi (m = 8), for a value near pi.  Below 1e-7 of the central sum
+    # the total is an error that names the ratio; at omega = 1e-3 it stands
+    region = scenes.default_region("disk")
+    plan = OuterPlan.for_region(region)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for omega in (3e-4, 1e-4, 1e-8):
+            says = f"scene 'disk': the central and boundary parts cancel at omega={omega}, |total|/|central| = "
+            with pytest.raises(ValueError, match=re.escape(says)):
+                integrate_star_shaped(scenes.disk_scene(omega), region, plan, m)
+        got = integrate_star_shaped(scenes.disk_scene(1e-3), region, plan, m)
+    want = 2.0 * math.pi * sum((1e-3j) ** k / (math.factorial(k) * (k + 2)) for k in range(10))
+    assert abs(got - want) / abs(want) <= 3e-9, abs(got - want) / abs(want)
+
+
 def test_integrator_linearity():
     omega = 40.0
     region = scenes.default_region("duct")
@@ -1200,29 +1219,18 @@ def test_one_trace_of_both_sphere_rules_matches_two_traces(psi, monkeypatch):
 @pytest.mark.parametrize("psi", [0.0, 0.314, 0.628, 1.047, 1.3, 1.5])
 def test_mirrored_sphere_sums_match_the_full_trace(psi):
     # the sphere's Q_r is even in theta: tracing theta_0 ... theta_50 and
-    # reading Q_r(theta_(100-k)) as Q_r(theta_k) gives w0, w0c and w0h, and
-    # a single rule's sum, within 1e-15 of the full trace, on the README
+    # reading Q_r(theta_(100-k)) as Q_r(theta_k) gives w0, w0c and w0h
+    # within 1e-15 of the same three sums over the full trace, on the README
     # grid and at psi = 1.3 and 1.5, where some paths take the continuation
     region = scenes.default_region("sphere-scatter")
-    plan = OuterPlan.for_region(region, trap=100)
+    (theta,), w = _outer_grid(region, OuterPlan.for_region(region, trap=100))
     for k in (50.0, 100.0, 150.0, 200.0):
         sc = scenes.sphere_scatter_scene(k, psi)
-        sums = lambda **mirror: (_outer_sums(sc, region, plan, 5, 8, **mirror)
-                                 + _outer_sums(sc, region, plan, 5, **mirror))
-        for got, want in zip(sums(mirror=True), sums()):
+        with np.errstate(all="ignore"):
+            q = _central_grid(sc, (theta,), np.array([5, 8]))
+        full = [np.sum(w * q[:, 0]), np.sum(w * q[:, 1]), np.sum(2.0 * w[::2] * q[::2, 0])]
+        for got, want in zip(_sphere_sums(sc, theta, w, 5), full, strict=True):
             assert abs(got - want) / abs(want) <= 1e-15, (k, got, want)
-
-
-@pytest.mark.parametrize("region, counts", [
-    (AngularRegion.full(3), (10, 10)),
-    (AngularRegion.box(2, (0.0, math.pi)), (10,)),
-    (AngularRegion.box(2, (-1e-13, 2.0 * math.pi - 1e-13)), (10,)),
-    (AngularRegion.full(2), (11,)),
-], ids=["n=3", "not-periodic", "not-from-zero", "odd-N"])
-def test_mirrored_sums_need_an_even_trapezoid_from_zero(region, counts):
-    sc = scenes.ellipsoid_scene(100.0) if region.n == 3 else scenes.sphere_scatter_scene(100.0, 0.3)
-    with pytest.raises(ValueError, match="the mirrored trace needs n = 2"):
-        _outer_sums(sc, region, OuterPlan(counts), 5, mirror=True)
 
 
 @pytest.mark.parametrize("build", [scenes.ellipse_scene, _ellipse_traced], ids=["ellipse", "ellipse-traced"])
