@@ -64,7 +64,7 @@ def _parse_list(spec: str):
 _EXPERIMENTS = {
     "ellipsoid": ("run_ellipsoid", {"radial_points": "m", "outer_cc": "outer_cc",
                                     "outer_trap": "outer_trap", "dump_inner_grid": None}),
-    "duct": ("run_duct", {"gl": "n_gl", "gh": "n_gh", "mode": "mode", "outer_cc": "outer_cc"}),
+    "duct": ("run_duct", {"gl": "n_gl", "mode": "mode", "outer_cc": "outer_cc"}),
     "sphere": ("run_sphere_scatter", {"radial_points": "m", "outer_trap": "n_trap", "psi": "psi_grid"}),
     "example1": ("run_example1", {"radial_points": "m", "outer_cc": "outer_cc"}),
 }
@@ -84,9 +84,7 @@ def _build_parser() -> _Parser:
                      help="radial Gaussian points (ellipsoid/sphere/example1)")
     run.add_argument("--outer-cc", type=int, default=None, metavar="N")
     run.add_argument("--outer-trap", type=int, default=None, metavar="N")
-    run.add_argument("--gl", type=int, default=None, help="duct Gauss-Laguerre points")
-    run.add_argument("--gh", type=int, default=None,
-                     help="duct half-range Gauss-Hermite points (default 2*gl)")
+    run.add_argument("--gl", type=int, default=None, help="duct Gauss-Laguerre points (Gauss-Hermite: 2*gl)")
     run.add_argument("--mode", default=None,
                      choices=["corner", "direct", "direct_modified"], help="duct mode")
     run.add_argument("--psi", type=_parse_list, default=None,

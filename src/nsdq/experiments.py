@@ -36,6 +36,7 @@ from .polar import (
     OuterPlan,
     _central_grid,
     _check_rectangle,
+    _rectangle_size,
     _outer_grid,
     _finite,
     integrate_unbounded,
@@ -165,32 +166,35 @@ def ellipsoid_inner_grid(omega: float, m: int = 8, outer_cc: int = 50, outer_tra
     return np.column_stack([mesh[0].ravel(), mesh[1].ravel(), q.ravel()])
 
 
-def run_duct(omega_grid, n_gl: int = 8, n_gh: int | None = None, a: float = 1.0, b: float = 2.0,
-             mode: str = "corner", outer_cc: int = 30):
+def run_duct(omega_grid, n_gl: int = 8, a: float = 1.0, b: float = 2.0, mode: str = "corner",
+             outer_cc: int = 30):
     """Rectangular-duct experiment against the reduced 1-D reference.
 
     Modes: ``corner`` (polar central plus closed-form corner paths),
     ``direct`` (the plain Cartesian descent decomposition, which stalls),
     ``direct_modified`` (direct corners with the resonance substitution,
-    central term replaced by the polar rule).
+    central term replaced by the polar rule).  The half-range Hermite rule
+    takes 2 * n_gl points, a size the rows' params record.
 
     Every input is checked before any row runs: the sizes are integers,
-    the Laguerre ``n_gl`` and the Hermite ``n_gh`` (default ``2 * n_gl``)
-    in [1, 64] and ``outer_cc >= 2``, the sides are finite, 0 < a, b < inf,
-    and every omega is at most 1e6, the reference's bound
-    (``acoustics_reference``); otherwise ValueError.
+    1 <= n_gl <= 32 and ``outer_cc >= 2``, the sides are finite, 0 < a, b < inf,
+    and every omega lies in (1, 1e6]; otherwise ValueError.  1e6 is the
+    reference's bound (``acoustics_reference``).  At omega <= 1 the path
+    integrals diverge: cos(z cos theta) grows like exp(p |cos theta|) along
+    the paths, faster than exp(-omega p) decays.
     """
     if mode not in ("corner", "direct", "direct_modified"):
         raise ValueError(f"unknown duct mode {mode!r}")
-    n_gl = _count("run_duct", "n_gl", n_gl, hi=_MAX_POINTS)
-    n_gh = _count("run_duct", "n_gh", 2 * n_gl if n_gh is None else n_gh, hi=_MAX_POINTS,
-                  reason=" (n_gh defaults to 2 * n_gl)")
+    n_gl = _rectangle_size("run_duct", "n_gl", n_gl)
     outer_cc = _count("run_duct", "outer_cc", outer_cc, 2)
     region = scenes.default_region("duct")
     plan = OuterPlan.for_region(region, cc=outer_cc)
     oms = _omega_array(omega_grid)
     if oms[-1] > _MAX_OMEGA:
         raise ValueError(f"run_duct: the reference covers omega <= {_MAX_OMEGA:g}, got omega={oms[-1]:g}")
+    if oms[0] <= 1.0:
+        raise ValueError(f"run_duct needs omega > 1, got omega={oms[0]:g}: the amplitude cos(z cos theta) "
+                         "grows like exp(p |cos theta|) along the paths, and exp(-omega p) does not beat it")
     _check_rectangle("run_duct", a, b, oms[0])  # the sides; every omega is already checked
 
     def f_point(x, y):
@@ -203,17 +207,17 @@ def run_duct(omega_grid, n_gl: int = 8, n_gh: int | None = None, a: float = 1.0,
     for om in oms:
         if mode == "corner":
             approx = integrate_unbounded(scenes.duct_scene(om, a, b), region, plan, n_gl) - \
-                rectangle_corner_contributions(f_polar, a, b, om, n_gl, n_gh)
+                rectangle_corner_contributions(f_polar, a, b, om, n_gl)
         elif mode == "direct":
-            t = rectangle_direct_terms(f_point, a, b, om, n_gl, n_gh)
+            t = rectangle_direct_terms(f_point, a, b, om, n_gl)
             approx = t[(0.0, 0.0)] - t[(a, 0.0)] - t[(0.0, b)] + t[(a, b)]
         else:
-            t = rectangle_direct_terms(f_point, a, b, om, n_gl, n_gh, outer_resonance_fix=True)
+            t = rectangle_direct_terms(f_point, a, b, om, n_gl, outer_resonance_fix=True)
             approx = integrate_unbounded(scenes.duct_scene(om, a, b), region, plan, n_gl) \
                 - t[(a, 0.0)] - t[(0.0, b)] + t[(a, b)]
         rows.append(ExperimentRow(
             om, complex(approx), acoustics_reference(om, a, b),
-            params={"n_gl": n_gl, "n_gh": n_gh, "a": a, "b": b, "mode": mode,
+            params={"n_gl": n_gl, "n_gh": 2 * n_gl, "a": a, "b": b, "mode": mode,
                     "outer_cc": outer_cc},
         ))
     return rows
@@ -327,8 +331,7 @@ def run_example1(omega_grid, m: int = 4, outer_cc: int = 10):
     row's own check, and 2 w^2 neither overflows nor underflows, so the
     reference is a finite nonzero number; otherwise ValueError.
     """
-    m = _count("run_example1", "m", m, hi=_MAX_POINTS // 2,
-               reason=" (the direct row takes a 2m-point Hermite rule)")
+    m = _rectangle_size("run_example1", "m", m)
     outer_cc = _count("run_example1", "outer_cc", outer_cc, 2)
     oms = _omega_array(omega_grid)
     for om in oms:

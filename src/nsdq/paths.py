@@ -16,8 +16,8 @@ direction grids, and of the endpoints of the boundary term, at once.  The
 leading Taylor coefficient that seeds a path of order ``alpha >= 2`` comes
 from ``_taylor_coefficient``, the package's one difference stencil.
 
-The module also holds the closed-form angle paths of the rectangle's corner
-decomposition, ``corner_h11`` ... ``corner_h22``.
+The module also holds ``edge_path``, the closed-form angle path of any straight
+edge, which the rectangle's corner decomposition reads on its two edges.
 """
 
 from __future__ import annotations
@@ -32,10 +32,7 @@ __all__ = [
     "RadialScene",
     "PathError",
     "newton_descent",
-    "corner_h11",
-    "corner_h12",
-    "corner_h21",
-    "corner_h22",
+    "edge_path",
 ]
 
 _NEWTON_MAXIT = 50
@@ -185,31 +182,17 @@ def newton_descent(g, dg, target, z0, *, context: str = ""):
     return z, PathError(message, failed)
 
 
-# --- the rectangle's corner angle paths -------------------------------------
-# On [0,a] x [0,b] with phase sqrt(x^2 + y^2) the boundary radius R(theta) is
-# a sec(theta) below the diagonal and b csc(theta) above it; eta = sqrt(a^2 +
-# b^2) is R on the diagonal.  Each path h(q) solves R(h) = R(corner) + i q and
-# is returned as (h(q), D(q)), with h'(q) = i a / D(q) on the sec side and
-# -i b / D(q) on the csc side; the corner sum divides its amplitude by D.
+# --- the angle path of a straight edge ---------------------------------------
 
 
-def corner_h11(q, a):
-    """Corner theta = 0: ``a sec(h) = a + i q``."""
-    return np.arccos(1.0 / (1.0 + 1j * q / a)), (a + 1j * q) * np.sqrt(2j * q * a - q**2)
+def edge_path(q, d, phi, start, sign):
+    """Angle path of the edge ``R(theta) = d / cos(theta - phi)`` from the point where R = start.
 
-
-def corner_h12(q, a, b):
-    """Diagonal corner from below: ``a sec(h) = eta + i q``."""
-    eta = math.hypot(a, b)
-    return np.arccos(a / (eta + 1j * q)), (eta + 1j * q) * np.sqrt(b**2 - q**2 + 2j * q * eta)
-
-
-def corner_h21(q, a, b):
-    """Diagonal corner from above: ``b csc(h) = eta + i q``."""
-    eta = math.hypot(a, b)
-    return np.arcsin(b / (eta + 1j * q)), (eta + 1j * q) * np.sqrt(a**2 - q**2 + 2j * q * eta)
-
-
-def corner_h22(q, b):
-    """Corner theta = pi/2: ``b csc(h) = b + i q``."""
-    return np.arcsin(1.0 / (1.0 + 1j * q / b)), (b + 1j * q) * np.sqrt(2j * q * b - q**2)
+    h(q) solves R(h) = start + i q: with w = start + i q, ``h = phi + sign
+    arccos(d / w)``, sign = +1 on an edge whose angles lie above its foot
+    phi and -1 below.  Returns ``(h, D)``, ``D = w sqrt((start^2 - d^2) -
+    q^2 + 2 i q start)``, so that ``h' = sign i d / D``; at the foot
+    (start = d, a stationary point of R) D vanishes like sqrt(q).
+    """
+    w = start + 1j * q
+    return phi + sign * np.arccos(d / w), w * np.sqrt((start**2 - d**2) - q**2 + 2j * q * start)

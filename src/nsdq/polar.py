@@ -53,10 +53,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .paths import (PathError, RadialScene, _taylor_coefficient, corner_h11, corner_h12,
-                    corner_h21, corner_h22)
+from .paths import PathError, RadialScene, _taylor_coefficient, edge_path
 from .paths import newton_descent  # not called here; perfbench/layertrace.py patches this name
-from .rules import _count, _in_p, _node_sum, clenshaw_curtis, gauss_exp_power, trapezoid_periodic
+from .rules import _MAX_POINTS, _count, _in_p, _node_sum, clenshaw_curtis, gauss_exp_power, trapezoid_periodic
 from .univariate import _trace, nsd_interval
 
 __all__ = [
@@ -491,47 +490,51 @@ def _check_rectangle(name, a, b, omega):
         raise ValueError(f"{name} needs a finite omega > 0 whose square is finite, got omega={omega}")
 
 
+def _rectangle_size(name, label, m):
+    # the Laguerre size m of a rectangle decomposition, whose half-range Hermite rule takes 2m points
+    return _count(name, label, m, hi=_MAX_POINTS // 2, reason=f" (the Hermite rule takes 2 * {label} points)")
+
+
 def _assert_finite(K, corner, omega):
     if not np.all(np.isfinite(K)):
         raise ValueError(f"corner {corner}: non-finite integrand at omega={omega} "
                          "(it overflowed, or the amplitude is not finite)")
 
 
-def rectangle_corner_contributions(f_polar, a: float, b: float, omega: float,
-                                   m_lag: int, m_herm: int) -> complex:
+def rectangle_corner_contributions(f_polar, a: float, b: float, omega: float, m: int) -> complex:
     r"""Boundary term of the rectangle ``[0,a] x [0,b]`` with phase ``sqrt(x^2+y^2)``.
 
     The outer angular integral of the boundary term is itself oscillatory
-    with phase R(theta); its four endpoint contributions run along the
-    closed-form angle paths ``nsdq.paths.corner_h11`` ... ``corner_h22``
-
-        h11(q) = asec(1 + iq/a),        h12(q) = asec((eta + iq)/a),
-        h21(q) = acsc((eta + iq)/b),    h22(q) = acsc(1 + iq/b),
-
-    with eta = sqrt(a^2 + b^2).  The corners at theta = 0 and theta = pi/2
-    are resonance points (stationary points of R), so their q-integrals get
-    the q -> q^2 substitution and a half-range Gauss-Hermite rule; the two
-    contributions from the split angle beta = atan(b/a) use Gauss-Laguerre.
-    ``f_polar(z, theta)`` is the polar amplitude, analytic in both
-    arguments.
+    with phase R(theta): a sec(theta) on the edge x = a, b csc(theta) on the
+    edge y = b, which meet at beta = atan(b/a).  Its four endpoint
+    contributions run along the closed-form angle paths of the two edges,
+    ``nsdq.paths.edge_path`` with (d, phi, sign) = (a, 0, +1) and
+    (b, pi/2, -1).  The corners at theta = 0 and theta = pi/2 are resonance
+    points (stationary points of R), so their q-integrals get the q -> q^2
+    substitution and the half-range Gauss-Hermite rule of 2m points; the
+    two contributions from beta, and every radial integral, use the m-point
+    Gauss-Laguerre rule.  ``f_polar(z, theta)`` is the polar amplitude,
+    analytic in both arguments.  1 <= m <= 32, or ValueError.
 
     Returns I_ext = I11 - I12 + I21 - I22; the full rectangle integral is
     (integral of Q_r over [0, pi/2]) minus this value.
     """
     _check_rectangle("rectangle_corner_contributions", a, b, omega)
+    m = _rectangle_size("rectangle_corner_contributions", "m", m)
     eta = math.hypot(a, b)
-    pl, wl = _in_p(gauss_exp_power(m_lag, 1, 0), 1, omega)
-    ph, wh = _in_p(gauss_exp_power(m_herm, 2, 0), 2, omega)
+    pl, wl = _in_p(gauss_exp_power(m, 1, 0), 1, omega)
+    ph, wh = _in_p(gauss_exp_power(2 * m, 2, 0), 2, omega)
     P, Qh, Ql = pl[:, None], ph[None, :], pl[None, :]  # p = s/omega in rows; q = t^2/omega, t/omega
     total = 0j
-    # corner, signed scale, start, q-nodes, angle path (theta, D), q-weights; Hermite at theta = 0, pi/2,
+    # corner, signed scale, start, q-nodes, q-weights, edge (d, phi, sign); Hermite at theta = 0, pi/2,
     # Laguerre at beta.  Adds I11, -I12, I21, -I22, each wl K wq, K = f(start + iq + ip, theta(q))/D(q)
     with np.errstate(all="ignore"):  # _assert_finite reports a non-finite K (at a tiny or huge omega)
-        corners = (("(1,1)", -2.0 * a, a, Qh, corner_h11(Qh, a), wh),
-                   ("(1,2)", a, eta, Ql, corner_h12(Ql, a, b), wl),
-                   ("(2,1)", b, eta, Ql, corner_h21(Ql, a, b), wl),
-                   ("(2,2)", -2.0 * b, b, Qh, corner_h22(Qh, b), wh))
-        for corner, scale, start, Q, (theta, D), wq in corners:
+        corners = (("(1,1)", -2.0 * a, a, Qh, wh, (a, 0.0, 1)),
+                   ("(1,2)", a, eta, Ql, wl, (a, 0.0, 1)),
+                   ("(2,1)", b, eta, Ql, wl, (b, 0.5 * math.pi, -1)),
+                   ("(2,2)", -2.0 * b, b, Qh, wh, (b, 0.5 * math.pi, -1)))
+        for corner, scale, start, Q, wq, (d, phi, sign) in corners:
+            theta, D = edge_path(Q, d, phi, start, sign)
             K = f_polar(start + 1j * Q + 1j * P, theta) / D
             _assert_finite(K, corner, omega)
             total += (scale * cmath.exp(1j * omega * start) / omega**2) * (wl @ K @ wq)
@@ -561,7 +564,7 @@ def _direct_corner(f, x0, y0, omega, lag, herm, outer_resonance_fix):
     return cmath.exp(1j * omega * G) * (wp @ K @ wq)
 
 
-def rectangle_direct_terms(f, a, b, omega, m, m_herm=None, outer_resonance_fix=False):
+def rectangle_direct_terms(f, a, b, omega, m, outer_resonance_fix=False):
     r"""Corner terms of nested Cartesian steepest descent, phase ``sqrt(x^2+y^2)``.
 
     Returns ``{(x0, y0): F(x0, y0)}`` for the corners of ``[0,a] x [0,b]``;
@@ -579,14 +582,14 @@ def rectangle_direct_terms(f, a, b, omega, m, m_herm=None, outer_resonance_fix=F
       ``outer_resonance_fix`` is set.
 
     ``f(x, y)`` must be analytic in both arguments along the corner paths.
+    The Hermite rule takes 2m points, so 1 <= m <= 32, or ValueError.
     """
     _check_rectangle("rectangle_direct_terms", a, b, omega)
-    if m_herm is None:
-        m_herm = 2 * m
+    m = _rectangle_size("rectangle_direct_terms", "m", m)
     # (nodes, weights) in the path variable of the Laguerre rule and of the
     # half-range Hermite rule (after q -> q^2), read once for all corners
     pl, wl = _in_p(gauss_exp_power(m, 1, 0), 1, omega)
-    ph, wh = _in_p(gauss_exp_power(m_herm, 2, 0), 2, omega)
+    ph, wh = _in_p(gauss_exp_power(2 * m, 2, 0), 2, omega)
     lag, herm = (pl, wl / omega), (ph, 2 * wh / omega)
     return {(x0, y0): _direct_corner(f, x0, y0, omega, lag, herm, outer_resonance_fix)
             for x0, y0 in ((0.0, 0.0), (a, 0.0), (0.0, b), (a, b))}

@@ -30,7 +30,7 @@ from nsdq.experiments import (
 )
 from brute_force import brute_force_polar
 from nsdq.oracle import acoustics_reference
-from nsdq.paths import corner_h11, corner_h12, corner_h21, corner_h22, newton_descent
+from nsdq.paths import edge_path, newton_descent
 from nsdq.polar import (
     OuterPlan,
     _origin_samples,
@@ -157,7 +157,7 @@ def test_criterion_5_outer_plateau():
 
 def test_criterion_6_duct_modes():
     t0 = time.time()
-    corner = run_duct([1000.0], n_gl=8, n_gh=16)[0].rel_err
+    corner = run_duct([1000.0], n_gl=8)[0].rel_err
     ok = corner <= 1e-10
     details = [f"corner rel err {corner:.1e} (tol 1e-10)"]
 
@@ -223,10 +223,10 @@ def test_criterion_7_path_solver():
     sec, dsec = lambda z: a / np.cos(z), lambda z: a * np.sin(z) / np.cos(z) ** 2
     csc, dcsc = lambda z: b / np.sin(z), lambda z: -b * np.cos(z) / np.sin(z) ** 2
     cases = [
-        (lambda q: corner_h11(q, a), sec, dsec, a),
-        (lambda q: corner_h12(q, a, b), sec, dsec, eta),
-        (lambda q: corner_h21(q, a, b), csc, dcsc, eta),
-        (lambda q: corner_h22(q, b), csc, dcsc, b),
+        (lambda q: edge_path(q, a, 0.0, a, 1), sec, dsec, a),
+        (lambda q: edge_path(q, a, 0.0, eta, 1), sec, dsec, eta),
+        (lambda q: edge_path(q, b, 0.5 * math.pi, eta, -1), csc, dcsc, eta),
+        (lambda q: edge_path(q, b, 0.5 * math.pi, b, -1), csc, dcsc, b),
     ]
     for path, g, dg, base in cases:
         z = None

@@ -2,6 +2,7 @@ import errno
 import json
 import math
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -238,7 +239,7 @@ def test_sphere_path_error_names_the_row():
 
 @pytest.mark.parametrize("run, kwargs", [
     (run_ellipsoid, {"m": np.int64(3), "outer_cc": np.int64(10), "outer_trap": np.int32(10)}),
-    (run_duct, {"n_gl": np.int64(4), "n_gh": np.int32(6), "outer_cc": np.int64(10)}),
+    (run_duct, {"n_gl": np.int64(4), "outer_cc": np.int64(10)}),
     (run_example1, {"m": np.int64(3), "outer_cc": np.int64(10)}),
 ], ids=["ellipsoid", "duct", "example1"])
 def test_numpy_integer_sizes_are_stored_as_ints(run, kwargs):
@@ -261,8 +262,8 @@ BAD_SIDES = ((math.inf, 2.0), (math.nan, 2.0), (0.0, 2.0), (-1.0, 2.0), (1.0, ma
     (run_duct, {"n_gl": 8.0}, "n_gl=8.0"),
     (run_duct, {"n_gl": 0}, "n_gl=0"),
     (run_duct, {"n_gl": 65}, "n_gl=65"),
-    (run_duct, {"n_gl": 40}, r"defaults to 2 \* n_gl\), got n_gh=80"),
-    (run_duct, {"n_gh": 65}, "n_gh=65"),
+    (run_duct, {"n_gl": 40}, r"^run_duct needs 1 <= n_gl <= 32 \(the Hermite rule takes 2 \* n_gl points\), "
+                             r"got n_gl=40$"),
     (run_duct, {"outer_cc": 1}, "run_duct needs 2 <= outer_cc, got outer_cc=1"),
     (run_ellipsoid, {"outer_trap": 1}, "run_ellipsoid needs 2 <= outer_trap, got outer_trap=1"),
     (run_example1, {"m": 33}, "m=33"),
@@ -272,14 +273,15 @@ BAD_SIDES = ((math.inf, 2.0), (math.nan, 2.0), (0.0, 2.0), (-1.0, 2.0), (1.0, ma
                                                f"got a={a}, b={b}$")
      for mode in DUCT_MODES for a, b in BAD_SIDES],
     ids=["ellipsoid-m-float", "ellipsoid-trap-float", "duct-gl-float", "duct-gl-zero",
-         "duct-gl-above-64", "duct-gh-default-above-64", "duct-gh-above-64", "duct-cc-1",
+         "duct-gl-above-64", "duct-gh-default-above-64", "duct-cc-1",
          "ellipsoid-trap-1", "example1-hermite-above-64", "example1-cc-float", "example1-cc-1"]
     + [f"duct-{mode}-a{a}-b{b}" for mode in DUCT_MODES for a, b in BAD_SIDES])
 def test_sizes_checked_before_any_row(run, kwargs, named, monkeypatch):
     # duct n_gl = 40 used to compute the polar term first and then fail on
-    # a Hermite rule "m=80" that nobody had asked for; an infinite duct side
-    # computed the first row's polar term, and the error named the corner
-    # decomposition, not run_duct
+    # a Hermite rule "m=80" that nobody had asked for; now the bound names
+    # the Hermite rule of 2 * n_gl points as its reason.  An infinite duct
+    # side computed the first row's polar term, and the error named the
+    # corner decomposition, not run_duct
     from nsdq import scenes
 
     built = []
@@ -300,7 +302,26 @@ def test_cli_duct_default_gh_above_64_exits_one(monkeypatch, capsys):
     assert cli.main(["run", "--experiment", "duct", "--omega", "100", "--gl", "40"]) == 1
     out, err = capsys.readouterr()
     assert out == "" and built == []
-    assert "n_gh defaults to 2 * n_gl" in err and "n_gh=80" in err
+    assert "n_gl <= 32 (the Hermite rule takes 2 * n_gl points), got n_gl=40" in err
+
+
+@pytest.mark.parametrize("mode", ["corner", "direct", "direct_modified"])
+@pytest.mark.parametrize("omegas", [[0.1], [1.0], [0.5, 100.0]], ids=["0.1", "1", "0.5-and-100"])
+def test_duct_omega_at_most_one_is_rejected_before_any_row(mode, omegas, monkeypatch):
+    # the amplitude cos(z cos theta) grows like exp(p |cos theta|) on every
+    # path and exp(i omega g) decays like exp(-omega p), so at omega <= 1 the
+    # path integrals diverge; corner mode returned relative errors of 3.7e214
+    # and 67 at omega = 0.1 and 1, direct 6.6e91 and 0.58, direct_modified
+    # 2.7e128 and 4.7, without a word
+    from nsdq import experiments
+
+    built = []
+    reference = experiments.acoustics_reference
+    monkeypatch.setattr(experiments, "acoustics_reference", lambda *a: built.append(a) or reference(*a))
+    says = f"run_duct needs omega > 1, got omega={omegas[0]:g}: the amplitude cos(z cos theta) grows"
+    with pytest.raises(ValueError, match="^" + re.escape(says)):
+        run_duct(omegas, mode=mode)
+    assert built == []
 
 
 def test_sphere_row_oscillator_calls(monkeypatch):
@@ -480,7 +501,8 @@ def test_cli_usage_errors_exit_one():
     for args in (["--experiment", "nope"],
                  ["--experiment", "duct", "--omega", "5:1:0"],
                  ["--experiment", "sphere", "--omega", "50", "--psi", str(math.pi / 2)],
-                 ["--experiment", "duct", "--omega", "10", "--dump-inner-grid", "/tmp/x.csv"]):
+                 ["--experiment", "duct", "--omega", "10", "--dump-inner-grid", "/tmp/x.csv"],
+                 ["--experiment", "duct", "--omega", "100", "--gl", "8", "--gh", "16"]):
         res = _run_cli("run", *args)
         assert res.returncode == 1
         assert res.stderr.count("\n") == 1 and "error: " in res.stderr, args
@@ -496,12 +518,14 @@ def test_cli_usage_errors_exit_one():
     ("ellipsoid", "1e154", "scene 'ellipsoid': the outer sum is not finite at omega=1e+154"),
     ("duct", "1e153", "omega <= 1e+06, got omega=1e+153"),
     ("duct", "1e160", "omega <= 1e+06, got omega=1e+160"),
+    ("duct", "0.5", "run_duct needs omega > 1, got omega=0.5: "),
 ])
 def test_cli_huge_omega_is_one_error_line(experiment, omega, says):
     # no numpy warning, traceback or nan row: exit 1, nothing on stdout and
     # one stderr line.  The duct is rejected before its reference builds
-    # ceil(omega/100) panels, or omega**2 overflows.  example1 checks every
-    # omega before its first row, so no row carries a reference
+    # ceil(omega/100) panels, or omega**2 overflows, and at omega <= 1,
+    # where its path integrals diverge.  example1 checks every omega
+    # before its first row, so no row carries a reference
     # -pi/(2 omega^2) of -0 (above about 9.48e153) or a division by zero
     res = _run_cli("run", "--experiment", experiment, "--omega", omega)
     assert res.returncode == 1
@@ -609,7 +633,7 @@ def test_non_finite_omega_rejected(bad):
     with pytest.raises(ValueError, match="omega"):
         acoustics_reference(bad)
     with pytest.raises(ValueError, match="omega"):
-        rectangle_corner_contributions(lambda z, th: z, 1.0, 2.0, bad, 8, 16)
+        rectangle_corner_contributions(lambda z, th: z, 1.0, 2.0, bad, 8)
     with pytest.raises(ValueError, match="omega"):
         rectangle_direct_terms(lambda x, y: x, 1.0, 2.0, bad, 8)
 
@@ -620,7 +644,7 @@ def test_rectangle_entries_reject_non_positive_omega(bad):
     from nsdq.polar import rectangle_corner_contributions, rectangle_direct_terms
 
     with pytest.raises(ValueError, match="omega"):
-        rectangle_corner_contributions(lambda z, th: z, 1.0, 2.0, bad, 8, 16)
+        rectangle_corner_contributions(lambda z, th: z, 1.0, 2.0, bad, 8)
     with pytest.raises(ValueError, match="omega"):
         rectangle_direct_terms(lambda x, y: x, 1.0, 2.0, bad, 8)
 

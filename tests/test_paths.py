@@ -1,10 +1,10 @@
-"""Descent paths: the grid tracer the integrators run, and the corner paths.
+"""Descent paths: the grid tracer the integrators run, and the edge paths.
 
 Traced paths are checked through ``polar._origin_samples`` and
 ``polar._boundary_samples``, the Newton continuation the integrators call,
-with residuals computed from the scene's own oscillator.  The rectangle's
-corner angle paths are the definitions ``rectangle_corner_contributions``
-evaluates.
+with residuals computed from the scene's own oscillator.  The angle paths
+of a straight edge are ``paths.edge_path``, which
+``rectangle_corner_contributions`` evaluates on the rectangle's two edges.
 """
 
 import cmath
@@ -18,10 +18,7 @@ from nsdq import polar, scenes, univariate
 from nsdq.paths import (
     PathError,
     RadialScene,
-    corner_h11,
-    corner_h12,
-    corner_h21,
-    corner_h22,
+    edge_path,
     newton_descent,
 )
 from nsdq.polar import _boundary_samples, _origin_samples, _weight_degree
@@ -279,19 +276,18 @@ def test_negative_leading_coefficient_traced():
 
 
 def _corner_path(key, a=None, b=None):
-    # (theta(q), theta'(q)) of one corner from the definitions the corner sum uses
+    # (theta(q), theta'(q)) of one corner of the duct [0, a] x [0, b], read
+    # from edge_path on its edge x = a (d, phi, sign = a, 0, +1) or
+    # y = b (b, pi/2, -1), as the corner sum reads it
+    if key in ("duct-corner-h11", "duct-corner-h12"):
+        d, phi, sign = a, 0.0, 1
+    else:
+        d, phi, sign = b, 0.5 * math.pi, -1
+    start = d if key in ("duct-corner-h11", "duct-corner-h22") else math.hypot(a, b)
+
     def path(q):
-        if key == "duct-corner-h11":
-            th, D = corner_h11(q, a)
-            return th, 1j * a / D
-        if key == "duct-corner-h12":
-            th, D = corner_h12(q, a, b)
-            return th, 1j * a / D
-        if key == "duct-corner-h21":
-            th, D = corner_h21(q, a, b)
-            return th, -1j * b / D
-        th, D = corner_h22(q, b)
-        return th, -1j * b / D
+        th, D = edge_path(q, d, phi, start, sign)
+        return th, sign * 1j * d / D
 
     return path
 
@@ -342,6 +338,24 @@ def test_duct_corner_paths_against_newton():
             # solve from a one-element array
             assert np.ndim(zn) == 0 and zn == _newton_root(g, dg, base + 1j * q, [z])[0]
             z = zn
+
+
+@pytest.mark.parametrize("d, phi, sign, x", [(1.3, 0.0, 1, 0.3), (0.7, 0.5 * math.pi, -1, 1.3)],
+                         ids=["a-edge", "b-edge"])
+def test_edge_paths_from_interior_points(d, phi, sign, x):
+    # the paths from an interior angle of each edge of the 1.3 x 0.7
+    # rectangle (beta = 0.494): R(h) = R(x) + i q, and h' = sign i d / D is
+    # i / R'(h) on the Newton continuation of the same paths
+    R = lambda z: d / np.cos(z - phi)
+    dR = lambda z: d * np.sin(z - phi) / np.cos(z - phi) ** 2
+    start = float(R(x))
+    z = x + 0j
+    for q in np.geomspace(1e-4, 0.8, 12):
+        h, D = edge_path(q, d, phi, start, sign)
+        assert abs(complex(R(h)) - (start + 1j * q)) <= 1e-12
+        z = _newton_root(R, dR, start + 1j * q, z)
+        assert abs(z - h) <= 1e-12
+        assert abs(sign * 1j * d / D - 1j / dR(z)) <= 1e-12 * abs(1j / dR(z))
 
 
 def test_degenerate_direction_rejected():

@@ -29,9 +29,13 @@ PINNED = {
         "(0.04163427496599621+0.009075674155119052j)",
         "(-0.0003631871209078124-0.0013800069232640017j)",
     ],
+    # re-recorded when the four corner angle paths became edge_path on the
+    # rectangle's two edges: arccos(d / w) in place of arccos(1 / (1 + iq/d))
+    # and arcsin, and start^2 - d^2 in place of the other side squared
+    # (moves 1.0e-16 and 6.3e-17 relative)
     "duct-corner": [
-        "(0.050571847848663594+0.012516602346797318j)",
-        "(-0.0004457996435259646-0.0016713706870459713j)",
+        "(0.050571847848663594+0.012516602346797313j)",
+        "(-0.0004457996435259647-0.0016713706870459713j)",
     ],
     # re-recorded when the continuation seeded each row by the tangent step
     # of the previous one: Newton stops at other last bits (values moved by

@@ -403,6 +403,14 @@ def test_stationary_scan_with_exact_derivative_brackets_each_root(coeffs, ends):
     assert len(got) == len(_stationary_points(lambda th: stencil_derivative(G, th), lo, hi)[0])
 
 
+def test_stationary_scan_takes_a_zero_sample_once():
+    # dG vanishes exactly on the sample ths[137]: neither neighbouring
+    # product is negative, so only the zero test finds the point, once
+    ths = np.linspace(0.0, 2 * math.pi, 600)
+    dG = lambda th: th - ths[137]
+    assert _stationary_points(dG, 0.0, 2 * math.pi) == ([ths[137]], False, False)
+
+
 def _asymmetric_scene(omega):
     # unit amplitude and phase r inside R = 1 + 0.1 sin^3 + 0.04 cos
     # + 0.02 sin(2 theta + 0.3): no symmetry puts the stationary points of
@@ -737,6 +745,17 @@ def test_interior_stationary_point_scan_is_one_call():
     assert np.all(0.0 < radii[0]) and np.all(radii[0] < R)
 
 
+def test_scalar_radial_derivative_is_broadcast_for_the_scan():
+    # a d_oscillator that returns a scalar is broadcast to the scan's 32
+    # radii on every ray; the disk's g' = 1 that way gives the same bits as
+    # its own array-valued g'
+    region = scenes.default_region("disk")
+    plan = OuterPlan.for_region(region, trap=16)
+    sc = dataclasses.replace(scenes.disk_scene(10.0), d_oscillator=lambda z, th: 1.0)
+    want = integrate_star_shaped(scenes.disk_scene(10.0), region, plan, 4)
+    assert repr(integrate_star_shaped(sc, region, plan, 4)) == repr(want)
+
+
 def _offset_ellipse_scene(omega):
     # non-unit amplitude, traced paths and a varying radius around x0 != 0
     g = lambda x: np.sqrt(x[0] ** 2 + 2.0 * x[1] ** 2)
@@ -770,16 +789,16 @@ def duct_f_polar(z, th):
 
 
 def test_corner_contributions_zero_amplitude():
-    assert rectangle_corner_contributions(lambda z, th: 0.0 * z, 1.0, 2.0, 100.0, 6, 12) == 0.0
+    assert rectangle_corner_contributions(lambda z, th: 0.0 * z, 1.0, 2.0, 100.0, 6) == 0.0
 
 
 def test_corner_contributions_swap_symmetry():
     # swapping the rectangle sides while reflecting the amplitude across the
     # diagonal leaves the boundary term unchanged
     a, b, omega = 1.0, 2.0, 75.0
-    direct = rectangle_corner_contributions(duct_f_polar, a, b, omega, 8, 16)
+    direct = rectangle_corner_contributions(duct_f_polar, a, b, omega, 8)
     reflected = rectangle_corner_contributions(
-        lambda z, th: duct_f_polar(z, 0.5 * math.pi - th), b, a, omega, 8, 16
+        lambda z, th: duct_f_polar(z, 0.5 * math.pi - th), b, a, omega, 8
     )
     assert abs(direct - reflected) <= 1e-12 * max(1.0, abs(direct))
 
@@ -792,7 +811,7 @@ def test_duct_corner_mode_full_value():
     region = scenes.default_region("duct")
     plan = OuterPlan.for_region(region, cc=30)
     val = integrate_unbounded(sc, region, plan, 8) - rectangle_corner_contributions(
-        duct_f_polar, a, b, omega, 8, 16
+        duct_f_polar, a, b, omega, 8
     )
     ref = acoustics_reference(omega, a, b)
     assert abs(val - ref) <= 1e-10 * abs(ref)
@@ -833,7 +852,7 @@ def test_direct_rejects_bad_rectangle():
     with pytest.raises(ValueError):
         rectangle_direct_terms(lambda x, y: 1.0, -1.0, 2.0, 10.0, 4)
     with pytest.raises(ValueError):
-        rectangle_corner_contributions(duct_f_polar, 1.0, 0.0, 10.0, 4, 8)
+        rectangle_corner_contributions(duct_f_polar, 1.0, 0.0, 10.0, 4)
 
 
 @pytest.mark.parametrize("a, b", [(0.0, 2.0), (-1.0, 2.0), (math.nan, 2.0), (math.inf, 2.0),
@@ -844,7 +863,7 @@ def test_rectangle_sides_must_be_finite_and_positive(a, b):
     # "non-finite integrand (inverse sec/csc branch failure)"
     sides = re.escape(f" needs finite rectangle sides 0 < a, b < inf, got a={a}, b={b}")
     with pytest.raises(ValueError, match="rectangle_corner_contributions" + sides):
-        rectangle_corner_contributions(duct_f_polar, a, b, 10.0, 8, 16)
+        rectangle_corner_contributions(duct_f_polar, a, b, 10.0, 8)
     with pytest.raises(ValueError, match="rectangle_direct_terms" + sides):
         rectangle_direct_terms(lambda x, y: x, a, b, 10.0, 8)
 
@@ -854,13 +873,13 @@ def test_rectangle_omega_whose_square_overflows_is_rejected():
     # 1.34e154, where the corner sum used to raise a bare OverflowError
     omega = re.escape(" needs a finite omega > 0 whose square is finite, got omega=1.35e+154")
     with pytest.raises(ValueError, match="rectangle_corner_contributions" + omega):
-        rectangle_corner_contributions(duct_f_polar, 1.0, 2.0, 1.35e154, 8, 16)
+        rectangle_corner_contributions(duct_f_polar, 1.0, 2.0, 1.35e154, 8)
     with pytest.raises(ValueError, match="rectangle_direct_terms" + omega):
         rectangle_direct_terms(lambda x, y: x, 1.0, 2.0, 1.35e154, 8)
     # a Python int too large for a float is the same error, not a bare OverflowError
     huge = re.escape(" needs a finite omega > 0 whose square is finite, got omega=" + str(10**400))
     with pytest.raises(ValueError, match="rectangle_corner_contributions" + huge):
-        rectangle_corner_contributions(duct_f_polar, 1.0, 2.0, 10**400, 8, 16)
+        rectangle_corner_contributions(duct_f_polar, 1.0, 2.0, 10**400, 8)
     with pytest.raises(ValueError, match="rectangle_direct_terms" + huge):
         rectangle_direct_terms(lambda x, y: x, 1.0, 2.0, 10**400, 8)
     # the largest omega whose square is finite is accepted, the next float is not
@@ -871,11 +890,25 @@ def test_rectangle_omega_whose_square_overflows_is_rejected():
         _check_rectangle("check", 1.0, 2.0, math.nextafter(largest, math.inf))
 
 
+@pytest.mark.parametrize("m, says", [
+    (40, " needs 1 <= m <= 32 (the Hermite rule takes 2 * m points), got m=40"),
+    (0, " needs 1 <= m <= 32 (the Hermite rule takes 2 * m points), got m=0"),
+    (8.0, " needs an integer m, got m=8.0"),
+], ids=["above-32", "zero", "float"])
+def test_rectangle_sizes_name_themselves(m, says):
+    # m = 40 used to fail inside gauss_exp_power on "m=80", a size no caller
+    # passed: the bound names the Hermite rule of 2m points as its reason
+    with pytest.raises(ValueError, match="^rectangle_corner_contributions" + re.escape(says) + "$"):
+        rectangle_corner_contributions(duct_f_polar, 1.0, 2.0, 10.0, m)
+    with pytest.raises(ValueError, match="^rectangle_direct_terms" + re.escape(says) + "$"):
+        rectangle_direct_terms(lambda x, y: x, 1.0, 2.0, 10.0, m)
+
+
 def test_non_finite_rectangle_integrand_names_omega():
     nan = lambda *args: np.full(np.broadcast(*args).shape, np.nan)
     says = " non-finite integrand at omega=10.0 (it overflowed, or the amplitude is not finite)"
     with pytest.raises(ValueError, match=re.escape("corner (1,1):" + says)):
-        rectangle_corner_contributions(nan, 1.0, 2.0, 10.0, 8, 16)
+        rectangle_corner_contributions(nan, 1.0, 2.0, 10.0, 8)
     with pytest.raises(ValueError, match=re.escape("corner (0.0,0.0):" + says)):
         rectangle_direct_terms(nan, 1.0, 2.0, 10.0, 8)
 
@@ -887,7 +920,7 @@ def test_tiny_omega_corner_failure_is_its_error_not_a_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=re.escape("corner (1,1): non-finite integrand at omega=1e-20")):
-            rectangle_corner_contributions(duct_f_polar, 1.0, 2.0, 1e-20, 8, 16)
+            rectangle_corner_contributions(duct_f_polar, 1.0, 2.0, 1e-20, 8)
 
 
 @pytest.mark.parametrize("omega", [1e-300, 1e-200])
